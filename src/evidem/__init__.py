@@ -4,24 +4,11 @@ expressed as belief-function plausibilities (soft labels)."""
 
 __version__ = "0.1.0"
 
-from .belief import (
-    ContourFunction,
-    Frame,
-    MassFunction,
-    ProbabilityVector,
-    TotalConflictError,
-    bayes_contour_combine,
-    bel,
-    contour_of,
-    dempster_combine,
-    pl,
-)
 from .censoring import (
     CensoredDataset,
     CensoringScheme,
     SchemeError,
     conventional_scheme,
-    progressive_loglik,
     run_life_test,
     scheme_from_censor_frac,
 )
@@ -39,7 +26,7 @@ from .estimator import (
     m_step,
     make_soft_labels,
 )
-from .rayleigh import MixtureParams, RayleighParam, mixture_pdf, sample_labeled
+from .rayleigh import MixtureParams, mixture_pdf, sample_labeled
 from .simulation import (
     CorruptionConfig,
     ExperimentConfig,
@@ -54,25 +41,13 @@ from .simulation import (
 
 __all__ = [
     "__version__",
-    "Frame",
-    "MassFunction",
-    "ContourFunction",
-    "ProbabilityVector",
-    "TotalConflictError",
-    "bel",
-    "pl",
-    "contour_of",
-    "dempster_combine",
-    "bayes_contour_combine",
     "CensoringScheme",
     "CensoredDataset",
     "SchemeError",
     "conventional_scheme",
     "scheme_from_censor_frac",
     "run_life_test",
-    "progressive_loglik",
     "MixtureParams",
-    "RayleighParam",
     "mixture_pdf",
     "sample_labeled",
     "LabelMode",

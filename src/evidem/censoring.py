@@ -4,8 +4,8 @@ A scheme places ``n`` units on test, observes ``J`` failures, and removes
 ``R_j`` still-functioning units immediately after the j-th failure, so
 ``sum(R) + J == n``.  The module validates schemes, replays the physical
 experiment on labelled lifetimes (labels must survive censoring so that the
-label-corruption protocol can act on every unit), and evaluates the exact
-observed-data log-likelihood of the ordered failure times.
+label-corruption protocol can act on every unit), and reads and writes the
+resulting datasets as CSV.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "scheme_from_censor_frac",
     "validate",
     "run_life_test",
-    "progressive_loglik",
     "write_dataset_csv",
     "read_dataset_csv",
 ]
@@ -80,10 +79,15 @@ def conventional_scheme(n: int, J: int) -> CensoringScheme:
 
 
 def scheme_from_censor_frac(n: int, censor_frac: float) -> CensoringScheme:
-    """Conventional plan observing ceil(n * (1 - censor_frac)) failures."""
+    """Conventional plan observing ceil(n * (1 - censor_frac)) failures.
+
+    Subtracting 1e-9 before the ceiling absorbs round-off in
+    ``n * (1 - censor_frac)``, so that ``censor_frac = 1 - J / n`` gives
+    back J rather than J + 1.
+    """
     if not 0.0 <= censor_frac < 1.0:
         raise SchemeError(f"censor_frac must be in [0, 1), got {censor_frac}")
-    J = math.ceil(n * (1.0 - censor_frac))
+    J = max(1, math.ceil(n * (1.0 - censor_frac) - 1e-9))
     return conventional_scheme(n, J)
 
 
@@ -120,6 +124,12 @@ class CensoredDataset:
             if label.shape != (n,):
                 raise ValueError(f"true_label must have shape ({n},), got {label.shape}")
             label.flags.writeable = False
+        bad = np.flatnonzero(~(np.isfinite(y) & (y > 0.0)))
+        if bad.size:
+            raise ValueError(f"y_star must be finite and positive; record(s) {bad.tolist()} are not")
+        ordered = np.sort(item_id)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("item_id values must be unique")
         self._check_event_structure(y, obs, caf)
         for arr in (item_id, y, obs, caf):
             arr.flags.writeable = False
@@ -171,7 +181,6 @@ def run_life_test(
     pairs = list(labeled_lifetimes)
     if len(pairs) != scheme.n:
         raise ValueError(f"expected {scheme.n} lifetimes, got {len(pairs)}")
-    validate(scheme)
     times = np.array([float(t) for t, _ in pairs])
     labels = np.array([int(z) for _, z in pairs])
 
@@ -210,40 +219,6 @@ def run_life_test(
         censored_at_failure=np.array(caf),
         true_label=labels[id_arr],
     )
-
-
-def progressive_loglik(
-    scheme: CensoringScheme,
-    observed_times: Sequence[float],
-    logpdf: Callable[[np.ndarray], np.ndarray],
-    logsf: Callable[[np.ndarray], np.ndarray],
-) -> float:
-    """Exact log-likelihood of the ordered failure times under the scheme.
-
-    log C + sum_j [ log f(x_j) + R_j log S(x_j) ] with the combinatorial
-    constant C = prod_j (n - j + 1 - R_1 - ... - R_{j-1}).  Returns -inf
-    when some removal happens at a time the model declares impossible to
-    survive (S = 0 with R_j > 0).
-    """
-    times = np.asarray(observed_times, dtype=float)
-    J = scheme.J
-    if times.shape != (J,):
-        raise ValueError(f"expected {J} observed times, got shape {times.shape}")
-    if np.any(np.diff(times) < 0):
-        raise ValueError("observed times must be sorted nondecreasing")
-    R = np.asarray(scheme.removals)
-    remaining = scheme.n - np.arange(J) - np.concatenate(([0], np.cumsum(R)[:-1]))
-    log_c = float(np.log(remaining).sum())
-    lp = np.asarray(logpdf(times), dtype=float)
-    ls = np.asarray(logsf(times), dtype=float)
-    total = log_c + float(lp.sum())
-    mask = R > 0
-    if np.any(mask):
-        tail = ls[mask]
-        if np.any(np.isneginf(tail)):
-            return -math.inf
-        total += float((R[mask] * tail).sum())
-    return total
 
 
 def write_dataset_csv(ds: CensoredDataset, path) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .censoring import read_dataset_csv, run_life_test, write_dataset_csv
+from .censoring import read_dataset_csv, scheme_from_censor_frac, write_dataset_csv
 from .config import ConfigError, RunConfig, parse_config
 from .estimator import (
     EstimationError,
@@ -29,15 +29,15 @@ from .estimator import (
     write_soft_labels_csv,
 )
 from .figures import Series, write_line_chart
-from .rayleigh import sample_labeled
 from .simulation import (
+    MAX_ALIGN_COMPONENTS,
     CorruptionConfig,
     ExperimentConfig,
     SweepSpec,
-    corrupt_labels,
-    draw_error_probs,
     effective_sd,
+    parameter_names,
     run_sweep,
+    simulate_dataset,
     substream,
     truth_offset_init,
     write_figure_csv,
@@ -109,11 +109,7 @@ def cmd_generate(cfg: RunConfig) -> int:
     _require(cfg, "a 'model' section", cfg.model is not None)
     _require(cfg, "a 'scheme' section", cfg.scheme is not None)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    rng = substream(cfg.seed)
-    times, labels = sample_labeled(cfg.model, cfg.scheme.n, rng)
-    ds = run_life_test(list(zip(times, labels)), cfg.scheme, rng)
-    q = draw_error_probs(CorruptionConfig(cfg.rho, cfg.sd), cfg.scheme.n, rng)
-    _, pl = corrupt_labels(ds.true_label, q, cfg.model.n_components, rng)
+    ds, _, pl = simulate_dataset(cfg.model, cfg.scheme, CorruptionConfig(cfg.rho, cfg.sd), substream(cfg.seed))
     write_dataset_csv(ds, cfg.out / "data.csv")
     write_soft_labels_csv(pl, cfg.out / "labels.csv", item_ids=ds.item_id)
     _write_manifest(cfg, {"effective_sd": effective_sd(cfg.rho, cfg.sd)})
@@ -163,13 +159,10 @@ def cmd_fit(cfg: RunConfig) -> int:
         _write_manifest(cfg, {"init": init_rule, "outcome": f"degenerate: {exc}"})
         return EXIT_DEGENERATE
 
+    names = parameter_names(p)
     with open(cfg.out / "estimate.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [f"lambda_{z + 1}" for z in range(p)]
-            + [f"xi_{z + 1}" for z in range(p)]
-            + ["iterations", "converged", "gll"]
-        )
+        writer.writerow(names + ["iterations", "converged", "gll"])
         writer.writerow(
             [repr(float(v)) for v in est.lambdas]
             + [repr(float(v)) for v in est.xis]
@@ -177,7 +170,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         )
     with open(cfg.out / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "gll"] + [f"lambda_{z + 1}" for z in range(p)] + [f"xi_{z + 1}" for z in range(p)])
+        writer.writerow(["iteration", "gll"] + names)
         for k, (params, gll) in enumerate(trace.iterates):
             writer.writerow(
                 [k, repr(gll)] + [repr(float(v)) for v in params.lambdas] + [repr(float(v)) for v in params.xis]
@@ -194,6 +187,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
     _require(cfg, "a 'model' section", cfg.model is not None)
     _require(cfg, "a 'scheme' section", cfg.scheme is not None)
     _require(cfg, "a 'sweep' section", cfg.sweep_variable is not None)
+    if scheme_from_censor_frac(cfg.scheme.n, cfg.censor_frac) != cfg.scheme:
+        raise ConfigError(
+            "sweeps replay conventional plans only, which remove every survivor at the last failure; "
+            "the configured 'scheme.R' removes units before it"
+        )
+    if cfg.model.n_components > MAX_ALIGN_COMPONENTS:
+        raise ConfigError(
+            f"sweeps align at most {MAX_ALIGN_COMPONENTS} components to the truth, "
+            f"the model has {cfg.model.n_components}"
+        )
     cfg.out.mkdir(parents=True, exist_ok=True)
     base = ExperimentConfig(
         true_params=cfg.model,

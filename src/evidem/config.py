@@ -66,7 +66,6 @@ class RunConfig:
     workers: int = 1
     methods: list[LabelMode] = field(default_factory=lambda: list(LabelMode))
     model: MixtureParams | None = None
-    n: int | None = None
     censor_frac: float | None = None
     scheme: CensoringScheme | None = None
     rho: float = 0.0
@@ -225,15 +224,15 @@ def parse_config(
     if scheme is not None:
         if "n" not in scheme:
             raise ConfigError("'scheme' needs 'n'")
-        cfg.n = _as_int(scheme["n"], "scheme.n")
+        n = _as_int(scheme["n"], "scheme.n")
         try:
             if "R" in scheme:
-                cfg.scheme = CensoringScheme(cfg.n, tuple(_as_int(r, "scheme.R") for r in scheme["R"]))
+                cfg.scheme = CensoringScheme(n, tuple(_as_int(r, "scheme.R") for r in scheme["R"]))
             elif "J" in scheme:
-                cfg.scheme = conventional_scheme(cfg.n, _as_int(scheme["J"], "scheme.J"))
+                cfg.scheme = conventional_scheme(n, _as_int(scheme["J"], "scheme.J"))
             elif "censor_frac" in scheme:
                 cfg.censor_frac = _as_float(scheme["censor_frac"], "scheme.censor_frac")
-                cfg.scheme = scheme_from_censor_frac(cfg.n, cfg.censor_frac)
+                cfg.scheme = scheme_from_censor_frac(n, cfg.censor_frac)
             else:
                 raise ConfigError("'scheme' needs one of 'censor_frac', 'J', or 'R'")
         except SchemeError as exc:

@@ -19,15 +19,12 @@ normalized by row-max subtraction, never by flooring.
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .belief import ContourFunction, Frame
 from .censoring import CensoredDataset
 from .rayleigh import MixtureParams
 
@@ -35,7 +32,6 @@ __all__ = [
     "EstimationError",
     "ComponentStarvedError",
     "DegenerateLikelihoodError",
-    "DegenerateLikelihoodWarning",
     "LabelMode",
     "SoftLabeledDataset",
     "E2MConfig",
@@ -64,15 +60,13 @@ class ComponentStarvedError(EstimationError):
 
 
 class DegenerateLikelihoodError(EstimationError):
-    """A record is impossible under every component it finds plausible."""
+    """A record is impossible under every component it finds plausible.
 
-    def __init__(self, message: str, trace: "E2MTrace | None" = None):
-        super().__init__(message)
-        self.trace = trace
+    When :func:`fit` raises it after the first update, ``trace`` holds the
+    iterations completed so far; otherwise it is None.
+    """
 
-
-class DegenerateLikelihoodWarning(RuntimeWarning):
-    """Signal that the generalized log-likelihood degenerated to -inf."""
+    trace: "E2MTrace | None" = None
 
 
 class LabelMode(str, Enum):
@@ -102,21 +96,9 @@ class SoftLabeledDataset:
         arr.flags.writeable = False
         object.__setattr__(self, "pl", arr)
 
-    @classmethod
-    def from_contours(cls, data: CensoredDataset, labels: Sequence[ContourFunction]) -> "SoftLabeledDataset":
-        if len(labels) != data.n:
-            raise ValueError(f"need {data.n} contour functions, got {len(labels)}")
-        sizes = {cf.frame.size for cf in labels}
-        if len(sizes) != 1:
-            raise ValueError("all contour functions must share one frame")
-        return cls(data, np.vstack([cf.pl for cf in labels]))
-
     @property
     def n_components(self) -> int:
         return int(self.pl.shape[1])
-
-    def contour(self, j: int) -> ContourFunction:
-        return ContourFunction(Frame(self.n_components), self.pl[j])
 
 
 @dataclass(frozen=True)
@@ -124,21 +106,17 @@ class E2MConfig:
     """Convergence control.
 
     ``tol`` is the relative improvement of the generalized log-likelihood
-    below which iteration stops.  ``floor``, when positive, clips posterior
-    rows from below before renormalizing; the default applies no flooring.
+    below which iteration stops.
     """
 
     max_iters: int = 1000
     tol: float = 1e-8
-    floor: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if self.floor < 0.0:
-            raise ValueError("floor must be nonnegative")
 
 
 @dataclass
@@ -152,10 +130,6 @@ class E2MTrace:
     @property
     def gll_values(self) -> np.ndarray:
         return np.array([g for _, g in self.iterates])
-
-    @property
-    def final_params(self) -> MixtureParams:
-        return self.iterates[-1][0]
 
 
 def _log_weight_matrix(ds: SoftLabeledDataset, params: MixtureParams) -> np.ndarray:
@@ -174,56 +148,39 @@ def _log_weight_matrix(ds: SoftLabeledDataset, params: MixtureParams) -> np.ndar
     return out
 
 
-def _row_logsumexp(mat: np.ndarray) -> np.ndarray:
+def _loglik_and_posterior(mat: np.ndarray) -> tuple[float, np.ndarray]:
+    """Generalized log-likelihood and posterior rows from the log-weight matrix.
+
+    One row-max-shifted ``exp`` serves both: the row sums give the
+    log-likelihood terms and normalize the posterior.
+    """
     hi = mat.max(axis=1)
-    ok = np.isfinite(hi)
-    out = np.full(mat.shape[0], -np.inf)
-    if np.any(ok):
-        shifted = np.exp(mat[ok] - hi[ok, None])
-        out[ok] = hi[ok] + np.log(shifted.sum(axis=1))
-    return out
+    bad = np.flatnonzero(~np.isfinite(hi))
+    if bad.size:
+        raise DegenerateLikelihoodError(f"generalized log-likelihood is non-finite at record(s) {bad.tolist()}")
+    w = np.exp(mat - hi[:, None])
+    total = w.sum(axis=1)
+    return float((hi + np.log(total)).sum()), w / total[:, None]
 
 
 def generalized_loglik(ds: SoftLabeledDataset, params: MixtureParams) -> float:
     """Generalized observed-data log-likelihood of ``params``.
 
-    Returns -inf (after emitting a :class:`DegenerateLikelihoodWarning`
-    naming the offending records) when some record is impossible under
-    every component its soft label allows.
+    Raises :class:`DegenerateLikelihoodError` naming the offending records
+    when some record is impossible under every component its soft label
+    allows.
     """
-    rows = _row_logsumexp(_log_weight_matrix(ds, params))
-    bad = np.flatnonzero(np.isneginf(rows))
-    if bad.size:
-        warnings.warn(
-            f"record(s) {bad.tolist()} have zero likelihood under every plausible component",
-            DegenerateLikelihoodWarning,
-            stacklevel=2,
-        )
-        return -np.inf
-    return float(rows.sum())
+    return _loglik_and_posterior(_log_weight_matrix(ds, params))[0]
 
 
-def _posterior_from_logs(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    hi = mat.max(axis=1)
-    bad = np.flatnonzero(~np.isfinite(hi))
-    if bad.size:
-        raise DegenerateLikelihoodError(
-            f"record(s) {bad.tolist()}: prior plausibility conflicts with every component"
-        )
-    w = np.exp(mat - hi[:, None])
-    if floor > 0.0:
-        w = np.maximum(w, floor)
-    return w / w.sum(axis=1, keepdims=True)
-
-
-def e_step(ds: SoftLabeledDataset, params: MixtureParams, floor: float = 0.0) -> np.ndarray:
+def e_step(ds: SoftLabeledDataset, params: MixtureParams) -> np.ndarray:
     """Posterior component weights, one row per record, rows summing to 1.
 
     Each row is the combination of the model-based posterior (density-based
     for observed records, survival-based for censored ones) with the
     record's soft label, i.e. proportional to lambda * (f or S) * pl.
     """
-    return _posterior_from_logs(_log_weight_matrix(ds, params), floor)
+    return _loglik_and_posterior(_log_weight_matrix(ds, params))[1]
 
 
 def m_step(ds: SoftLabeledDataset, W: np.ndarray, params_k: MixtureParams) -> MixtureParams:
@@ -270,15 +227,16 @@ def fit(
     :class:`ComponentStarvedError` from the M-step.
     """
     params = init
-    mat = _log_weight_matrix(ds, params)
-    gll = _finite_gll(mat, trace=None)
+    gll, W = _loglik_and_posterior(_log_weight_matrix(ds, params))
     iterates: list[tuple[MixtureParams, float]] = [(params, gll)]
     converged = False
     for _ in range(config.max_iters):
-        W = _posterior_from_logs(mat, config.floor)
         params_new = m_step(ds, W, params)
-        mat = _log_weight_matrix(ds, params_new)
-        gll_new = _finite_gll(mat, trace=E2MTrace(iterates, False, len(iterates) - 1))
+        try:
+            gll_new, W = _loglik_and_posterior(_log_weight_matrix(ds, params_new))
+        except DegenerateLikelihoodError as exc:
+            exc.trace = E2MTrace(iterates, False, len(iterates) - 1)
+            raise
         iterates.append((params_new, gll_new))
         rel = (gll_new - gll) / max(abs(gll), np.finfo(float).tiny)
         params, gll = params_new, gll_new
@@ -286,16 +244,6 @@ def fit(
             converged = True
             break
     return params, E2MTrace(iterates, converged, len(iterates) - 1)
-
-
-def _finite_gll(mat: np.ndarray, trace: E2MTrace | None) -> float:
-    rows = _row_logsumexp(mat)
-    bad = np.flatnonzero(~np.isfinite(rows))
-    if bad.size:
-        raise DegenerateLikelihoodError(
-            f"generalized log-likelihood is non-finite at record(s) {bad.tolist()}", trace=trace
-        )
-    return float(rows.sum())
 
 
 def make_soft_labels(

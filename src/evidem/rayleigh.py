@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RayleighParam",
     "MixtureParams",
     "pdf",
     "log_pdf",
@@ -34,19 +33,6 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RayleighParam:
-    """Validated rate-like parameter of one Rayleigh component."""
-
-    xi: float
-
-    def __post_init__(self) -> None:
-        xi = float(self.xi)
-        if not np.isfinite(xi) or xi <= 0.0:
-            raise ValueError(f"xi must be a finite positive number, got {self.xi!r}")
-        object.__setattr__(self, "xi", xi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +63,6 @@ class MixtureParams:
     @property
     def n_components(self) -> int:
         return int(self.lambdas.size)
-
-    def component(self, z: int) -> RayleighParam:
-        return RayleighParam(float(self.xis[z]))
 
     def permuted(self, order) -> "MixtureParams":
         """Components reordered so that new component z is old component order[z]."""

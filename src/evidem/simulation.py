@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .censoring import run_life_test, scheme_from_censor_frac
+from .censoring import CensoredDataset, CensoringScheme, run_life_test, scheme_from_censor_frac
 from .estimator import (
     E2MConfig,
     EstimationError,
@@ -44,6 +44,7 @@ __all__ = [
     "beta_shape_params",
     "draw_error_probs",
     "corrupt_labels",
+    "simulate_dataset",
     "rabias",
     "align_to_truth",
     "truth_offset_init",
@@ -62,6 +63,8 @@ METHOD_ORDER = (LabelMode.UNCERTAIN, LabelMode.NOISY, LabelMode.UNKNOWN)
 
 UNRELIABLE_FAILURE_FRAC = 0.5
 TRUTH_OFFSET = 0.01
+# align_to_truth searches all p! component orders
+MAX_ALIGN_COMPONENTS = 6
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,6 @@ class CorruptionConfig:
 
     rho: float
     sd: float = 0.2
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho <= 1.0:
@@ -134,6 +136,25 @@ def corrupt_labels(
     return z_star, pl
 
 
+def simulate_dataset(
+    truth: MixtureParams,
+    scheme: CensoringScheme,
+    corruption: CorruptionConfig,
+    rng: np.random.Generator,
+) -> tuple[CensoredDataset, np.ndarray, np.ndarray]:
+    """Sample labelled lifetimes, run the life test, and corrupt the labels.
+
+    Returns the censored dataset, the noisy hard labels and the UNCERTAIN
+    plausibility rows, both in the dataset's record order.
+    """
+    times, labels = sample_labeled(truth, scheme.n, rng)
+    # Python scalars keep the pairs list a third smaller than numpy scalars would
+    ds = run_life_test(list(zip(times.tolist(), labels.tolist())), scheme, rng)
+    q = draw_error_probs(corruption, scheme.n, rng)
+    z_star, pl = corrupt_labels(ds.true_label, q, truth.n_components, rng)
+    return ds, z_star, pl
+
+
 def rabias(estimate: float, truth: float) -> float:
     """Absolute relative bias |(estimate - truth) / truth|."""
     if truth == 0.0:
@@ -147,8 +168,8 @@ def align_to_truth(estimate: MixtureParams, truth: MixtureParams) -> MixturePara
     p = truth.n_components
     if estimate.n_components != p:
         raise ValueError("estimate and truth must have the same number of components")
-    if p > 6:
-        raise ValueError("exhaustive alignment is only supported for p <= 6")
+    if p > MAX_ALIGN_COMPONENTS:
+        raise ValueError(f"exhaustive alignment is only supported for p <= {MAX_ALIGN_COMPONENTS}")
     best, best_cost = None, np.inf
     for perm in itertools.permutations(range(p)):
         cost = float(np.abs((estimate.xis[list(perm)] - truth.xis) / truth.xis).sum())
@@ -247,11 +268,8 @@ def run_replication(cfg: ExperimentConfig, method: LabelMode | str, rng: np.rand
     p = truth.n_components
     if grid_value is None:
         grid_value = cfg.rho if variable == "rho" else float(cfg.n)
-    times, labels = sample_labeled(truth, cfg.n, rng)
     scheme = scheme_from_censor_frac(cfg.n, cfg.censor_frac)
-    ds = run_life_test(list(zip(times, labels)), scheme, rng)
-    q = draw_error_probs(CorruptionConfig(cfg.rho, cfg.sd), cfg.n, rng)
-    z_star, pl_uncertain = corrupt_labels(ds.true_label, q, p, rng)
+    ds, z_star, pl_uncertain = simulate_dataset(truth, scheme, CorruptionConfig(cfg.rho, cfg.sd), rng)
     if method is LabelMode.UNCERTAIN:
         pl = pl_uncertain
     elif method is LabelMode.NOISY:
@@ -404,13 +422,12 @@ def _fmt(value) -> str:
 def write_results_csv(result: SweepResult, path) -> None:
     """One row per replication, byte-stable for a fixed (spec, seed)."""
     p = result.spec.base.true_params.n_components
+    names = parameter_names(p)
     header = (
         ["variable", "grid_value", "method", "rep"]
-        + [f"lambda_{z + 1}" for z in range(p)]
-        + [f"xi_{z + 1}" for z in range(p)]
+        + names
         + ["iterations", "converged", "gll"]
-        + [f"rabias_lambda_{z + 1}" for z in range(p)]
-        + [f"rabias_xi_{z + 1}" for z in range(p)]
+        + [f"rabias_{name}" for name in names]
         + ["failed", "error"]
     )
     with open(path, "w", newline="") as fh:

@@ -17,16 +17,6 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
-from evidem.belief import (
-    ContourFunction,
-    Frame,
-    ProbabilityVector,
-    bayes_contour_combine,
-    bayesian,
-    consonant_from_contour,
-    contour_of,
-    dempster_combine,
-)
 from evidem.censoring import CensoringScheme, conventional_scheme, run_life_test
 from evidem.cli import EXIT_OK, main
 from evidem.estimator import (
@@ -53,6 +43,16 @@ from helpers import (
     golden_section_max,
     max_weighted_log_simplex,
     random_soft_instance,
+)
+from oracles import (
+    ContourFunction,
+    Frame,
+    ProbabilityVector,
+    bayes_contour_combine,
+    bayesian,
+    consonant_from_contour,
+    contour_of,
+    dempster_combine,
 )
 
 MASTER_SEED = 100

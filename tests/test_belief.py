@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from evidem.belief import (
+from helpers import random_mass_assignments
+from oracles import (
     ContourFunction,
     Frame,
     MassFunction,
@@ -20,7 +21,6 @@ from evidem.belief import (
     pl,
     vacuous,
 )
-from helpers import random_mass_assignments
 
 
 def mass(frame_size, assignments):

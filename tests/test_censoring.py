@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import kstest
@@ -11,7 +13,6 @@ from evidem.censoring import (
     CensoringScheme,
     SchemeError,
     conventional_scheme,
-    progressive_loglik,
     read_dataset_csv,
     run_life_test,
     scheme_from_censor_frac,
@@ -19,6 +20,7 @@ from evidem.censoring import (
     write_dataset_csv,
 )
 from evidem.rayleigh import log_pdf, log_survival, pdf
+from oracles import progressive_loglik
 
 
 class TestScheme:
@@ -44,6 +46,16 @@ class TestScheme:
         assert scheme.J == 300
         assert scheme.removals[-1] == 200
         assert all(r == 0 for r in scheme.removals[:-1])
+
+    def test_censor_frac_rounds_to_intended_failure_count(self):
+        # 10 * (1 - 0.7) is 3.0000000000000004 in floating point
+        assert scheme_from_censor_frac(10, 0.7).J == 3
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 10**6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
+    def test_censor_frac_of_conventional_plan_round_trips(self, n_and_J):
+        n, J = n_and_J
+        assert scheme_from_censor_frac(n, 1.0 - J / n).J == J
 
     def test_conventional_scheme(self):
         scheme = conventional_scheme(10, 4)

@@ -7,7 +7,8 @@ import pytest
 import yaml
 from numpy.testing import assert_allclose
 
-from evidem.censoring import read_dataset_csv
+from evidem import simulation
+from evidem.censoring import conventional_scheme, read_dataset_csv
 from evidem.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main
 from evidem.config import ConfigError, parse_config
 from evidem.estimator import E2MConfig, SoftLabeledDataset, fit, read_soft_labels_csv, write_soft_labels_csv
@@ -241,6 +242,24 @@ class TestFitCommand:
         assert code == EXIT_NOT_CONVERGED
         assert (out / "estimate.csv").exists()
 
+    @pytest.mark.parametrize("defect", ["nan", "-1.0", "0.0", "duplicate-id"])
+    def test_malformed_data_is_config_error(self, tmp_path, generated, capsys, defect):
+        with open(generated / "data.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        if defect == "duplicate-id":
+            rows[2][0] = rows[1][0]
+        else:
+            rows[1][rows[0].index("y_star")] = defect
+        data = tmp_path / "bad.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        cfg_file = write_config(
+            tmp_path / "fit_bad.yaml",
+            {"data": str(data), "labels": str(generated / "labels.csv"), "out": str(tmp_path / "bad_out")},
+        )
+        assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
+        assert "invalid input data" in capsys.readouterr().err
+
     def test_missing_inputs_config_error(self, tmp_path):
         cfg_file = write_config(
             tmp_path / "fit3.yaml", {"data": "nope.csv", "labels": "nope2.csv", "out": str(tmp_path / "x")}
@@ -301,3 +320,40 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg2, "--workers", "2"]) == EXIT_OK
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+    def test_progressive_plan_rejected_before_any_fit(self, tmp_path, capsys):
+        out = tmp_path / "progressive"
+        cfg_file = sweep_config(tmp_path, out)
+        payload = yaml.safe_load(Path(cfg_file).read_text())
+        payload["scheme"] = {"n": 6, "R": [1, 1, 1]}
+        write_config(Path(cfg_file), payload)
+        assert main(["sweep", "--config", cfg_file]) == EXIT_CONFIG
+        assert "conventional plans only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_conventional_plan_replayed_as_configured(self, tmp_path, monkeypatch):
+        seen = []
+        run_life_test = simulation.run_life_test
+
+        def spy(pairs, scheme, rng):
+            seen.append(scheme)
+            return run_life_test(pairs, scheme, rng)
+
+        monkeypatch.setattr(simulation, "run_life_test", spy)
+        out = tmp_path / "conventional"
+        cfg_file = sweep_config(tmp_path, out, grid=(0.1,), reps=2)
+        payload = yaml.safe_load(Path(cfg_file).read_text())
+        payload["scheme"] = {"n": 10, "J": 3}
+        write_config(Path(cfg_file), payload)
+        assert main(["sweep", "--config", cfg_file, "--workers", "1"]) == EXIT_OK
+        assert seen and all(scheme == conventional_scheme(10, 3) for scheme in seen)
+
+    def test_too_many_components_rejected_before_any_fit(self, tmp_path, capsys):
+        out = tmp_path / "eight"
+        cfg_file = sweep_config(tmp_path, out)
+        payload = yaml.safe_load(Path(cfg_file).read_text())
+        payload["model"] = {"lambdas": [1 / 8] * 8, "xis": [float(k) for k in range(1, 9)]}
+        write_config(Path(cfg_file), payload)
+        assert main(["sweep", "--config", cfg_file]) == EXIT_CONFIG
+        assert "at most 6 components" in capsys.readouterr().err
+        assert not out.exists()

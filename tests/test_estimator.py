@@ -4,20 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from evidem.belief import (
-    ContourFunction,
-    Frame,
-    ProbabilityVector,
-    bayes_contour_combine,
-    bayesian,
-    consonant_from_contour,
-    contour_of,
-    dempster_combine,
-)
 from evidem.censoring import CensoredDataset, CensoringScheme, conventional_scheme, run_life_test
 from evidem.estimator import (
     DegenerateLikelihoodError,
-    DegenerateLikelihoodWarning,
     E2MConfig,
     LabelMode,
     SoftLabeledDataset,
@@ -32,6 +21,16 @@ from evidem.estimator import (
 )
 from evidem.rayleigh import MixtureParams, pdf, sample_labeled, survival
 from helpers import classical_censored_em, golden_section_max, max_weighted_log_simplex, random_soft_instance
+from oracles import (
+    ContourFunction,
+    Frame,
+    ProbabilityVector,
+    bayes_contour_combine,
+    bayesian,
+    consonant_from_contour,
+    contour_of,
+    dempster_combine,
+)
 
 
 def toy_dataset(times, observed, labels=None, rng=None):
@@ -106,8 +105,8 @@ class TestGeneralizedLoglik:
         ds = toy_dataset([1.0], [True])
         soft = SoftLabeledDataset(ds, np.array([[1.0, 0.0]]))
         params = MixtureParams(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-        with pytest.warns(DegenerateLikelihoodWarning, match="0"):
-            assert generalized_loglik(soft, params) == -np.inf
+        with pytest.raises(DegenerateLikelihoodError, match=r"record\(s\) \[0\]"):
+            generalized_loglik(soft, params)
 
 
 class TestEStep:
@@ -373,17 +372,6 @@ class TestSoftLabels:
         back_ids, back = read_soft_labels_csv(path)
         assert np.array_equal(back_ids, ids)
         assert_allclose(back, plm)
-
-    def test_from_contours(self, rng):
-        ds = toy_dataset([0.5, 1.0, 2.0], [True, True, True])
-        frame = Frame(2)
-        contours = [ContourFunction(frame, rng.uniform(0.1, 1.0, size=2)) for _ in range(3)]
-        soft = SoftLabeledDataset.from_contours(ds, contours)
-        for j, cf in enumerate(contours):
-            assert_allclose(soft.pl[j], cf.pl)
-            assert_allclose(soft.contour(j).pl, cf.pl)
-        with pytest.raises(ValueError, match="3"):
-            SoftLabeledDataset.from_contours(ds, contours[:2])
 
 
 class TestInit:

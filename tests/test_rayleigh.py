@@ -7,7 +7,6 @@ from scipy.integrate import quad
 
 from evidem.rayleigh import (
     MixtureParams,
-    RayleighParam,
     cdf,
     log_pdf,
     log_survival,
@@ -24,12 +23,6 @@ PAPER_XIS = np.array([4.0, 0.5, 0.8])
 
 
 class TestParams:
-    def test_rayleigh_param_validation(self):
-        RayleighParam(0.3)
-        for bad in (0.0, -1.0, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                RayleighParam(bad)
-
     def test_mixture_weights_sum(self):
         with pytest.raises(ValueError):
             MixtureParams(np.array([0.5, 0.4]), np.array([1.0, 2.0]))
