@@ -246,7 +246,9 @@ def read_dataset_csv(path) -> CensoredDataset:
         required = {"item_id", "y_star", "status", "censored_at_failure", "true_label"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
+        for row_no, row in enumerate(reader, start=1):
+            if None in row.values():
+                raise ValueError(f"{path}: row {row_no} has fewer than {len(reader.fieldnames)} fields")
             ids.append(int(row["item_id"]) - 1)
             ys.append(float(row["y_star"]))
             status = row["status"].strip().lower()
@@ -258,8 +260,10 @@ def read_dataset_csv(path) -> CensoredDataset:
     n = len(ids)
     J = sum(obs)
     counts = [0] * J
-    for is_obs, j in zip(obs, caf):
+    for row_no, (is_obs, j) in enumerate(zip(obs, caf), start=1):
         if not is_obs:
+            if not 1 <= j <= J:
+                raise ValueError(f"{path}: row {row_no} is censored at failure {j}, outside 1..{J}")
             counts[j - 1] += 1
     scheme = CensoringScheme(n, tuple(counts))
     have_labels = all(z is not None for z in labels)

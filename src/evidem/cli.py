@@ -166,7 +166,7 @@ def cmd_fit(cfg: RunConfig) -> int:
         writer.writerow(
             [repr(float(v)) for v in est.lambdas]
             + [repr(float(v)) for v in est.xis]
-            + [trace.iterations_used, "true" if trace.converged else "false", repr(trace.iterates[-1][1])]
+            + [trace.iterations_used, "true" if trace.converged else "false", repr(float(trace.gll_values[-1]))]
         )
     with open(cfg.out / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

@@ -13,7 +13,14 @@ collapses to renormalizing lambda * (f or S) * pl per record; the M-step is
 closed form because the censored second moment of a Rayleigh component is
 exact.  Vacuous labels (all ones) recover classical EM; certain labels
 recover supervised fitting.  Everything is computed in log space and
-normalized by row-max subtraction, never by flooring.
+normalized by subtracting each record's maximum, never by flooring.
+
+A fit computes its per-dataset constants once, component-major: y*^2,
+log y* on observed records, log pl as a (p, n) array, and the observed and
+censored indicators.  An iteration is then one (p, n) log-weight product,
+one shifted ``exp`` giving both log-likelihood and posterior, and one M-step
+product, on raw arrays; ``MixtureParams`` are validated only at the start,
+the result and the trace.
 """
 
 from __future__ import annotations
@@ -119,48 +126,70 @@ class E2MConfig:
             raise ValueError("tol must be positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class E2MTrace:
-    """Per-iteration parameters and generalized log-likelihood."""
+    """Parameters and generalized log-likelihood per iterate; row 0 is the start."""
 
-    iterates: list[tuple[MixtureParams, float]]
+    lambdas: np.ndarray
+    xis: np.ndarray
+    gll_values: np.ndarray
     converged: bool
-    iterations_used: int
 
     @property
-    def gll_values(self) -> np.ndarray:
-        return np.array([g for _, g in self.iterates])
+    def iterations_used(self) -> int:
+        return len(self.gll_values) - 1
+
+    @property
+    def iterates(self) -> list[tuple[MixtureParams, float]]:
+        return [(MixtureParams(lam, xi), float(g)) for lam, xi, g in zip(self.lambdas, self.xis, self.gll_values)]
 
 
-def _log_weight_matrix(ds: SoftLabeledDataset, params: MixtureParams) -> np.ndarray:
-    """(n, p) matrix of log[ lambda_z * (f or S)(y*_j; xi_z) * pl_j(z) ]."""
-    if params.n_components != ds.n_components:
-        raise ValueError("parameter and label dimensions disagree")
-    y = ds.data.y_star
-    obs = ds.data.observed
-    xis = params.xis
-    y2 = y**2
-    with np.errstate(divide="ignore"):
-        out = np.log(params.lambdas) - 0.5 * np.outer(y2, xis**2)
-        # observed records additionally carry the density factor xi^2 * y
-        out[obs] += 2.0 * np.log(xis) + np.log(y[obs])[:, None]
-        out += np.log(ds.pl)
-    return out
+class _Kernel:
+    """A dataset's E2M constants: ``features`` rows are the observed indicator,
+    1, y*^2 and the censored indicator; ``log_base`` is log pl + log y* (observed).
+    ``posterior`` is the one (p, n) buffer every E-step writes into."""
 
+    def __init__(self, ds: SoftLabeledDataset, params: MixtureParams) -> None:
+        if params.n_components != ds.n_components:
+            raise ValueError("parameter and label dimensions disagree")
+        y, obs = ds.data.y_star, ds.data.observed
+        self.features = np.stack([obs, np.ones_like(y), y * y, ~obs])
+        with np.errstate(divide="ignore"):
+            self.log_base = np.log(ds.pl.T, order="C")
+        self.log_base += np.where(obs, np.log(y), 0.0)
+        self.posterior = np.empty_like(self.log_base)
 
-def _loglik_and_posterior(mat: np.ndarray) -> tuple[float, np.ndarray]:
-    """Generalized log-likelihood and posterior rows from the log-weight matrix.
+    def loglik_and_posterior(self, lambdas: np.ndarray, xis: np.ndarray) -> tuple[float, np.ndarray]:
+        """Log-weights log[lambda_z (f or S)(y*_j; xi_z) pl_j(z)], then one max-shifted
+        ``exp`` gives both the generalized log-likelihood and ``posterior``."""
+        with np.errstate(divide="ignore"):
+            coef = np.array([2.0 * np.log(xis), np.log(lambdas), -0.5 * xis**2]).T
+        w = np.matmul(coef, self.features[:3], out=self.posterior)
+        w += self.log_base
+        hi = w.max(axis=0)
+        bad = np.flatnonzero(~np.isfinite(hi))
+        if bad.size:
+            raise DegenerateLikelihoodError(f"generalized log-likelihood is non-finite at record(s) {bad.tolist()}")
+        w -= hi
+        np.exp(w, out=w)
+        total = w.sum(axis=0)
+        w /= total
+        np.log(total, out=total)
+        total += hi
+        return float(total.sum()), w
 
-    One row-max-shifted ``exp`` serves both: the row sums give the
-    log-likelihood terms and normalize the posterior.
-    """
-    hi = mat.max(axis=1)
-    bad = np.flatnonzero(~np.isfinite(hi))
-    if bad.size:
-        raise DegenerateLikelihoodError(f"generalized log-likelihood is non-finite at record(s) {bad.tolist()}")
-    w = np.exp(mat - hi[:, None])
-    total = w.sum(axis=1)
-    return float((hi + np.log(total)).sum()), w / total[:, None]
+    def m_step(self, W: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`m_step` on the (p, n) posterior, returning raw (lambdas, xis)."""
+        weight, moment, cens = (W @ self.features[1:].T).T
+        starved = np.flatnonzero(weight < STARVATION_FRAC * W.shape[1])
+        if starved.size:
+            raise ComponentStarvedError(f"component(s) {starved.tolist()} received no posterior weight")
+        denom = moment + cens * 2.0 / xis**2
+        # xi^2 = 2 weight / denom must stay finite, so denom must not vanish
+        bad = np.flatnonzero(~(denom > 2.0 * weight / np.finfo(float).max))
+        if bad.size:
+            raise ComponentStarvedError(f"component(s) {bad.tolist()} have a degenerate moment denominator")
+        return weight / weight.sum(), np.sqrt(2.0 * weight / denom)
 
 
 def generalized_loglik(ds: SoftLabeledDataset, params: MixtureParams) -> float:
@@ -170,7 +199,7 @@ def generalized_loglik(ds: SoftLabeledDataset, params: MixtureParams) -> float:
     when some record is impossible under every component its soft label
     allows.
     """
-    return _loglik_and_posterior(_log_weight_matrix(ds, params))[0]
+    return _Kernel(ds, params).loglik_and_posterior(params.lambdas, params.xis)[0]
 
 
 def e_step(ds: SoftLabeledDataset, params: MixtureParams) -> np.ndarray:
@@ -180,7 +209,7 @@ def e_step(ds: SoftLabeledDataset, params: MixtureParams) -> np.ndarray:
     for observed records, survival-based for censored ones) with the
     record's soft label, i.e. proportional to lambda * (f or S) * pl.
     """
-    return _loglik_and_posterior(_log_weight_matrix(ds, params))[1]
+    return _Kernel(ds, params).loglik_and_posterior(params.lambdas, params.xis)[1].T
 
 
 def m_step(ds: SoftLabeledDataset, W: np.ndarray, params_k: MixtureParams) -> MixtureParams:
@@ -194,22 +223,9 @@ def m_step(ds: SoftLabeledDataset, W: np.ndarray, params_k: MixtureParams) -> Mi
     current parameters, never a numerical integral.
     """
     W = np.asarray(W, dtype=float)
-    n, p = W.shape
-    if n != ds.data.n or p != ds.n_components:
+    if W.shape != (ds.data.n, ds.n_components):
         raise ValueError("posterior matrix shape does not match the dataset")
-    y2 = ds.data.y_star**2
-    cens = ~ds.data.observed
-    weight = W.sum(axis=0)
-    starved = np.flatnonzero(weight < STARVATION_FRAC * n)
-    if starved.size:
-        raise ComponentStarvedError(f"component(s) {starved.tolist()} received no posterior weight")
-    denom = W.T @ y2 + W[cens].sum(axis=0) * 2.0 / params_k.xis**2
-    if np.any(denom <= 0.0):
-        bad = np.flatnonzero(denom <= 0.0)
-        raise ComponentStarvedError(f"component(s) {bad.tolist()} have a degenerate moment denominator")
-    lambdas = weight / weight.sum()
-    xis = np.sqrt(2.0 * weight / denom)
-    return MixtureParams(lambdas, xis)
+    return MixtureParams(*_Kernel(ds, params_k).m_step(W.T, params_k.xis))
 
 
 def fit(
@@ -226,24 +242,25 @@ def fit(
     if the log-likelihood leaves the finite range, and propagates
     :class:`ComponentStarvedError` from the M-step.
     """
-    params = init
-    gll, W = _loglik_and_posterior(_log_weight_matrix(ds, params))
-    iterates: list[tuple[MixtureParams, float]] = [(params, gll)]
+    kernel = _Kernel(ds, init)
+    lambdas, xis = init.lambdas, init.xis
+    gll, W = kernel.loglik_and_posterior(lambdas, xis)
+    steps = [(lambdas, xis, gll)]
     converged = False
     for _ in range(config.max_iters):
-        params_new = m_step(ds, W, params)
+        lambdas, xis = kernel.m_step(W, xis)
         try:
-            gll_new, W = _loglik_and_posterior(_log_weight_matrix(ds, params_new))
+            gll_new, W = kernel.loglik_and_posterior(lambdas, xis)
         except DegenerateLikelihoodError as exc:
-            exc.trace = E2MTrace(iterates, False, len(iterates) - 1)
+            exc.trace = E2MTrace(*map(np.array, zip(*steps)), False)
             raise
-        iterates.append((params_new, gll_new))
+        steps.append((lambdas, xis, gll_new))
         rel = (gll_new - gll) / max(abs(gll), np.finfo(float).tiny)
-        params, gll = params_new, gll_new
+        gll = gll_new
         if rel < config.tol:
             converged = True
             break
-    return params, E2MTrace(iterates, converged, len(iterates) - 1)
+    return MixtureParams(lambdas, xis), E2MTrace(*map(np.array, zip(*steps)), converged)
 
 
 def make_soft_labels(

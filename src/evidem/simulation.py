@@ -291,7 +291,7 @@ def run_replication(cfg: ExperimentConfig, method: LabelMode | str, rng: np.rand
         rep=rep,
         converged=trace.converged,
         iterations=trace.iterations_used,
-        gll=trace.iterates[-1][1],
+        gll=float(trace.gll_values[-1]),
         lambdas=est.lambdas,
         xis=est.xis,
         rabias_lambdas=np.array([rabias(e, t) for e, t in zip(est.lambdas, truth.lambdas)]),
@@ -376,7 +376,7 @@ def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> SweepResul
     ]
     if workers > 1:
         with Pool(workers) as pool:
-            rows = pool.map(_replication_task, tasks)
+            rows = pool.map(_replication_task, tasks, chunksize=1)
     else:
         rows = [_replication_task(t) for t in tasks]
     report = aggregate_report(spec, rows)

@@ -49,6 +49,41 @@ def classical_censored_em(y, observed, lam0, xi0, n_updates):
     return trace
 
 
+def reference_e2m(y, observed, pl, lam0, xi0, n_updates):
+    """E2M with soft labels in plain record-major numpy, written from the formulas.
+
+    Log-weights log[lambda_z * (f or S)(y_j; xi_z) * pl_j(z)] form an (n, p)
+    array normalized by row-max subtraction; the M-step uses the exact
+    censored second moment y^2 + 2 / xi^2.  Returns the generalized
+    log-likelihood at the start and after each update, and the
+    (lambdas, xis) pair after each update.
+    """
+    y = np.asarray(y, dtype=float)
+    obs = np.asarray(observed, dtype=bool)
+    pl = np.asarray(pl, dtype=float)
+
+    def loglik_and_posterior(lam, xi):
+        with np.errstate(divide="ignore"):
+            logw = np.log(lam) - 0.5 * np.outer(y**2, xi**2) + np.log(pl)
+        logw[obs] += 2.0 * np.log(xi) + np.log(y[obs])[:, None]
+        hi = logw.max(axis=1, keepdims=True)
+        w = np.exp(logw - hi)
+        total = w.sum(axis=1, keepdims=True)
+        return float(np.sum(hi + np.log(total))), w / total
+
+    lam, xi = np.asarray(lam0, dtype=float), np.asarray(xi0, dtype=float)
+    gll, W = loglik_and_posterior(lam, xi)
+    glls, params = [gll], []
+    for _ in range(n_updates):
+        weight = W.sum(axis=0)
+        denom = W.T @ y**2 + W[~obs].sum(axis=0) * 2.0 / xi**2
+        lam, xi = weight / weight.sum(), np.sqrt(2.0 * weight / denom)
+        gll, W = loglik_and_posterior(lam, xi)
+        glls.append(gll)
+        params.append((lam, xi))
+    return glls, params
+
+
 def golden_section_max(f, lo, hi, n_iters=120):
     """Maximize a unimodal function on [lo, hi] by golden-section search."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0

@@ -242,12 +242,17 @@ class TestFitCommand:
         assert code == EXIT_NOT_CONVERGED
         assert (out / "estimate.csv").exists()
 
-    @pytest.mark.parametrize("defect", ["nan", "-1.0", "0.0", "duplicate-id"])
+    @pytest.mark.parametrize("defect", ["nan", "-1.0", "0.0", "duplicate-id", "failure-beyond-J", "short-row"])
     def test_malformed_data_is_config_error(self, tmp_path, generated, capsys, defect):
         with open(generated / "data.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         if defect == "duplicate-id":
             rows[2][0] = rows[1][0]
+        elif defect == "failure-beyond-J":
+            censored = next(r for r in rows if r[2] == "censored")
+            censored[3] = str(len(rows))
+        elif defect == "short-row":
+            rows[1] = rows[1][:1]
         else:
             rows[1][rows[0].index("y_star")] = defect
         data = tmp_path / "bad.csv"

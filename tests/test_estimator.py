@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from evidem import estimator
 from evidem.censoring import CensoredDataset, CensoringScheme, conventional_scheme, run_life_test
 from evidem.estimator import (
+    ComponentStarvedError,
     DegenerateLikelihoodError,
     E2MConfig,
     LabelMode,
@@ -20,7 +22,14 @@ from evidem.estimator import (
     write_soft_labels_csv,
 )
 from evidem.rayleigh import MixtureParams, pdf, sample_labeled, survival
-from helpers import classical_censored_em, golden_section_max, max_weighted_log_simplex, random_soft_instance
+from evidem.simulation import CorruptionConfig, simulate_dataset
+from helpers import (
+    classical_censored_em,
+    golden_section_max,
+    max_weighted_log_simplex,
+    random_soft_instance,
+    reference_e2m,
+)
 from oracles import (
     ContourFunction,
     Frame,
@@ -336,6 +345,83 @@ class TestFit:
         params = MixtureParams(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         with pytest.raises(DegenerateLikelihoodError):
             fit(soft, params)
+
+
+XI_POOL = np.array([4.0, 0.5, 0.8, 1.6, 2.5, 1.1])
+
+
+def labelled_problem(mode, p, plan):
+    """75 %-censored data with ``mode`` labels and a start far from the truth.
+
+    The heavy censoring keeps every regime moving for at least 60 updates.
+    """
+    n = 60 * p
+    J = n // 4
+    scheme = conventional_scheme(n, J) if plan == "conventional" else CensoringScheme(n, (3,) * J)
+    truth = MixtureParams(np.full(p, 1.0 / p), XI_POOL[:p])
+    ds, z_star, pl = simulate_dataset(truth, scheme, CorruptionConfig(0.3), np.random.default_rng(p))
+    if mode is not LabelMode.UNCERTAIN:
+        pl = make_soft_labels(mode, p, n_items=n, hard_labels=z_star)
+    return SoftLabeledDataset(ds, pl), MixtureParams(np.full(p, 1.0 / p), 0.3 * XI_POOL[:p])
+
+
+class TestKernel:
+    @pytest.mark.parametrize("plan", ["conventional", "progressive"])
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    @pytest.mark.parametrize("mode", list(LabelMode))
+    def test_fit_iterates_match_reference(self, mode, p, plan):
+        soft, init = labelled_problem(mode, p, plan)
+        n_updates = 60
+        _, trace = fit(soft, init, E2MConfig(max_iters=n_updates, tol=1e-300))
+        assert trace.iterations_used == n_updates
+        glls, params = reference_e2m(soft.data.y_star, soft.data.observed, soft.pl, init.lambdas, init.xis, n_updates)
+        assert_allclose(trace.gll_values, glls, rtol=1e-12)
+        iterates = trace.iterates
+        for k, (lam, xi) in enumerate(params, start=1):
+            assert_allclose(trace.lambdas[k], lam, rtol=1e-12)
+            assert_allclose(trace.xis[k], xi, rtol=1e-12)
+            got, gll = iterates[k]
+            assert np.array_equal(got.xis, trace.xis[k]) and gll == trace.gll_values[k]
+
+    @pytest.mark.parametrize("mode", list(LabelMode))
+    def test_public_steps_are_fits_first_update(self, mode):
+        soft, init = labelled_problem(mode, 3, "progressive")
+        _, trace = fit(soft, init, E2MConfig(max_iters=1))
+        W = e_step(soft, init)
+        assert_allclose(W.sum(axis=1), 1.0, rtol=1e-12)
+        new = m_step(soft, W, init)
+        assert np.array_equal(new.lambdas, trace.lambdas[1])
+        assert np.array_equal(new.xis, trace.xis[1])
+        assert generalized_loglik(soft, init) == trace.gll_values[0]
+        assert generalized_loglik(soft, new) == trace.gll_values[1]
+
+    def test_degenerate_likelihood_keeps_partial_trace(self, monkeypatch):
+        soft, init = labelled_problem(LabelMode.UNCERTAIN, 3, "conventional")
+        _, full = fit(soft, init, E2MConfig(max_iters=2, tol=1e-300))
+        passes = []
+        real = estimator._Kernel.loglik_and_posterior
+
+        def fail_on_fourth_pass(self, lambdas, xis):
+            passes.append(None)
+            if len(passes) == 4:
+                raise DegenerateLikelihoodError("record(s) [0]")
+            return real(self, lambdas, xis)
+
+        monkeypatch.setattr(estimator._Kernel, "loglik_and_posterior", fail_on_fourth_pass)
+        with pytest.raises(DegenerateLikelihoodError) as err:
+            fit(soft, init, E2MConfig(max_iters=10, tol=1e-300))
+        partial = err.value.trace
+        assert not partial.converged and partial.iterations_used == 2
+        assert np.array_equal(partial.xis, full.xis) and np.array_equal(partial.gll_values, full.gll_values)
+        assert [p.lambdas.tolist() for p, _ in partial.iterates] == full.lambdas.tolist()
+
+    def test_component_collapsing_on_tiny_time_is_starved(self):
+        # component 0 keeps only a failure at 1e-160, so xi_0^2 = 2 / y^2 overflows
+        ds = toy_dataset([1e-160, 1.0, 1.5, 2.0, 2.5], [True] * 5)
+        pl = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        init = MixtureParams(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
+        with pytest.raises(ComponentStarvedError, match=r"component\(s\) \[0\]"):
+            fit(SoftLabeledDataset(ds, pl), init)
 
 
 class TestSoftLabels:
