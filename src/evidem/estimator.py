@@ -95,6 +95,9 @@ class SoftLabeledDataset:
         arr = np.asarray(self.pl, dtype=float).copy()
         if arr.ndim != 2 or arr.shape[0] != self.data.n:
             raise ValueError(f"plausibility matrix must have {self.data.n} rows, got {arr.shape}")
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if bad.size:
+            raise ValueError(f"plausibilities must be finite; record(s) {bad.tolist()} are not")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError("plausibilities must lie in [0, 1]")
         if np.any(arr.max(axis=1) <= 0.0):
@@ -342,7 +345,11 @@ def read_soft_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
         header = next(reader, None)
         if not header or header[0] != "item_id" or len(header) < 2:
             raise ValueError(f"{path}: expected header item_id, pl_1, ..., pl_p")
-        rows = [(int(r[0]) - 1, [float(v) for v in r[1:]]) for r in reader if r]
-    ids = np.array([i for i, _ in rows], dtype=int)
-    pl = np.array([v for _, v in rows], dtype=float)
-    return ids, pl
+        ids: list[int] = []
+        rows: list[list[float]] = []
+        for row_no, r in enumerate(filter(None, reader), start=1):
+            if len(r) != len(header):
+                raise ValueError(f"{path}: row {row_no} has {len(r)} fields, expected {len(header)}")
+            ids.append(int(r[0]) - 1)
+            rows.append([float(v) for v in r[1:]])
+    return np.array(ids, dtype=int), np.array(rows, dtype=float)

@@ -148,8 +148,7 @@ def simulate_dataset(
     plausibility rows, both in the dataset's record order.
     """
     times, labels = sample_labeled(truth, scheme.n, rng)
-    # Python scalars keep the pairs list a third smaller than numpy scalars would
-    ds = run_life_test(list(zip(times.tolist(), labels.tolist())), scheme, rng)
+    ds = run_life_test(times, labels, scheme, rng)
     q = draw_error_probs(corruption, scheme.n, rng)
     z_star, pl = corrupt_labels(ds.true_label, q, truth.n_components, rng)
     return ds, z_star, pl

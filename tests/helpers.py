@@ -156,7 +156,7 @@ def random_soft_instance(rng, n_lo=20, n_hi=200, p_choices=(2, 3), censor_fracs=
     times, labels = sample_labeled(truth, n, rng)
     frac = float(rng.choice(censor_fracs))
     scheme = scheme_from_censor_frac(n, frac)
-    ds = run_life_test(list(zip(times, labels)), scheme, rng)
+    ds = run_life_test(times, labels, scheme, rng)
     pl = rng.uniform(0.05, 1.0, size=(n, p))
     soft = SoftLabeledDataset(ds, pl)
     init = MixtureParams(rng.dirichlet(np.full(p, 8.0)), rng.uniform(0.6, 2.5, size=p))

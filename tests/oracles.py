@@ -6,7 +6,9 @@ label z is in the subset).  The module provides credibility and
 plausibility, Dempster's conjunctive combination, and the probability-times-
 contour combination that the estimator's E-step computes row by row on
 plain arrays.  It also holds the exact observed-data log-likelihood of a
-progressively censored sample of ordered failure times.
+progressively censored sample of ordered failure times, and the O(n J)
+replay of a progressive life test that ``run_life_test`` must match draw
+for draw.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from evidem.censoring import CensoringScheme
+from evidem.censoring import CensoredDataset, CensoringScheme
 
 __all__ = [
     "TotalConflictError",
@@ -36,6 +38,7 @@ __all__ = [
     "dempster_combine",
     "bayes_contour_combine",
     "progressive_loglik",
+    "reference_life_test",
 ]
 
 # Combination only fails when the conflict is this close to certainty.
@@ -290,3 +293,50 @@ def progressive_loglik(
             return -math.inf
         total += float((R[mask] * tail).sum())
     return total
+
+
+def reference_life_test(times, labels, scheme: CensoringScheme, rng: np.random.Generator) -> CensoredDataset:
+    """Replay the life test by scanning the whole alive mask at every removal.
+
+    Draws the removed units with ``rng.choice`` over the survivors' indices,
+    one call per event with ``R_j > 0``.
+    """
+    times = np.asarray(times, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    if times.shape != (scheme.n,) or labels.shape != (scheme.n,):
+        raise ValueError(f"expected {scheme.n} lifetimes and labels")
+    order = np.argsort(times, kind="stable")
+    alive = np.ones(scheme.n, dtype=bool)
+    ids: list[int] = []
+    y: list[float] = []
+    obs: list[bool] = []
+    caf: list[int] = []
+    cursor = 0
+    for j, r_j in enumerate(scheme.removals, start=1):
+        while not alive[order[cursor]]:
+            cursor += 1
+        fail = int(order[cursor])
+        t_j = float(times[fail])
+        alive[fail] = False
+        ids.append(fail)
+        y.append(t_j)
+        obs.append(True)
+        caf.append(0)
+        if r_j > 0:
+            survivors = np.flatnonzero(alive)
+            removed = rng.choice(survivors, size=r_j, replace=False)
+            for unit in sorted(int(u) for u in removed):
+                alive[unit] = False
+                ids.append(unit)
+                y.append(t_j)
+                obs.append(False)
+                caf.append(j)
+    id_arr = np.array(ids)
+    return CensoredDataset(
+        scheme=scheme,
+        item_id=id_arr,
+        y_star=np.array(y),
+        observed=np.array(obs),
+        censored_at_failure=np.array(caf),
+        true_label=labels[id_arr],
+    )

@@ -117,7 +117,7 @@ def test_criterion_02_em_equivalence_oracle():
             truth = MixtureParams(rng.dirichlet(np.full(p, 4.0)), rng.uniform(0.5, 2.5, size=p))
             times, labels = sample_labeled(truth, n, rng)
             J = int(rng.integers(max(2, n // 2), n + 1))
-            ds = run_life_test(list(zip(times, labels)), conventional_scheme(n, J), rng)
+            ds = run_life_test(times, labels, conventional_scheme(n, J), rng)
             soft = SoftLabeledDataset(ds, np.ones((n, p)))
             init = MixtureParams(np.full(p, 1.0 / p), np.linspace(0.8, 1.6, p))
             n_updates = 25
@@ -141,7 +141,7 @@ def test_criterion_03_complete_data_mle():
             times, labels = sample_labeled(truth, n, rng)
             if len(np.unique(labels)) < p:
                 continue
-            ds = run_life_test(list(zip(times, labels)), CensoringScheme(n, tuple([0] * n)), rng)
+            ds = run_life_test(times, labels, CensoringScheme(n, tuple([0] * n)), rng)
             soft = SoftLabeledDataset(
                 ds, make_soft_labels(LabelMode.NOISY, p, hard_labels=ds.true_label)
             )
@@ -230,7 +230,7 @@ def test_criterion_07_censoring_sampler():
             J = int(rng.integers(1, n + 1))
             times = rng.uniform(0.05, 10.0, size=n)
             ds = run_life_test(
-                list(zip(times, np.zeros(n, dtype=int))), conventional_scheme(n, J), rng
+                times, np.zeros(n, dtype=int), conventional_scheme(n, J), rng
             )
             srt = np.sort(times)
             assert np.array_equal(ds.y_star[ds.observed], srt[:J])
@@ -240,7 +240,7 @@ def test_criterion_07_censoring_sampler():
             n = int(rng.integers(2, 40))
             times = rng.uniform(0.05, 10.0, size=n)
             ds = run_life_test(
-                list(zip(times, np.zeros(n, dtype=int))), CensoringScheme(n, tuple([0] * n)), rng
+                times, np.zeros(n, dtype=int), CensoringScheme(n, tuple([0] * n)), rng
             )
             assert np.array_equal(ds.y_star, np.sort(times))
             assert np.all(ds.observed)

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import kstest
 
+from evidem import censoring
 from evidem.censoring import (
     CensoringScheme,
     SchemeError,
@@ -19,8 +21,31 @@ from evidem.censoring import (
     validate,
     write_dataset_csv,
 )
-from evidem.rayleigh import log_pdf, log_survival, pdf
-from oracles import progressive_loglik
+from evidem.rayleigh import MixtureParams, log_pdf, log_survival, pdf, sample_labeled
+from oracles import progressive_loglik, reference_life_test
+
+
+@st.composite
+def life_tests(draw):
+    """(times, labels, scheme, seed): a random plan over lifetimes with ties."""
+    n = draw(st.integers(1, 400))
+    J = draw(st.integers(1, n))
+    distinct = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.sort(rng.integers(0, n - J + 1, size=J - 1))
+    removals = np.diff(np.concatenate(([0], cuts, [n - J])))
+    times = 0.5 + 0.25 * rng.integers(0, distinct, size=n)
+    labels = rng.integers(0, 3, size=n)
+    return times, labels, CensoringScheme(n, tuple(removals.tolist())), draw(st.integers(0, 2**32 - 1))
+
+
+def assert_same_replay(times, labels, scheme, seed):
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = run_life_test(times, labels, scheme, got_rng)
+    ref = reference_life_test(times, labels, scheme, ref_rng)
+    for name in ("item_id", "y_star", "observed", "censored_at_failure", "true_label"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestScheme:
@@ -67,7 +92,7 @@ class TestRunLifeTest:
         times = rng.uniform(0.1, 5.0, size=12)
         labels = rng.integers(0, 2, size=12)
         scheme = CensoringScheme(12, tuple([0] * 12))
-        ds = run_life_test(list(zip(times, labels)), scheme, rng)
+        ds = run_life_test(times, labels, scheme, rng)
         assert np.all(ds.observed)
         assert_allclose(ds.y_star, np.sort(times))
 
@@ -75,20 +100,20 @@ class TestRunLifeTest:
         times = rng.uniform(0.1, 5.0, size=30)
         labels = rng.integers(0, 3, size=30)
         scheme = conventional_scheme(30, 18)
-        ds = run_life_test(list(zip(times, labels)), scheme, rng)
+        ds = run_life_test(times, labels, scheme, rng)
         assert np.array_equal(ds.true_label, labels[ds.item_id])
 
     def test_status_counts(self, rng):
         scheme = CensoringScheme(20, (2, 0, 3, 0, 1, 3, 0, 0, 1, 0))
         times = rng.uniform(0.1, 5.0, size=20)
-        ds = run_life_test(list(zip(times, np.zeros(20, dtype=int))), scheme, rng)
+        ds = run_life_test(times, np.zeros(20, dtype=int), scheme, rng)
         assert int(ds.observed.sum()) == 10
         assert int((~ds.observed).sum()) == 10
 
     def test_censored_at_current_failure_time(self, rng):
         scheme = CensoringScheme(15, (1, 2, 0, 1, 6))
         times = rng.uniform(0.1, 5.0, size=15)
-        ds = run_life_test(list(zip(times, np.zeros(15, dtype=int))), scheme, rng)
+        ds = run_life_test(times, np.zeros(15, dtype=int), scheme, rng)
         fail_times = ds.y_star[ds.observed]
         for i in np.flatnonzero(~ds.observed):
             j = ds.censored_at_failure[i]
@@ -99,12 +124,12 @@ class TestRunLifeTest:
         # one of {2,3,4} is withdrawn, each with probability 1/3, and the
         # second failure is the smallest remaining lifetime.
         scheme = CensoringScheme(4, (1, 1))
-        lifetimes = [(1.0, 0), (2.0, 0), (3.0, 0), (4.0, 0)]
+        lifetimes = np.array([1.0, 2.0, 3.0, 4.0])
         outcomes = Counter()
         reps = 9000
         rng = np.random.default_rng(7)
         for _ in range(reps):
-            ds = run_life_test(lifetimes, scheme, rng)
+            ds = run_life_test(lifetimes, np.zeros(4, dtype=int), scheme, rng)
             first_removed = ds.item_id[np.flatnonzero(~ds.observed)[0]]
             second_failure = ds.y_star[ds.observed][1]
             outcomes[(int(first_removed), float(second_failure))] += 1
@@ -115,9 +140,30 @@ class TestRunLifeTest:
             sigma = math.sqrt((1 / 3) * (2 / 3) / reps)
             assert abs(freq - 1 / 3) < 4 * sigma
 
+    # 0 sends every removal through the rank tree, 1 splits events between
+    # the tree and the mask scan even at n <= 400, where the measured
+    # constant sends every event to the mask scan
+    @pytest.mark.parametrize("entries_per_step", [0, 1, censoring._MASK_ENTRIES_PER_TREE_STEP])
+    @settings(max_examples=100, deadline=None)
+    @given(case=life_tests())
+    def test_matches_reference_replay(self, entries_per_step, case):
+        with patch.object(censoring, "_MASK_ENTRIES_PER_TREE_STEP", entries_per_step):
+            assert_same_replay(*case)
+
+    def test_rank_tree_and_mask_paths_interleaved(self, monkeypatch):
+        # one-per-failure events use the rank tree; the 2000-unit event reads
+        # the mask and must keep the tree current for the events after it
+        taken = []
+        take = censoring._RankTree.take
+        monkeypatch.setattr(censoring._RankTree, "take", lambda tree, rank: taken.append(rank) or take(tree, rank))
+        scheme = CensoringScheme(4000, tuple([1] * 500 + [2000] + [1] * 499 + [0]))
+        times = np.random.default_rng(3).uniform(0.1, 5.0, size=4000)
+        assert_same_replay(times, np.zeros(4000, dtype=int), scheme, seed=11)
+        assert len(taken) == 999
+
     def test_wrong_sample_size_rejected(self, rng):
         with pytest.raises(ValueError):
-            run_life_test([(1.0, 0)], CensoringScheme(2, (0, 0)), rng)
+            run_life_test([1.0], [0], CensoringScheme(2, (0, 0)), rng)
 
     def test_terminal_removal_equals_conventional_type2(self, rng):
         # R = (0,...,0,n-J): observed are the J smallest lifetimes and all
@@ -127,7 +173,7 @@ class TestRunLifeTest:
             J = int(rng.integers(1, n + 1))
             times = rng.uniform(0.1, 10.0, size=n)
             ds = run_life_test(
-                list(zip(times, np.zeros(n, dtype=int))), conventional_scheme(n, J), rng
+                times, np.zeros(n, dtype=int), conventional_scheme(n, J), rng
             )
             srt = np.sort(times)
             assert_allclose(ds.y_star[ds.observed], srt[:J])
@@ -142,10 +188,27 @@ class TestRunLifeTest:
         firsts = np.empty(reps)
         for i in range(reps):
             times = np.sqrt(-2.0 * np.log1p(-rng.random(n))) / xi
-            ds = run_life_test(list(zip(times, np.zeros(n, dtype=int))), scheme, rng)
+            ds = run_life_test(times, np.zeros(n, dtype=int), scheme, rng)
             firsts[i] = ds.y_star[ds.observed][0]
         stat = kstest(firsts, lambda x: 1.0 - np.exp(-0.5 * (xi**2) * n * x**2))
         assert stat.pvalue > 0.01
+
+    def test_normalized_spacings_are_standard_exponential(self):
+        # Balakrishnan & Sandhu (1995, Amer. Statist. 49:229): on the
+        # exponential scale X = xi^2 y^2 / 2, the spacings
+        # gamma_i (X_i - X_{i-1}) with gamma_i = n - sum_{k<i} (R_k + 1)
+        # of a progressively censored sample are i.i.d. Exp(1)
+        xi, removals, reps = 1.7, (3, 0, 2, 1, 0, 4), 2000
+        scheme = CensoringScheme(sum(removals) + len(removals), removals)
+        gamma = scheme.n - np.concatenate(([0], np.cumsum(np.array(removals) + 1)[:-1]))
+        truth = MixtureParams(np.array([1.0]), np.array([xi]))
+        rng = np.random.default_rng(1995)
+        spacings = np.empty((reps, scheme.J))
+        for i in range(reps):
+            times, labels = sample_labeled(truth, scheme.n, rng)
+            x = 0.5 * xi**2 * run_life_test(times, labels, scheme, rng).observed_times ** 2
+            spacings[i] = gamma * np.diff(x, prepend=0.0)
+        assert kstest(spacings.ravel(), "expon").pvalue > 0.01
 
 
 class TestProgressiveLoglik:
@@ -199,7 +262,7 @@ class TestDatasetCsv:
         scheme = CensoringScheme(12, (1, 0, 2, 0, 3, 0))
         times = rng.uniform(0.1, 5.0, size=12)
         labels = rng.integers(0, 3, size=12)
-        ds = run_life_test(list(zip(times, labels)), scheme, rng)
+        ds = run_life_test(times, labels, scheme, rng)
         path = tmp_path / "data.csv"
         write_dataset_csv(ds, path)
         back = read_dataset_csv(path)

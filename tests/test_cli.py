@@ -70,6 +70,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="not found"):
             parse_config("does-not-exist.yaml")
 
+    def test_truncated_yaml_is_config_error(self, tmp_path, capsys):
+        text = yaml.safe_dump({"model": PAPER_MODEL, "scheme": {"n": 6, "R": [1, 1, 1]}}, default_flow_style=None)
+        cfg_file = tmp_path / "truncated.yaml"
+        cfg_file.write_text(text[: text.index("R: [") + len("R: [1,")])
+        assert main(["generate", "--config", str(cfg_file)]) == EXIT_CONFIG
+        assert "is not valid YAML" in capsys.readouterr().err
+
     def test_model_invariants_checked(self, tmp_path):
         cfg_file = write_config(tmp_path / "c.yaml", {"model": {"lambdas": [0.6, 0.6], "xis": [1, 2]}})
         with pytest.raises(ConfigError, match="model"):
@@ -265,6 +272,31 @@ class TestFitCommand:
         assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
         assert "invalid input data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "defect, message",
+        [("nan", "plausibilities must be finite"), ("inf", "plausibilities must be finite"),
+         ("short-row", "row 1 has 2 fields, expected 4")],
+        ids=["nan", "inf", "short-row"],
+    )
+    def test_malformed_labels_is_config_error(self, tmp_path, generated, capsys, defect, message):
+        with open(generated / "labels.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        if defect == "short-row":
+            rows[1] = rows[1][:2]
+        else:
+            rows[1][rows[0].index("pl_1")] = defect
+        labels = tmp_path / "bad_labels.csv"
+        with open(labels, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        cfg_file = write_config(
+            tmp_path / "fit_bad_labels.yaml",
+            {"data": str(generated / "data.csv"), "labels": str(labels), "out": str(tmp_path / "bad_out")},
+        )
+        assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid input data" in err
+        assert message in err
+
     def test_missing_inputs_config_error(self, tmp_path):
         cfg_file = write_config(
             tmp_path / "fit3.yaml", {"data": "nope.csv", "labels": "nope2.csv", "out": str(tmp_path / "x")}
@@ -340,9 +372,9 @@ class TestSweepCommand:
         seen = []
         run_life_test = simulation.run_life_test
 
-        def spy(pairs, scheme, rng):
+        def spy(times, labels, scheme, rng):
             seen.append(scheme)
-            return run_life_test(pairs, scheme, rng)
+            return run_life_test(times, labels, scheme, rng)
 
         monkeypatch.setattr(simulation, "run_life_test", spy)
         out = tmp_path / "conventional"

@@ -254,7 +254,7 @@ class TestFit:
         params = MixtureParams(np.array([1.0]), np.array([1.2]))
         times, labels = sample_labeled(params, 80, rng)
         scheme = conventional_scheme(80, 50)
-        ds = run_life_test(list(zip(times, labels)), scheme, rng)
+        ds = run_life_test(times, labels, scheme, rng)
         soft = SoftLabeledDataset(ds, np.ones((80, 1)))
         est, trace = fit(soft, MixtureParams(np.array([1.0]), np.array([0.5])), E2MConfig(tol=1e-13))
         assert trace.converged
@@ -270,7 +270,7 @@ class TestFit:
             truth = MixtureParams(rng.dirichlet([4.0, 4.0]), rng.uniform(0.6, 2.0, size=2))
             times, labels = sample_labeled(truth, n, rng)
             J = int(rng.integers(max(2, n // 2), n + 1))
-            ds = run_life_test(list(zip(times, labels)), conventional_scheme(n, J), rng)
+            ds = run_life_test(times, labels, conventional_scheme(n, J), rng)
             soft = SoftLabeledDataset(ds, np.ones((n, 2)))
             init = MixtureParams(np.array([0.5, 0.5]), np.array([0.8, 1.5]))
             n_updates = 25
@@ -464,7 +464,7 @@ class TestInit:
     def test_quantile_spread_shapes(self, rng):
         truth = MixtureParams(np.array([1 / 3, 1 / 3, 1 / 3]), np.array([4.0, 0.5, 0.8]))
         times, labels = sample_labeled(truth, 300, rng)
-        ds = run_life_test(list(zip(times, labels)), conventional_scheme(300, 180), rng)
+        ds = run_life_test(times, labels, conventional_scheme(300, 180), rng)
         init = quantile_spread_init(ds, 3)
         assert_allclose(init.lambdas, np.full(3, 1 / 3))
         assert init.xis.shape == (3,)
