@@ -19,12 +19,19 @@ on.  An event removing more, such as the terminal one of a conventional
 plan, reads its units off the mask with one O(n) ``flatnonzero``; each such
 event removes at least n / (128 log2 n) units, so there are O(log n) of
 them, and a plan of n units replays in O(n log n).
+
+``read_dataset_csv`` parses all rows with one ``np.loadtxt`` call into a
+structured array, picking its columns by header name: item_id and y_star as
+numbers, and the status and the two columns that may be empty as byte
+strings, which numpy then compares and converts as whole columns.  Only when
+loadtxt has failed is the file read again, to name the first bad row.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -308,45 +315,93 @@ def write_dataset_csv(ds: CensoredDataset, path) -> None:
             writer.writerow([int(ds.item_id[i]) + 1, repr(float(ds.y_star[i])), status, caf, label])
 
 
+def load_csv_rows(fh, path, dtype: np.dtype, usecols, n_fields: int, exact: bool) -> np.ndarray:
+    """Parse the rows after the header of an open CSV file with one ``np.loadtxt`` call.
+
+    Blank lines are skipped and not counted.  If loadtxt fails, the rows are
+    read again to name the first with fewer than ``n_fields`` fields (another
+    number if ``exact``) or with a field loadtxt cannot convert.
+    """
+    kwargs = dict(delimiter=",", dtype=dtype, usecols=usecols, comments=None, quotechar='"', ndmin=1)
+    start = fh.tell()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns, not raises, on a header-only file
+        try:
+            return np.loadtxt(fh, **kwargs)
+        except (ValueError, Warning) as exc:
+            reason = str(exc)
+        fh.seek(start)
+        row_no = 0
+        for row_no, line in enumerate((line for line in fh if line.strip("\r\n")), start=1):
+            count = len(next(csv.reader([line])))
+            if exact and count != n_fields:
+                raise ValueError(f"{path}: row {row_no} has {count} fields, expected {n_fields}")
+            if count < n_fields:
+                raise ValueError(f"{path}: row {row_no} has fewer than {n_fields} fields")
+            try:
+                np.loadtxt([line], **kwargs)
+            except (ValueError, Warning) as exc:
+                raise ValueError(f"{path}: row {row_no} is malformed: {str(exc).split(' at row ')[0]}") from None
+    raise ValueError(f"{path}: {reason if row_no else 'row 1 is missing; the file holds only a header'}")
+
+
+# Columns that may be empty or hold any spelling of a status are read as
+# bytes, and a field that fills its width may have been cut.  "last" is the
+# header's last column, read so that a row with fewer fields fails.
+_DATASET_ROW = np.dtype([("item_id", np.int64), ("y_star", np.float64), ("status", "S24"),
+                         ("censored_at_failure", "S24"), ("true_label", "S24"), ("last", "S1")])
+
+
+def _integers(table: np.ndarray, name: str, path) -> np.ndarray:
+    """An integer column read as bytes, empty fields as 0."""
+    col = np.where(table[name] == b"", b"0", table[name])
+    try:
+        return col.astype(np.int64)
+    except (ValueError, OverflowError):
+        for row_no, field in enumerate(col.tolist(), start=1):
+            try:
+                np.int64(int(field))
+            except (ValueError, OverflowError):
+                raise ValueError(f"{path}: row {row_no} has {name} {field.decode('latin-1')!r}, not an integer") from None
+        raise
+
+
 def read_dataset_csv(path) -> CensoredDataset:
-    """Inverse of :func:`write_dataset_csv`; reconstructs the scheme from the rows."""
+    """Inverse of :func:`write_dataset_csv`; reconstructs the scheme from the rows.
+
+    Columns are found by their header names, in any order; other columns are
+    ignored, but every row needs as many fields as the header.
+    """
     path = Path(path)
-    ids: list[int] = []
-    ys: list[float] = []
-    obs: list[bool] = []
-    caf: list[int] = []
-    labels: list[int | None] = []
+    names = _DATASET_ROW.names[:5]
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"item_id", "y_star", "status", "censored_at_failure", "true_label"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns {sorted(required)}")
-        for row_no, row in enumerate(reader, start=1):
-            if None in row.values():
-                raise ValueError(f"{path}: row {row_no} has fewer than {len(reader.fieldnames)} fields")
-            ids.append(int(row["item_id"]) - 1)
-            ys.append(float(row["y_star"]))
-            status = row["status"].strip().lower()
-            if status not in ("observed", "censored"):
-                raise ValueError(f"{path}: unknown status {row['status']!r}")
-            obs.append(status == "observed")
-            caf.append(int(row["censored_at_failure"]) if row["censored_at_failure"] else 0)
-            labels.append(int(row["true_label"]) - 1 if row["true_label"] else None)
-    n = len(ids)
-    J = sum(obs)
-    counts = [0] * J
-    for row_no, (is_obs, j) in enumerate(zip(obs, caf), start=1):
-        if not is_obs:
-            if not 1 <= j <= J:
-                raise ValueError(f"{path}: row {row_no} is censored at failure {j}, outside 1..{J}")
-            counts[j - 1] += 1
-    scheme = CensoringScheme(n, tuple(counts))
-    have_labels = all(z is not None for z in labels)
+        header = next(csv.reader([fh.readline()]))
+        column = {name: k for k, name in enumerate(header)}
+        if not set(names).issubset(column):
+            raise ValueError(f"{path}: expected columns {sorted(names)}")
+        usecols = [column[name] for name in names] + [len(header) - 1]
+        table = load_csv_rows(fh, path, _DATASET_ROW, usecols, len(header), exact=False)
+    for name in names[2:]:
+        width = _DATASET_ROW[name].itemsize
+        cut = np.flatnonzero(np.char.str_len(table[name]) == width)
+        if cut.size:
+            raise ValueError(f"{path}: row {cut[0] + 1} has a {name} field longer than {width - 1} bytes")
+    status = table["status"]
+    observed = status == b"observed"
+    if not np.all(observed | (status == b"censored")):
+        spelled = np.char.lower(np.char.strip(status))
+        observed = spelled == b"observed"
+        bad = np.flatnonzero(~observed & (spelled != b"censored"))
+        if bad.size:
+            raise ValueError(f"{path}: row {bad[0] + 1} has unknown status {status[bad[0]].decode('latin-1')!r}")
+    caf = _integers(table, "censored_at_failure", path)
+    labels = _integers(table, "true_label", path)
+    J = int(observed.sum())
+    bad = np.flatnonzero(~observed & ((caf < 1) | (caf > J)))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0] + 1} is censored at failure {caf[bad[0]]}, outside 1..{J}")
+    scheme = CensoringScheme(len(table), tuple(np.bincount(caf[~observed] - 1, minlength=J).tolist()))
+    have_labels = np.all(table["true_label"] != b"")
     return CensoredDataset(
-        scheme=scheme,
-        item_id=np.array(ids),
-        y_star=np.array(ys),
-        observed=np.array(obs),
-        censored_at_failure=np.array(caf),
-        true_label=np.array(labels, dtype=int) if have_labels else None,
+        scheme, table["item_id"] - 1, table["y_star"], observed, caf, labels - 1 if have_labels else None
     )

@@ -118,10 +118,11 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def _align_labels(ds_item_ids: np.ndarray, ids: np.ndarray, pl: np.ndarray) -> np.ndarray:
-    if sorted(ids.tolist()) != sorted(ds_item_ids.tolist()):
+    order = np.argsort(ids)
+    by_id = ids[order]
+    if by_id.shape != ds_item_ids.shape or not np.array_equal(by_id, np.sort(ds_item_ids)):
         raise ConfigError("label file item_ids do not match the dataset")
-    position = {int(i): k for k, i in enumerate(ids)}
-    return pl[[position[int(i)] for i in ds_item_ids]]
+    return pl[order[np.searchsorted(by_id, ds_item_ids)]]
 
 
 def cmd_fit(cfg: RunConfig) -> int:
@@ -151,6 +152,8 @@ def cmd_fit(cfg: RunConfig) -> int:
         init = quantile_spread_init(ds, p)
     else:
         _require(cfg, f"a 'model' section (fit.init = {init_rule})", cfg.model is not None)
+        if cfg.model.n_components != p:
+            raise ConfigError(f"the labels have {p} components but 'model' has {cfg.model.n_components}")
         init = cfg.model if init_rule == "model" else truth_offset_init(cfg.model)
     try:
         est, trace = fit(soft, init, cfg.fit_config)

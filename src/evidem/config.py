@@ -18,6 +18,7 @@ import yaml
 from .censoring import CensoringScheme, SchemeError, conventional_scheme, scheme_from_censor_frac
 from .estimator import E2MConfig, LabelMode
 from .rayleigh import MixtureParams
+from .simulation import TRUTH_OFFSET
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "DEFAULTS"]
 
@@ -259,6 +260,10 @@ def parse_config(
     cfg.init = fit_section.get("init")
     if cfg.init is not None and cfg.init not in ("truth-offset", "quantile-spread", "model"):
         raise ConfigError(f"'fit.init' must be truth-offset, quantile-spread, or model; got {cfg.init!r}")
+    # the truth-offset start, the default of sweeps, is the model's xi minus TRUTH_OFFSET
+    offset_start = cfg.init == "truth-offset" or (cfg.init is None and command == "sweep")
+    if offset_start and cfg.model is not None and np.any(cfg.model.xis <= TRUTH_OFFSET):
+        raise ConfigError(f"'model.xis' must exceed {TRUTH_OFFSET} for the truth-offset start, got {cfg.model.xis.tolist()}")
 
     sweep = raw.get("sweep")
     if sweep is not None:

@@ -21,6 +21,9 @@ censored indicators.  An iteration is then one (p, n) log-weight product,
 one shifted ``exp`` giving both log-likelihood and posterior, and one M-step
 product, on raw arrays; ``MixtureParams`` are validated only at the start,
 the result and the trace.
+
+``read_soft_labels_csv`` parses ``labels.csv`` with the same one-call
+``loadtxt`` reader as ``data.csv``: an integer id and p plausibilities a row.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .censoring import CensoredDataset
+from .censoring import CensoredDataset, load_csv_rows
 from .rayleigh import MixtureParams
 
 __all__ = [
@@ -341,15 +344,9 @@ def read_soft_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (item_ids 0-based, plausibility matrix) in file row order."""
     path = Path(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader([fh.readline()]))
         if not header or header[0] != "item_id" or len(header) < 2:
             raise ValueError(f"{path}: expected header item_id, pl_1, ..., pl_p")
-        ids: list[int] = []
-        rows: list[list[float]] = []
-        for row_no, r in enumerate(filter(None, reader), start=1):
-            if len(r) != len(header):
-                raise ValueError(f"{path}: row {row_no} has {len(r)} fields, expected {len(header)}")
-            ids.append(int(r[0]) - 1)
-            rows.append([float(v) for v in r[1:]])
-    return np.array(ids, dtype=int), np.array(rows, dtype=float)
+        row = np.dtype([("item_id", np.int64), ("pl", np.float64, (len(header) - 1,))])
+        table = load_csv_rows(fh, path, row, None, len(header), exact=True)
+    return table["item_id"] - 1, np.ascontiguousarray(table["pl"])

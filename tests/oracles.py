@@ -8,13 +8,16 @@ contour combination that the estimator's E-step computes row by row on
 plain arrays.  It also holds the exact observed-data log-likelihood of a
 progressively censored sample of ordered failure times, and the O(n J)
 replay of a progressive life test that ``run_life_test`` must match draw
-for draw.
+for draw, and the row-by-row ``csv``-module readers of ``data.csv`` and
+``labels.csv`` that the column readers must match value for value.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -39,6 +42,8 @@ __all__ = [
     "bayes_contour_combine",
     "progressive_loglik",
     "reference_life_test",
+    "reference_read_dataset_csv",
+    "reference_read_soft_labels_csv",
 ]
 
 # Combination only fails when the conflict is this close to certainty.
@@ -340,3 +345,65 @@ def reference_life_test(times, labels, scheme: CensoringScheme, rng: np.random.G
         censored_at_failure=np.array(caf),
         true_label=labels[id_arr],
     )
+
+
+def reference_read_dataset_csv(path) -> CensoredDataset:
+    """Read ``data.csv`` row by row with ``csv.DictReader`` and Python's int/float."""
+    path = Path(path)
+    ids: list[int] = []
+    ys: list[float] = []
+    obs: list[bool] = []
+    caf: list[int] = []
+    labels: list[int | None] = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        required = {"item_id", "y_star", "status", "censored_at_failure", "true_label"}
+        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            raise ValueError(f"{path}: expected columns {sorted(required)}")
+        for row_no, row in enumerate(reader, start=1):
+            if None in row.values():
+                raise ValueError(f"{path}: row {row_no} has fewer than {len(reader.fieldnames)} fields")
+            ids.append(int(row["item_id"]) - 1)
+            ys.append(float(row["y_star"]))
+            status = row["status"].strip().lower()
+            if status not in ("observed", "censored"):
+                raise ValueError(f"{path}: unknown status {row['status']!r}")
+            obs.append(status == "observed")
+            caf.append(int(row["censored_at_failure"]) if row["censored_at_failure"] else 0)
+            labels.append(int(row["true_label"]) - 1 if row["true_label"] else None)
+    n = len(ids)
+    J = sum(obs)
+    counts = [0] * J
+    for row_no, (is_obs, j) in enumerate(zip(obs, caf), start=1):
+        if not is_obs:
+            if not 1 <= j <= J:
+                raise ValueError(f"{path}: row {row_no} is censored at failure {j}, outside 1..{J}")
+            counts[j - 1] += 1
+    scheme = CensoringScheme(n, tuple(counts))
+    have_labels = all(z is not None for z in labels)
+    return CensoredDataset(
+        scheme=scheme,
+        item_id=np.array(ids),
+        y_star=np.array(ys),
+        observed=np.array(obs),
+        censored_at_failure=np.array(caf),
+        true_label=np.array(labels, dtype=int) if have_labels else None,
+    )
+
+
+def reference_read_soft_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read ``labels.csv`` row by row with ``csv.reader``: (0-based ids, plausibility matrix)."""
+    path = Path(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[0] != "item_id" or len(header) < 2:
+            raise ValueError(f"{path}: expected header item_id, pl_1, ..., pl_p")
+        ids: list[int] = []
+        rows: list[list[float]] = []
+        for row_no, r in enumerate(filter(None, reader), start=1):
+            if len(r) != len(header):
+                raise ValueError(f"{path}: row {row_no} has {len(r)} fields, expected {len(header)}")
+            ids.append(int(r[0]) - 1)
+            rows.append([float(v) for v in r[1:]])
+    return np.array(ids, dtype=int), np.array(rows, dtype=float)

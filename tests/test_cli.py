@@ -297,6 +297,31 @@ class TestFitCommand:
         assert "invalid input data" in err
         assert message in err
 
+    @pytest.mark.parametrize("init", ["model", "truth-offset"])
+    def test_label_width_differs_from_model(self, tmp_path, generated, capsys, init):
+        ds = read_dataset_csv(generated / "data.csv")
+        labels = tmp_path / "two_columns.csv"
+        write_soft_labels_csv(np.ones((ds.n, 2)), labels, item_ids=ds.item_id)
+        cfg_file = write_config(
+            tmp_path / "fit_width.yaml",
+            {"data": str(generated / "data.csv"), "labels": str(labels), "model": PAPER_MODEL,
+             "fit": {"init": init}, "out": str(tmp_path / "width_out")},
+        )
+        assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
+        assert "the labels have 2 components but 'model' has 3" in capsys.readouterr().err
+
+    def test_truth_offset_needs_xi_above_offset(self, tmp_path, generated, capsys):
+        out = tmp_path / "small_xi"
+        cfg_file = write_config(
+            tmp_path / "fit_small_xi.yaml",
+            {"data": str(generated / "data.csv"), "labels": str(generated / "labels.csv"),
+             "model": {"lambdas": PAPER_MODEL["lambdas"], "xis": [4.0, 0.008, 0.8]},
+             "fit": {"init": "truth-offset"}, "out": str(out)},
+        )
+        assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
+        assert "'model.xis' must exceed 0.01" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_inputs_config_error(self, tmp_path):
         cfg_file = write_config(
             tmp_path / "fit3.yaml", {"data": "nope.csv", "labels": "nope2.csv", "out": str(tmp_path / "x")}
@@ -393,4 +418,14 @@ class TestSweepCommand:
         write_config(Path(cfg_file), payload)
         assert main(["sweep", "--config", cfg_file]) == EXIT_CONFIG
         assert "at most 6 components" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truth_offset_needs_xi_above_offset(self, tmp_path, capsys):
+        out = tmp_path / "small_xi"
+        cfg_file = sweep_config(tmp_path, out)
+        payload = yaml.safe_load(Path(cfg_file).read_text())
+        payload["model"] = {"lambdas": PAPER_MODEL["lambdas"], "xis": [4.0, 0.008, 0.8]}
+        write_config(Path(cfg_file), payload)
+        assert main(["sweep", "--config", cfg_file]) == EXIT_CONFIG
+        assert "'model.xis' must exceed 0.01" in capsys.readouterr().err
         assert not out.exists()

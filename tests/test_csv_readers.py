@@ -1,0 +1,188 @@
+"""The column readers of data.csv and labels.csv against the row-by-row oracles.
+
+Generated files vary what a hand-written or spreadsheet-exported file may
+vary: column order, extra columns, blank lines, CRLF line ends, quoting,
+the spelling of the status, padding, and floats at the ends of the double
+range.  The readers must return the same arrays, bit for bit and dtype for
+dtype, as ``tests/oracles``' ``csv``-module readers; malformed files must
+raise a ValueError naming the row, without a warning.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evidem.censoring import read_dataset_csv
+from evidem.estimator import read_soft_labels_csv
+from oracles import reference_read_dataset_csv, reference_read_soft_labels_csv
+
+DATA_COLUMNS = ["item_id", "y_star", "status", "censored_at_failure", "true_label"]
+EDGE_FLOATS = [5e-324, 1e-310, 2.2250738585072014e-308, 1e308, 1.7976931348623157e308]
+FLOAT_FORMATS = [repr, "{:.17e}".format, "{:.17G}".format, "{:.25g}".format]
+
+positive_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+)
+any_floats = st.one_of(st.sampled_from(EDGE_FLOATS + [-x for x in EDGE_FLOATS]), st.floats())
+
+
+@st.composite
+def csv_text(draw, header, rows):
+    """Join fields into CSV text with random quoting, blank lines and line ends."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def field(value):
+        if any(c in value for c in ',"') or draw(st.booleans()):
+            return '"' + value.replace('"', '""') + '"'
+        return value
+
+    lines = [",".join(field(v) for v in header) + newline]
+    for row in rows:
+        lines.append(",".join(field(v) for v in row) + newline)
+        lines.extend([newline] * draw(st.integers(0, 2)))
+    return "".join(lines)
+
+
+@st.composite
+def number(draw, value):
+    """A float or int as one of its exact spellings, maybe padded with spaces."""
+    text = draw(st.sampled_from(FLOAT_FORMATS))(value) if isinstance(value, float) else str(value)
+    pad = draw(st.sampled_from(["", " ", "  "]))
+    return pad + text + draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def dataset_files(draw):
+    removals = draw(st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    n = len(removals) + sum(removals)
+    times = sorted(draw(st.lists(positive_floats, min_size=len(removals), max_size=len(removals))))
+    ids = draw(st.permutations(range(1, n + 1)))
+    labels = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    with_labels = draw(st.booleans())
+    extras = draw(st.lists(st.sampled_from(["note", "batch", "z"]), unique=True, max_size=2))
+    header = draw(st.permutations(DATA_COLUMNS + extras))
+    spelled = {
+        True: st.sampled_from(["observed", " Observed ", "OBSERVED", "observed\t"]),
+        False: st.sampled_from(["censored", "Censored", " censored"]),
+    }
+    rows, k = [], 0
+    for j, (t, r_j) in enumerate(zip(times, removals), start=1):
+        for is_obs in [True] + [False] * r_j:
+            record = {
+                "item_id": draw(number(ids[k])),
+                "y_star": draw(number(t)),
+                "status": draw(spelled[is_obs]),
+                "censored_at_failure": "" if is_obs else draw(number(j)),
+                "true_label": draw(number(labels[k])) if with_labels else "",
+                "note": draw(st.text(alphabet='ab ,#"', max_size=4)),
+                "batch": draw(number(draw(any_floats))),
+                "z": "",
+            }
+            rows.append([record[c] for c in header])
+            k += 1
+    return draw(csv_text(header, rows))
+
+
+@st.composite
+def label_files(draw):
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(-(10**12), 10**12), min_size=n, max_size=n))
+    rows = [[draw(number(i))] + [draw(number(draw(any_floats))) for _ in range(p)] for i in ids]
+    return draw(csv_text(["item_id"] + [f"pl_{z + 1}" for z in range(p)], rows))
+
+
+def assert_same_array(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=dataset_files())
+def test_dataset_reader_matches_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("data") / "data.csv"
+    path.write_bytes(text.encode())
+    want, got = reference_read_dataset_csv(path), read_dataset_csv(path)
+    assert got.scheme == want.scheme
+    for name in ("item_id", "y_star", "observed", "censored_at_failure"):
+        assert_same_array(getattr(got, name), getattr(want, name))
+    assert (got.true_label is None) == (want.true_label is None)
+    if want.true_label is not None:
+        assert_same_array(got.true_label, want.true_label)
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=label_files())
+def test_label_reader_matches_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("labels") / "labels.csv"
+    path.write_bytes(text.encode())
+    (want_ids, want_pl), (got_ids, got_pl) = reference_read_soft_labels_csv(path), read_soft_labels_csv(path)
+    assert_same_array(got_ids, want_ids)
+    assert_same_array(got_pl, want_pl)
+
+
+DATA_HEADER = ",".join(DATA_COLUMNS) + "\n"
+GOOD_ROW = "1,1.5,observed,,1\n"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("", "row 1 is missing"),
+        ("\n\n", "row 1 is missing"),
+        (GOOD_ROW + "2,1.5,censored,1,#2\n", "row 2 has true_label '#2', not an integer"),
+        ("1,1.5#2,observed,,1\n", "row 1 is malformed: could not convert string '1.5#2'"),
+        (GOOD_ROW + "2,1.5,censored," + "0" * 40 + "1,2\n", "row 2 has a censored_at_failure field longer than"),
+        (GOOD_ROW + "2,1.5,censored,1," + "9" * 22 + "\n", "row 2 has true_label '" + "9" * 22 + "', not an integer"),
+        (GOOD_ROW + "\n2,abc,censored,1,2\n", "row 2 is malformed: could not convert string 'abc'"),
+        (GOOD_ROW + "2,1.5,removed,1,2\n", "row 2 has unknown status 'removed'"),
+        (GOOD_ROW + "2,1.5\n", "row 2 has fewer than 5 fields"),
+        (GOOD_ROW + "   \n", "row 2 has fewer than 5 fields"),
+        (GOOD_ROW + "2,1.5,censored,2,2\n", "row 2 is censored at failure 2, outside 1..1"),
+    ],
+    ids=["header-only", "header-and-blank-lines", "hash-in-label", "hash-in-y_star", "over-long-integer",
+         "int64-overflow", "non-numeric-y_star", "unknown-status", "short-row", "whitespace-row", "failure-beyond-J"],
+)
+def test_malformed_data_names_the_row(tmp_path, body, message):
+    path = tmp_path / "data.csv"
+    path.write_text(DATA_HEADER + body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="row ") as err:
+            read_dataset_csv(path)
+    assert message in str(err.value)
+    assert caught == []
+
+
+def test_row_missing_an_ignored_column_is_short(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text(DATA_HEADER.rstrip("\n") + ",note\n" + GOOD_ROW.rstrip("\n") + ",x\n2,1.5,censored,1,2\n")
+    with pytest.raises(ValueError, match="row 2 has fewer than 6 fields"):
+        read_dataset_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("", "row 1 is missing"),
+        ("1,1,1,1\n2,1,1\n", "row 2 has 3 fields, expected 4"),
+        ("1,1,1,1,1\n", "row 1 has 5 fields, expected 4"),
+        ("1,1,1,1\n\n2,1,abc,1\n", "row 2 is malformed: could not convert string 'abc'"),
+        ("1,1,#1,1\n", "row 1 is malformed: could not convert string '#1'"),
+        ("1.5,1,1,1\n", "row 1 is malformed: could not convert string '1.5'"),
+    ],
+    ids=["header-only", "short-row", "long-row", "non-numeric", "hash-in-field", "non-integer-id"],
+)
+def test_malformed_labels_names_the_row(tmp_path, body, message):
+    path = tmp_path / "labels.csv"
+    path.write_text("item_id,pl_1,pl_2,pl_3\n" + body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="row ") as err:
+            read_soft_labels_csv(path)
+    assert message in str(err.value)
+    assert caught == []
