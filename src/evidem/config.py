@@ -7,6 +7,7 @@ manifest so a run can be reproduced from its output directory alone.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -133,11 +134,17 @@ def _as_int(raw, name: str) -> int:
     return int(raw)
 
 
+def _as_list(raw, name: str) -> list | tuple:
+    if not isinstance(raw, (list, tuple)):
+        raise ConfigError(f"'{name}' must be a list, got {raw!r}")
+    return raw
+
+
 def _parse_methods(raw) -> list[LabelMode]:
     if isinstance(raw, str):
         raw = [raw]
     names = []
-    for item in raw:
+    for item in _as_list(raw, "methods"):
         if item == "all":
             names.extend(m.value for m in LabelMode)
         else:
@@ -215,8 +222,8 @@ def parse_config(
     if model is not None:
         if "lambdas" not in model or "xis" not in model:
             raise ConfigError("'model' needs both 'lambdas' and 'xis'")
-        lam = [_as_float(v, "model.lambdas") for v in model["lambdas"]]
-        xis = [_as_float(v, "model.xis") for v in model["xis"]]
+        lam = [_as_float(v, "model.lambdas") for v in _as_list(model["lambdas"], "model.lambdas")]
+        xis = [_as_float(v, "model.xis") for v in _as_list(model["xis"], "model.xis")]
         try:
             cfg.model = MixtureParams(np.array(lam), np.array(xis))
         except ValueError as exc:
@@ -229,7 +236,8 @@ def parse_config(
         n = _as_int(scheme["n"], "scheme.n")
         try:
             if "R" in scheme:
-                cfg.scheme = CensoringScheme(n, tuple(_as_int(r, "scheme.R") for r in scheme["R"]))
+                removals = _as_list(scheme["R"], "scheme.R")
+                cfg.scheme = CensoringScheme(n, tuple(_as_int(r, "scheme.R") for r in removals))
             elif "J" in scheme:
                 cfg.scheme = conventional_scheme(n, _as_int(scheme["J"], "scheme.J"))
             elif "censor_frac" in scheme:
@@ -272,9 +280,18 @@ def parse_config(
         variable = str(sweep["variable"])
         if variable not in ("rho", "n"):
             raise ConfigError(f"'sweep.variable' must be 'rho' or 'n', got {variable!r}")
-        grid = [_as_float(v, "sweep.grid") for v in sweep["grid"]]
+        grid = [_as_float(v, "sweep.grid") for v in _as_list(sweep["grid"], "sweep.grid")]
         if not grid:
             raise ConfigError("'sweep.grid' must be nonempty")
+        if variable == "rho":
+            bad = [g for g in grid if not 0.0 <= g <= 1.0]
+            if bad:
+                raise ConfigError(f"'sweep.grid' values of a rho sweep must be in [0, 1], got {bad}")
+        else:
+            # an n sweep runs round(value) units
+            bad = [g for g in grid if not (math.isfinite(g) and round(g) >= 1)]
+            if bad:
+                raise ConfigError(f"'sweep.grid' values of an n sweep must round to at least 1, got {bad}")
         cfg.sweep_variable = variable
         cfg.sweep_grid = grid
 

@@ -15,12 +15,17 @@ exact.  Vacuous labels (all ones) recover classical EM; certain labels
 recover supervised fitting.  Everything is computed in log space and
 normalized by subtracting each record's maximum, never by flooring.
 
-A fit computes its per-dataset constants once, component-major: y*^2,
-log y* on observed records, log pl as a (p, n) array, and the observed and
-censored indicators.  An iteration is then one (p, n) log-weight product,
-one shifted ``exp`` giving both log-likelihood and posterior, and one M-step
-product, on raw arrays; ``MixtureParams`` are validated only at the start,
-the result and the trace.
+``fit_batch`` fits B datasets of equal size together.  It computes their
+constants once, component-major, on a leading batch axis: y*^2, log y* on
+observed records, log pl as a (B, p, n) array, and the observed and censored
+indicators.  An iteration is then one stacked log-weight product, one shifted
+``exp`` giving every fit's log-likelihood and posterior, and one stacked
+M-step product, on raw arrays.  A fit leaves the batch when it converges,
+reaches the iteration cap or fails, and its failure is its own error: the
+other fits go on.  Every stacked operation works one dataset's slice at a
+time, so a fit takes the same iterates in any batch; ``fit`` is the batch of
+one.  ``MixtureParams`` are validated only at the start, the result and the
+trace.
 
 ``read_soft_labels_csv`` parses ``labels.csv`` with the same one-call
 ``loadtxt`` reader as ``data.csv``: an integer id and p plausibilities a row.
@@ -32,6 +37,7 @@ import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -50,6 +56,7 @@ __all__ = [
     "e_step",
     "m_step",
     "fit",
+    "fit_batch",
     "make_soft_labels",
     "quantile_spread_init",
     "write_soft_labels_csv",
@@ -59,6 +66,7 @@ __all__ = [
 # A component whose total posterior weight falls below STARVATION_FRAC * n
 # can no longer be updated meaningfully; the fit aborts rather than restart.
 STARVATION_FRAC = 1e-10
+_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
 
 
 class EstimationError(RuntimeError):
@@ -72,8 +80,9 @@ class ComponentStarvedError(EstimationError):
 class DegenerateLikelihoodError(EstimationError):
     """A record is impossible under every component it finds plausible.
 
-    When :func:`fit` raises it after the first update, ``trace`` holds the
-    iterations completed so far; otherwise it is None.
+    When :func:`fit` raises it (or :func:`fit_batch` returns it) after the
+    first update, ``trace`` holds the iterations completed so far; otherwise
+    it is None.
     """
 
     trace: "E2MTrace | None" = None
@@ -151,51 +160,88 @@ class E2MTrace:
 
 
 class _Kernel:
-    """A dataset's E2M constants: ``features`` rows are the observed indicator,
-    1, y*^2 and the censored indicator; ``log_base`` is log pl + log y* (observed).
-    ``posterior`` is the one (p, n) buffer every E-step writes into."""
+    """The E2M constants of B datasets of equal size n and width p, stacked on a
+    leading batch axis: ``features[b]`` rows are the observed indicator, 1, y*^2
+    and the censored indicator; ``log_base[b]`` is log pl + log y* (observed),
+    component-major (p, n).  ``posterior`` is the one (B, p, n) buffer every
+    E-step writes into.  ``keep`` drops the datasets whose fits left the batch.
 
-    def __init__(self, ds: SoftLabeledDataset, params: MixtureParams) -> None:
-        if params.n_components != ds.n_components:
-            raise ValueError("parameter and label dimensions disagree")
-        y, obs = ds.data.y_star, ds.data.observed
-        self.features = np.stack([obs, np.ones_like(y), y * y, ~obs])
+    Both steps report a fit that cannot go on in a dict from its row to its
+    error, and give that row placeholder values that raise no floating-point
+    warning, so one failing fit never stops or taints the others.
+    """
+
+    def __init__(self, datasets: Sequence[SoftLabeledDataset]) -> None:
+        y = np.stack([ds.data.y_star for ds in datasets])
+        obs = np.stack([ds.data.observed for ds in datasets])
+        self.features = np.stack([obs, np.ones_like(y), y * y, ~obs], axis=1)
         with np.errstate(divide="ignore"):
-            self.log_base = np.log(ds.pl.T, order="C")
-        self.log_base += np.where(obs, np.log(y), 0.0)
+            self.log_base = np.log(np.stack([ds.pl.T for ds in datasets]), order="C")
+        self.log_base += np.where(obs, np.log(y), 0.0)[:, None, :]
         self.posterior = np.empty_like(self.log_base)
 
-    def loglik_and_posterior(self, lambdas: np.ndarray, xis: np.ndarray) -> tuple[float, np.ndarray]:
+    def keep(self, rows: np.ndarray) -> None:
+        self.features, self.log_base = self.features[rows], self.log_base[rows]
+        self.posterior = np.empty_like(self.log_base)
+
+    def loglik_and_posterior(self, lambdas: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         """Log-weights log[lambda_z (f or S)(y*_j; xi_z) pl_j(z)], then one max-shifted
-        ``exp`` gives both the generalized log-likelihood and ``posterior``."""
+        ``exp`` gives both the (B,) generalized log-likelihoods and ``posterior``."""
         with np.errstate(divide="ignore"):
-            coef = np.array([2.0 * np.log(xis), np.log(lambdas), -0.5 * xis**2]).T
-        w = np.matmul(coef, self.features[:3], out=self.posterior)
+            coef = np.array([2.0 * np.log(xis), np.log(lambdas), -0.5 * xis**2]).transpose(1, 2, 0)
+        w = np.matmul(coef, self.features[:, :3], out=self.posterior)
         w += self.log_base
-        hi = w.max(axis=0)
-        bad = np.flatnonzero(~np.isfinite(hi))
-        if bad.size:
-            raise DegenerateLikelihoodError(f"generalized log-likelihood is non-finite at record(s) {bad.tolist()}")
-        w -= hi
+        hi = w.max(axis=1)
+        finite = np.isfinite(hi)
+        failed = {}
+        if not finite.all():
+            for b in np.flatnonzero(~finite.all(axis=1)):
+                records = np.flatnonzero(~finite[b]).tolist()
+                failed[int(b)] = DegenerateLikelihoodError(
+                    f"generalized log-likelihood is non-finite at record(s) {records}")
+            rows = list(failed)
+            hi[rows] = 0.0
+            w[rows] = 0.0
+        w -= hi[:, None, :]
         np.exp(w, out=w)
-        total = w.sum(axis=0)
-        w /= total
+        total = w.sum(axis=1)
+        w /= total[:, None, :]
         np.log(total, out=total)
         total += hi
-        return float(total.sum()), w
+        return total.sum(axis=1), w, failed
 
-    def m_step(self, W: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`m_step` on the (p, n) posterior, returning raw (lambdas, xis)."""
-        weight, moment, cens = (W @ self.features[1:].T).T
-        starved = np.flatnonzero(weight < STARVATION_FRAC * W.shape[1])
-        if starved.size:
-            raise ComponentStarvedError(f"component(s) {starved.tolist()} received no posterior weight")
+    def m_step(self, W: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+        """:func:`m_step` on the (B, p, n) posteriors, returning raw (B, p) lambdas and xis."""
+        weight, moment, cens = np.matmul(W, self.features[:, 1:].transpose(0, 2, 1)).transpose(2, 0, 1)
+        starved = weight < STARVATION_FRAC * W.shape[2]
         denom = moment + cens * 2.0 / xis**2
+        twice = 2.0 * weight
         # xi^2 = 2 weight / denom must stay finite, so denom must not vanish
-        bad = np.flatnonzero(~(denom > 2.0 * weight / np.finfo(float).max))
-        if bad.size:
-            raise ComponentStarvedError(f"component(s) {bad.tolist()} have a degenerate moment denominator")
-        return weight / weight.sum(), np.sqrt(2.0 * weight / denom)
+        flat = ~(denom > twice / _HUGE)
+        failed = {}
+        if (starved | flat).any():
+            for b in np.flatnonzero(starved.any(axis=1) | flat.any(axis=1)):
+                if starved[b].any():
+                    reason = f"component(s) {np.flatnonzero(starved[b]).tolist()} received no posterior weight"
+                else:
+                    reason = f"component(s) {np.flatnonzero(flat[b]).tolist()} have a degenerate moment denominator"
+                failed[int(b)] = ComponentStarvedError(reason)
+            rows = list(failed)
+            weight[rows] = twice[rows] = denom[rows] = 1.0
+        return weight / weight.sum(axis=1, keepdims=True), np.sqrt(twice / denom), failed
+
+
+def _one_kernel(ds: SoftLabeledDataset, params: MixtureParams) -> _Kernel:
+    if params.n_components != ds.n_components:
+        raise ValueError("parameter and label dimensions disagree")
+    return _Kernel([ds])
+
+
+def _loglik_and_posterior(ds: SoftLabeledDataset, params: MixtureParams) -> tuple[float, np.ndarray]:
+    gll, W, failed = _one_kernel(ds, params).loglik_and_posterior(params.lambdas[None], params.xis[None])
+    if failed:
+        raise failed[0]
+    return float(gll[0]), W[0]
 
 
 def generalized_loglik(ds: SoftLabeledDataset, params: MixtureParams) -> float:
@@ -205,7 +251,7 @@ def generalized_loglik(ds: SoftLabeledDataset, params: MixtureParams) -> float:
     when some record is impossible under every component its soft label
     allows.
     """
-    return _Kernel(ds, params).loglik_and_posterior(params.lambdas, params.xis)[0]
+    return _loglik_and_posterior(ds, params)[0]
 
 
 def e_step(ds: SoftLabeledDataset, params: MixtureParams) -> np.ndarray:
@@ -215,7 +261,7 @@ def e_step(ds: SoftLabeledDataset, params: MixtureParams) -> np.ndarray:
     for observed records, survival-based for censored ones) with the
     record's soft label, i.e. proportional to lambda * (f or S) * pl.
     """
-    return _Kernel(ds, params).loglik_and_posterior(params.lambdas, params.xis)[1].T
+    return _loglik_and_posterior(ds, params)[1].T
 
 
 def m_step(ds: SoftLabeledDataset, W: np.ndarray, params_k: MixtureParams) -> MixtureParams:
@@ -231,7 +277,77 @@ def m_step(ds: SoftLabeledDataset, W: np.ndarray, params_k: MixtureParams) -> Mi
     W = np.asarray(W, dtype=float)
     if W.shape != (ds.data.n, ds.n_components):
         raise ValueError("posterior matrix shape does not match the dataset")
-    return MixtureParams(*_Kernel(ds, params_k).m_step(W.T, params_k.xis))
+    lambdas, xis, failed = _one_kernel(ds, params_k).m_step(W.T[None], params_k.xis[None])
+    if failed:
+        raise failed[0]
+    return MixtureParams(lambdas[0], xis[0])
+
+
+def fit_batch(
+    datasets: Sequence[SoftLabeledDataset],
+    inits: Sequence[MixtureParams],
+    config: E2MConfig = E2MConfig(),
+) -> list[tuple[MixtureParams, E2MTrace] | EstimationError]:
+    """Fit each dataset from its own start, all in one batch.
+
+    The datasets must share their number of records and of components.  Every
+    iteration updates all fits still in the batch with one stacked E-step and
+    one stacked M-step; a fit leaves the batch when it converges, reaches
+    ``config.max_iters`` or fails, and the others go on.  Entry ``b`` of the
+    result is what ``fit(datasets[b], inits[b], config)`` returns, or the
+    :class:`EstimationError` it raises, with the same iterates.
+    """
+    if len(datasets) != len(inits) or not datasets:
+        raise ValueError("a batch needs one start per dataset and at least one dataset")
+    n, p = datasets[0].data.n, datasets[0].n_components
+    for ds, init in zip(datasets, inits):
+        if init.n_components != ds.n_components:
+            raise ValueError("parameter and label dimensions disagree")
+        if (ds.data.n, ds.n_components) != (n, p):
+            raise ValueError("the datasets of a batch must have equal numbers of records and components")
+    kernel = _Kernel(datasets)
+    lambdas = np.stack([init.lambdas for init in inits])
+    xis = np.stack([init.xis for init in inits])
+    results: list = [None] * len(datasets)
+    rows = np.arange(len(datasets))  # the dataset of each batch row
+    steps = []  # iterates since the rows last changed
+    segments = []  # (rows, lambdas, xis, gll), each stacked over the iterates between two row changes
+
+    def history(b: int) -> list[np.ndarray]:
+        parts = [[a[:, np.searchsorted(seg_rows, b)] for a in arrays] for seg_rows, *arrays in segments]
+        return [np.concatenate(a) for a in zip(*parts)]
+
+    it = 0
+    gll, W, failed = kernel.loglik_and_posterior(lambdas, xis)
+    converged = [False] * len(rows)
+    while True:
+        steps.append((lambdas, xis, gll))
+        if failed or it == config.max_iters or any(converged):
+            leaving = np.array(converged) | (it == config.max_iters)
+            leaving[list(failed)] = True
+            segments.append((rows, *map(np.stack, zip(*steps))))
+            steps = []
+            for k in np.flatnonzero(leaving).tolist():
+                b = int(rows[k])
+                if k in failed:
+                    results[b] = exc = failed[k]
+                    if it and isinstance(exc, DegenerateLikelihoodError):
+                        # the iterations completed before the failing one
+                        exc.trace = E2MTrace(*(a[:-1] for a in history(b)), False)
+                else:
+                    results[b] = (MixtureParams(lambdas[k], xis[k]), E2MTrace(*history(b), bool(converged[k])))
+            keep = ~leaving
+            rows, lambdas, xis, gll, W = rows[keep], lambdas[keep], xis[keep], gll[keep], W[keep]
+            if not rows.size:
+                return results
+            kernel.keep(keep)
+        it += 1
+        lambdas, xis, starved = kernel.m_step(W, xis)
+        gll_new, W, degenerate = kernel.loglik_and_posterior(lambdas, xis)
+        failed = {**degenerate, **starved}
+        # a few Python floats compare faster than numpy calls on (B,) arrays
+        converged = [(g - g0) / max(abs(g0), _TINY) < config.tol for g, g0 in zip(gll_new.tolist(), gll.tolist())]
+        gll = gll_new
 
 
 def fit(
@@ -245,28 +361,14 @@ def fit(
 
     Returns the final parameters and the full iteration trace.  Raises
     :class:`DegenerateLikelihoodError` (with the partial trace attached)
-    if the log-likelihood leaves the finite range, and propagates
-    :class:`ComponentStarvedError` from the M-step.
+    if the log-likelihood leaves the finite range, and
+    :class:`ComponentStarvedError` if the M-step cannot update a
+    component.  This is the one-dataset call of :func:`fit_batch`.
     """
-    kernel = _Kernel(ds, init)
-    lambdas, xis = init.lambdas, init.xis
-    gll, W = kernel.loglik_and_posterior(lambdas, xis)
-    steps = [(lambdas, xis, gll)]
-    converged = False
-    for _ in range(config.max_iters):
-        lambdas, xis = kernel.m_step(W, xis)
-        try:
-            gll_new, W = kernel.loglik_and_posterior(lambdas, xis)
-        except DegenerateLikelihoodError as exc:
-            exc.trace = E2MTrace(*map(np.array, zip(*steps)), False)
-            raise
-        steps.append((lambdas, xis, gll_new))
-        rel = (gll_new - gll) / max(abs(gll), np.finfo(float).tiny)
-        gll = gll_new
-        if rel < config.tol:
-            converged = True
-            break
-    return MixtureParams(lambdas, xis), E2MTrace(*map(np.array, zip(*steps)), converged)
+    (result,) = fit_batch([ds], [init], config)
+    if isinstance(result, EstimationError):
+        raise result
+    return result
 
 
 def make_soft_labels(

@@ -7,6 +7,12 @@ fits the mixture, aligns components, and scores absolute relative bias.
 A sweep repeats this over a grid of error probabilities or sample sizes,
 with one independent random substream per (grid point, method, repetition)
 so results never depend on scheduling or worker count.
+
+The sweep's pool task is one (grid point, method) cell: it draws every
+replication from its own substream, in replication order, and fits them all
+as one batch with ``estimator.fit_batch``, which gives each fit the iterates
+it would take alone.  The cell's rows are aggregated by their position in the
+sweep, so a grid value listed twice makes two cells.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .estimator import (
     EstimationError,
     LabelMode,
     SoftLabeledDataset,
-    fit,
+    fit_batch,
     make_soft_labels,
     quantile_spread_init,
 )
@@ -49,6 +55,7 @@ __all__ = [
     "align_to_truth",
     "truth_offset_init",
     "substream",
+    "run_cell",
     "run_replication",
     "run_sweep",
     "parameter_names",
@@ -254,13 +261,15 @@ class ReplicationResult:
     error: str = ""
 
 
-def run_replication(cfg: ExperimentConfig, method: LabelMode | str, rng: np.random.Generator,
-                    variable: str = "rho", grid_value: float | None = None, rep: int = 0) -> ReplicationResult:
-    """Sample, censor, corrupt, fit, align, score: one full pipeline pass.
+def run_cell(cfg: ExperimentConfig, method: LabelMode | str, rngs: Sequence[np.random.Generator],
+             variable: str = "rho", grid_value: float | None = None) -> list[ReplicationResult]:
+    """Sample, censor, corrupt, fit, align, score: one full pipeline pass per
+    generator, with all the fits run as one batch.  Row k is replication k,
+    drawn from ``rngs[k]`` alone.
 
     Estimation failures (starved components, degenerate likelihoods) are
-    recorded on the result row instead of raised, so sweep aggregates can
-    account for them.
+    recorded on the failing replication's row instead of raised, so sweep
+    aggregates can account for them.
     """
     method = LabelMode(method)
     truth = cfg.true_params
@@ -268,35 +277,48 @@ def run_replication(cfg: ExperimentConfig, method: LabelMode | str, rng: np.rand
     if grid_value is None:
         grid_value = cfg.rho if variable == "rho" else float(cfg.n)
     scheme = scheme_from_censor_frac(cfg.n, cfg.censor_frac)
-    ds, z_star, pl_uncertain = simulate_dataset(truth, scheme, CorruptionConfig(cfg.rho, cfg.sd), rng)
-    if method is LabelMode.UNCERTAIN:
-        pl = pl_uncertain
-    elif method is LabelMode.NOISY:
-        pl = make_soft_labels(LabelMode.NOISY, p, hard_labels=z_star)
-    else:
-        pl = make_soft_labels(LabelMode.UNKNOWN, p, n_items=cfg.n)
-    soft = SoftLabeledDataset(ds, pl)
-    init = truth_offset_init(truth) if cfg.init == "truth-offset" else quantile_spread_init(ds, p)
-    try:
-        est, trace = fit(soft, init, cfg.fit_config)
-    except EstimationError as exc:
-        return ReplicationResult(variable, float(grid_value), method, rep,
-                                 failed=True, error=f"{type(exc).__name__}: {exc}")
-    est = align_to_truth(est, truth)
-    return ReplicationResult(
-        variable=variable,
-        grid_value=float(grid_value),
-        method=method,
-        rep=rep,
-        converged=trace.converged,
-        iterations=trace.iterations_used,
-        gll=float(trace.gll_values[-1]),
-        lambdas=est.lambdas,
-        xis=est.xis,
-        rabias_lambdas=np.array([rabias(e, t) for e, t in zip(est.lambdas, truth.lambdas)]),
-        rabias_xis=np.array([rabias(e, t) for e, t in zip(est.xis, truth.xis)]),
-        failed=False,
-    )
+    corruption = CorruptionConfig(cfg.rho, cfg.sd)
+    datasets, inits = [], []
+    for rng in rngs:
+        ds, z_star, pl_uncertain = simulate_dataset(truth, scheme, corruption, rng)
+        if method is LabelMode.UNCERTAIN:
+            pl = pl_uncertain
+        elif method is LabelMode.NOISY:
+            pl = make_soft_labels(LabelMode.NOISY, p, hard_labels=z_star)
+        else:
+            pl = make_soft_labels(LabelMode.UNKNOWN, p, n_items=cfg.n)
+        datasets.append(SoftLabeledDataset(ds, pl))
+        inits.append(truth_offset_init(truth) if cfg.init == "truth-offset" else quantile_spread_init(ds, p))
+    rows = []
+    for rep, outcome in enumerate(fit_batch(datasets, inits, cfg.fit_config)):
+        if isinstance(outcome, EstimationError):
+            rows.append(ReplicationResult(variable, float(grid_value), method, rep,
+                                          failed=True, error=f"{type(outcome).__name__}: {outcome}"))
+            continue
+        est, trace = outcome
+        est = align_to_truth(est, truth)
+        rows.append(ReplicationResult(
+            variable=variable,
+            grid_value=float(grid_value),
+            method=method,
+            rep=rep,
+            converged=trace.converged,
+            iterations=trace.iterations_used,
+            gll=float(trace.gll_values[-1]),
+            lambdas=est.lambdas,
+            xis=est.xis,
+            rabias_lambdas=np.array([rabias(e, t) for e, t in zip(est.lambdas, truth.lambdas)]),
+            rabias_xis=np.array([rabias(e, t) for e, t in zip(est.xis, truth.xis)]),
+            failed=False,
+        ))
+    return rows
+
+
+def run_replication(cfg: ExperimentConfig, method: LabelMode | str, rng: np.random.Generator,
+                    variable: str = "rho", grid_value: float | None = None, rep: int = 0) -> ReplicationResult:
+    """The one-replication cell: :func:`run_cell` with the single generator ``rng``."""
+    (row,) = run_cell(cfg, method, [rng], variable, grid_value)
+    return replace(row, rep=rep)
 
 
 @dataclass(frozen=True)
@@ -325,13 +347,17 @@ class RABiasReport:
                 return c
         raise KeyError((method, grid_value, parameter))
 
-    def curve(self, method: LabelMode | str, parameter: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid values with per-point mean and sd for one method and parameter."""
+    def points(self, method: LabelMode | str, parameter: str) -> list[RABiasCell]:
+        """One method's cells for one parameter, by grid value; repeated grid values keep their order."""
         method = LabelMode(method)
-        pts = sorted(
+        return sorted(
             (c for c in self.cells if c.method is method and c.parameter == parameter),
             key=lambda c: c.grid_value,
         )
+
+    def curve(self, method: LabelMode | str, parameter: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Grid values with per-point mean and sd for one method and parameter."""
+        pts = self.points(method, parameter)
         return (
             np.array([c.grid_value for c in pts]),
             np.array([c.mean for c in pts]),
@@ -357,52 +383,54 @@ def parameter_names(p: int) -> list[str]:
     return [f"lambda_{z + 1}" for z in range(p)] + [f"xi_{z + 1}" for z in range(p)]
 
 
-def _replication_task(args) -> ReplicationResult:
-    spec, master_seed, grid_index, method, rep = args
+def _cell_task(args) -> list[ReplicationResult]:
+    spec, master_seed, grid_index, method = args
     grid_value = spec.grid[grid_index]
-    cfg = spec.config_at(grid_value)
-    rng = substream(master_seed, grid_index, METHOD_ORDER.index(method), rep)
-    return run_replication(cfg, method, rng, variable=spec.variable, grid_value=grid_value, rep=rep)
+    rngs = [substream(master_seed, grid_index, METHOD_ORDER.index(method), rep) for rep in range(spec.reps)]
+    return run_cell(spec.config_at(grid_value), method, rngs, variable=spec.variable, grid_value=grid_value)
 
 
 def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> SweepResult:
-    """Run the full grid; deterministic in (spec, master_seed) regardless of workers."""
-    tasks = [
-        (spec, master_seed, gi, method, rep)
-        for gi in range(len(spec.grid))
-        for method in spec.methods
-        for rep in range(spec.reps)
-    ]
+    """Run the full grid, one task per (grid point, method) cell; deterministic
+    in (spec, master_seed) regardless of workers."""
+    tasks = [(spec, master_seed, gi, method) for gi in range(len(spec.grid)) for method in spec.methods]
     if workers > 1:
         with Pool(workers) as pool:
-            rows = pool.map(_replication_task, tasks, chunksize=1)
+            cells = pool.map(_cell_task, tasks, chunksize=1)
     else:
-        rows = [_replication_task(t) for t in tasks]
-    report = aggregate_report(spec, rows)
-    return SweepResult(spec, master_seed, rows, report)
+        cells = [_cell_task(t) for t in tasks]
+    rows = [row for cell in cells for row in cell]
+    return SweepResult(spec, master_seed, rows, aggregate_report(spec, rows))
 
 
 def aggregate_report(spec: SweepSpec, rows: Sequence[ReplicationResult]) -> RABiasReport:
+    """Aggregate ``rows`` in :func:`run_sweep` order: ``spec.reps`` rows per
+    (grid point, method) cell, grid point by grid point.  Cells are found by
+    position, so a repeated grid value makes cells of its own."""
     p = spec.base.true_params.n_components
     names = parameter_names(p)
+    keys = [(gv, method) for gv in spec.grid for method in spec.methods]
+    if len(rows) != len(keys) * spec.reps:
+        raise ValueError(f"expected {len(keys) * spec.reps} rows, got {len(rows)}")
     cells: list[RABiasCell] = []
-    for gi, gv in enumerate(spec.grid):
-        for method in spec.methods:
-            block = [r for r in rows if r.method is method and np.isclose(r.grid_value, gv)]
-            ok = [r for r in block if not r.failed]
-            n_failed = len(block) - len(ok)
-            reliable = n_failed <= UNRELIABLE_FAILURE_FRAC * len(block)
-            for pi, name in enumerate(names):
-                values = np.array(
-                    [r.rabias_lambdas[pi] if pi < p else r.rabias_xis[pi - p] for r in ok]
-                )
-                if values.size == 0:
-                    mean, sd = np.nan, np.nan
-                elif values.size == 1:
-                    mean, sd = float(values[0]), 0.0
-                else:
-                    mean, sd = float(values.mean()), float(values.std(ddof=1))
-                cells.append(RABiasCell(method, gv, name, mean, sd, len(ok), n_failed, reliable))
+    for k, (gv, method) in enumerate(keys):
+        block = rows[k * spec.reps:(k + 1) * spec.reps]
+        if any(r.method is not method or r.grid_value != gv for r in block):
+            raise ValueError(f"rows are not in sweep order: cell {k} should be ({gv}, {method.value})")
+        ok = [r for r in block if not r.failed]
+        n_failed = len(block) - len(ok)
+        reliable = n_failed <= UNRELIABLE_FAILURE_FRAC * len(block)
+        for pi, name in enumerate(names):
+            values = np.array(
+                [r.rabias_lambdas[pi] if pi < p else r.rabias_xis[pi - p] for r in ok]
+            )
+            if values.size == 0:
+                mean, sd = np.nan, np.nan
+            elif values.size == 1:
+                mean, sd = float(values[0]), 0.0
+            else:
+                mean, sd = float(values.mean()), float(values.std(ddof=1))
+            cells.append(RABiasCell(method, gv, name, mean, sd, len(ok), n_failed, reliable))
     return RABiasReport(spec.variable, cells)
 
 
@@ -467,7 +495,5 @@ def write_figure_csv(result: SweepResult, parameter: str, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([result.spec.variable, "method", "mean_rabias", "sd_rabias", "n_failed"])
         for method in result.spec.methods:
-            grid, mean, sd = result.report.curve(method, parameter)
-            for gi, gv in enumerate(grid):
-                cell = result.report.cell(method, gv, parameter)
-                writer.writerow([_fmt(gv), method.value, _fmt(mean[gi]), _fmt(sd[gi]), cell.n_failed])
+            for c in result.report.points(method, parameter):
+                writer.writerow([_fmt(c.grid_value), method.value, _fmt(c.mean), _fmt(c.sd), c.n_failed])

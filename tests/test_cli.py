@@ -18,6 +18,11 @@ from evidem.simulation import truth_offset_init
 PAPER_MODEL = {"lambdas": [1 / 3, 1 / 3, 1 / 3], "xis": [4.0, 0.5, 0.8]}
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_config(path, payload):
     path.write_text(yaml.safe_dump(payload))
     return str(path)
@@ -429,3 +434,49 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_file]) == EXIT_CONFIG
         assert "'model.xis' must exceed 0.01" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "variable, grid",
+        [("rho", [0.1, 1.2]), ("rho", [-0.1]), ("rho", [float("nan")]), ("n", [60, 0.4]), ("n", [float("inf")])],
+        ids=["rho-above-1", "rho-below-0", "rho-nan", "n-rounds-to-0", "n-inf"],
+    )
+    def test_out_of_range_grid_rejected_before_any_fit(self, tmp_path, capsys, variable, grid):
+        out = tmp_path / "range"
+        cfg_file = sweep_config(tmp_path, out)
+        payload = yaml.safe_load(Path(cfg_file).read_text())
+        payload["sweep"] = {"variable": variable, "grid": grid}
+        write_config(Path(cfg_file), payload)
+        assert main(["sweep", "--config", cfg_file]) == EXIT_CONFIG
+        assert "'sweep.grid' values of" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("sweep.grid", 0.1), ("methods", 5), ("model.lambdas", 1),
+                                            ("model.xis", 4.0), ("scheme.R", 3)])
+    def test_scalar_where_a_list_is_expected(self, tmp_path, capsys, key, value):
+        out = tmp_path / "scalar"
+        cfg_file = sweep_config(tmp_path, out)
+        payload = yaml.safe_load(Path(cfg_file).read_text())
+        *sections, leaf = key.split(".")
+        node = payload
+        for section in sections:
+            node = node[section]
+        node[leaf] = value
+        write_config(Path(cfg_file), payload)
+        assert main(["sweep", "--config", cfg_file]) == EXIT_CONFIG
+        assert f"'{key}' must be a list, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [(0.1, 0.1), (0.1, 0.10000000001)], ids=["equal", "close"])
+    def test_repeated_grid_values_make_separate_cells(self, tmp_path, grid):
+        out = tmp_path / "repeated"
+        cfg_file = sweep_config(tmp_path, out, grid=grid, reps=2, methods=("uncertain",))
+        assert main(["sweep", "--config", cfg_file, "--workers", "1"]) == EXIT_OK
+        results, summary, figure = (read_rows(out / name) for name in ("results.csv", "summary.csv", "figure_xi_1.csv"))
+        summary = [r for r in summary if r["parameter"] == "xi_1"]
+        assert len(results) == 4 and len(summary) == 2 and len(figure) == 2
+        for k, (cell, point) in enumerate(zip(summary, figure)):
+            rows = results[2 * k:2 * k + 2]
+            assert int(cell["n_success"]) == 2 and int(cell["n_failed"]) == 0
+            assert float(cell["mean_rabias"]) == np.mean([float(r["rabias_xi_1"]) for r in rows])
+            assert point["mean_rabias"] == cell["mean_rabias"]
+        assert summary[0]["mean_rabias"] != summary[1]["mean_rabias"]

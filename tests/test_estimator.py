@@ -10,10 +10,12 @@ from evidem.estimator import (
     ComponentStarvedError,
     DegenerateLikelihoodError,
     E2MConfig,
+    EstimationError,
     LabelMode,
     SoftLabeledDataset,
     e_step,
     fit,
+    fit_batch,
     generalized_loglik,
     m_step,
     make_soft_labels,
@@ -365,6 +367,36 @@ def labelled_problem(mode, p, plan):
     return SoftLabeledDataset(ds, pl), MixtureParams(np.full(p, 1.0 / p), 0.3 * XI_POOL[:p])
 
 
+def starving_problem():
+    """Component 0 keeps only a failure at 1e-160, so xi_0^2 = 2 / y^2 overflows."""
+    ds = toy_dataset([1e-160, 1.0, 1.5, 2.0, 2.5], [True] * 5)
+    pl = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    return SoftLabeledDataset(ds, pl), MixtureParams(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
+
+
+def kernel_failing_on_pass(on_pass, targets):
+    """A ``_Kernel`` whose E-step number ``on_pass`` finds record 0 of each
+    dataset in ``targets`` impossible under every component."""
+
+    class Kernel(estimator._Kernel):
+        def __init__(self, datasets):
+            super().__init__(datasets)
+            self.target = np.array([any(ds is t for t in targets) for ds in datasets])
+            self.passes = 0
+
+        def keep(self, rows):
+            super().keep(rows)
+            self.target = self.target[rows]
+
+        def loglik_and_posterior(self, lambdas, xis):
+            self.passes += 1
+            if self.passes == on_pass:
+                self.log_base[self.target, :, 0] = -np.inf
+            return super().loglik_and_posterior(lambdas, xis)
+
+    return Kernel
+
+
 class TestKernel:
     @pytest.mark.parametrize("plan", ["conventional", "progressive"])
     @pytest.mark.parametrize("p", [2, 3, 6])
@@ -398,17 +430,8 @@ class TestKernel:
     def test_degenerate_likelihood_keeps_partial_trace(self, monkeypatch):
         soft, init = labelled_problem(LabelMode.UNCERTAIN, 3, "conventional")
         _, full = fit(soft, init, E2MConfig(max_iters=2, tol=1e-300))
-        passes = []
-        real = estimator._Kernel.loglik_and_posterior
-
-        def fail_on_fourth_pass(self, lambdas, xis):
-            passes.append(None)
-            if len(passes) == 4:
-                raise DegenerateLikelihoodError("record(s) [0]")
-            return real(self, lambdas, xis)
-
-        monkeypatch.setattr(estimator._Kernel, "loglik_and_posterior", fail_on_fourth_pass)
-        with pytest.raises(DegenerateLikelihoodError) as err:
+        monkeypatch.setattr(estimator, "_Kernel", kernel_failing_on_pass(4, [soft]))
+        with pytest.raises(DegenerateLikelihoodError, match=r"record\(s\) \[0\]$") as err:
             fit(soft, init, E2MConfig(max_iters=10, tol=1e-300))
         partial = err.value.trace
         assert not partial.converged and partial.iterations_used == 2
@@ -416,12 +439,76 @@ class TestKernel:
         assert [p.lambdas.tolist() for p, _ in partial.iterates] == full.lambdas.tolist()
 
     def test_component_collapsing_on_tiny_time_is_starved(self):
-        # component 0 keeps only a failure at 1e-160, so xi_0^2 = 2 / y^2 overflows
-        ds = toy_dataset([1e-160, 1.0, 1.5, 2.0, 2.5], [True] * 5)
-        pl = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-        init = MixtureParams(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
         with pytest.raises(ComponentStarvedError, match=r"component\(s\) \[0\]"):
-            fit(SoftLabeledDataset(ds, pl), init)
+            fit(*starving_problem())
+
+    @pytest.mark.parametrize("p", [2, 3, 6])
+    def test_batch_iterates_match_reference_and_solo_fits(self, p):
+        problems = [labelled_problem(mode, p, plan) for mode in LabelMode for plan in ("conventional", "progressive")]
+        config = E2MConfig(max_iters=60, tol=1e-300)
+        batch = fit_batch([soft for soft, _ in problems], [init for _, init in problems], config)
+        for (soft, init), (est, trace) in zip(problems, batch):
+            glls, params = reference_e2m(soft.data.y_star, soft.data.observed, soft.pl, init.lambdas, init.xis, 60)
+            assert_allclose(trace.gll_values, glls, rtol=1e-12)
+            for k, (lam, xi) in enumerate(params, start=1):
+                assert_allclose(trace.lambdas[k], lam, rtol=1e-12)
+                assert_allclose(trace.xis[k], xi, rtol=1e-12)
+            solo_est, solo = fit(soft, init, config)
+            assert trace.iterations_used == solo.iterations_used == 60
+            assert not trace.converged and not solo.converged
+            assert np.array_equal(est.xis, solo_est.xis) and np.array_equal(est.lambdas, solo_est.lambdas)
+            for name in ("lambdas", "xis", "gll_values"):
+                assert np.array_equal(getattr(trace, name), getattr(solo, name))
+
+    def test_batch_fits_end_differently_as_solo_fits_do(self, monkeypatch):
+        # one converges at the second update, one is capped, one starves and
+        # one finds record 0 impossible at its fourth E-step
+        times = [0.5, 0.9, 1.4, 2.0, 2.6]
+        labels = np.array([0, 1, 0, 1, 0])
+        certain = make_soft_labels(LabelMode.NOISY, 2, hard_labels=labels)
+        supervised = SoftLabeledDataset(toy_dataset(times, [True] * 5), certain)
+        vacuous = SoftLabeledDataset(toy_dataset(times[:4] + [2.0], [True] * 4 + [False]), np.ones((5, 2)))
+        uncertain = SoftLabeledDataset(toy_dataset(times, [True] * 5), np.full((5, 2), 0.5) + 0.4 * np.eye(2)[labels])
+        start = MixtureParams(np.array([0.5, 0.5]), np.array([0.8, 1.5]))
+        problems = [(supervised, start), starving_problem(), (vacuous, start), (uncertain, start)]
+        monkeypatch.setattr(estimator, "_Kernel", kernel_failing_on_pass(4, [uncertain]))
+        config = E2MConfig(max_iters=30, tol=1e-300)
+        batch = fit_batch([soft for soft, _ in problems], [init for _, init in problems], config)
+        solos = []
+        for soft, init in problems:
+            try:
+                solos.append(fit(soft, init, config))
+            except EstimationError as exc:
+                solos.append(exc)
+        kinds = []
+        for got, solo in zip(batch, solos):
+            assert type(got) is type(solo)
+            if isinstance(solo, EstimationError):
+                assert str(got) == str(solo)
+                kinds.append(type(solo).__name__)
+                traces = [(got.trace, solo.trace)] if isinstance(solo, DegenerateLikelihoodError) else []
+            else:
+                (est, trace), (solo_est, solo_trace) = got, solo
+                assert np.array_equal(est.lambdas, solo_est.lambdas) and np.array_equal(est.xis, solo_est.xis)
+                kinds.append("converged" if trace.converged else "capped")
+                traces = [(trace, solo_trace)]
+            for trace, solo_trace in traces:
+                assert trace.converged == solo_trace.converged
+                assert trace.iterations_used == solo_trace.iterations_used
+                for name in ("lambdas", "xis", "gll_values"):
+                    assert np.array_equal(getattr(trace, name), getattr(solo_trace, name))
+        assert kinds == ["converged", "ComponentStarvedError", "capped", "DegenerateLikelihoodError"]
+        assert batch[0][1].iterations_used == 2 and batch[2][1].iterations_used == 30
+        assert batch[3].trace.iterations_used == 2 and str(batch[3]).endswith("record(s) [0]")
+        assert "component(s) [0]" in str(batch[1])
+
+    def test_batch_needs_equal_shapes(self):
+        small, init = labelled_problem(LabelMode.UNKNOWN, 2, "conventional")
+        wide, wide_init = labelled_problem(LabelMode.UNKNOWN, 3, "conventional")
+        with pytest.raises(ValueError, match="equal numbers"):
+            fit_batch([small, wide], [init, wide_init])
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            fit_batch([small], [wide_init])
 
 
 class TestSoftLabels:

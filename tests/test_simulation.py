@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from evidem.estimator import E2MConfig, LabelMode
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import (
+    METHOD_ORDER,
     CorruptionConfig,
     ExperimentConfig,
     SweepSpec,
@@ -20,6 +21,7 @@ from evidem.simulation import (
     draw_error_probs,
     effective_sd,
     rabias,
+    run_cell,
     run_replication,
     run_sweep,
     substream,
@@ -171,6 +173,32 @@ class TestReplication:
         row = run_replication(cfg, LabelMode.UNCERTAIN, substream(8, 0, 0, 0))
         assert row.converged
         assert np.all(row.rabias_xis < 0.15)
+
+
+class TestCell:
+    @pytest.mark.parametrize("method", list(LabelMode))
+    def test_rows_equal_single_replications(self, method):
+        cfg = small_config(n=80)
+
+        def rngs():
+            return [substream(3, 0, METHOD_ORDER.index(method), rep) for rep in range(3)]
+
+        cell = run_cell(cfg, method, rngs())
+        assert [row.rep for row in cell] == [0, 1, 2]
+        for rep, (row, rng) in enumerate(zip(cell, rngs())):
+            solo = run_replication(cfg, method, rng, rep=rep)
+            assert (row.iterations, row.converged, row.failed, row.gll) == (
+                solo.iterations, solo.converged, solo.failed, solo.gll)
+            assert np.array_equal(row.xis, solo.xis) and np.array_equal(row.rabias_lambdas, solo.rabias_lambdas)
+
+    def test_report_needs_rows_in_sweep_order(self):
+        cfg = small_config(n=60)
+        spec = SweepSpec("rho", (0.1, 0.3), 1, cfg, methods=(LabelMode.UNCERTAIN,))
+        rows = run_sweep(spec, master_seed=5).rows
+        with pytest.raises(ValueError, match="not in sweep order"):
+            aggregate_report(spec, rows[::-1])
+        with pytest.raises(ValueError, match="expected 2 rows"):
+            aggregate_report(spec, rows[:1])
 
 
 class TestSweep:
