@@ -26,7 +26,7 @@ from .estimator import (
     m_step,
     make_soft_labels,
 )
-from .rayleigh import MixtureParams, mixture_pdf, sample_labeled
+from .rayleigh import MixtureParams, sample_labeled
 from .simulation import (
     CorruptionConfig,
     ExperimentConfig,
@@ -35,7 +35,6 @@ from .simulation import (
     corrupt_labels,
     draw_error_probs,
     rabias,
-    run_replication,
     run_sweep,
 )
 
@@ -48,7 +47,6 @@ __all__ = [
     "scheme_from_censor_frac",
     "run_life_test",
     "MixtureParams",
-    "mixture_pdf",
     "sample_labeled",
     "LabelMode",
     "SoftLabeledDataset",
@@ -69,6 +67,5 @@ __all__ = [
     "draw_error_probs",
     "corrupt_labels",
     "rabias",
-    "run_replication",
     "run_sweep",
 ]

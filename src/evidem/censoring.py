@@ -43,7 +43,6 @@ __all__ = [
     "CensoredDataset",
     "conventional_scheme",
     "scheme_from_censor_frac",
-    "validate",
     "run_life_test",
     "write_dataset_csv",
     "read_dataset_csv",
@@ -62,8 +61,18 @@ class CensoringScheme:
     removals: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "removals", tuple(int(r) for r in self.removals))
-        validate(self)
+        """Raise :class:`SchemeError` unless the plan's accounting holds."""
+        removals = tuple(map(int, self.removals))
+        object.__setattr__(self, "removals", removals)
+        n, J = self.n, len(removals)
+        if not 1 <= J <= n:
+            raise SchemeError(f"need 1 <= J <= n, got J={J}, n={n}")
+        # min and sum over Python ints are exact at any size, where an int64 sum can wrap
+        if min(removals) < 0:
+            raise SchemeError(f"removal counts must be nonnegative, got {removals}")
+        total = sum(removals) + J
+        if total != n:
+            raise SchemeError(f"sum(R) + J = {total} but n = {n}; the plan must exhaust all units")
 
     @property
     def J(self) -> int:
@@ -73,19 +82,6 @@ class CensoringScheme:
     @property
     def n_censored(self) -> int:
         return self.n - self.J
-
-
-def validate(scheme: CensoringScheme) -> None:
-    """Raise :class:`SchemeError` unless the plan's accounting holds."""
-    n, R = scheme.n, scheme.removals
-    J = len(R)
-    if not 1 <= J <= n:
-        raise SchemeError(f"need 1 <= J <= n, got J={J}, n={n}")
-    if any(r < 0 for r in R):
-        raise SchemeError(f"removal counts must be nonnegative, got {R}")
-    total = sum(R) + J
-    if total != n:
-        raise SchemeError(f"sum(R) + J = {total} but n = {n}; the plan must exhaust all units")
 
 
 def conventional_scheme(n: int, J: int) -> CensoringScheme:
@@ -171,7 +167,7 @@ class CensoredDataset:
         if np.any((cens_j < 1) | (cens_j > scheme.J)):
             raise ValueError("censored records must reference a failure index in 1..J")
         counts = np.bincount(cens_j, minlength=scheme.J + 1)[1:]
-        if list(counts) != list(scheme.removals):
+        if not np.array_equal(counts, scheme.removals):
             raise ValueError(f"censored counts per failure {list(counts)} do not match removals {list(scheme.removals)}")
         if not np.allclose(y[~obs], fail_times[cens_j - 1]):
             raise ValueError("each censored time must equal the failure time at which the unit was removed")

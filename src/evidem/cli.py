@@ -174,10 +174,9 @@ def cmd_fit(cfg: RunConfig) -> int:
     with open(cfg.out / "trace.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "gll"] + names)
-        for k, (params, gll) in enumerate(trace.iterates):
-            writer.writerow(
-                [k, repr(gll)] + [repr(float(v)) for v in params.lambdas] + [repr(float(v)) for v in params.xis]
-            )
+        rows = zip(trace.gll_values.tolist(), trace.lambdas.tolist(), trace.xis.tolist())
+        for k, (gll, lambdas, xis) in enumerate(rows):
+            writer.writerow([k, repr(gll), *map(repr, lambdas), *map(repr, xis)])
     _write_manifest(cfg, {"init": init_rule, "outcome": "converged" if trace.converged else "not converged"})
     if not trace.converged:
         print(f"did not converge within {cfg.fit_config.max_iters} iterations", file=sys.stderr)

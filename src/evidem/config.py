@@ -21,23 +21,12 @@ from .estimator import E2MConfig, LabelMode
 from .rayleigh import MixtureParams
 from .simulation import TRUTH_OFFSET
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "DEFAULTS"]
+__all__ = ["ConfigError", "RunConfig", "parse_config"]
 
 
 class ConfigError(ValueError):
     """The run configuration is malformed or violates an invariant."""
 
-
-DEFAULTS = {
-    "seed": 0,
-    "out": "out",
-    "reps": 20,
-    "workers": os.cpu_count() or 1,
-    "methods": ["uncertain", "noisy", "unknown"],
-    "corruption.sd": 0.2,
-    "fit.tol": 1e-8,
-    "fit.max_iters": 1000,
-}
 
 # key -> True for scalar leaves, or a nested dict for sections
 _SCHEMA: dict[str, Any] = {
@@ -65,7 +54,7 @@ class RunConfig:
     seed: int = 0
     out: Path = Path("out")
     reps: int = 20
-    workers: int = 1
+    workers: int = os.cpu_count() or 1
     methods: list[LabelMode] = field(default_factory=lambda: list(LabelMode))
     model: MixtureParams | None = None
     censor_frac: float | None = None
@@ -208,15 +197,15 @@ def parse_config(
             node.pop("J", None)
 
     cfg = RunConfig(command=command)
-    cfg.seed = _as_int(raw.get("seed", DEFAULTS["seed"]), "seed")
-    cfg.out = Path(str(raw.get("out", DEFAULTS["out"])))
-    cfg.reps = _as_int(raw.get("reps", DEFAULTS["reps"]), "reps")
+    cfg.seed = _as_int(raw.get("seed", cfg.seed), "seed")
+    cfg.out = Path(str(raw.get("out", cfg.out)))
+    cfg.reps = _as_int(raw.get("reps", cfg.reps), "reps")
     if cfg.reps < 1:
         raise ConfigError("'reps' must be at least 1")
-    cfg.workers = _as_int(raw.get("workers", DEFAULTS["workers"]), "workers")
+    cfg.workers = _as_int(raw.get("workers", cfg.workers), "workers")
     if cfg.workers < 1:
         raise ConfigError("'workers' must be at least 1")
-    cfg.methods = _parse_methods(raw.get("methods", DEFAULTS["methods"]))
+    cfg.methods = _parse_methods(raw.get("methods", cfg.methods))
 
     model = raw.get("model")
     if model is not None:
@@ -251,16 +240,16 @@ def parse_config(
             cfg.censor_frac = 1.0 - cfg.scheme.J / cfg.scheme.n
 
     corruption = raw.get("corruption", {})
-    cfg.rho = _as_float(corruption.get("rho", 0.0), "corruption.rho")
-    cfg.sd = _as_float(corruption.get("sd", DEFAULTS["corruption.sd"]), "corruption.sd")
+    cfg.rho = _as_float(corruption.get("rho", cfg.rho), "corruption.rho")
+    cfg.sd = _as_float(corruption.get("sd", cfg.sd), "corruption.sd")
     if not 0.0 <= cfg.rho <= 1.0:
         raise ConfigError(f"'corruption.rho' must be in [0, 1], got {cfg.rho}")
     if cfg.sd < 0.0:
         raise ConfigError(f"'corruption.sd' must be nonnegative, got {cfg.sd}")
 
     fit_section = raw.get("fit", {})
-    tol = _as_float(fit_section.get("tol", DEFAULTS["fit.tol"]), "fit.tol")
-    max_iters = _as_int(fit_section.get("max_iters", DEFAULTS["fit.max_iters"]), "fit.max_iters")
+    tol = _as_float(fit_section.get("tol", cfg.fit_config.tol), "fit.tol")
+    max_iters = _as_int(fit_section.get("max_iters", cfg.fit_config.max_iters), "fit.max_iters")
     try:
         cfg.fit_config = E2MConfig(max_iters=max_iters, tol=tol)
     except ValueError as exc:

@@ -1,4 +1,4 @@
-"""Rayleigh lifetime component and finite mixtures of them.
+"""Finite mixtures of Rayleigh lifetime components: parameters and labelled sampling.
 
 The component is parametrized by a rate-like ``xi > 0``:
 
@@ -9,8 +9,8 @@ The component is parametrized by a rate-like ``xi > 0``:
 Under this parametrization X^2 is exponential with rate xi^2 / 2, so the
 second moment truncated from below has the closed form y^2 + 2 / xi^2.
 That identity is what makes the censored M-step of the estimator exact.
-
-All functions are numpy ufunc-style: they broadcast over ``xi`` and ``x``.
+The estimator writes these formulas into its kernel, and the sampler inlines
+the quantile; the tests keep them as standalone reference functions.
 """
 
 from __future__ import annotations
@@ -19,18 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "MixtureParams",
-    "pdf",
-    "log_pdf",
-    "cdf",
-    "survival",
-    "log_survival",
-    "quantile",
-    "truncated_second_moment",
-    "mixture_pdf",
-    "sample_labeled",
-]
+__all__ = ["MixtureParams", "sample_labeled"]
 
 _WEIGHT_SUM_TOL = 1e-12
 
@@ -70,83 +59,12 @@ class MixtureParams:
         return MixtureParams(self.lambdas[idx], self.xis[idx])
 
 
-def _require_positive(x, name: str):
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError(f"{name} must be strictly positive")
-    return arr
-
-
-def pdf(xi, x):
-    """Density xi^2 * x * exp(-xi^2 x^2 / 2) for x > 0."""
-    xv = _require_positive(x, "x")
-    xi = np.asarray(xi, dtype=float)
-    return xi**2 * xv * np.exp(-0.5 * xi**2 * xv**2)
-
-
-def log_pdf(xi, x):
-    """Log density, stable for arguments far in the tail."""
-    xv = _require_positive(x, "x")
-    xi = np.asarray(xi, dtype=float)
-    return 2.0 * np.log(xi) + np.log(xv) - 0.5 * xi**2 * xv**2
-
-
-def cdf(xi, x):
-    xv = np.asarray(x, dtype=float)
-    if np.any(xv < 0.0):
-        raise ValueError("x must be nonnegative")
-    xi = np.asarray(xi, dtype=float)
-    return -np.expm1(-0.5 * xi**2 * xv**2)
-
-
-def survival(xi, x):
-    """Survival exp(-xi^2 x^2 / 2) for x >= 0."""
-    xv = np.asarray(x, dtype=float)
-    if np.any(xv < 0.0):
-        raise ValueError("x must be nonnegative")
-    xi = np.asarray(xi, dtype=float)
-    return np.exp(-0.5 * xi**2 * xv**2)
-
-
-def log_survival(xi, x):
-    xv = np.asarray(x, dtype=float)
-    if np.any(xv < 0.0):
-        raise ValueError("x must be nonnegative")
-    xi = np.asarray(xi, dtype=float)
-    return -0.5 * xi**2 * xv**2
-
-
-def quantile(xi, u):
-    """Inverse cdf: the x with F(x; xi) = u, for 0 < u < 1."""
-    uv = np.asarray(u, dtype=float)
-    if np.any(uv <= 0.0) or np.any(uv >= 1.0):
-        raise ValueError("u must lie strictly inside (0, 1)")
-    xi = np.asarray(xi, dtype=float)
-    return np.sqrt(-2.0 * np.log1p(-uv)) / xi
-
-
-def truncated_second_moment(xi, y):
-    """E[X^2 | X > y] = y^2 + 2 / xi^2, exact because X^2 is exponential."""
-    yv = np.asarray(y, dtype=float)
-    if np.any(yv < 0.0):
-        raise ValueError("y must be nonnegative")
-    xi = np.asarray(xi, dtype=float)
-    return yv**2 + 2.0 / xi**2
-
-
-def mixture_pdf(params: MixtureParams, x):
-    """Density of the mixture: sum_z lambda_z f(x; xi_z)."""
-    xv = _require_positive(x, "x")
-    dens = pdf(params.xis, xv[..., None])
-    return np.asarray(dens * params.lambdas).sum(axis=-1)
-
-
 def sample_labeled(params: MixtureParams, n: int, rng: np.random.Generator):
     """Draw ``n`` labelled lifetimes from the mixture.
 
     Labels follow the mixing weights; lifetimes are produced by inverse
-    transform through :func:`quantile`, so runs are exactly reproducible
-    under a seeded generator.
+    transform through the quantile F^-1(u; xi), so runs are exactly
+    reproducible under a seeded generator.
 
     Returns
     -------

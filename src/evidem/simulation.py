@@ -56,7 +56,6 @@ __all__ = [
     "truth_offset_init",
     "substream",
     "run_cell",
-    "run_replication",
     "run_sweep",
     "parameter_names",
     "write_results_csv",
@@ -262,7 +261,7 @@ class ReplicationResult:
 
 
 def run_cell(cfg: ExperimentConfig, method: LabelMode | str, rngs: Sequence[np.random.Generator],
-             variable: str = "rho", grid_value: float | None = None) -> list[ReplicationResult]:
+             variable: str, grid_value: float) -> list[ReplicationResult]:
     """Sample, censor, corrupt, fit, align, score: one full pipeline pass per
     generator, with all the fits run as one batch.  Row k is replication k,
     drawn from ``rngs[k]`` alone.
@@ -274,8 +273,6 @@ def run_cell(cfg: ExperimentConfig, method: LabelMode | str, rngs: Sequence[np.r
     method = LabelMode(method)
     truth = cfg.true_params
     p = truth.n_components
-    if grid_value is None:
-        grid_value = cfg.rho if variable == "rho" else float(cfg.n)
     scheme = scheme_from_censor_frac(cfg.n, cfg.censor_frac)
     corruption = CorruptionConfig(cfg.rho, cfg.sd)
     datasets, inits = [], []
@@ -314,13 +311,6 @@ def run_cell(cfg: ExperimentConfig, method: LabelMode | str, rngs: Sequence[np.r
     return rows
 
 
-def run_replication(cfg: ExperimentConfig, method: LabelMode | str, rng: np.random.Generator,
-                    variable: str = "rho", grid_value: float | None = None, rep: int = 0) -> ReplicationResult:
-    """The one-replication cell: :func:`run_cell` with the single generator ``rng``."""
-    (row,) = run_cell(cfg, method, [rng], variable, grid_value)
-    return replace(row, rep=rep)
-
-
 @dataclass(frozen=True)
 class RABiasCell:
     """Aggregate for one (method, grid point, parameter)."""
@@ -341,11 +331,13 @@ class RABiasReport:
     cells: list[RABiasCell]
 
     def cell(self, method: LabelMode | str, grid_value: float, parameter: str) -> RABiasCell:
+        """The one cell at ``grid_value``; a KeyError if none or several match, as a repeated grid value does."""
         method = LabelMode(method)
-        for c in self.cells:
-            if c.method is method and c.parameter == parameter and np.isclose(c.grid_value, grid_value):
-                return c
-        raise KeyError((method, grid_value, parameter))
+        found = [c for c in self.cells
+                 if c.method is method and c.parameter == parameter and np.isclose(c.grid_value, grid_value)]
+        if len(found) != 1:
+            raise KeyError(f"grid value {grid_value!r} matches {len(found)} {method.value} cells of {parameter}")
+        return found[0]
 
     def points(self, method: LabelMode | str, parameter: str) -> list[RABiasCell]:
         """One method's cells for one parameter, by grid value; repeated grid values keep their order."""

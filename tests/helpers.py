@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from oracles import log_pdf, log_survival, truncated_second_moment
+
 
 def classical_censored_em(y, observed, lam0, xi0, n_updates):
     """Plain EM for a censored Rayleigh mixture, no soft labels anywhere.
@@ -50,22 +52,24 @@ def classical_censored_em(y, observed, lam0, xi0, n_updates):
 
 
 def reference_e2m(y, observed, pl, lam0, xi0, n_updates):
-    """E2M with soft labels in plain record-major numpy, written from the formulas.
+    """E2M with soft labels in plain record-major numpy, built on the oracle formulas.
 
-    Log-weights log[lambda_z * (f or S)(y_j; xi_z) * pl_j(z)] form an (n, p)
-    array normalized by row-max subtraction; the M-step uses the exact
-    censored second moment y^2 + 2 / xi^2.  Returns the generalized
-    log-likelihood at the start and after each update, and the
+    Log-weights log[lambda_z * (f or S)(y_j; xi_z) * pl_j(z)] come from
+    ``oracles.log_pdf`` and ``oracles.log_survival`` as an (n, p) array
+    normalized by row-max subtraction; the M-step takes the censored records'
+    second moments from ``oracles.truncated_second_moment``.  Returns the
+    generalized log-likelihood at the start and after each update, and the
     (lambdas, xis) pair after each update.
     """
     y = np.asarray(y, dtype=float)
     obs = np.asarray(observed, dtype=bool)
     pl = np.asarray(pl, dtype=float)
+    y_col = y[:, None]
 
     def loglik_and_posterior(lam, xi):
         with np.errstate(divide="ignore"):
-            logw = np.log(lam) - 0.5 * np.outer(y**2, xi**2) + np.log(pl)
-        logw[obs] += 2.0 * np.log(xi) + np.log(y[obs])[:, None]
+            logw = np.log(lam) + np.log(pl)
+        logw += np.where(obs[:, None], log_pdf(xi, y_col), log_survival(xi, y_col))
         hi = logw.max(axis=1, keepdims=True)
         w = np.exp(logw - hi)
         total = w.sum(axis=1, keepdims=True)
@@ -76,7 +80,8 @@ def reference_e2m(y, observed, pl, lam0, xi0, n_updates):
     glls, params = [gll], []
     for _ in range(n_updates):
         weight = W.sum(axis=0)
-        denom = W.T @ y**2 + W[~obs].sum(axis=0) * 2.0 / xi**2
+        second = np.where(obs[:, None], y_col**2, truncated_second_moment(xi, y_col))
+        denom = (W * second).sum(axis=0)
         lam, xi = weight / weight.sum(), np.sqrt(2.0 * weight / denom)
         gll, W = loglik_and_posterior(lam, xi)
         glls.append(gll)

@@ -5,11 +5,14 @@ on the power set of the frame, represented as bitmasks (bit z set means
 label z is in the subset).  The module provides credibility and
 plausibility, Dempster's conjunctive combination, and the probability-times-
 contour combination that the estimator's E-step computes row by row on
-plain arrays.  It also holds the exact observed-data log-likelihood of a
-progressively censored sample of ordered failure times, and the O(n J)
-replay of a progressive life test that ``run_life_test`` must match draw
-for draw, and the row-by-row ``csv``-module readers of ``data.csv`` and
-``labels.csv`` that the column readers must match value for value.
+plain arrays.  It also holds the Rayleigh component's formulas (density,
+survival, quantile and the exact truncated second moment, broadcasting over
+``xi`` and ``x``), which the estimator's kernel writes out inline; the exact
+observed-data log-likelihood of a progressively censored sample of ordered
+failure times; the O(n J) replay of a progressive life test that
+``run_life_test`` must match draw for draw; and the row-by-row
+``csv``-module readers of ``data.csv`` and ``labels.csv`` that the column
+readers must match value for value.
 """
 
 from __future__ import annotations
@@ -40,6 +43,13 @@ __all__ = [
     "contour_of",
     "dempster_combine",
     "bayes_contour_combine",
+    "pdf",
+    "log_pdf",
+    "cdf",
+    "survival",
+    "log_survival",
+    "quantile",
+    "truncated_second_moment",
     "progressive_loglik",
     "reference_life_test",
     "reference_read_dataset_csv",
@@ -264,6 +274,70 @@ def bayes_contour_combine(p1: ProbabilityVector, pl2: ContourFunction) -> tuple[
     if conflict > 1.0 - CONFLICT_TOL:
         raise TotalConflictError(f"total conflict: k = {conflict!r}")
     return ProbabilityVector(p1.frame, weights / total), conflict
+
+
+def _require_positive(x, name: str):
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0.0):
+        raise ValueError(f"{name} must be strictly positive")
+    return arr
+
+
+def pdf(xi, x):
+    """Density xi^2 * x * exp(-xi^2 x^2 / 2) for x > 0."""
+    xv = _require_positive(x, "x")
+    xi = np.asarray(xi, dtype=float)
+    return xi**2 * xv * np.exp(-0.5 * xi**2 * xv**2)
+
+
+def log_pdf(xi, x):
+    """Log density, stable for arguments far in the tail."""
+    xv = _require_positive(x, "x")
+    xi = np.asarray(xi, dtype=float)
+    return 2.0 * np.log(xi) + np.log(xv) - 0.5 * xi**2 * xv**2
+
+
+def cdf(xi, x):
+    xv = np.asarray(x, dtype=float)
+    if np.any(xv < 0.0):
+        raise ValueError("x must be nonnegative")
+    xi = np.asarray(xi, dtype=float)
+    return -np.expm1(-0.5 * xi**2 * xv**2)
+
+
+def survival(xi, x):
+    """Survival exp(-xi^2 x^2 / 2) for x >= 0."""
+    xv = np.asarray(x, dtype=float)
+    if np.any(xv < 0.0):
+        raise ValueError("x must be nonnegative")
+    xi = np.asarray(xi, dtype=float)
+    return np.exp(-0.5 * xi**2 * xv**2)
+
+
+def log_survival(xi, x):
+    xv = np.asarray(x, dtype=float)
+    if np.any(xv < 0.0):
+        raise ValueError("x must be nonnegative")
+    xi = np.asarray(xi, dtype=float)
+    return -0.5 * xi**2 * xv**2
+
+
+def quantile(xi, u):
+    """Inverse cdf: the x with F(x; xi) = u, for 0 < u < 1."""
+    uv = np.asarray(u, dtype=float)
+    if np.any(uv <= 0.0) or np.any(uv >= 1.0):
+        raise ValueError("u must lie strictly inside (0, 1)")
+    xi = np.asarray(xi, dtype=float)
+    return np.sqrt(-2.0 * np.log1p(-uv)) / xi
+
+
+def truncated_second_moment(xi, y):
+    """E[X^2 | X > y] = y^2 + 2 / xi^2, exact because X^2 is exponential."""
+    yv = np.asarray(y, dtype=float)
+    if np.any(yv < 0.0):
+        raise ValueError("y must be nonnegative")
+    xi = np.asarray(xi, dtype=float)
+    return yv**2 + 2.0 / xi**2
 
 
 def progressive_loglik(

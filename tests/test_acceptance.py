@@ -28,15 +28,7 @@ from evidem.estimator import (
     m_step,
     make_soft_labels,
 )
-from evidem.rayleigh import (
-    MixtureParams,
-    cdf,
-    pdf,
-    quantile,
-    sample_labeled,
-    survival,
-    truncated_second_moment,
-)
+from evidem.rayleigh import MixtureParams, sample_labeled
 from evidem.simulation import ExperimentConfig, SweepSpec, run_sweep
 from helpers import (
     classical_censored_em,
@@ -50,9 +42,14 @@ from oracles import (
     ProbabilityVector,
     bayes_contour_combine,
     bayesian,
+    cdf,
     consonant_from_contour,
     contour_of,
     dempster_combine,
+    pdf,
+    quantile,
+    survival,
+    truncated_second_moment,
 )
 
 MASTER_SEED = 100

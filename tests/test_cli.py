@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 from evidem import simulation
 from evidem.censoring import conventional_scheme, read_dataset_csv
 from evidem.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main
-from evidem.config import ConfigError, parse_config
+from evidem.config import ConfigError, RunConfig, parse_config
 from evidem.estimator import E2MConfig, SoftLabeledDataset, fit, read_soft_labels_csv, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import truth_offset_init
@@ -37,6 +38,7 @@ class TestParseConfig:
         assert cfg.sd == 0.2
         assert cfg.seed == 0
         assert cfg.reps == 20
+        assert cfg.workers == RunConfig(command="fit").workers == (os.cpu_count() or 1)
 
     def test_censor_frac_expansion(self, tmp_path):
         cfg_file = write_config(tmp_path / "c.yaml", {"scheme": {"n": 500}})
@@ -142,6 +144,17 @@ class TestGenerate:
         cfg_file = write_config(tmp_path / "bad.yaml", {"scheme": {"n": 10, "censor_frac": 0.0}})
         assert main(["generate", "--config", cfg_file]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("removals", [[2**63 - 1, 2**63 - 1, 4], [2**63, 0, 0], [2**64 + 3, -(2**64)]])
+    def test_removals_beyond_int64_are_config_errors(self, tmp_path, capsys, removals):
+        # in int64 the first plan sums to 2 and the last to 3, so either would exhaust n = 5 with its J
+        out = tmp_path / "out"
+        cfg_file = write_config(
+            tmp_path / "bad.yaml", {"model": PAPER_MODEL, "scheme": {"n": 5, "R": removals}, "out": str(out)}
+        )
+        assert main(["generate", "--config", cfg_file]) == EXIT_CONFIG
+        assert "'scheme' is invalid" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitCommand:
     @pytest.fixture
@@ -176,6 +189,12 @@ class TestFitCommand:
         assert row["converged"] == "true"
         trace_rows = list(csv.DictReader(open(out / "trace.csv")))
         assert len(trace_rows) == trace.iterations_used + 1
+        for k, r in enumerate(trace_rows):
+            assert int(r["iteration"]) == k
+            assert float(r["gll"]) == trace.gll_values[k]
+            for z in range(3):
+                assert float(r[f"lambda_{z + 1}"]) == trace.lambdas[k, z]
+                assert float(r[f"xi_{z + 1}"]) == trace.xis[k, z]
 
     def test_vacuous_label_file_matches_em_baseline(self, tmp_path, generated):
         ds = read_dataset_csv(generated / "data.csv")

