@@ -5,7 +5,8 @@ A scheme places ``n`` units on test, observes ``J`` failures, and removes
 ``sum(R) + J == n``.  The module validates schemes, replays the physical
 experiment on labelled lifetimes (labels must survive censoring so that the
 label-corruption protocol can act on every unit), and reads and writes the
-resulting datasets as CSV.
+resulting datasets as CSV.  ``write_table`` writes every output table of the
+program, so it alone knows the cell format.
 
 The replay draws each event's removals as ranks among the ``m`` survivors,
 ``rng.choice(m, R_j, replace=False)``.  That is the same draw, leaving the
@@ -299,16 +300,57 @@ def run_life_test(
     )
 
 
-def write_dataset_csv(ds: CensoredDataset, path) -> None:
-    """CSV form: item_id, y_star, status, censored_at_failure, true_label (1-based ids)."""
+# Rows per write_table chunk: one chunk's cells are all the Python objects that
+# a table of any length holds at once.
+_CHUNK_ROWS = 4096
+
+
+def _cell(value):
+    """A boolean as true/false and NaN as None, an empty field; other values as they are."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return None if value != value else value
+
+
+def _cells(values) -> list:
+    """One column's chunk as the values csv.writer writes; it writes a float as its repr."""
+    values = np.asarray(values)
+    cells = values.tolist()
+    if values.dtype.kind in "bO" or (values.dtype.kind == "f" and np.isnan(values).any()):
+        return [_cell(v) for v in cells]
+    return cells
+
+
+def write_table(path, header, n_rows: int, columns) -> None:
+    """Write every output table: a CSV of ``n_rows`` rows under ``header``, a chunk of rows at a time.
+
+    A column holds ``n_rows`` values, or maps a slice of rows to their values,
+    which builds a derived column a chunk at a time.  Floats are written as
+    their shortest round-trip repr, booleans as true/false, None and NaN as
+    empty fields, and fields holding "," or '"' quoted; rows end in "\\n".
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item_id", "y_star", "status", "censored_at_failure", "true_label"])
-        for i in range(ds.n):
-            status = "observed" if ds.observed[i] else "censored"
-            caf = str(int(ds.censored_at_failure[i])) if not ds.observed[i] else ""
-            label = str(int(ds.true_label[i]) + 1) if ds.true_label is not None else ""
-            writer.writerow([int(ds.item_id[i]) + 1, repr(float(ds.y_star[i])), status, caf, label])
+        writer.writerow(header)
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
+            writer.writerows(zip(*(_cells(col(rows) if callable(col) else col[rows]) for col in columns)))
+
+
+def write_dataset_csv(ds: CensoredDataset, path) -> None:
+    """CSV form: item_id, y_star, status, censored_at_failure, true_label (1-based ids)."""
+    write_table(path, ["item_id", "y_star", "status", "censored_at_failure", "true_label"], ds.n, [
+        lambda rows: ds.item_id[rows] + 1,
+        ds.y_star,
+        lambda rows: np.where(ds.observed[rows], "observed", "censored"),
+        lambda rows: np.where(ds.observed[rows], None, ds.censored_at_failure[rows]),
+        lambda rows: [None] * (rows.stop - rows.start) if ds.true_label is None else ds.true_label[rows] + 1,
+    ])
+
+
+def read_csv_header(fh) -> list[str]:
+    """The fields of the next line of an open CSV file."""
+    return next(csv.reader([fh.readline()]))
 
 
 def load_csv_rows(fh, path, dtype: np.dtype, usecols, n_fields: int, exact: bool) -> np.ndarray:
@@ -371,7 +413,7 @@ def read_dataset_csv(path) -> CensoredDataset:
     path = Path(path)
     names = _DATASET_ROW.names[:5]
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]))
+        header = read_csv_header(fh)
         column = {name: k for k, name in enumerate(header)}
         if not set(names).issubset(column):
             raise ValueError(f"{path}: expected columns {sorted(names)}")

@@ -9,7 +9,6 @@ enough to reproduce it exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .censoring import read_dataset_csv, scheme_from_censor_frac, write_dataset_csv
+from .censoring import read_dataset_csv, scheme_from_censor_frac, write_dataset_csv, write_table
 from .config import ConfigError, RunConfig, parse_config
 from .estimator import (
     EstimationError,
@@ -163,20 +162,10 @@ def cmd_fit(cfg: RunConfig) -> int:
         return EXIT_DEGENERATE
 
     names = parameter_names(p)
-    with open(cfg.out / "estimate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names + ["iterations", "converged", "gll"])
-        writer.writerow(
-            [repr(float(v)) for v in est.lambdas]
-            + [repr(float(v)) for v in est.xis]
-            + [trace.iterations_used, "true" if trace.converged else "false", repr(float(trace.gll_values[-1]))]
-        )
-    with open(cfg.out / "trace.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "gll"] + names)
-        rows = zip(trace.gll_values.tolist(), trace.lambdas.tolist(), trace.xis.tolist())
-        for k, (gll, lambdas, xis) in enumerate(rows):
-            writer.writerow([k, repr(gll), *map(repr, lambdas), *map(repr, xis)])
+    write_table(cfg.out / "estimate.csv", names + ["iterations", "converged", "gll"], 1,
+                [[v] for v in [*est.lambdas, *est.xis, trace.iterations_used, trace.converged, trace.gll_values[-1]]])
+    write_table(cfg.out / "trace.csv", ["iteration", "gll"] + names, len(trace.gll_values),
+                [np.arange(len(trace.gll_values)), trace.gll_values, *trace.lambdas.T, *trace.xis.T])
     _write_manifest(cfg, {"init": init_rule, "outcome": "converged" if trace.converged else "not converged"})
     if not trace.converged:
         print(f"did not converge within {cfg.fit_config.max_iters} iterations", file=sys.stderr)

@@ -19,7 +19,7 @@ import yaml
 from .censoring import CensoringScheme, SchemeError, conventional_scheme, scheme_from_censor_frac
 from .estimator import E2MConfig, LabelMode
 from .rayleigh import MixtureParams
-from .simulation import TRUTH_OFFSET
+from .simulation import TRUTH_OFFSET, CorruptionConfig
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
@@ -198,6 +198,8 @@ def parse_config(
 
     cfg = RunConfig(command=command)
     cfg.seed = _as_int(raw.get("seed", cfg.seed), "seed")
+    if cfg.seed < 0:
+        raise ConfigError(f"'seed' must be nonnegative, got {cfg.seed}")
     cfg.out = Path(str(raw.get("out", cfg.out)))
     cfg.reps = _as_int(raw.get("reps", cfg.reps), "reps")
     if cfg.reps < 1:
@@ -242,10 +244,10 @@ def parse_config(
     corruption = raw.get("corruption", {})
     cfg.rho = _as_float(corruption.get("rho", cfg.rho), "corruption.rho")
     cfg.sd = _as_float(corruption.get("sd", cfg.sd), "corruption.sd")
-    if not 0.0 <= cfg.rho <= 1.0:
-        raise ConfigError(f"'corruption.rho' must be in [0, 1], got {cfg.rho}")
-    if cfg.sd < 0.0:
-        raise ConfigError(f"'corruption.sd' must be nonnegative, got {cfg.sd}")
+    try:
+        CorruptionConfig(cfg.rho, cfg.sd)
+    except ValueError as exc:
+        raise ConfigError(f"'corruption' is invalid: {exc}") from None
 
     fit_section = raw.get("fit", {})
     tol = _as_float(fit_section.get("tol", cfg.fit_config.tol), "fit.tol")

@@ -33,7 +33,6 @@ trace.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -41,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .censoring import CensoredDataset, load_csv_rows
+from .censoring import CensoredDataset, load_csv_rows, read_csv_header, write_table
 from .rayleigh import MixtureParams
 
 __all__ = [
@@ -430,23 +429,19 @@ def quantile_spread_init(ds: CensoredDataset, n_components: int) -> MixtureParam
     return MixtureParams(np.full(p, 1.0 / p), xis)
 
 
-def write_soft_labels_csv(pl: np.ndarray, path, item_ids: np.ndarray | None = None) -> None:
+def write_soft_labels_csv(pl: np.ndarray, path, item_ids: np.ndarray) -> None:
     """CSV form: item_id, pl_1, ..., pl_p (ids written 1-based)."""
     pl = np.asarray(pl, dtype=float)
     n, p = pl.shape
-    ids = np.arange(n) if item_ids is None else np.asarray(item_ids, dtype=int)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item_id"] + [f"pl_{z + 1}" for z in range(p)])
-        for i in range(n):
-            writer.writerow([int(ids[i]) + 1] + [repr(float(v)) for v in pl[i]])
+    ids = np.asarray(item_ids, dtype=int)
+    write_table(path, ["item_id"] + [f"pl_{z + 1}" for z in range(p)], n, [lambda rows: ids[rows] + 1, *pl.T])
 
 
 def read_soft_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (item_ids 0-based, plausibility matrix) in file row order."""
     path = Path(path)
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]))
+        header = read_csv_header(fh)
         if not header or header[0] != "item_id" or len(header) < 2:
             raise ValueError(f"{path}: expected header item_id, pl_1, ..., pl_p")
         row = np.dtype([("item_id", np.int64), ("pl", np.float64, (len(header) - 1,))])

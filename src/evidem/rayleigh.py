@@ -38,8 +38,8 @@ class MixtureParams:
             raise ValueError("lambdas and xis must be 1-d arrays of equal length")
         if lam.size < 1:
             raise ValueError("a mixture needs at least one component")
-        if np.any(lam < 0.0):
-            raise ValueError("mixing weights must be nonnegative")
+        if np.any(~np.isfinite(lam)) or np.any(lam < 0.0):
+            raise ValueError("mixing weights must be finite and nonnegative")
         if abs(float(lam.sum()) - 1.0) > _WEIGHT_SUM_TOL:
             raise ValueError(f"mixing weights sum to {lam.sum()!r}, expected 1")
         if np.any(~np.isfinite(xis)) or np.any(xis <= 0.0):

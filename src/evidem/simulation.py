@@ -17,7 +17,6 @@ sweep, so a grid value listed twice makes two cells.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
@@ -25,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .censoring import CensoredDataset, CensoringScheme, run_life_test, scheme_from_censor_frac
+from .censoring import CensoredDataset, CensoringScheme, run_life_test, scheme_from_censor_frac, write_table
 from .estimator import (
     E2MConfig,
     EstimationError,
@@ -88,7 +87,7 @@ class CorruptionConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-        if self.sd < 0.0:
+        if not self.sd >= 0.0:
             raise ValueError(f"sd must be nonnegative, got {self.sd}")
 
 
@@ -426,18 +425,6 @@ def aggregate_report(spec: SweepSpec, rows: Sequence[ReplicationResult]) -> RABi
     return RABiasReport(spec.variable, cells)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float) and np.isnan(value):
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_results_csv(result: SweepResult, path) -> None:
     """One row per replication, byte-stable for a fixed (spec, seed)."""
     p = result.spec.base.true_params.n_components
@@ -449,43 +436,27 @@ def write_results_csv(result: SweepResult, path) -> None:
         + [f"rabias_{name}" for name in names]
         + ["failed", "error"]
     )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for r in result.rows:
-            cells = [r.variable, _fmt(r.grid_value), r.method.value, r.rep]
-            if r.failed:
-                cells += [""] * (4 * p + 3) + ["true", r.error]
-            else:
-                for arr in (r.lambdas, r.xis):
-                    cells += [_fmt(v) for v in arr]
-                cells += [r.iterations, _fmt(r.converged), _fmt(r.gll)]
-                for arr in (r.rabias_lambdas, r.rabias_xis):
-                    cells += [_fmt(v) for v in arr]
-                cells += ["false", ""]
-            writer.writerow(cells)
+    table = [
+        [r.variable, r.grid_value, r.method.value, r.rep]
+        + ([None] * (4 * p + 3) + [True, r.error] if r.failed else
+           [*r.lambdas, *r.xis, r.iterations, r.converged, r.gll, *r.rabias_lambdas, *r.rabias_xis, False, ""])
+        for r in result.rows
+    ]
+    write_table(path, header, len(table), list(zip(*table)))
 
 
 def write_summary_csv(result: SweepResult, path) -> None:
     """Per (grid point, method, parameter) aggregate of the replication rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["variable", "grid_value", "method", "parameter", "mean_rabias", "sd_rabias",
-             "n_success", "n_failed", "reliable"]
-        )
-        for c in result.report.cells:
-            writer.writerow(
-                [result.spec.variable, _fmt(c.grid_value), c.method.value, c.parameter,
-                 _fmt(c.mean), _fmt(c.sd), c.n_success, c.n_failed, _fmt(c.reliable)]
-            )
+    table = [[result.spec.variable, c.grid_value, c.method.value, c.parameter, c.mean, c.sd,
+              c.n_success, c.n_failed, c.reliable] for c in result.report.cells]
+    header = ["variable", "grid_value", "method", "parameter", "mean_rabias", "sd_rabias",
+              "n_success", "n_failed", "reliable"]
+    write_table(path, header, len(table), list(zip(*table)))
 
 
 def write_figure_csv(result: SweepResult, parameter: str, path) -> None:
     """Plot-ready long-format table for one parameter across the grid."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([result.spec.variable, "method", "mean_rabias", "sd_rabias", "n_failed"])
-        for method in result.spec.methods:
-            for c in result.report.points(method, parameter):
-                writer.writerow([_fmt(c.grid_value), method.value, _fmt(c.mean), _fmt(c.sd), c.n_failed])
+    table = [[c.grid_value, method.value, c.mean, c.sd, c.n_failed]
+             for method in result.spec.methods for c in result.report.points(method, parameter)]
+    header = [result.spec.variable, "method", "mean_rabias", "sd_rabias", "n_failed"]
+    write_table(path, header, len(table), list(zip(*table)))

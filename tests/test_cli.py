@@ -29,6 +29,20 @@ def write_config(path, payload):
     return str(path)
 
 
+def read_manifest(path):
+    """Parse a manifest as strict JSON, which has no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.fixture(autouse=True)
+def manifests_are_strict_json(tmp_path):
+    yield
+    for path in tmp_path.rglob("manifest.json"):
+        read_manifest(path)
+
+
 class TestParseConfig:
     def test_defaults_applied(self, tmp_path):
         cfg_file = write_config(tmp_path / "c.yaml", {"data": "d.csv", "labels": "l.csv"})
@@ -113,7 +127,7 @@ class TestGenerate:
         assert int(ds.observed.sum()) == 20
         ids, pl = read_soft_labels_csv(out / "labels.csv")
         assert pl.shape == (40, 3)
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out / "manifest.json")
         assert manifest["master_seed"] == 123
         assert manifest["config"]["scheme"]["J"] == 20
 
@@ -384,7 +398,7 @@ class TestSweepCommand:
         with open(out / "results.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 2 * 2
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = read_manifest(out / "manifest.json")
         assert manifest["effective_sd"][0] == 0.0
 
     def test_single_cell_summary_equals_row(self, tmp_path):
@@ -499,3 +513,22 @@ class TestSweepCommand:
             assert float(cell["mean_rabias"]) == np.mean([float(r["rabias_xi_1"]) for r in rows])
             assert point["mean_rabias"] == cell["mean_rabias"]
         assert summary[0]["mean_rabias"] != summary[1]["mean_rabias"]
+
+
+@pytest.mark.parametrize("command", ["generate", "sweep"])
+@pytest.mark.parametrize("defect", ["nan-weight", "nan-sd", "negative-seed"])
+def test_invalid_number_is_config_error(tmp_path, capsys, command, defect):
+    out = tmp_path / "out"
+    payload = {"model": {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]}, "scheme": {"n": 20, "censor_frac": 0.5},
+               "sweep": {"variable": "rho", "grid": [0.1]}, "reps": 1, "out": str(out)}
+    flags = []
+    if defect == "nan-weight":
+        payload["model"]["lambdas"][0] = float("nan")
+    elif defect == "nan-sd":
+        payload["corruption"] = {"sd": float("nan")}
+    else:
+        flags = ["--seed", "-1"]
+    cfg_file = write_config(tmp_path / "bad.yaml", payload)
+    assert main([command, "--config", cfg_file, "--workers", "1", *flags]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,0 +1,189 @@
+"""Golden bytes of every output table, written from small hand-built inputs.
+
+Each table is also written with the writer's chunk size set to 1 and to 3
+rows, so that rows split over chunks, and a last chunk shorter than the
+others, give the same bytes.
+"""
+
+import numpy as np
+import pytest
+import yaml
+
+from evidem import censoring
+from evidem.censoring import CensoredDataset, CensoringScheme, write_dataset_csv
+from evidem.cli import EXIT_OK, main
+from evidem.estimator import E2MTrace, LabelMode, write_soft_labels_csv
+from evidem.rayleigh import MixtureParams
+from evidem.simulation import (
+    ExperimentConfig,
+    ReplicationResult,
+    SweepResult,
+    SweepSpec,
+    aggregate_report,
+    write_figure_csv,
+    write_results_csv,
+    write_summary_csv,
+)
+
+
+@pytest.fixture(params=[None, 1, 3], ids=["default-chunk", "chunk-1", "chunk-3"], autouse=True)
+def chunk_rows(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(censoring, "_CHUNK_ROWS", request.param)
+
+
+def written(path) -> str:
+    """The file's text with its line ends as written."""
+    return path.read_bytes().decode()
+
+
+def dataset(labelled: bool) -> CensoredDataset:
+    return CensoredDataset(
+        scheme=CensoringScheme(5, (1, 0, 1)),
+        item_id=np.array([2, 0, 4, 3, 1]),
+        y_star=np.array([0.1, 0.1, 1 / 3, 7.0, 7.0]),
+        observed=np.array([True, False, True, True, False]),
+        censored_at_failure=np.array([0, 1, 0, 0, 3]),
+        true_label=np.array([1, 0, 0, 2, 1]) if labelled else None,
+    )
+
+
+@pytest.mark.parametrize(
+    "labelled, expected",
+    [
+        (True, "item_id,y_star,status,censored_at_failure,true_label\n"
+               "3,0.1,observed,,2\n"
+               "1,0.1,censored,1,1\n"
+               "5,0.3333333333333333,observed,,1\n"
+               "4,7.0,observed,,3\n"
+               "2,7.0,censored,3,2\n"),
+        (False, "item_id,y_star,status,censored_at_failure,true_label\n"
+                "3,0.1,observed,,\n"
+                "1,0.1,censored,1,\n"
+                "5,0.3333333333333333,observed,,\n"
+                "4,7.0,observed,,\n"
+                "2,7.0,censored,3,\n"),
+    ],
+    ids=["labelled", "unlabelled"],
+)
+def test_dataset_csv(tmp_path, labelled, expected):
+    write_dataset_csv(dataset(labelled), tmp_path / "data.csv")
+    assert written(tmp_path / "data.csv") == expected
+
+
+def test_labels_csv(tmp_path):
+    pl = np.array([[1.0, 0.25, 0.1 + 0.2], [1 / 3, 1e-20, 0.0], [0.5, 1.0, 2 / 3], [1.0, 1.0, 1.0]])
+    write_soft_labels_csv(pl, tmp_path / "labels.csv", item_ids=np.array([3, 0, 2, 1]))
+    assert written(tmp_path / "labels.csv") == (
+        "item_id,pl_1,pl_2,pl_3\n"
+        "4,1.0,0.25,0.30000000000000004\n"
+        "1,0.3333333333333333,1e-20,0.0\n"
+        "3,0.5,1.0,0.6666666666666666\n"
+        "2,1.0,1.0,1.0\n"
+    )
+
+
+def sweep_result() -> SweepResult:
+    """A rho sweep with one grid point and reps 2: UNCERTAIN fits once and fails
+    once, NOISY fails twice, UNKNOWN fits twice."""
+    truth = MixtureParams(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
+    spec = SweepSpec(
+        variable="rho",
+        grid=(0.1,),
+        reps=2,
+        base=ExperimentConfig(true_params=truth, n=10, censor_frac=0.5, rho=0.1),
+    )
+
+    def fitted(method, rep, lambdas, xis, iterations, converged, gll):
+        lambdas, xis = np.array(lambdas), np.array(xis)
+        return ReplicationResult(
+            "rho", 0.1, LabelMode(method), rep, converged=converged, iterations=iterations, gll=gll,
+            lambdas=lambdas, xis=xis, rabias_lambdas=np.abs(lambdas - truth.lambdas) / truth.lambdas,
+            rabias_xis=np.abs(xis - truth.xis) / truth.xis,
+        )
+
+    def failed(method, rep, error):
+        return ReplicationResult("rho", 0.1, LabelMode(method), rep, failed=True, error=error)
+
+    rows = [
+        fitted("uncertain", 0, [0.25, 0.75], [1.5, 2.0], 7, True, -12.5),
+        failed("uncertain", 1, 'ComponentStarvedError: components 1, 2 starved; "weight" 0'),
+        failed("noisy", 0, "DegenerateLikelihoodError: non-finite at record(s) [1, 4]"),
+        failed("noisy", 1, "ComponentStarvedError: component 2"),
+        fitted("unknown", 0, [0.5, 0.5], [0.9, 2.2], 1000, False, -20.0 / 3),
+        fitted("unknown", 1, [0.4, 0.6], [1.1, 1.8], 12, True, -7.25),
+    ]
+    return SweepResult(spec, 11, rows, aggregate_report(spec, rows))
+
+
+def test_results_csv(tmp_path):
+    write_results_csv(sweep_result(), tmp_path / "results.csv")
+    assert written(tmp_path / "results.csv") == (
+        "variable,grid_value,method,rep,lambda_1,lambda_2,xi_1,xi_2,iterations,converged,gll,"
+        "rabias_lambda_1,rabias_lambda_2,rabias_xi_1,rabias_xi_2,failed,error\n"
+        "rho,0.1,uncertain,0,0.25,0.75,1.5,2.0,7,true,-12.5,0.5,0.5,0.5,0.0,false,\n"
+        'rho,0.1,uncertain,1,,,,,,,,,,,,true,"ComponentStarvedError: components 1, 2 starved; ""weight"" 0"\n'
+        'rho,0.1,noisy,0,,,,,,,,,,,,true,"DegenerateLikelihoodError: non-finite at record(s) [1, 4]"\n'
+        "rho,0.1,noisy,1,,,,,,,,,,,,true,ComponentStarvedError: component 2\n"
+        "rho,0.1,unknown,0,0.5,0.5,0.9,2.2,1000,false,-6.666666666666667,0.0,0.0,0.09999999999999998,"
+        "0.10000000000000009,false,\n"
+        "rho,0.1,unknown,1,0.4,0.6,1.1,1.8,12,true,-7.25,0.19999999999999996,0.19999999999999996,"
+        "0.10000000000000009,0.09999999999999998,false,\n"
+    )
+
+
+def test_summary_csv(tmp_path):
+    write_summary_csv(sweep_result(), tmp_path / "summary.csv")
+    assert written(tmp_path / "summary.csv") == (
+        "variable,grid_value,method,parameter,mean_rabias,sd_rabias,n_success,n_failed,reliable\n"
+        "rho,0.1,uncertain,lambda_1,0.5,0.0,1,1,true\n"
+        "rho,0.1,uncertain,lambda_2,0.5,0.0,1,1,true\n"
+        "rho,0.1,uncertain,xi_1,0.5,0.0,1,1,true\n"
+        "rho,0.1,uncertain,xi_2,0.0,0.0,1,1,true\n"
+        "rho,0.1,noisy,lambda_1,,,0,2,false\n"
+        "rho,0.1,noisy,lambda_2,,,0,2,false\n"
+        "rho,0.1,noisy,xi_1,,,0,2,false\n"
+        "rho,0.1,noisy,xi_2,,,0,2,false\n"
+        "rho,0.1,unknown,lambda_1,0.09999999999999998,0.14142135623730948,2,0,true\n"
+        "rho,0.1,unknown,lambda_2,0.09999999999999998,0.14142135623730948,2,0,true\n"
+        "rho,0.1,unknown,xi_1,0.10000000000000003,7.850462293418876e-17,2,0,true\n"
+        "rho,0.1,unknown,xi_2,0.10000000000000003,7.850462293418876e-17,2,0,true\n"
+    )
+
+
+def test_figure_csv(tmp_path):
+    write_figure_csv(sweep_result(), "xi_2", tmp_path / "figure_xi_2.csv")
+    assert written(tmp_path / "figure_xi_2.csv") == (
+        "rho,method,mean_rabias,sd_rabias,n_failed\n"
+        "0.1,uncertain,0.0,0.0,1\n"
+        "0.1,noisy,,,2\n"
+        "0.1,unknown,0.10000000000000003,7.850462293418876e-17,0\n"
+    )
+
+
+def test_estimate_and_trace_csv(tmp_path, monkeypatch):
+    """``evidem fit`` writes the estimate and the trace of the fit it ran."""
+    est = MixtureParams(np.array([0.25, 0.75]), np.array([1 / 3, 2.0]))
+    trace = E2MTrace(
+        lambdas=np.array([[0.5, 0.5], [0.3, 0.7], [0.25, 0.75]]),
+        xis=np.array([[1.0, 3.0], [0.1 + 0.2, 2.5], [1 / 3, 2.0]]),
+        gll_values=np.array([-10.0, -9.5, -1e-300]),
+        converged=True,
+    )
+    monkeypatch.setattr("evidem.cli.fit", lambda soft, init, config: (est, trace))
+    write_dataset_csv(dataset(True), tmp_path / "data.csv")
+    write_soft_labels_csv(np.full((5, 2), 0.5), tmp_path / "labels.csv", item_ids=np.arange(5))
+    out = tmp_path / "fit"
+    config = {"data": str(tmp_path / "data.csv"), "labels": str(tmp_path / "labels.csv"), "out": str(out)}
+    (tmp_path / "fit.yaml").write_text(yaml.safe_dump(config))
+    assert main(["fit", "--config", str(tmp_path / "fit.yaml")]) == EXIT_OK
+    assert written(out / "estimate.csv") == (
+        "lambda_1,lambda_2,xi_1,xi_2,iterations,converged,gll\n"
+        "0.25,0.75,0.3333333333333333,2.0,2,true,-1e-300\n"
+    )
+    assert written(out / "trace.csv") == (
+        "iteration,gll,lambda_1,lambda_2,xi_1,xi_2\n"
+        "0,-10.0,0.5,0.5,1.0,3.0\n"
+        "1,-9.5,0.3,0.7,0.30000000000000004,2.5\n"
+        "2,-1e-300,0.25,0.75,0.3333333333333333,2.0\n"
+    )
