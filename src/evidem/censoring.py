@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,10 +63,16 @@ class CensoringScheme:
     removals: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        """Raise :class:`SchemeError` unless the plan's accounting holds."""
-        removals = tuple(map(int, self.removals))
+        """Raise :class:`SchemeError` unless ``n`` and every removal are integers
+        (a float, even 2.0, is an error and is never truncated) and the plan's
+        accounting holds."""
+        try:
+            n, removals = operator.index(self.n), tuple(map(operator.index, self.removals))
+        except TypeError as exc:
+            raise SchemeError(f"n and removal counts must be integers: {exc}") from None
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "removals", removals)
-        n, J = self.n, len(removals)
+        J = len(removals)
         if not 1 <= J <= n:
             raise SchemeError(f"need 1 <= J <= n, got J={J}, n={n}")
         # min and sum over Python ints are exact at any size, where an int64 sum can wrap

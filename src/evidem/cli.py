@@ -16,29 +16,24 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .censoring import read_dataset_csv, scheme_from_censor_frac, write_dataset_csv, write_table
+from .censoring import read_dataset_csv, write_dataset_csv, write_table
 from .config import ConfigError, RunConfig, parse_config
 from .estimator import (
     EstimationError,
     LabelMode,
     SoftLabeledDataset,
     fit,
-    quantile_spread_init,
     read_soft_labels_csv,
     write_soft_labels_csv,
 )
 from .figures import Series, write_line_chart
 from .simulation import (
-    MAX_ALIGN_COMPONENTS,
-    CorruptionConfig,
-    ExperimentConfig,
-    SweepSpec,
     effective_sd,
     parameter_names,
     run_sweep,
     simulate_dataset,
+    start_params,
     substream,
-    truth_offset_init,
     write_figure_csv,
     write_results_csv,
     write_summary_csv,
@@ -108,10 +103,10 @@ def cmd_generate(cfg: RunConfig) -> int:
     _require(cfg, "a 'model' section", cfg.model is not None)
     _require(cfg, "a 'scheme' section", cfg.scheme is not None)
     cfg.out.mkdir(parents=True, exist_ok=True)
-    ds, _, pl = simulate_dataset(cfg.model, cfg.scheme, CorruptionConfig(cfg.rho, cfg.sd), substream(cfg.seed))
+    ds, _, pl = simulate_dataset(cfg.model, cfg.scheme, cfg.corruption, substream(cfg.seed))
     write_dataset_csv(ds, cfg.out / "data.csv")
     write_soft_labels_csv(pl, cfg.out / "labels.csv", item_ids=ds.item_id)
-    _write_manifest(cfg, {"effective_sd": effective_sd(cfg.rho, cfg.sd)})
+    _write_manifest(cfg, {"effective_sd": effective_sd(cfg.corruption.rho, cfg.corruption.sd)})
     print(f"wrote {cfg.out / 'data.csv'} ({cfg.scheme.J} observed, {cfg.scheme.n_censored} censored)")
     return EXIT_OK
 
@@ -147,15 +142,12 @@ def cmd_fit(cfg: RunConfig) -> int:
         raise ConfigError(f"invalid input data: {exc}") from None
     p = soft.n_components
     init_rule = cfg.init or ("model" if cfg.model is not None else "quantile-spread")
-    if init_rule == "quantile-spread":
-        init = quantile_spread_init(ds, p)
-    else:
+    if init_rule != "quantile-spread":
         _require(cfg, f"a 'model' section (fit.init = {init_rule})", cfg.model is not None)
         if cfg.model.n_components != p:
             raise ConfigError(f"the labels have {p} components but 'model' has {cfg.model.n_components}")
-        init = cfg.model if init_rule == "model" else truth_offset_init(cfg.model)
     try:
-        est, trace = fit(soft, init, cfg.fit_config)
+        est, trace = fit(soft, start_params(init_rule, ds, p, cfg.model), cfg.fit_config)
     except EstimationError as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         _write_manifest(cfg, {"init": init_rule, "outcome": f"degenerate: {exc}"})
@@ -175,48 +167,18 @@ def cmd_fit(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    _require(cfg, "a 'model' section", cfg.model is not None)
-    _require(cfg, "a 'scheme' section", cfg.scheme is not None)
-    _require(cfg, "a 'sweep' section", cfg.sweep_variable is not None)
-    if scheme_from_censor_frac(cfg.scheme.n, cfg.censor_frac) != cfg.scheme:
-        raise ConfigError(
-            "sweeps replay conventional plans only, which remove every survivor at the last failure; "
-            "the configured 'scheme.R' removes units before it"
-        )
-    if cfg.model.n_components > MAX_ALIGN_COMPONENTS:
-        raise ConfigError(
-            f"sweeps align at most {MAX_ALIGN_COMPONENTS} components to the truth, "
-            f"the model has {cfg.model.n_components}"
-        )
+    """Run ``cfg.sweep``, which :func:`parse_config` builds and checks, and write its outputs."""
+    spec = cfg.sweep
     cfg.out.mkdir(parents=True, exist_ok=True)
-    base = ExperimentConfig(
-        true_params=cfg.model,
-        n=cfg.scheme.n,
-        censor_frac=cfg.censor_frac,
-        rho=cfg.rho,
-        sd=cfg.sd,
-        init=cfg.init or "truth-offset",
-        fit_config=cfg.fit_config,
-    )
-    spec = SweepSpec(
-        variable=cfg.sweep_variable,
-        grid=tuple(cfg.sweep_grid),
-        reps=cfg.reps,
-        base=base,
-        methods=tuple(cfg.methods),
-    )
     result = run_sweep(spec, cfg.seed, workers=cfg.workers)
     write_results_csv(result, cfg.out / "results.csv")
     write_summary_csv(result, cfg.out / "summary.csv")
-    p = cfg.model.n_components
-    for z in range(p):
+    for z in range(spec.base.true_params.n_components):
         name = f"xi_{z + 1}"
         write_figure_csv(result, name, cfg.out / f"figure_{name}.csv")
         series = []
-        grid = None
         for method in spec.methods:
-            g, mean, sd = result.report.curve(method, name)
-            grid = g
+            grid, mean, sd = result.report.curve(method, name)
             series.append(Series(label=method.value, mean=mean, sd=sd))
         write_line_chart(
             cfg.out / f"figure_{name}.svg",

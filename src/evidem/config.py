@@ -7,7 +7,6 @@ manifest so a run can be reproduced from its output directory alone.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ import yaml
 from .censoring import CensoringScheme, SchemeError, conventional_scheme, scheme_from_censor_frac
 from .estimator import E2MConfig, LabelMode
 from .rayleigh import MixtureParams
-from .simulation import TRUTH_OFFSET, CorruptionConfig
+from .simulation import INIT_RULES, TRUTH_OFFSET, CorruptionConfig, ExperimentConfig, SweepSpec
 
 __all__ = ["ConfigError", "RunConfig", "parse_config"]
 
@@ -48,7 +47,11 @@ _SCHEMA: dict[str, Any] = {
 
 @dataclass
 class RunConfig:
-    """Fully resolved configuration for one command invocation."""
+    """Fully resolved configuration for one command invocation.
+
+    ``sweep`` is built, and so checked, only for the sweep command; the
+    other commands never read a 'sweep' section and echo it as null.
+    """
 
     command: str
     seed: int = 0
@@ -59,12 +62,10 @@ class RunConfig:
     model: MixtureParams | None = None
     censor_frac: float | None = None
     scheme: CensoringScheme | None = None
-    rho: float = 0.0
-    sd: float = 0.2
+    corruption: CorruptionConfig = field(default_factory=lambda: CorruptionConfig(0.0))
     fit_config: E2MConfig = field(default_factory=E2MConfig)
     init: str | None = None
-    sweep_variable: str | None = None
-    sweep_grid: list[float] | None = None
+    sweep: SweepSpec | None = None
     data: Path | None = None
     labels: Path | None = None
     soft_labels: np.ndarray | None = None
@@ -85,11 +86,9 @@ class RunConfig:
             if self.scheme is None
             else {"n": self.scheme.n, "J": self.scheme.J, "R": list(self.scheme.removals)},
             "censor_frac": self.censor_frac,
-            "corruption": {"rho": self.rho, "sd": self.sd},
+            "corruption": {"rho": self.corruption.rho, "sd": self.corruption.sd},
             "fit": {"tol": self.fit_config.tol, "max_iters": self.fit_config.max_iters, "init": self.init},
-            "sweep": None
-            if self.sweep_variable is None
-            else {"variable": self.sweep_variable, "grid": self.sweep_grid},
+            "sweep": None if self.sweep is None else {"variable": self.sweep.variable, "grid": list(self.sweep.grid)},
             "data": None if self.data is None else str(self.data),
             "labels": None if self.labels is None else str(self.labels),
             "soft_labels": None if self.soft_labels is None else [list(map(float, row)) for row in self.soft_labels],
@@ -150,6 +149,25 @@ def _parse_methods(raw) -> list[LabelMode]:
     if not methods:
         raise ConfigError("'methods' must name at least one method")
     return methods
+
+
+def _sweep_spec(cfg: RunConfig, section: Mapping | None) -> SweepSpec:
+    """The sweep of the resolved ``cfg``, which must replay a conventional plan."""
+    for name, value in (("model", cfg.model), ("scheme", cfg.scheme), ("sweep", section)):
+        if value is None:
+            raise ConfigError(f"the sweep command needs a '{name}' section")
+    if scheme_from_censor_frac(cfg.scheme.n, cfg.censor_frac) != cfg.scheme:
+        raise ConfigError(
+            "sweeps replay conventional plans only, which remove every survivor at the last failure; "
+            "the configured 'scheme.R' removes units before it"
+        )
+    grid = tuple(_as_float(v, "sweep.grid") for v in _as_list(section.get("grid"), "sweep.grid"))
+    try:
+        base = ExperimentConfig(cfg.model, cfg.scheme.n, cfg.censor_frac, cfg.corruption.rho, cfg.corruption.sd,
+                                init=cfg.init or "truth-offset", fit_config=cfg.fit_config)
+        return SweepSpec(section.get("variable"), grid, cfg.reps, base, tuple(cfg.methods))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_config(
@@ -242,10 +260,10 @@ def parse_config(
             cfg.censor_frac = 1.0 - cfg.scheme.J / cfg.scheme.n
 
     corruption = raw.get("corruption", {})
-    cfg.rho = _as_float(corruption.get("rho", cfg.rho), "corruption.rho")
-    cfg.sd = _as_float(corruption.get("sd", cfg.sd), "corruption.sd")
+    rho = _as_float(corruption.get("rho", cfg.corruption.rho), "corruption.rho")
+    sd = _as_float(corruption.get("sd", cfg.corruption.sd), "corruption.sd")
     try:
-        CorruptionConfig(cfg.rho, cfg.sd)
+        cfg.corruption = CorruptionConfig(rho, sd)
     except ValueError as exc:
         raise ConfigError(f"'corruption' is invalid: {exc}") from None
 
@@ -257,34 +275,15 @@ def parse_config(
     except ValueError as exc:
         raise ConfigError(f"'fit' is invalid: {exc}") from None
     cfg.init = fit_section.get("init")
-    if cfg.init is not None and cfg.init not in ("truth-offset", "quantile-spread", "model"):
-        raise ConfigError(f"'fit.init' must be truth-offset, quantile-spread, or model; got {cfg.init!r}")
+    if cfg.init is not None and cfg.init not in INIT_RULES:
+        raise ConfigError(f"'fit.init' must be one of {', '.join(INIT_RULES)}; got {cfg.init!r}")
     # the truth-offset start, the default of sweeps, is the model's xi minus TRUTH_OFFSET
     offset_start = cfg.init == "truth-offset" or (cfg.init is None and command == "sweep")
     if offset_start and cfg.model is not None and np.any(cfg.model.xis <= TRUTH_OFFSET):
         raise ConfigError(f"'model.xis' must exceed {TRUTH_OFFSET} for the truth-offset start, got {cfg.model.xis.tolist()}")
 
-    sweep = raw.get("sweep")
-    if sweep is not None:
-        if "variable" not in sweep or "grid" not in sweep:
-            raise ConfigError("'sweep' needs 'variable' and 'grid'")
-        variable = str(sweep["variable"])
-        if variable not in ("rho", "n"):
-            raise ConfigError(f"'sweep.variable' must be 'rho' or 'n', got {variable!r}")
-        grid = [_as_float(v, "sweep.grid") for v in _as_list(sweep["grid"], "sweep.grid")]
-        if not grid:
-            raise ConfigError("'sweep.grid' must be nonempty")
-        if variable == "rho":
-            bad = [g for g in grid if not 0.0 <= g <= 1.0]
-            if bad:
-                raise ConfigError(f"'sweep.grid' values of a rho sweep must be in [0, 1], got {bad}")
-        else:
-            # an n sweep runs round(value) units
-            bad = [g for g in grid if not (math.isfinite(g) and round(g) >= 1)]
-            if bad:
-                raise ConfigError(f"'sweep.grid' values of an n sweep must round to at least 1, got {bad}")
-        cfg.sweep_variable = variable
-        cfg.sweep_grid = grid
+    if command == "sweep":
+        cfg.sweep = _sweep_spec(cfg, raw.get("sweep"))
 
     if "data" in raw:
         cfg.data = Path(str(raw["data"]))

@@ -18,6 +18,7 @@ sweep, so a grid value listed twice makes two cells.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from multiprocessing import Pool
 from typing import Sequence
@@ -45,6 +46,7 @@ __all__ = [
     "RABiasReport",
     "SweepResult",
     "METHOD_ORDER",
+    "INIT_RULES",
     "effective_sd",
     "beta_shape_params",
     "draw_error_probs",
@@ -53,6 +55,7 @@ __all__ = [
     "rabias",
     "align_to_truth",
     "truth_offset_init",
+    "start_params",
     "substream",
     "run_cell",
     "run_sweep",
@@ -68,6 +71,8 @@ METHOD_ORDER = (LabelMode.UNCERTAIN, LabelMode.NOISY, LabelMode.UNKNOWN)
 
 UNRELIABLE_FAILURE_FRAC = 0.5
 TRUTH_OFFSET = 0.01
+# the first-iterate rules of start_params, shared by fit and sweeps
+INIT_RULES = ("truth-offset", "quantile-spread", "model")
 # align_to_truth searches all p! component orders
 MAX_ALIGN_COMPONENTS = 6
 
@@ -187,6 +192,15 @@ def truth_offset_init(truth: MixtureParams, offset: float = TRUTH_OFFSET) -> Mix
     return MixtureParams(truth.lambdas, truth.xis - offset)
 
 
+def start_params(rule: str, ds: CensoredDataset, n_components: int, model: MixtureParams | None) -> MixtureParams:
+    """The first E2M iterate under ``rule``, one of :data:`INIT_RULES`: the
+    model itself, the model's truth-offset start, or the data's quantile
+    spread, for which ``model`` may be None."""
+    if rule == "quantile-spread":
+        return quantile_spread_init(ds, n_components)
+    return model if rule == "model" else truth_offset_init(model)
+
+
 def substream(master_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for one replication, stable in (seed, key)."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(master_seed, spawn_key=tuple(key))))
@@ -206,17 +220,24 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("n must be at least 1")
+            raise ValueError(f"n must be at least 1, got {self.n}")
         if not 0.0 <= self.censor_frac < 1.0:
             raise ValueError("censor_frac must be in [0, 1)")
-        if self.init not in ("truth-offset", "quantile-spread"):
-            raise ValueError(f"unknown init rule {self.init!r}")
+        if self.init not in INIT_RULES:
+            raise ValueError(f"unknown init rule {self.init!r}; valid: {', '.join(INIT_RULES)}")
+        if self.true_params.n_components > MAX_ALIGN_COMPONENTS:
+            raise ValueError(f"sweeps align at most {MAX_ALIGN_COMPONENTS} components to the truth, "
+                             f"the model has {self.true_params.n_components}")
         CorruptionConfig(self.rho, self.sd)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid driver: vary ``rho`` or ``n`` over ``grid``, ``reps`` runs per cell."""
+    """Grid driver: vary ``rho`` or ``n`` over ``grid``, ``reps`` runs per cell.
+
+    Construction checks the experiment at every grid value, so a spec that
+    builds is one :func:`run_sweep` can run.
+    """
 
     variable: str
     grid: tuple[float, ...]
@@ -226,17 +247,25 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         if self.variable not in ("rho", "n"):
-            raise ValueError(f"sweep variable must be 'rho' or 'n', got {self.variable!r}")
+            raise ValueError(f"'sweep.variable' must be 'rho' or 'n', got {self.variable!r}")
         if len(self.grid) == 0:
-            raise ValueError("grid must be nonempty")
+            raise ValueError("'sweep.grid' must be nonempty")
         if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+            raise ValueError("'reps' must be at least 1")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "methods", tuple(LabelMode(m) for m in self.methods))
+        for g in self.grid:
+            try:
+                self.config_at(g)
+            except ValueError as exc:
+                raise ValueError(f"'sweep.grid' values of a sweep over {self.variable} must each give a "
+                                 f"valid experiment; {g!r} does not: {exc}") from None
 
     def config_at(self, grid_value: float) -> ExperimentConfig:
         if self.variable == "rho":
             return replace(self.base, rho=float(grid_value))
+        if not math.isfinite(grid_value):
+            raise ValueError(f"n must be finite, got {grid_value}")
         return replace(self.base, n=int(round(grid_value)))
 
 
@@ -284,7 +313,7 @@ def run_cell(cfg: ExperimentConfig, method: LabelMode | str, rngs: Sequence[np.r
         else:
             pl = make_soft_labels(LabelMode.UNKNOWN, p, n_items=cfg.n)
         datasets.append(SoftLabeledDataset(ds, pl))
-        inits.append(truth_offset_init(truth) if cfg.init == "truth-offset" else quantile_spread_init(ds, p))
+        inits.append(start_params(cfg.init, ds, p, truth))
     rows = []
     for rep, outcome in enumerate(fit_batch(datasets, inits, cfg.fit_config)):
         if isinstance(outcome, EstimationError):

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The Monte-Carlo
 criteria (8 and 9) pin the master seed below; the whole suite is
-deterministic and takes a couple of minutes on one core.
+deterministic, and its 10 tests take about 7 s on one core of a 2-core
+x86-64 Xeon (Python 3.11).
 """
 
 import math

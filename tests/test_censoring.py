@@ -63,6 +63,18 @@ class TestScheme:
         with pytest.raises(SchemeError):
             CensoringScheme(4, (-1, 3))
 
+    @pytest.mark.parametrize("n, removals", [(4, (1.5, 0.5, 0)), (4.0, (1, 1)), (4, (1, 1.0))],
+                             ids=["fractional-removals", "float-n", "float-removal"])
+    def test_non_integral_counts(self, n, removals):
+        # int() would truncate the first plan to the valid (1, 0, 0)
+        with pytest.raises(SchemeError, match="must be integers"):
+            CensoringScheme(n, removals)
+
+    def test_numpy_integers_become_python_ints(self):
+        scheme = CensoringScheme(np.int64(4), np.array([1, 1]))
+        assert scheme == CensoringScheme(4, (1, 1))
+        assert type(scheme.n) is int and all(type(r) is int for r in scheme.removals)
+
     def test_censor_frac_expansion(self):
         scheme = scheme_from_censor_frac(500, 0.4)
         assert scheme.n == 500

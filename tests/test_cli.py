@@ -49,7 +49,7 @@ class TestParseConfig:
         cfg = parse_config(cfg_file, command="fit")
         assert cfg.fit_config.tol == 1e-8
         assert cfg.fit_config.max_iters == 1000
-        assert cfg.sd == 0.2
+        assert cfg.corruption.sd == 0.2
         assert cfg.seed == 0
         assert cfg.reps == 20
         assert cfg.workers == RunConfig(command="fit").workers == (os.cpu_count() or 1)
@@ -447,6 +447,26 @@ class TestSweepCommand:
         write_config(Path(cfg_file), payload)
         assert main(["sweep", "--config", cfg_file, "--workers", "1"]) == EXIT_OK
         assert seen and all(scheme == conventional_scheme(10, 3) for scheme in seen)
+
+    def test_model_start_begins_every_fit_at_the_truth(self, tmp_path, monkeypatch):
+        starts = []
+        fit_batch = simulation.fit_batch
+
+        def spy(datasets, inits, config):
+            starts.extend(inits)
+            return fit_batch(datasets, inits, config)
+
+        monkeypatch.setattr(simulation, "fit_batch", spy)
+        out = tmp_path / "model_start"
+        cfg_file = sweep_config(tmp_path, out, grid=(0.1, 0.3), reps=2, n=40)
+        payload = yaml.safe_load(Path(cfg_file).read_text())
+        payload["fit"] = {"init": "model"}
+        write_config(Path(cfg_file), payload)
+        assert main(["sweep", "--config", cfg_file, "--workers", "1"]) == EXIT_OK
+        assert len(starts) == 2 * 2 * 2
+        for start in starts:
+            assert start.lambdas.tolist() == PAPER_MODEL["lambdas"]
+            assert start.xis.tolist() == PAPER_MODEL["xis"]
 
     def test_too_many_components_rejected_before_any_fit(self, tmp_path, capsys):
         out = tmp_path / "eight"

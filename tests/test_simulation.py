@@ -269,6 +269,13 @@ class TestSweep:
             SweepSpec("rho", (), 1, cfg)
         with pytest.raises(ValueError):
             SweepSpec("rho", (0.1,), 0, cfg)
+        # every grid value is checked when the spec is built, not when a worker runs it
+        for variable, value in [("rho", 1.2), ("rho", math.nan), ("n", 0.4), ("n", math.inf)]:
+            with pytest.raises(ValueError, match="'sweep.grid' values of"):
+                SweepSpec(variable, (0.1 if variable == "rho" else 60, value), 1, cfg)
+        eight = MixtureParams(np.full(8, 1 / 8), np.arange(1.0, 9.0))
+        with pytest.raises(ValueError, match="at most 6 components"):
+            small_config(true_params=eight)
 
 
 class TestInitRule:
