@@ -51,6 +51,11 @@ __all__ = [
 ]
 
 
+# The most units a plan may hold, checked before any arithmetic on n or any
+# list of its size, so a huge n never overflows or allocates gigabytes.
+MAX_UNITS = 10**8
+
+
 class SchemeError(ValueError):
     """A censoring plan violates its accounting constraints."""
 
@@ -73,8 +78,8 @@ class CensoringScheme:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "removals", removals)
         J = len(removals)
-        if not 1 <= J <= n:
-            raise SchemeError(f"need 1 <= J <= n, got J={J}, n={n}")
+        if not 1 <= J <= n <= MAX_UNITS:
+            raise SchemeError(f"need 1 <= J <= n <= {MAX_UNITS}, got J={J}, n={n}")
         # min and sum over Python ints are exact at any size, where an int64 sum can wrap
         if min(removals) < 0:
             raise SchemeError(f"removal counts must be nonnegative, got {removals}")
@@ -94,8 +99,8 @@ class CensoringScheme:
 
 def conventional_scheme(n: int, J: int) -> CensoringScheme:
     """Plan removing all survivors at the last failure: R = (0, ..., 0, n - J)."""
-    if not 1 <= J <= n:
-        raise SchemeError(f"need 1 <= J <= n, got J={J}, n={n}")
+    if not 1 <= J <= n <= MAX_UNITS:
+        raise SchemeError(f"need 1 <= J <= n <= {MAX_UNITS}, got J={J}, n={n}")
     removals = [0] * J
     removals[-1] = n - J
     return CensoringScheme(n, tuple(removals))
@@ -108,6 +113,8 @@ def scheme_from_censor_frac(n: int, censor_frac: float) -> CensoringScheme:
     ``n * (1 - censor_frac)``, so that ``censor_frac = 1 - J / n`` gives
     back J rather than J + 1.
     """
+    if not 1 <= n <= MAX_UNITS:
+        raise SchemeError(f"need 1 <= n <= {MAX_UNITS}, got n={n}")
     if not 0.0 <= censor_frac < 1.0:
         raise SchemeError(f"censor_frac must be in [0, 1), got {censor_frac}")
     J = max(1, math.ceil(n * (1.0 - censor_frac) - 1e-9))

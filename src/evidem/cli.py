@@ -94,14 +94,7 @@ def _write_manifest(cfg: RunConfig, extra: dict | None = None) -> None:
         fh.write("\n")
 
 
-def _require(cfg: RunConfig, what: str, present: bool) -> None:
-    if not present:
-        raise ConfigError(f"the {cfg.command} command needs {what}")
-
-
 def cmd_generate(cfg: RunConfig) -> int:
-    _require(cfg, "a 'model' section", cfg.model is not None)
-    _require(cfg, "a 'scheme' section", cfg.scheme is not None)
     cfg.out.mkdir(parents=True, exist_ok=True)
     ds, _, pl = simulate_dataset(cfg.model, cfg.scheme, cfg.corruption, substream(cfg.seed))
     write_dataset_csv(ds, cfg.out / "data.csv")
@@ -115,19 +108,11 @@ def _align_labels(ds_item_ids: np.ndarray, ids: np.ndarray, pl: np.ndarray) -> n
     order = np.argsort(ids)
     by_id = ids[order]
     if by_id.shape != ds_item_ids.shape or not np.array_equal(by_id, np.sort(ds_item_ids)):
-        raise ConfigError("label file item_ids do not match the dataset")
+        raise ValueError("label file item_ids do not match the dataset")
     return pl[order[np.searchsorted(by_id, ds_item_ids)]]
 
 
 def cmd_fit(cfg: RunConfig) -> int:
-    _require(cfg, "a 'data' path", cfg.data is not None)
-    _require(cfg, "'labels' (CSV path) or inline 'soft_labels'",
-             cfg.labels is not None or cfg.soft_labels is not None)
-    paths = [cfg.data] + ([cfg.labels] if cfg.labels is not None else [])
-    for path in paths:
-        if not Path(path).exists():
-            raise ConfigError(f"input file not found: {path}")
-    cfg.out.mkdir(parents=True, exist_ok=True)
     try:
         ds = read_dataset_csv(cfg.data)
         if cfg.labels is not None:
@@ -136,21 +121,19 @@ def cmd_fit(cfg: RunConfig) -> int:
         else:
             pl = cfg.soft_labels
         soft = SoftLabeledDataset(ds, pl)
-    except ConfigError:
-        raise
+    except FileNotFoundError as exc:
+        raise ConfigError(f"input file not found: {exc.filename}") from None
     except ValueError as exc:
         raise ConfigError(f"invalid input data: {exc}") from None
     p = soft.n_components
-    init_rule = cfg.init or ("model" if cfg.model is not None else "quantile-spread")
-    if init_rule != "quantile-spread":
-        _require(cfg, f"a 'model' section (fit.init = {init_rule})", cfg.model is not None)
-        if cfg.model.n_components != p:
-            raise ConfigError(f"the labels have {p} components but 'model' has {cfg.model.n_components}")
+    if cfg.init != "quantile-spread" and cfg.model.n_components != p:
+        raise ConfigError(f"the labels have {p} components but 'model' has {cfg.model.n_components}")
+    cfg.out.mkdir(parents=True, exist_ok=True)  # only now, so a configuration error leaves no directory
     try:
-        est, trace = fit(soft, start_params(init_rule, ds, p, cfg.model), cfg.fit_config)
+        est, trace = fit(soft, start_params(cfg.init, ds, p, cfg.model), cfg.fit_config)
     except EstimationError as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
-        _write_manifest(cfg, {"init": init_rule, "outcome": f"degenerate: {exc}"})
+        _write_manifest(cfg, {"outcome": f"degenerate: {exc}"})
         return EXIT_DEGENERATE
 
     names = parameter_names(p)
@@ -158,7 +141,7 @@ def cmd_fit(cfg: RunConfig) -> int:
                 [[v] for v in [*est.lambdas, *est.xis, trace.iterations_used, trace.converged, trace.gll_values[-1]]])
     write_table(cfg.out / "trace.csv", ["iteration", "gll"] + names, len(trace.gll_values),
                 [np.arange(len(trace.gll_values)), trace.gll_values, *trace.lambdas.T, *trace.xis.T])
-    _write_manifest(cfg, {"init": init_rule, "outcome": "converged" if trace.converged else "not converged"})
+    _write_manifest(cfg, {"outcome": "converged" if trace.converged else "not converged"})
     if not trace.converged:
         print(f"did not converge within {cfg.fit_config.max_iters} iterations", file=sys.stderr)
         return EXIT_NOT_CONVERGED

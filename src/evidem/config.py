@@ -53,7 +53,7 @@ class RunConfig:
     other commands never read a 'sweep' section and echo it as null.
     """
 
-    command: str
+    command: str | None
     seed: int = 0
     out: Path = Path("out")
     reps: int = 20
@@ -151,36 +151,35 @@ def _parse_methods(raw) -> list[LabelMode]:
     return methods
 
 
-def _sweep_spec(cfg: RunConfig, section: Mapping | None) -> SweepSpec:
+def _sweep_spec(cfg: RunConfig, section: Mapping) -> SweepSpec:
     """The sweep of the resolved ``cfg``, which must replay a conventional plan."""
-    for name, value in (("model", cfg.model), ("scheme", cfg.scheme), ("sweep", section)):
-        if value is None:
-            raise ConfigError(f"the sweep command needs a '{name}' section")
-    if scheme_from_censor_frac(cfg.scheme.n, cfg.censor_frac) != cfg.scheme:
+    grid = tuple(_as_float(v, "sweep.grid") for v in _as_list(section.get("grid"), "sweep.grid"))
+    try:
+        base = ExperimentConfig(cfg.model, cfg.scheme.n, cfg.censor_frac, cfg.corruption.rho, cfg.corruption.sd,
+                                init=cfg.init, fit_config=cfg.fit_config)
+        spec = SweepSpec(section.get("variable"), grid, cfg.reps, base, tuple(cfg.methods))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if base.scheme != cfg.scheme:
         raise ConfigError(
             "sweeps replay conventional plans only, which remove every survivor at the last failure; "
             "the configured 'scheme.R' removes units before it"
         )
-    grid = tuple(_as_float(v, "sweep.grid") for v in _as_list(section.get("grid"), "sweep.grid"))
-    try:
-        base = ExperimentConfig(cfg.model, cfg.scheme.n, cfg.censor_frac, cfg.corruption.rho, cfg.corruption.sd,
-                                init=cfg.init or "truth-offset", fit_config=cfg.fit_config)
-        return SweepSpec(section.get("variable"), grid, cfg.reps, base, tuple(cfg.methods))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return spec
 
 
 def parse_config(
     path: str | Path | None,
     overrides: Mapping[str, Any] | None = None,
-    command: str = "fit",
+    command: str | None = None,
 ) -> RunConfig:
     """Load a YAML config file and apply flag overrides on top.
 
     ``overrides`` uses dotted keys mirroring the file layout
     (``scheme.n``, ``corruption.rho``, ``fit.tol``, ...); values set to
-    None are ignored.  Raises :class:`ConfigError` on unknown keys or
-    invariant violations, naming the offending field.
+    None are ignored.  Raises :class:`ConfigError` on unknown keys,
+    invariant violations and a ``command``'s missing inputs, naming the
+    offending field, and resolves ``init``, the start rule of its fits.
     """
     raw: dict[str, Any] = {}
     if path is not None:
@@ -220,8 +219,6 @@ def parse_config(
         raise ConfigError(f"'seed' must be nonnegative, got {cfg.seed}")
     cfg.out = Path(str(raw.get("out", cfg.out)))
     cfg.reps = _as_int(raw.get("reps", cfg.reps), "reps")
-    if cfg.reps < 1:
-        raise ConfigError("'reps' must be at least 1")
     cfg.workers = _as_int(raw.get("workers", cfg.workers), "workers")
     if cfg.workers < 1:
         raise ConfigError("'workers' must be at least 1")
@@ -274,20 +271,10 @@ def parse_config(
         cfg.fit_config = E2MConfig(max_iters=max_iters, tol=tol)
     except ValueError as exc:
         raise ConfigError(f"'fit' is invalid: {exc}") from None
-    cfg.init = fit_section.get("init")
-    if cfg.init is not None and cfg.init not in INIT_RULES:
-        raise ConfigError(f"'fit.init' must be one of {', '.join(INIT_RULES)}; got {cfg.init!r}")
-    # the truth-offset start, the default of sweeps, is the model's xi minus TRUTH_OFFSET
-    offset_start = cfg.init == "truth-offset" or (cfg.init is None and command == "sweep")
-    if offset_start and cfg.model is not None and np.any(cfg.model.xis <= TRUTH_OFFSET):
-        raise ConfigError(f"'model.xis' must exceed {TRUTH_OFFSET} for the truth-offset start, got {cfg.model.xis.tolist()}")
 
-    if command == "sweep":
-        cfg.sweep = _sweep_spec(cfg, raw.get("sweep"))
-
-    if "data" in raw:
+    if raw.get("data") is not None:
         cfg.data = Path(str(raw["data"]))
-    if "labels" in raw:
+    if raw.get("labels") is not None:
         cfg.labels = Path(str(raw["labels"]))
     if "soft_labels" in raw:
         # inline plausibility matrix, one row per dataset record
@@ -298,4 +285,25 @@ def parse_config(
         if matrix.ndim != 2:
             raise ConfigError("'soft_labels' must be an array of equal-length numeric arrays")
         cfg.soft_labels = matrix
+
+    cfg.init = fit_section.get("init")
+    if cfg.init is None:  # each command's default start rule; generate fits nothing
+        cfg.init = {"fit": "model" if cfg.model is not None else "quantile-spread", "sweep": "truth-offset"}.get(command)
+    elif cfg.init not in INIT_RULES:
+        raise ConfigError(f"'fit.init' must be one of {', '.join(INIT_RULES)}; got {cfg.init!r}")
+    # each command's required inputs: the keys of which one must be given, and how the error names them
+    required = {
+        "generate": [(("model",), "a 'model' section"), (("scheme",), "a 'scheme' section")],
+        "fit": [(("data",), "a 'data' path"), (("labels", "soft_labels"), "'labels' (CSV path) or inline 'soft_labels'")]
+        + ([(("model",), f"a 'model' section (fit.init = {cfg.init})")] if cfg.init != "quantile-spread" else []),
+        "sweep": [(("model",), "a 'model' section"), (("scheme",), "a 'scheme' section"), (("sweep",), "a 'sweep' section")],
+    }
+    for keys, what in required.get(command, []):
+        if all(raw.get(key) is None for key in keys):
+            raise ConfigError(f"the {command} command needs {what}")
+    # the truth-offset start is the model's xi minus TRUTH_OFFSET
+    if cfg.init == "truth-offset" and cfg.model is not None and np.any(cfg.model.xis <= TRUTH_OFFSET):
+        raise ConfigError(f"'model.xis' must exceed {TRUTH_OFFSET} for the truth-offset start, got {cfg.model.xis.tolist()}")
+    if command == "sweep":
+        cfg.sweep = _sweep_spec(cfg, raw["sweep"])
     return cfg

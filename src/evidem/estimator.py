@@ -379,18 +379,16 @@ def make_soft_labels(
 ) -> np.ndarray:
     """Plausibility matrix for one supervision regime.
 
-    UNKNOWN ignores labels entirely (vacuous rows of ones).  NOISY takes the
-    hard labels at face value (indicator rows).  UNCERTAIN tempers a hard
-    label with its error probability q: the labelled component gets
-    q/p + 1 - q, every other component q/p.
+    UNKNOWN ignores labels entirely: ``n_items`` vacuous rows of ones.
+    NOISY takes the hard labels at face value (indicator rows).  UNCERTAIN
+    tempers a hard label with its error probability q: the labelled
+    component gets q/p + 1 - q, every other component q/p.
     """
     mode = LabelMode(mode)
     p = int(n_components)
     if mode is LabelMode.UNKNOWN:
         if n_items is None:
-            if hard_labels is None:
-                raise ValueError("UNKNOWN mode needs n_items (or hard_labels for its length)")
-            n_items = len(hard_labels)
+            raise ValueError("UNKNOWN mode needs n_items")
         return np.ones((int(n_items), p))
     if hard_labels is None:
         raise ValueError(f"{mode.value} mode needs hard labels")

@@ -15,6 +15,8 @@ __all__ = ["Series", "line_chart_svg", "write_line_chart"]
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2"]
 
+_WIDTH = 640
+_HEIGHT = 420
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 16.0
 _MARGIN_TOP = 34.0
@@ -60,8 +62,6 @@ def line_chart_svg(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    width: int = 640,
-    height: int = 420,
 ) -> str:
     xs = [float(v) for v in x]
     if not xs or not series:
@@ -85,8 +85,8 @@ def line_chart_svg(
     if x_hi <= x_lo:
         x_hi = x_lo + 1.0
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(v: float) -> float:
         return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -95,12 +95,12 @@ def line_chart_svg(
         return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>')
+        parts.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>')
     for t in _ticks(x_lo, x_hi):
         parts.append(
             f'<line x1="{px(t):.2f}" y1="{_MARGIN_TOP + plot_h:.2f}" x2="{px(t):.2f}" '
@@ -122,7 +122,7 @@ def line_chart_svg(
     )
     if xlabel:
         parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 8}" text-anchor="middle">{xlabel}</text>'
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 8}" text-anchor="middle">{xlabel}</text>'
         )
     if ylabel:
         cy = _MARGIN_TOP + plot_h / 2

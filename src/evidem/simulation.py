@@ -187,9 +187,9 @@ def align_to_truth(estimate: MixtureParams, truth: MixtureParams) -> MixturePara
     return estimate.permuted(list(best))
 
 
-def truth_offset_init(truth: MixtureParams, offset: float = TRUTH_OFFSET) -> MixtureParams:
-    """Reproduction-protocol starting point: true weights, true xi minus a nudge."""
-    return MixtureParams(truth.lambdas, truth.xis - offset)
+def truth_offset_init(truth: MixtureParams) -> MixtureParams:
+    """Reproduction-protocol starting point: true weights, true xi minus :data:`TRUTH_OFFSET`."""
+    return MixtureParams(truth.lambdas, truth.xis - TRUTH_OFFSET)
 
 
 def start_params(rule: str, ds: CensoredDataset, n_components: int, model: MixtureParams | None) -> MixtureParams:
@@ -208,7 +208,10 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one replication needs except the method and the generator."""
+    """Everything one replication needs except the method and the generator.
+
+    Construction builds, and so checks, the ``scheme`` and ``corruption`` it replays.
+    """
 
     true_params: MixtureParams
     n: int
@@ -217,18 +220,20 @@ class ExperimentConfig:
     sd: float = 0.2
     init: str = "truth-offset"
     fit_config: E2MConfig = field(default_factory=E2MConfig)
+    scheme: CensoringScheme = field(init=False, repr=False, compare=False)
+    corruption: CorruptionConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be at least 1, got {self.n}")
-        if not 0.0 <= self.censor_frac < 1.0:
-            raise ValueError("censor_frac must be in [0, 1)")
+        object.__setattr__(self, "scheme", scheme_from_censor_frac(self.n, self.censor_frac))
+        object.__setattr__(self, "corruption", CorruptionConfig(self.rho, self.sd))
         if self.init not in INIT_RULES:
             raise ValueError(f"unknown init rule {self.init!r}; valid: {', '.join(INIT_RULES)}")
         if self.true_params.n_components > MAX_ALIGN_COMPONENTS:
             raise ValueError(f"sweeps align at most {MAX_ALIGN_COMPONENTS} components to the truth, "
                              f"the model has {self.true_params.n_components}")
-        CorruptionConfig(self.rho, self.sd)
+        if not np.all(self.true_params.lambdas > 0.0):
+            raise ValueError("sweeps score the relative bias of every weight, so 'model.lambdas' must all be "
+                             f"positive, got {self.true_params.lambdas.tolist()}")
 
 
 @dataclass(frozen=True)
@@ -301,11 +306,9 @@ def run_cell(cfg: ExperimentConfig, method: LabelMode | str, rngs: Sequence[np.r
     method = LabelMode(method)
     truth = cfg.true_params
     p = truth.n_components
-    scheme = scheme_from_censor_frac(cfg.n, cfg.censor_frac)
-    corruption = CorruptionConfig(cfg.rho, cfg.sd)
     datasets, inits = [], []
     for rng in rngs:
-        ds, z_star, pl_uncertain = simulate_dataset(truth, scheme, corruption, rng)
+        ds, z_star, pl_uncertain = simulate_dataset(truth, cfg.scheme, cfg.corruption, rng)
         if method is LabelMode.UNCERTAIN:
             pl = pl_uncertain
         elif method is LabelMode.NOISY:

@@ -70,6 +70,17 @@ class TestScheme:
         with pytest.raises(SchemeError, match="must be integers"):
             CensoringScheme(n, removals)
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: CensoringScheme(10**20 + 1, (10**20,)), lambda: conventional_scheme(10**400, 1),
+         lambda: scheme_from_censor_frac(10**400, 0.5), lambda: scheme_from_censor_frac(int(1e300), 0.5)],
+        ids=["plan", "conventional", "censor-frac", "censor-frac-float-sized"],
+    )
+    def test_more_units_than_the_maximum(self, build):
+        # each is checked before any arithmetic on n or any list of its size, so none overflows
+        with pytest.raises(SchemeError, match=f"n <= {censoring.MAX_UNITS}, got"):
+            build()
+
     def test_numpy_integers_become_python_ints(self):
         scheme = CensoringScheme(np.int64(4), np.array([1, 1]))
         assert scheme == CensoringScheme(4, (1, 1))

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,7 @@ class TestParseConfig:
         assert cfg.workers == RunConfig(command="fit").workers == (os.cpu_count() or 1)
 
     def test_censor_frac_expansion(self, tmp_path):
-        cfg_file = write_config(tmp_path / "c.yaml", {"scheme": {"n": 500}})
+        cfg_file = write_config(tmp_path / "c.yaml", {"model": PAPER_MODEL, "scheme": {"n": 500}})
         cfg = parse_config(cfg_file, {"scheme.censor_frac": 0.4}, command="generate")
         assert cfg.scheme.J == 300
         assert cfg.scheme.removals[-1] == 200
@@ -77,7 +78,9 @@ class TestParseConfig:
             parse_config(cfg_file)
 
     def test_flag_overrides_beat_file(self, tmp_path):
-        cfg_file = write_config(tmp_path / "c.yaml", {"seed": 7, "scheme": {"n": 100, "R": [0] * 99 + [1]}})
+        cfg_file = write_config(
+            tmp_path / "c.yaml", {"seed": 7, "model": PAPER_MODEL, "scheme": {"n": 100, "R": [0] * 99 + [1]}}
+        )
         cfg = parse_config(cfg_file, {"seed": 9, "scheme.censor_frac": 0.5}, command="generate")
         assert cfg.seed == 9
         assert cfg.scheme.J == 50
@@ -167,6 +170,19 @@ class TestGenerate:
         )
         assert main(["generate", "--config", cfg_file]) == EXIT_CONFIG
         assert "'scheme' is invalid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scheme, flags",
+        [({"n": 1.0e300, "censor_frac": 0.5}, []), ({"n": 10, "censor_frac": 0.5}, ["--n", str(10**400)]),
+         ({"n": 10**20 + 1, "R": [10**20]}, [])],
+        ids=["float-n", "flag-n", "plan"],
+    )
+    def test_more_units_than_the_maximum_is_config_error(self, tmp_path, capsys, scheme, flags):
+        out = tmp_path / "out"
+        cfg_file = write_config(tmp_path / "huge.yaml", {"model": PAPER_MODEL, "scheme": scheme, "out": str(out)})
+        assert main(["generate", "--config", cfg_file, *flags]) == EXIT_CONFIG
+        assert re.search(r"'scheme' is invalid: need 1 <= (J <= )?n <= 100000000, got", capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -309,6 +325,7 @@ class TestFitCommand:
         )
         assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
         assert "invalid input data" in capsys.readouterr().err
+        assert not (tmp_path / "bad_out").exists()
 
     @pytest.mark.parametrize(
         "defect, message",
@@ -334,6 +351,7 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "invalid input data" in err
         assert message in err
+        assert not (tmp_path / "bad_out").exists()
 
     @pytest.mark.parametrize("init", ["model", "truth-offset"])
     def test_label_width_differs_from_model(self, tmp_path, generated, capsys, init):
@@ -347,6 +365,7 @@ class TestFitCommand:
         )
         assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
         assert "the labels have 2 components but 'model' has 3" in capsys.readouterr().err
+        assert not (tmp_path / "width_out").exists()
 
     def test_truth_offset_needs_xi_above_offset(self, tmp_path, generated, capsys):
         out = tmp_path / "small_xi"
@@ -488,10 +507,22 @@ class TestSweepCommand:
         assert "'model.xis' must exceed 0.01" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_true_weight_rejected_before_any_fit(self, tmp_path, capsys):
+        out = tmp_path / "zero_weight"
+        cfg_file = sweep_config(tmp_path, out, grid=(0.1,), reps=1, n=200)
+        payload = yaml.safe_load(Path(cfg_file).read_text())
+        payload["model"] = {"lambdas": [1.0, 0.0], "xis": [1.0, 2.0]}
+        payload["fit"] = {"init": "quantile-spread"}
+        write_config(Path(cfg_file), payload)
+        assert main(["sweep", "--config", cfg_file, "--workers", "1"]) == EXIT_CONFIG
+        assert "'model.lambdas' must all be positive, got [1.0, 0.0]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "variable, grid",
-        [("rho", [0.1, 1.2]), ("rho", [-0.1]), ("rho", [float("nan")]), ("n", [60, 0.4]), ("n", [float("inf")])],
-        ids=["rho-above-1", "rho-below-0", "rho-nan", "n-rounds-to-0", "n-inf"],
+        [("rho", [0.1, 1.2]), ("rho", [-0.1]), ("rho", [float("nan")]), ("n", [60, 0.4]), ("n", [float("inf")]),
+         ("n", [1.0e300])],
+        ids=["rho-above-1", "rho-below-0", "rho-nan", "n-rounds-to-0", "n-inf", "n-huge"],
     )
     def test_out_of_range_grid_rejected_before_any_fit(self, tmp_path, capsys, variable, grid):
         out = tmp_path / "range"
@@ -552,3 +583,54 @@ def test_invalid_number_is_config_error(tmp_path, capsys, command, defect):
     assert main([command, "--config", cfg_file, "--workers", "1", *flags]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
+
+
+_COMPLETE_INPUTS = {
+    "generate": {"model": PAPER_MODEL, "scheme": {"n": 20, "censor_frac": 0.5}},
+    "fit": {"data": "data.csv", "labels": "labels.csv"},
+    "sweep": {"model": PAPER_MODEL, "scheme": {"n": 20, "censor_frac": 0.5}, "reps": 1,
+              "sweep": {"variable": "rho", "grid": [0.1]}},
+}
+
+
+@pytest.mark.parametrize(
+    "command, missing, fit_section, needs",
+    [("generate", "model", {}, "a 'model' section"),
+     ("generate", "scheme", {}, "a 'scheme' section"),
+     ("fit", "data", {}, "a 'data' path"),
+     ("fit", "labels", {}, "'labels' (CSV path) or inline 'soft_labels'"),
+     ("fit", "model", {"init": "model"}, "a 'model' section (fit.init = model)"),
+     ("fit", "model", {"init": "truth-offset"}, "a 'model' section (fit.init = truth-offset)"),
+     ("sweep", "model", {}, "a 'model' section"),
+     ("sweep", "scheme", {}, "a 'scheme' section"),
+     ("sweep", "sweep", {}, "a 'sweep' section")],
+    ids=["generate-model", "generate-scheme", "fit-data", "fit-labels", "fit-model-start", "fit-truth-offset-start",
+         "sweep-model", "sweep-scheme", "sweep-sweep"],
+)
+def test_missing_required_input_is_config_error(tmp_path, capsys, command, missing, fit_section, needs):
+    out = tmp_path / "out"
+    payload = {**_COMPLETE_INPUTS[command], "fit": fit_section, "out": str(out)}
+    payload.pop(missing, None)
+    cfg_file = write_config(tmp_path / "missing.yaml", payload)
+    assert main([command, "--config", cfg_file]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: the {command} command needs {needs}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, model, rule", [("fit", True, "model"), ("fit", False, "quantile-spread"),
+                                                  ("sweep", True, "truth-offset")])
+def test_manifest_records_the_resolved_start_rule(tmp_path, command, model, rule):
+    out = tmp_path / "out"
+    if command == "fit":
+        main(generate_args(tmp_path, tmp_path / "gen", n=60, censor=0.4, rho=0.1))
+        payload = {"data": str(tmp_path / "gen" / "data.csv"), "labels": str(tmp_path / "gen" / "labels.csv"),
+                   "out": str(out)}
+        if model:
+            payload["model"] = PAPER_MODEL
+        cfg_file = write_config(tmp_path / "fit.yaml", payload)
+    else:
+        cfg_file = sweep_config(tmp_path, out, grid=(0.1,), reps=1, n=40, methods=("uncertain",))
+    assert main([command, "--config", cfg_file, "--workers", "1"]) in (EXIT_OK, EXIT_NOT_CONVERGED)
+    manifest = read_manifest(out / "manifest.json")
+    assert manifest["config"]["fit"]["init"] == rule
+    assert "init" not in manifest

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from evidem.censoring import scheme_from_censor_frac
 from evidem.estimator import E2MConfig, LabelMode
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import (
@@ -276,6 +277,21 @@ class TestSweep:
         eight = MixtureParams(np.full(8, 1 / 8), np.arange(1.0, 9.0))
         with pytest.raises(ValueError, match="at most 6 components"):
             small_config(true_params=eight)
+
+    def test_zero_true_weight_rejected(self):
+        # the relative bias of a weight whose true value is 0 is undefined
+        zero = MixtureParams(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="'model.lambdas' must all be positive"):
+            small_config(true_params=zero, init="quantile-spread")
+
+    def test_builds_the_plan_and_corruption_it_replays(self):
+        cfg = small_config()
+        assert cfg.scheme == scheme_from_censor_frac(120, 0.4)
+        assert cfg.corruption == CorruptionConfig(0.1, 0.2)
+        assert replace(cfg, n=60).scheme == scheme_from_censor_frac(60, 0.4)
+        assert replace(cfg, rho=0.3).corruption == CorruptionConfig(0.3, 0.2)
+        with pytest.raises(ValueError, match="n <= 100000000, got"):
+            small_config(n=10**400)
 
 
 class TestInitRule:
