@@ -8,18 +8,19 @@ label-corruption protocol can act on every unit), and reads and writes the
 resulting datasets as CSV.  ``write_table`` writes every output table of the
 program, so it alone knows the cell format.
 
-The replay draws each event's removals as ranks among the ``m`` survivors,
-``rng.choice(m, R_j, replace=False)``.  That is the same draw, leaving the
-generator in the same state, as choosing from the survivors' indices, so a
-seed gives the same dataset as a replay that scans the alive mask at every
-event (``tests/oracles.reference_life_test``).  Sorted ranks map to units
-through a Fenwick tree of survivor counts, O(log n) per unit.  The tree is
-built the first time an event removes so few units that their descents
-cost less than one scan of the n-entry mask, and is kept current from then
-on.  An event removing more, such as the terminal one of a conventional
-plan, reads its units off the mask with one O(n) ``flatnonzero``; each such
-event removes at least n / (128 log2 n) units, so there are O(log n) of
-them, and a plan of n units replays in O(n log n).
+The replay draws each event's removals as ranks among the m_j survivors, a
+count the plan fixes: ``rng.choice(m_j, R_j, replace=False)`` if R_j >= 2,
+and one ``rng.integers(0, m)`` call per chunk of a run of single removals,
+which numpy draws with the same bounded-integer routine.  So the draws and
+the generator state are those of choosing from the survivors' indices, and a
+seed gives the dataset of a replay that scans the alive mask at every event
+(``tests/oracles.reference_life_test``).  Sorted ranks map to units through
+a Fenwick tree of survivor counts, one O(log n) pass per unit, built at the
+first event whose passes cost less than one scan of the n-entry mask.  An
+event removing more, such as the terminal one of a conventional plan, reads
+its units off the mask with one O(n) ``flatnonzero``; there are O(log n)
+such events, each removing n / (128 log2 n) units or more, so a plan of n
+units replays in O(n log n).
 
 ``read_dataset_csv`` parses all rows with one ``np.loadtxt`` call into a
 structured array, picking its columns by header name: item_id and y_star as
@@ -60,6 +61,11 @@ class SchemeError(ValueError):
     """A censoring plan violates its accounting constraints."""
 
 
+def _shown(n: int) -> int | str:
+    """A count as an error message gives it: above MAX_UNITS only its number of digits."""
+    return n if n <= MAX_UNITS else f"<{len(str(n))} digits>"
+
+
 @dataclass(frozen=True)
 class CensoringScheme:
     """Test plan: ``n`` units, removals ``R_1..R_J`` after each observed failure."""
@@ -79,13 +85,13 @@ class CensoringScheme:
         object.__setattr__(self, "removals", removals)
         J = len(removals)
         if not 1 <= J <= n <= MAX_UNITS:
-            raise SchemeError(f"need 1 <= J <= n <= {MAX_UNITS}, got J={J}, n={n}")
+            raise SchemeError(f"need 1 <= J <= n <= {MAX_UNITS}, got J={J}, n={_shown(n)}")
         # min and sum over Python ints are exact at any size, where an int64 sum can wrap
         if min(removals) < 0:
-            raise SchemeError(f"removal counts must be nonnegative, got {removals}")
+            raise SchemeError(f"removal counts must be nonnegative, but R_{removals.index(min(removals)) + 1} is not")
         total = sum(removals) + J
         if total != n:
-            raise SchemeError(f"sum(R) + J = {total} but n = {n}; the plan must exhaust all units")
+            raise SchemeError(f"sum(R) + J = {_shown(total)} but n = {n}; the plan must exhaust all units")
 
     @property
     def J(self) -> int:
@@ -100,7 +106,7 @@ class CensoringScheme:
 def conventional_scheme(n: int, J: int) -> CensoringScheme:
     """Plan removing all survivors at the last failure: R = (0, ..., 0, n - J)."""
     if not 1 <= J <= n <= MAX_UNITS:
-        raise SchemeError(f"need 1 <= J <= n <= {MAX_UNITS}, got J={J}, n={n}")
+        raise SchemeError(f"need 1 <= J <= n <= {MAX_UNITS}, got J={_shown(J)}, n={_shown(n)}")
     removals = [0] * J
     removals[-1] = n - J
     return CensoringScheme(n, tuple(removals))
@@ -114,7 +120,7 @@ def scheme_from_censor_frac(n: int, censor_frac: float) -> CensoringScheme:
     back J rather than J + 1.
     """
     if not 1 <= n <= MAX_UNITS:
-        raise SchemeError(f"need 1 <= n <= {MAX_UNITS}, got n={n}")
+        raise SchemeError(f"need 1 <= n <= {MAX_UNITS}, got n={_shown(n)}")
     if not 0.0 <= censor_frac < 1.0:
         raise SchemeError(f"censor_frac must be in [0, 1), got {censor_frac}")
     J = max(1, math.ceil(n * (1.0 - censor_frac) - 1e-9))
@@ -145,7 +151,8 @@ class CensoredDataset:
         obs = np.asarray(self.observed, dtype=bool).copy()
         caf = np.asarray(self.censored_at_failure, dtype=int).copy()
         n = self.scheme.n
-        for name, arr in (("item_id", item_id), ("y_star", y), ("observed", obs), ("censored_at_failure", caf)):
+        named = (("item_id", item_id), ("y_star", y), ("observed", obs), ("censored_at_failure", caf))
+        for name, arr in named:
             if arr.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
         label = self.true_label
@@ -161,12 +168,9 @@ class CensoredDataset:
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("item_id values must be unique")
         self._check_event_structure(y, obs, caf)
-        for arr in (item_id, y, obs, caf):
+        for name, arr in named:
             arr.flags.writeable = False
-        object.__setattr__(self, "item_id", item_id)
-        object.__setattr__(self, "y_star", y)
-        object.__setattr__(self, "observed", obs)
-        object.__setattr__(self, "censored_at_failure", caf)
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "true_label", label)
 
     def _check_event_structure(self, y, obs, caf) -> None:
@@ -205,13 +209,9 @@ class _RankTree:
 
     def __init__(self, alive: np.ndarray) -> None:
         size = 1 << max(alive.size - 1, 0).bit_length()
-        prefix = np.zeros(size + 1, dtype=np.int64)
-        np.cumsum(alive, out=prefix[1 : alive.size + 1])
-        prefix[alive.size + 1 :] = prefix[alive.size]
+        prefix = np.cumsum(np.pad(alive, (1, size - alive.size)), dtype=np.int64)
         i = np.arange(size + 1)
-        counts = prefix - prefix[i - (i & -i)]
-        self.size = size
-        self.counts = counts.tolist()
+        self.size, self.counts = size, (prefix - prefix[i - (i & -i)]).tolist()
 
     def discard(self, unit: int) -> None:
         """Mark a surviving unit dead."""
@@ -222,7 +222,8 @@ class _RankTree:
             i += i & -i
 
     def take(self, rank: int) -> int:
-        """Mark the survivor of 0-based ``rank`` dead and return its unit index."""
+        """Mark the survivor of 0-based ``rank`` dead and return its unit index, in one
+        pass: the nodes where the descent does not advance are those covering that unit."""
         counts = self.counts
         pos, step = 0, self.size
         while step:
@@ -230,8 +231,9 @@ class _RankTree:
             if counts[nxt] <= rank:
                 pos = nxt
                 rank -= counts[nxt]
+            else:
+                counts[nxt] -= 1
             step >>= 1
-        self.discard(pos)
         return pos
 
 
@@ -239,6 +241,10 @@ class _RankTree:
 # to 180 mask entries (measured at n = 32 000 and 500 000, numpy 2.4, x86-64);
 # rounding down favours the scan, which needs no tree.
 _MASK_ENTRIES_PER_TREE_STEP = 128
+
+# The most events whose single removals one rng.integers call draws, so no
+# list of all J ranks is built.
+_DRAW_CHUNK = 4096
 
 
 def run_life_test(
@@ -267,26 +273,35 @@ def run_life_test(
     tree: _RankTree | None = None
     ids: list[int] = []
     cursor = 0
-    m = n  # survivors
     depth = n.bit_length()
-    for r_j in scheme.removals:
+    removals = np.array(scheme.removals)
+    records = removals + 1  # per event: the failure, then its removals
+    survivors = n - np.cumsum(records) + removals  # m_j, after failure j
+    multi = np.append(np.flatnonzero(removals > 1), scheme.J)  # events removing more than one unit, and J
+    pending: list[int] = []  # drawn ranks of the next single removals, last one first
+    for j, r_j in enumerate(scheme.removals):
         while not alive[order[cursor]]:
             cursor += 1
         fail = order[cursor]
         alive[fail] = 0
         ids.append(fail)
-        m -= 1
         if tree is not None:
             tree.discard(fail)
-        if not r_j:
+        # ranks among the survivors in unit order: the same draws, and the same
+        # generator state afterwards, as choice(flatnonzero(alive), r_j) per event
+        if r_j == 1:
+            if not pending:  # draw the run up to the next event removing more, a chunk at a time
+                stop = min(j + _DRAW_CHUNK, int(multi[np.searchsorted(multi, j)]))
+                pending = rng.integers(0, survivors[j:stop][removals[j:stop] == 1]).tolist()[::-1]
+            picks = [pending.pop()]
+        elif r_j:
+            picks = np.sort(rng.choice(int(survivors[j]), size=r_j, replace=False)).tolist()
+        else:
             continue
-        # ranks among the survivors in unit order: the same draw, and the same
-        # generator state afterwards, as choice(flatnonzero(alive), r_j)
-        picks = np.sort(rng.choice(m, size=r_j, replace=False))
         if r_j * depth * _MASK_ENTRIES_PER_TREE_STEP < n:
             if tree is None:
                 tree = _RankTree(alive_mask)
-            for removed, rank in enumerate(picks.tolist()):
+            for removed, rank in enumerate(picks):
                 unit = tree.take(rank - removed)
                 alive[unit] = 0
                 ids.append(unit)
@@ -297,10 +312,8 @@ def run_life_test(
             if tree is not None:
                 for unit in ids[-r_j:]:
                     tree.discard(unit)
-        m -= r_j
 
     item_id = np.array(ids)
-    records = np.array(scheme.removals) + 1  # per event: the failure, then its removals
     failure_of = np.repeat(np.arange(1, scheme.J + 1), records)
     observed = np.zeros(n, dtype=bool)
     observed[np.cumsum(records) - records] = True

@@ -182,6 +182,22 @@ class TestRunLifeTest:
         assert_same_replay(times, np.zeros(4000, dtype=int), scheme, seed=11)
         assert len(taken) == 999
 
+    @pytest.mark.parametrize("draw_chunk", [7, censoring._DRAW_CHUNK])
+    @pytest.mark.parametrize(
+        "n, removals",
+        [(4000, [1] * 1000 + [0] * 100 + [2] * 3 + [1] * 400 + [3] + [0] * 10 + [1] * 300 + [476]),
+         (6500, [0] * 5 + [1] * 2500 + [7] + [1] * 3 + [0] + [1] * 9 + [2, 0, 2] + [1] * 600 + [0] * 40 + [214]),
+         (4000, [1] * 2000)],
+        ids=["runs-between-larger-events", "long-run-then-short-runs", "one-per-failure"],
+    )
+    def test_single_removal_runs_on_the_rank_tree_match_reference_replay(self, draw_chunk, n, removals):
+        # at these n every single removal, and at n = 6500 every pair, goes
+        # through the rank tree; a chunk of 7 events splits every run
+        scheme = CensoringScheme(n, tuple(removals))
+        times = np.random.default_rng(n).uniform(0.1, 5.0, size=n)
+        with patch.object(censoring, "_DRAW_CHUNK", draw_chunk):
+            assert_same_replay(times, np.arange(n) % 3, scheme, seed=29)
+
     def test_wrong_sample_size_rejected(self, rng):
         with pytest.raises(ValueError):
             run_life_test([1.0], [0], CensoringScheme(2, (0, 0)), rng)
@@ -230,6 +246,22 @@ class TestRunLifeTest:
             x = 0.5 * xi**2 * run_life_test(times, labels, scheme, rng).observed_times ** 2
             spacings[i] = gamma * np.diff(x, prepend=0.0)
         assert kstest(spacings.ravel(), "expon").pvalue > 0.01
+
+
+class TestNumpyDrawContract:
+    def test_one_integers_call_draws_what_one_choice_per_event_draws(self):
+        # run_life_test draws a run of single removals with one rng.integers
+        # call, which must give the values of one choice(m, 1, replace=False)
+        # per event and leave the generator in the same state; every bound
+        # m <= MAX_UNITS < 2**32 takes numpy's 32-bit path
+        assert censoring.MAX_UNITS < 2**32
+        bounds = [1, 2, 3, 7, 100, 9_999, 10_000, 10_001, 65_537, 2**24 + 1, censoring.MAX_UNITS - 1, censoring.MAX_UNITS]
+        for seed in range(200):
+            ms = np.random.default_rng(seed).permutation(bounds + [1, 2, 10_000])
+            batch, per_event = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = batch.integers(0, ms).tolist()
+            assert drawn == [int(per_event.choice(int(m), 1, replace=False)[0]) for m in ms]
+            assert batch.bit_generator.state == per_event.bit_generator.state
 
 
 class TestProgressiveLoglik:

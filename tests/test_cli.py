@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -182,8 +183,27 @@ class TestGenerate:
         out = tmp_path / "out"
         cfg_file = write_config(tmp_path / "huge.yaml", {"model": PAPER_MODEL, "scheme": scheme, "out": str(out)})
         assert main(["generate", "--config", cfg_file, *flags]) == EXIT_CONFIG
-        assert re.search(r"'scheme' is invalid: need 1 <= (J <= )?n <= 100000000, got", capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(r"'scheme' is invalid: need 1 <= (J <= )?n <= 100000000, got", err)
+        # the huge n is given as its digit count, so the message stays one short line
+        assert re.search(r"n=<(21|301|401) digits>\n$", err) and err.count("\n") == 1 and len(err) < 120
         assert not out.exists()
+
+    def test_progressive_plan_outputs_are_pinned(self, tmp_path):
+        # a plan mixing R_j in {0, 1, 3}: its single removals go through the
+        # rank tree and its triples through the mask scan; the hashes are those
+        # of the replay that drew every event with one rng.choice call
+        removals = ([1] * 50 + [0] * 10 + [3] * 5) * 23
+        out = tmp_path / "run"
+        cfg_file = write_config(tmp_path / "gen.yaml", {
+            "model": PAPER_MODEL, "scheme": {"n": sum(removals) + len(removals), "R": removals},
+            "corruption": {"rho": 0.2}, "seed": 2024, "out": str(out),
+        })
+        assert main(["generate", "--config", cfg_file]) == EXIT_OK
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("data.csv", "labels.csv")} == {
+            "data.csv": "7bd797cab2e3171bdc0d62256a778f8c10b5e15a3b88ec042a8d331cff9aa0ef",
+            "labels.csv": "c79ca52c1c8244a5d60f548e06758d08e296963a9307d9007930934c38e71d38",
+        }
 
 
 class TestFitCommand:
