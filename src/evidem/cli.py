@@ -48,19 +48,29 @@ EXIT_IO = 5
 _METHOD_CHOICES = [m.value for m in LabelMode] + ["all"]
 
 
+def _integer(text: str) -> int:
+    """The type of the integer flags: ``int``, but the error for an invalid
+    value of more than 40 characters gives its length instead of the value."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 40 else f"<{len(text)} {'digits' if text.isdigit() else 'characters'}>"
+        raise argparse.ArgumentTypeError(f"invalid integer value: {shown}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", type=Path, help="YAML run configuration")
-    shared.add_argument("--seed", type=int, help="master seed (overrides config)")
-    shared.add_argument("--n", type=int, help="number of test units")
+    shared.add_argument("--seed", type=_integer, help="master seed (overrides config)")
+    shared.add_argument("--n", type=_integer, help="number of test units")
     shared.add_argument("--censor-frac", type=float, help="fraction of units censored")
     shared.add_argument("--rho", type=float, help="mean label error probability")
-    shared.add_argument("--reps", type=int, help="repetitions per sweep cell")
+    shared.add_argument("--reps", type=_integer, help="repetitions per sweep cell")
     shared.add_argument("--method", choices=_METHOD_CHOICES, help="supervision regime(s)")
     shared.add_argument("--out", type=Path, help="output directory")
-    shared.add_argument("--workers", type=int, help="sweep worker processes")
+    shared.add_argument("--workers", type=_integer, help="sweep worker processes")
     shared.add_argument("--tol", type=float, help="relative log-likelihood stop threshold")
-    shared.add_argument("--max-iters", type=int, help="iteration cap")
+    shared.add_argument("--max-iters", type=_integer, help="iteration cap")
 
     parser = argparse.ArgumentParser(prog="evidem", description=__doc__)
     parser.add_argument("--version", action="version", version=f"evidem {__version__}")

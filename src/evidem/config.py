@@ -191,6 +191,11 @@ def parse_config(
             loaded = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file {path} is not valid YAML: {exc}") from None
+        except ValueError as exc:
+            # an integer beyond Python's digit limit, an impossible date or a file that is not UTF-8; no such
+            # message echoes the value, and the digit limit's hint at sys.set_int_max_str_digits is cut
+            reason = str(exc).split(";")[0]
+            raise ConfigError(f"config file {path} holds a value that cannot be read: {reason}") from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, Mapping):

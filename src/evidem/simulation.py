@@ -8,11 +8,12 @@ A sweep repeats this over a grid of error probabilities or sample sizes,
 with one independent random substream per (grid point, method, repetition)
 so results never depend on scheduling or worker count.
 
-The sweep's pool task is one (grid point, method) cell: it draws every
-replication from its own substream, in replication order, and fits them all
-as one batch with ``estimator.fit_batch``, which gives each fit the iterates
-it would take alone.  The cell's rows are aggregated by their position in the
-sweep, so a grid value listed twice makes two cells.
+The replications of one method at one n (all of a rho sweep's) are split
+into ``min(workers, count)`` contiguous shards, or more if a shard would
+hold over ``_BATCH_RECORDS`` records; a shard is one pool task and fits its
+replications as one batch with ``estimator.fit_batch``, which gives each fit
+the iterates it would take alone.  Rows are aggregated by their position in
+sweep order, so a grid value listed twice makes two cells.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ __all__ = [
     "truth_offset_init",
     "start_params",
     "substream",
-    "run_cell",
+    "run_shard",
     "run_sweep",
     "parameter_names",
     "write_results_csv",
@@ -75,6 +76,9 @@ TRUTH_OFFSET = 0.01
 INIT_RULES = ("truth-offset", "quantile-spread", "model")
 # align_to_truth searches all p! component orders
 MAX_ALIGN_COMPONENTS = 6
+# records per sweep batch: past about this many, a batched E2M step costs more
+# per record than a smaller batch's (its arrays outgrow the CPU caches)
+_BATCH_RECORDS = 2**15
 
 
 @dataclass(frozen=True)
@@ -293,21 +297,23 @@ class ReplicationResult:
     error: str = ""
 
 
-def run_cell(cfg: ExperimentConfig, method: LabelMode | str, rngs: Sequence[np.random.Generator],
-             variable: str, grid_value: float) -> list[ReplicationResult]:
-    """Sample, censor, corrupt, fit, align, score: one full pipeline pass per
-    generator, with all the fits run as one batch.  Row k is replication k,
-    drawn from ``rngs[k]`` alone.
+def run_shard(spec: SweepSpec, master_seed: int, method: LabelMode | str,
+              keys: Sequence[tuple[int, int]]) -> list[ReplicationResult]:
+    """Sample, censor, corrupt, fit, align, score: one pipeline pass per (grid
+    index, rep) key of ``spec``, all at one n, with the fits run as one batch.
+    Row k is replication ``keys[k]``, drawn from its own substream alone.
 
     Estimation failures (starved components, degenerate likelihoods) are
     recorded on the failing replication's row instead of raised, so sweep
     aggregates can account for them.
     """
     method = LabelMode(method)
-    truth = cfg.true_params
+    truth = spec.base.true_params
     p = truth.n_components
+    configs = {gi: spec.config_at(spec.grid[gi]) for gi, _ in keys}
     datasets, inits = [], []
-    for rng in rngs:
+    for gi, rep in keys:
+        cfg, rng = configs[gi], substream(master_seed, gi, METHOD_ORDER.index(method), rep)
         ds, z_star, pl_uncertain = simulate_dataset(truth, cfg.scheme, cfg.corruption, rng)
         if method is LabelMode.UNCERTAIN:
             pl = pl_uncertain
@@ -318,16 +324,16 @@ def run_cell(cfg: ExperimentConfig, method: LabelMode | str, rngs: Sequence[np.r
         datasets.append(SoftLabeledDataset(ds, pl))
         inits.append(start_params(cfg.init, ds, p, truth))
     rows = []
-    for rep, outcome in enumerate(fit_batch(datasets, inits, cfg.fit_config)):
+    for (gi, rep), outcome in zip(keys, fit_batch(datasets, inits, spec.base.fit_config)):
         if isinstance(outcome, EstimationError):
-            rows.append(ReplicationResult(variable, float(grid_value), method, rep,
+            rows.append(ReplicationResult(spec.variable, spec.grid[gi], method, rep,
                                           failed=True, error=f"{type(outcome).__name__}: {outcome}"))
             continue
         est, trace = outcome
         est = align_to_truth(est, truth)
         rows.append(ReplicationResult(
-            variable=variable,
-            grid_value=float(grid_value),
+            variable=spec.variable,
+            grid_value=spec.grid[gi],
             method=method,
             rep=rep,
             converged=trace.converged,
@@ -406,23 +412,23 @@ def parameter_names(p: int) -> list[str]:
     return [f"lambda_{z + 1}" for z in range(p)] + [f"xi_{z + 1}" for z in range(p)]
 
 
-def _cell_task(args) -> list[ReplicationResult]:
-    spec, master_seed, grid_index, method = args
-    grid_value = spec.grid[grid_index]
-    rngs = [substream(master_seed, grid_index, METHOD_ORDER.index(method), rep) for rep in range(spec.reps)]
-    return run_cell(spec.config_at(grid_value), method, rngs, variable=spec.variable, grid_value=grid_value)
-
-
 def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> SweepResult:
-    """Run the full grid, one task per (grid point, method) cell; deterministic
-    in (spec, master_seed) regardless of workers."""
-    tasks = [(spec, master_seed, gi, method) for gi in range(len(spec.grid)) for method in spec.methods]
+    """Run the full grid, one task per shard of a (method, n) group's (grid
+    index, rep) keys; deterministic in (spec, master_seed) regardless of workers."""
+    ns = [spec.config_at(g).n for g in spec.grid]
+    tasks = []
+    for method, n in itertools.product(spec.methods, dict.fromkeys(ns)):
+        keys = [(gi, rep) for gi in range(len(ns)) if ns[gi] == n for rep in range(spec.reps)]
+        shards = min(len(keys), max(workers, -(-len(keys) * n // _BATCH_RECORDS)))
+        tasks += [(spec, master_seed, method, keys[len(keys) * k // shards:len(keys) * (k + 1) // shards])
+                  for k in range(shards)]
     if workers > 1:
         with Pool(workers) as pool:
-            cells = pool.map(_cell_task, tasks, chunksize=1)
+            shard_rows = pool.starmap(run_shard, tasks, chunksize=1)
     else:
-        cells = [_cell_task(t) for t in tasks]
-    rows = [row for cell in cells for row in cell]
+        shard_rows = [run_shard(*task) for task in tasks]
+    by_key = {(gi, m, rep): row for (*_, m, keys), rows in zip(tasks, shard_rows) for (gi, rep), row in zip(keys, rows)}
+    rows = [by_key[gi, method, rep] for gi in range(len(ns)) for method in spec.methods for rep in range(spec.reps)]
     return SweepResult(spec, master_seed, rows, aggregate_report(spec, rows))
 
 

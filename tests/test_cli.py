@@ -102,6 +102,28 @@ class TestParseConfig:
         assert main(["generate", "--config", str(cfg_file)]) == EXIT_CONFIG
         assert "is not valid YAML" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry", [b"scheme: {n: " + b"9" * 5000 + b", censor_frac: 0.5}", b"seed: 2020-02-30", b"seed: \xff"],
+        ids=["integer-beyond-digit-limit", "impossible-date", "not-utf8"],
+    )
+    def test_unreadable_value_is_config_error(self, tmp_path, capsys, entry):
+        cfg_file = tmp_path / "unreadable.yaml"
+        cfg_file.write_bytes(b"model: {lambdas: [0.5, 0.5], xis: [1.0, 2.0]}\n" + entry + b"\n")
+        assert main(["generate", "--config", str(cfg_file)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config file {cfg_file} holds a value that cannot be read: ")
+        assert "99999" not in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--seed", "--n", "--reps", "--workers", "--max-iters"])
+    @pytest.mark.parametrize("value, shown", [("9" * 5000, "<5000 digits>"), ("x" * 5000, "<5000 characters>"),
+                                              ("1.5", "'1.5'")], ids=["digits", "text", "short"])
+    def test_invalid_integer_flag_is_not_echoed(self, capsys, flag, value, shown):
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", flag, value])
+        assert exit_.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {flag}: invalid integer value: {shown}\n") and len(err) < 1000
+
     def test_model_invariants_checked(self, tmp_path):
         cfg_file = write_config(tmp_path / "c.yaml", {"model": {"lambdas": [0.6, 0.6], "xis": [1, 2]}})
         with pytest.raises(ConfigError, match="model"):
@@ -422,6 +444,23 @@ def sweep_config(tmp_path, out, *, grid=(0.0, 0.3), reps=2, n=60, methods=("unce
     )
 
 
+_PINNED_SWEEPS = {
+    "rho": ({"model": PAPER_MODEL, "scheme": {"n": 60, "censor_frac": 0.4}, "methods": "all", "reps": 3, "seed": 11,
+             "sweep": {"variable": "rho", "grid": [0.0, 0.2, 0.4]}},
+            {"results.csv": "c0e5e7f3039c0f62c7a1b3a208c8a250ab7042fc5cce0ed78171f83baa8b8b32",
+             "summary.csv": "74826f72d0fd2484941e4b71db3255635252eabccc620e2727074a7cd658e608"}),
+    "n": ({"model": PAPER_MODEL, "scheme": {"n": 60, "censor_frac": 0.4}, "corruption": {"rho": 0.2}, "methods": "all",
+           "reps": 2, "seed": 5, "sweep": {"variable": "n", "grid": [60, 90, 60]}},
+          {"results.csv": "b0b49421cb7d3a6480105149c97521360ce156e903cca7d9b5a8f4500401ac72",
+           "summary.csv": "baefbc96f6efbd70e86ba002a17d252b527c7e8f728c16e14ad1e59d0b02ac0b"}),
+    "failed-fit": ({"model": {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]}, "scheme": {"n": 12, "censor_frac": 0.5},
+                    "corruption": {"rho": 0.3}, "methods": "all", "reps": 4, "seed": 0, "fit": {"max_iters": 200},
+                    "sweep": {"variable": "rho", "grid": [0.1, 0.3]}},
+                   {"results.csv": "5ffbe4287e78384edc07038adf42480f1647529c496760ce621f2a2a684302e8",
+                    "summary.csv": "cd2d4b3c4d2e6dd943a2a3e288b2a591f8c73963d5ab30a6d4e47df1f1de7579"}),
+}
+
+
 class TestSweepCommand:
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "sweepout"
@@ -459,6 +498,21 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg2, "--workers", "2"]) == EXIT_OK
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["rho", "n", "failed-fit"])
+    def test_sweep_outputs_are_pinned(self, tmp_path, case, workers):
+        # the hashes are those of the sweep that fitted each (grid point, method)
+        # cell as its own batch; 3 workers split the groups into uneven shards
+        payload, hashes = _PINNED_SWEEPS[case]
+        out = tmp_path / "run"
+        cfg_file = write_config(tmp_path / "sweep.yaml", dict(payload, out=str(out)))
+        assert main(["sweep", "--config", cfg_file, "--workers", str(workers)]) == EXIT_OK
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in hashes} == hashes
+        results = read_rows(out / "results.csv")
+        failed = [(r["grid_value"], r["method"], r["rep"]) for r in results if r["failed"] == "true"]
+        # the starved fit's row records the error, and every other fit of its batch runs on
+        assert failed == ([("0.3", "noisy", "1")] if case == "failed-fit" else [])
 
     def test_progressive_plan_rejected_before_any_fit(self, tmp_path, capsys):
         out = tmp_path / "progressive"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from evidem import simulation
 from evidem.censoring import scheme_from_censor_frac
 from evidem.estimator import E2MConfig, LabelMode
 from evidem.rayleigh import MixtureParams
@@ -23,7 +24,7 @@ from evidem.simulation import (
     draw_error_probs,
     effective_sd,
     rabias,
-    run_cell,
+    run_shard,
     run_sweep,
     substream,
     truth_offset_init,
@@ -139,30 +140,35 @@ class TestAlignment:
         assert_allclose(aligned.xis, est.xis)
 
 
+def one_point(cfg):
+    """A one-replication sweep whose only grid point is ``cfg`` itself."""
+    return SweepSpec("rho", (cfg.rho,), 1, cfg)
+
+
 class TestReplication:
     def test_deterministic_under_substream(self):
-        cfg = small_config()
-        a = run_cell(cfg, LabelMode.UNCERTAIN, [substream(99, 0, 0, 0)], "rho", cfg.rho)[0]
-        b = run_cell(cfg, LabelMode.UNCERTAIN, [substream(99, 0, 0, 0)], "rho", cfg.rho)[0]
+        spec = one_point(small_config())
+        a = run_shard(spec, 99, LabelMode.UNCERTAIN, [(0, 0)])[0]
+        b = run_shard(spec, 99, LabelMode.UNCERTAIN, [(0, 0)])[0]
         assert not a.failed and not b.failed
         assert a.gll == b.gll
         assert np.array_equal(a.lambdas, b.lambdas)
         assert np.array_equal(a.xis, b.xis)
 
-    def test_zero_error_probability_equates_uncertain_and_noisy(self):
-        cfg = small_config(rho=0.0, sd=0.0)
-        a = run_cell(cfg, LabelMode.UNCERTAIN, [substream(5, 0, 0, 0)], "rho", cfg.rho)[0]
-        b = run_cell(cfg, LabelMode.NOISY, [substream(5, 1, 0, 0)], "rho", cfg.rho)[0]
-        # different substream keys would give different datasets; force the
-        # same one to compare the methods on identical inputs
-        b = run_cell(cfg, LabelMode.NOISY, [substream(5, 0, 0, 0)], "rho", cfg.rho)[0]
+    def test_zero_error_probability_equates_uncertain_and_noisy(self, monkeypatch):
+        spec = one_point(small_config(rho=0.0, sd=0.0))
+        a = run_shard(spec, 5, LabelMode.UNCERTAIN, [(0, 0)])[0]
+        # each method draws from its own substream; force the UNCERTAIN one
+        # to compare the methods on identical inputs
+        monkeypatch.setattr(simulation, "substream", lambda seed, gi, mi, rep: substream(seed, gi, 0, rep))
+        b = run_shard(spec, 5, LabelMode.NOISY, [(0, 0)])[0]
         assert np.array_equal(a.xis, b.xis)
         assert np.array_equal(a.lambdas, b.lambdas)
 
     def test_finite_outputs(self):
-        cfg = small_config()
+        spec = one_point(small_config())
         for method in LabelMode:
-            row = run_cell(cfg, method, [substream(17, 0, 0, 0)], "rho", cfg.rho)[0]
+            row = run_shard(spec, 17, method, [(0, 0)])[0]
             assert not row.failed
             assert row.converged
             assert np.isfinite(row.gll)
@@ -170,8 +176,8 @@ class TestReplication:
 
     def test_clean_labels_recover_truth(self):
         # reference setup with exact labels: estimates land near the truth
-        cfg = small_config(n=500, rho=0.0, sd=0.0)
-        row = run_cell(cfg, LabelMode.UNCERTAIN, [substream(8, 0, 0, 0)], "rho", cfg.rho)[0]
+        spec = one_point(small_config(n=500, rho=0.0, sd=0.0))
+        row = run_shard(spec, 8, LabelMode.UNCERTAIN, [(0, 0)])[0]
         assert row.converged
         assert np.all(row.rabias_xis < 0.15)
 
@@ -179,18 +185,28 @@ class TestReplication:
 class TestCell:
     @pytest.mark.parametrize("method", list(LabelMode))
     def test_rows_equal_single_replications(self, method):
-        cfg = small_config(n=80)
-
-        def rngs():
-            return [substream(3, 0, METHOD_ORDER.index(method), rep) for rep in range(3)]
-
-        cell = run_cell(cfg, method, rngs(), "rho", cfg.rho)
-        assert [row.rep for row in cell] == [0, 1, 2]
-        for rep, (row, rng) in enumerate(zip(cell, rngs())):
-            solo = run_cell(cfg, method, [rng], "rho", cfg.rho)[0]
+        # one shard spans grid points and replications, as a rho sweep's group does
+        spec = SweepSpec("rho", (0.1, 0.3), 3, small_config(n=80))
+        keys = [(1, 2), (0, 0), (0, 1), (1, 0)]
+        shard = run_shard(spec, 3, method, keys)
+        assert [(row.grid_value, row.rep) for row in shard] == [(0.3, 2), (0.1, 0), (0.1, 1), (0.3, 0)]
+        for key, row in zip(keys, shard):
+            solo = run_shard(spec, 3, method, [key])[0]
             assert (row.iterations, row.converged, row.failed, row.gll) == (
                 solo.iterations, solo.converged, solo.failed, solo.gll)
             assert np.array_equal(row.xis, solo.xis) and np.array_equal(row.rabias_lambdas, solo.rabias_lambdas)
+
+    def test_failed_fit_leaves_the_rest_of_its_shard(self):
+        # at seed 0 the NOISY fit of (0.3, rep 1) starves a component
+        truth = MixtureParams(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
+        cfg = small_config(true_params=truth, n=12, censor_frac=0.5, rho=0.3, fit_config=E2MConfig(max_iters=200))
+        spec = SweepSpec("rho", (0.1, 0.3), 4, cfg, methods=(LabelMode.NOISY,))
+        keys = [(gi, rep) for gi in range(2) for rep in range(4)]
+        shard = run_shard(spec, 0, LabelMode.NOISY, keys)
+        assert [(row.grid_value, row.rep) for row in shard if row.failed] == [(0.3, 1)]
+        assert shard[5].error.startswith("ComponentStarvedError: ") and shard[5].lambdas is None
+        assert shard[5].error == run_shard(spec, 0, LabelMode.NOISY, [(1, 1)])[0].error
+        assert all(row.converged and np.isfinite(row.gll) for row in shard if not row.failed)
 
     def test_report_needs_rows_in_sweep_order(self):
         cfg = small_config(n=60)
@@ -236,6 +252,39 @@ class TestSweep:
             assert a.grid_value == b.grid_value and a.rep == b.rep
             assert a.gll == b.gll
 
+    @pytest.mark.parametrize("workers, records, batches", [(1, 2**15, [4, 2]), (3, 2**15, [1, 1, 2, 1, 1]),
+                                                           (1, 100, [1, 1, 2, 1, 1])])
+    def test_one_batch_per_shard_of_each_sample_size(self, monkeypatch, workers, records, batches):
+        class SerialPool:
+            def __init__(self, processes):
+                assert processes == workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, tasks, chunksize):
+                return [fn(*task) for task in tasks]
+
+        sizes = []
+        fit_batch = simulation.fit_batch
+
+        def spy(datasets, inits, config):
+            sizes.append(len(datasets))
+            return fit_batch(datasets, inits, config)
+
+        monkeypatch.setattr(simulation, "Pool", SerialPool)
+        monkeypatch.setattr(simulation, "fit_batch", spy)
+        monkeypatch.setattr(simulation, "_BATCH_RECORDS", records)
+        spec = SweepSpec("n", (60, 90, 60), 2, small_config(), methods=(LabelMode.UNCERTAIN,))
+        rows = run_sweep(spec, master_seed=2, workers=workers).rows
+        # the two n = 60 points share their batches, split into 3 uneven shards on 3 workers
+        # or when 2 of their 4 replications would exceed the records of a batch
+        assert sizes == batches
+        assert [(row.grid_value, row.rep) for row in rows] == [(60, 0), (60, 1), (90, 0), (90, 1), (60, 0), (60, 1)]
+
     def test_failure_accounting_and_reliability(self):
         cfg = small_config(n=40)
         spec = SweepSpec("rho", (0.2,), 4, cfg, methods=(LabelMode.UNCERTAIN,))
@@ -243,7 +292,7 @@ class TestSweep:
             ReplicationResult("rho", 0.2, LabelMode.UNCERTAIN, rep=k, failed=True, error="ComponentStarvedError: x")
             for k in range(3)
         ]
-        ok = replace(run_cell(cfg, LabelMode.UNCERTAIN, [substream(1, 0, 0, 3)], "rho", 0.2)[0], rep=3)
+        ok = run_shard(spec, 1, LabelMode.UNCERTAIN, [(0, 3)])[0]
         report = aggregate_report(spec, rows + [ok])
         cell = report.cell(LabelMode.UNCERTAIN, 0.2, "xi_1")
         assert cell.n_failed == 3
