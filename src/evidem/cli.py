@@ -182,7 +182,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             ylabel="RABias",
         )
     _write_manifest(cfg, {"effective_sd": result.effective_sds})
-    n_failed = sum(1 for r in result.rows if r.failed)
+    n_failed = int(result.rows.failed.sum())
     print(f"{len(result.rows)} replications, {n_failed} failed; outputs in {cfg.out}")
     if n_failed == len(result.rows):
         print("every replication failed", file=sys.stderr)

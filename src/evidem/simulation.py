@@ -12,8 +12,10 @@ The replications of one method at one n (all of a rho sweep's) are split
 into ``min(workers, count)`` contiguous shards, or more if a shard would
 hold over ``_BATCH_RECORDS`` records; a shard is one pool task and fits its
 replications as one batch with ``estimator.fit_batch``, which gives each fit
-the iterates it would take alone.  Rows are aggregated by their position in
-sweep order, so a grid value listed twice makes two cells.
+the iterates it would take alone.  A sweep's rows are one record array,
+one :func:`row_dtype` record per fit in sweep order (grid point, method,
+repetition); ``results.csv`` is its columns, and the summary is aggregated by
+position in that order, so a grid value listed twice makes two cells.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "CorruptionConfig",
     "ExperimentConfig",
     "SweepSpec",
-    "ReplicationResult",
     "RABiasCell",
     "RABiasReport",
     "SweepResult",
@@ -58,6 +59,7 @@ __all__ = [
     "truth_offset_init",
     "start_params",
     "substream",
+    "row_dtype",
     "run_shard",
     "run_sweep",
     "parameter_names",
@@ -168,11 +170,12 @@ def simulate_dataset(
     return ds, z_star, pl
 
 
-def rabias(estimate: float, truth: float) -> float:
-    """Absolute relative bias |(estimate - truth) / truth|."""
-    if truth == 0.0:
+def rabias(estimate: float | np.ndarray, truth: float | np.ndarray) -> float | np.ndarray:
+    """Absolute relative bias |(estimate - truth) / truth|, elementwise for arrays."""
+    truth = np.asarray(truth, dtype=float)
+    if np.any(truth == 0.0):
         raise ValueError("truth must be nonzero")
-    return abs((float(estimate) - float(truth)) / float(truth))
+    return np.abs((np.asarray(estimate, dtype=float) - truth) / truth)
 
 
 def align_to_truth(estimate: MixtureParams, truth: MixtureParams) -> MixtureParams:
@@ -244,8 +247,9 @@ class ExperimentConfig:
 class SweepSpec:
     """Grid driver: vary ``rho`` or ``n`` over ``grid``, ``reps`` runs per cell.
 
-    Construction checks the experiment at every grid value, so a spec that
-    builds is one :func:`run_sweep` can run.
+    Construction builds, and so checks, the experiment at every grid value,
+    ``configs[k]`` at ``grid[k]``, so a spec that builds is one
+    :func:`run_sweep` can run.
     """
 
     variable: str
@@ -253,6 +257,7 @@ class SweepSpec:
     reps: int
     base: ExperimentConfig
     methods: tuple[LabelMode, ...] = METHOD_ORDER
+    configs: tuple[ExperimentConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.variable not in ("rho", "n"):
@@ -263,45 +268,39 @@ class SweepSpec:
             raise ValueError("'reps' must be at least 1")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "methods", tuple(LabelMode(m) for m in self.methods))
+        configs = []
         for g in self.grid:
             try:
-                self.config_at(g)
+                if self.variable == "rho":
+                    configs.append(replace(self.base, rho=g))
+                elif not math.isfinite(g):
+                    raise ValueError(f"n must be finite, got {g}")
+                else:
+                    configs.append(replace(self.base, n=int(round(g))))
             except ValueError as exc:
                 raise ValueError(f"'sweep.grid' values of a sweep over {self.variable} must each give a "
                                  f"valid experiment; {g!r} does not: {exc}") from None
-
-    def config_at(self, grid_value: float) -> ExperimentConfig:
-        if self.variable == "rho":
-            return replace(self.base, rho=float(grid_value))
-        if not math.isfinite(grid_value):
-            raise ValueError(f"n must be finite, got {grid_value}")
-        return replace(self.base, n=int(round(grid_value)))
+        object.__setattr__(self, "configs", tuple(configs))
 
 
-@dataclass(frozen=True)
-class ReplicationResult:
-    """One fitted replication (or its recorded failure)."""
+def row_dtype(p: int) -> np.dtype:
+    """The fields of a sweep's rows, one record per fit of a p-component model.
 
-    variable: str
-    grid_value: float
-    method: LabelMode
-    rep: int
-    converged: bool = False
-    iterations: int = 0
-    gll: float = np.nan
-    lambdas: np.ndarray | None = None
-    xis: np.ndarray | None = None
-    rabias_lambdas: np.ndarray | None = None
-    rabias_xis: np.ndarray | None = None
-    failed: bool = False
-    error: str = ""
+    A failed fit holds NaN floats and its error message.  ``method`` (the
+    label mode's name) and ``error`` are objects, as a message has no length bound.
+    """
+    return np.dtype([("grid_value", float), ("method", object), ("rep", int),
+                     ("lambdas", float, (p,)), ("xis", float, (p,)), ("iterations", int), ("converged", bool),
+                     ("gll", float), ("rabias_lambdas", float, (p,)), ("rabias_xis", float, (p,)),
+                     ("failed", bool), ("error", object)])
 
 
 def run_shard(spec: SweepSpec, master_seed: int, method: LabelMode | str,
-              keys: Sequence[tuple[int, int]]) -> list[ReplicationResult]:
+              keys: Sequence[tuple[int, int]]) -> np.recarray:
     """Sample, censor, corrupt, fit, align, score: one pipeline pass per (grid
     index, rep) key of ``spec``, all at one n, with the fits run as one batch.
-    Row k is replication ``keys[k]``, drawn from its own substream alone.
+    Record k of the :func:`row_dtype` table is replication ``keys[k]``, drawn
+    from its own substream alone.
 
     Estimation failures (starved components, degenerate likelihoods) are
     recorded on the failing replication's row instead of raised, so sweep
@@ -310,10 +309,9 @@ def run_shard(spec: SweepSpec, master_seed: int, method: LabelMode | str,
     method = LabelMode(method)
     truth = spec.base.true_params
     p = truth.n_components
-    configs = {gi: spec.config_at(spec.grid[gi]) for gi, _ in keys}
     datasets, inits = [], []
     for gi, rep in keys:
-        cfg, rng = configs[gi], substream(master_seed, gi, METHOD_ORDER.index(method), rep)
+        cfg, rng = spec.configs[gi], substream(master_seed, gi, METHOD_ORDER.index(method), rep)
         ds, z_star, pl_uncertain = simulate_dataset(truth, cfg.scheme, cfg.corruption, rng)
         if method is LabelMode.UNCERTAIN:
             pl = pl_uncertain
@@ -323,28 +321,21 @@ def run_shard(spec: SweepSpec, master_seed: int, method: LabelMode | str,
             pl = make_soft_labels(LabelMode.UNKNOWN, p, n_items=cfg.n)
         datasets.append(SoftLabeledDataset(ds, pl))
         inits.append(start_params(cfg.init, ds, p, truth))
-    rows = []
-    for (gi, rep), outcome in zip(keys, fit_batch(datasets, inits, spec.base.fit_config)):
+    rows = np.zeros(len(keys), row_dtype(p)).view(np.recarray)
+    rows.grid_value = [spec.grid[gi] for gi, _ in keys]
+    rows.rep = [rep for _, rep in keys]
+    rows.method, rows.error = method.value, ""
+    rows.lambdas = rows.xis = rows.gll = np.nan
+    for k, outcome in enumerate(fit_batch(datasets, inits, spec.base.fit_config)):
         if isinstance(outcome, EstimationError):
-            rows.append(ReplicationResult(spec.variable, spec.grid[gi], method, rep,
-                                          failed=True, error=f"{type(outcome).__name__}: {outcome}"))
+            rows.failed[k], rows.error[k] = True, f"{type(outcome).__name__}: {outcome}"
             continue
         est, trace = outcome
         est = align_to_truth(est, truth)
-        rows.append(ReplicationResult(
-            variable=spec.variable,
-            grid_value=spec.grid[gi],
-            method=method,
-            rep=rep,
-            converged=trace.converged,
-            iterations=trace.iterations_used,
-            gll=float(trace.gll_values[-1]),
-            lambdas=est.lambdas,
-            xis=est.xis,
-            rabias_lambdas=np.array([rabias(e, t) for e, t in zip(est.lambdas, truth.lambdas)]),
-            rabias_xis=np.array([rabias(e, t) for e, t in zip(est.xis, truth.xis)]),
-            failed=False,
-        ))
+        rows.lambdas[k], rows.xis[k], rows.gll[k] = est.lambdas, est.xis, trace.gll_values[-1]
+        rows.iterations[k], rows.converged[k] = trace.iterations_used, trace.converged
+    rows.rabias_lambdas = rabias(rows.lambdas, truth.lambdas)
+    rows.rabias_xis = rabias(rows.xis, truth.xis)
     return rows
 
 
@@ -398,7 +389,7 @@ class RABiasReport:
 class SweepResult:
     spec: SweepSpec
     master_seed: int
-    rows: list[ReplicationResult]
+    rows: np.recarray  # one row_dtype record per fit, in sweep order: grid point, method, rep
     report: RABiasReport
 
     @property
@@ -415,72 +406,71 @@ def parameter_names(p: int) -> list[str]:
 def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> SweepResult:
     """Run the full grid, one task per shard of a (method, n) group's (grid
     index, rep) keys; deterministic in (spec, master_seed) regardless of workers."""
-    ns = [spec.config_at(g).n for g in spec.grid]
+    ns = [cfg.n for cfg in spec.configs]
     tasks = []
     for method, n in itertools.product(spec.methods, dict.fromkeys(ns)):
         keys = [(gi, rep) for gi in range(len(ns)) if ns[gi] == n for rep in range(spec.reps)]
         shards = min(len(keys), max(workers, -(-len(keys) * n // _BATCH_RECORDS)))
         tasks += [(spec, master_seed, method, keys[len(keys) * k // shards:len(keys) * (k + 1) // shards])
                   for k in range(shards)]
-    if workers > 1:
-        with Pool(workers) as pool:
+    processes = min(workers, len(tasks))
+    if processes > 1:
+        with Pool(processes) as pool:
             shard_rows = pool.starmap(run_shard, tasks, chunksize=1)
     else:
         shard_rows = [run_shard(*task) for task in tasks]
-    by_key = {(gi, m, rep): row for (*_, m, keys), rows in zip(tasks, shard_rows) for (gi, rep), row in zip(keys, rows)}
-    rows = [by_key[gi, method, rep] for gi in range(len(ns)) for method in spec.methods for rep in range(spec.reps)]
+    position = [(gi * len(spec.methods) + spec.methods.index(method)) * spec.reps + rep
+                for *_, method, keys in tasks for gi, rep in keys]
+    rows = np.concatenate(shard_rows)[np.argsort(position)].view(np.recarray)
     return SweepResult(spec, master_seed, rows, aggregate_report(spec, rows))
 
 
-def aggregate_report(spec: SweepSpec, rows: Sequence[ReplicationResult]) -> RABiasReport:
+def aggregate_report(spec: SweepSpec, rows: np.recarray) -> RABiasReport:
     """Aggregate ``rows`` in :func:`run_sweep` order: ``spec.reps`` rows per
     (grid point, method) cell, grid point by grid point.  Cells are found by
     position, so a repeated grid value makes cells of its own."""
     p = spec.base.true_params.n_components
-    names = parameter_names(p)
     keys = [(gv, method) for gv in spec.grid for method in spec.methods]
     if len(rows) != len(keys) * spec.reps:
         raise ValueError(f"expected {len(keys) * spec.reps} rows, got {len(rows)}")
+    values = np.hstack([rows.rabias_lambdas, rows.rabias_xis])  # in parameter_names order
     cells: list[RABiasCell] = []
     for k, (gv, method) in enumerate(keys):
-        block = rows[k * spec.reps:(k + 1) * spec.reps]
-        if any(r.method is not method or r.grid_value != gv for r in block):
+        block = slice(k * spec.reps, (k + 1) * spec.reps)
+        if np.any(rows.grid_value[block] != gv) or any(m != method.value for m in rows.method[block]):
             raise ValueError(f"rows are not in sweep order: cell {k} should be ({gv}, {method.value})")
-        ok = [r for r in block if not r.failed]
-        n_failed = len(block) - len(ok)
-        reliable = n_failed <= UNRELIABLE_FAILURE_FRAC * len(block)
-        for pi, name in enumerate(names):
-            values = np.array(
-                [r.rabias_lambdas[pi] if pi < p else r.rabias_xis[pi - p] for r in ok]
-            )
-            if values.size == 0:
-                mean, sd = np.nan, np.nan
-            elif values.size == 1:
-                mean, sd = float(values[0]), 0.0
-            else:
-                mean, sd = float(values.mean()), float(values.std(ddof=1))
-            cells.append(RABiasCell(method, gv, name, mean, sd, len(ok), n_failed, reliable))
+        # one contiguous row per parameter: numpy sums each row in the order it sums a 1-D array
+        ok = np.ascontiguousarray(values[block][~rows.failed[block]].T)
+        n_ok = ok.shape[1]
+        n_failed = spec.reps - n_ok
+        if n_ok == 0:
+            mean = sd = np.full(2 * p, np.nan)
+        else:
+            mean, sd = ok.mean(axis=1), (ok.std(axis=1, ddof=1) if n_ok > 1 else np.zeros(2 * p))
+        reliable = n_failed <= UNRELIABLE_FAILURE_FRAC * spec.reps
+        cells += [RABiasCell(method, gv, name, float(m), float(s), n_ok, n_failed, reliable)
+                  for name, m, s in zip(parameter_names(p), mean, sd)]
     return RABiasReport(spec.variable, cells)
 
 
 def write_results_csv(result: SweepResult, path) -> None:
-    """One row per replication, byte-stable for a fixed (spec, seed)."""
-    p = result.spec.base.true_params.n_components
-    names = parameter_names(p)
-    header = (
-        ["variable", "grid_value", "method", "rep"]
-        + names
-        + ["iterations", "converged", "gll"]
-        + [f"rabias_{name}" for name in names]
-        + ["failed", "error"]
-    )
-    table = [
-        [r.variable, r.grid_value, r.method.value, r.rep]
-        + ([None] * (4 * p + 3) + [True, r.error] if r.failed else
-           [*r.lambdas, *r.xis, r.iterations, r.converged, r.gll, *r.rabias_lambdas, *r.rabias_xis, False, ""])
-        for r in result.rows
-    ]
-    write_table(path, header, len(table), list(zip(*table)))
+    """One row per fit, byte-stable for a fixed (spec, seed): a column per
+    :func:`row_dtype` field, or per component of a parameter vector.  A failed
+    fit's estimates, iterations and convergence are blank."""
+    rows = result.rows
+    header, columns = ["variable"], [lambda s: [result.spec.variable] * (s.stop - s.start)]
+    for name in rows.dtype.names:
+        values = rows[name]
+        if values.ndim == 2:
+            header += [f"{name[:-1]}_{z + 1}" for z in range(values.shape[1])]
+            columns += list(values.T)
+            continue
+        header.append(name)
+        if name in ("iterations", "converged"):
+            columns.append(lambda s, values=values: np.where(rows.failed[s], None, values[s]))
+        else:
+            columns.append(values)
+    write_table(path, header, len(rows), columns)
 
 
 def write_summary_csv(result: SweepResult, path) -> None:

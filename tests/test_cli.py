@@ -444,20 +444,36 @@ def sweep_config(tmp_path, out, *, grid=(0.0, 0.3), reps=2, n=60, methods=("unce
     )
 
 
+_FAILED_FIT = {"model": {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]}, "scheme": {"n": 12, "censor_frac": 0.5},
+               "corruption": {"rho": 0.3}, "methods": "all", "reps": 4, "seed": 0, "fit": {"max_iters": 200},
+               "sweep": {"variable": "rho", "grid": [0.1, 0.3]}}
 _PINNED_SWEEPS = {
     "rho": ({"model": PAPER_MODEL, "scheme": {"n": 60, "censor_frac": 0.4}, "methods": "all", "reps": 3, "seed": 11,
              "sweep": {"variable": "rho", "grid": [0.0, 0.2, 0.4]}},
             {"results.csv": "c0e5e7f3039c0f62c7a1b3a208c8a250ab7042fc5cce0ed78171f83baa8b8b32",
-             "summary.csv": "74826f72d0fd2484941e4b71db3255635252eabccc620e2727074a7cd658e608"}),
+             "summary.csv": "74826f72d0fd2484941e4b71db3255635252eabccc620e2727074a7cd658e608",
+             "figure_xi_1.csv": "4688553a6231af1004d4ee09ce09f0faabaa8e58db1b727bf36bcffd6d162df0",
+             "figure_xi_2.csv": "3752a6781e98ec575b5128f4e5fc8a31f26890d7b59e066f24abc2b58cbd92a0",
+             "figure_xi_3.csv": "a3268883df8b38c91d669c60731124a6b3af1da134eabdd61288adac04fd4940"}),
     "n": ({"model": PAPER_MODEL, "scheme": {"n": 60, "censor_frac": 0.4}, "corruption": {"rho": 0.2}, "methods": "all",
            "reps": 2, "seed": 5, "sweep": {"variable": "n", "grid": [60, 90, 60]}},
           {"results.csv": "b0b49421cb7d3a6480105149c97521360ce156e903cca7d9b5a8f4500401ac72",
-           "summary.csv": "baefbc96f6efbd70e86ba002a17d252b527c7e8f728c16e14ad1e59d0b02ac0b"}),
-    "failed-fit": ({"model": {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]}, "scheme": {"n": 12, "censor_frac": 0.5},
-                    "corruption": {"rho": 0.3}, "methods": "all", "reps": 4, "seed": 0, "fit": {"max_iters": 200},
-                    "sweep": {"variable": "rho", "grid": [0.1, 0.3]}},
+           "summary.csv": "baefbc96f6efbd70e86ba002a17d252b527c7e8f728c16e14ad1e59d0b02ac0b",
+           "figure_xi_1.csv": "3786bf0fac1499d93c593b23329eeb34fd0e0560a8444510084d995856370f0d",
+           "figure_xi_2.csv": "0cd70084435dab2e37740138a95e373f6e2d5d7aa818de8738a32e82f2c841b7",
+           "figure_xi_3.csv": "3cbdff2ab05376f48c8ea229b1ff3644376367f5a73c3f3bed55a6043dc89c37"}),
+    "failed-fit": (_FAILED_FIT,
                    {"results.csv": "5ffbe4287e78384edc07038adf42480f1647529c496760ce621f2a2a684302e8",
-                    "summary.csv": "cd2d4b3c4d2e6dd943a2a3e288b2a591f8c73963d5ab30a6d4e47df1f1de7579"}),
+                    "summary.csv": "cd2d4b3c4d2e6dd943a2a3e288b2a591f8c73963d5ab30a6d4e47df1f1de7579",
+                    "figure_xi_1.csv": "ea60ecc3797f3016f223296fefe66a285bc06faa610f329bb942837d21c264a9",
+                    "figure_xi_2.csv": "c88e3cd07e50bc035e84fbf533d1958f821dedc5fb5a4d46815b395054ba598a"}),
+    # the (0.3, noisy) cell has 9 successes and 1 failure: a mean over all 10 slots, the failed one
+    # zero-filled, sums in another order and moves the cell's xi_2 mean in its last digit
+    "failed-fit-reps-10": (dict(_FAILED_FIT, reps=10),
+                           {"results.csv": "cce4d9100537f560b27b1d512141e3f090d19b76e6ec1abbc6368bd3c2b833d2",
+                            "summary.csv": "633b5a5385ae147f8ef8e28c39dc61f6510ae3b04ae074c3150ffabfd18c1597",
+                            "figure_xi_1.csv": "878b29bd513d8558498e57827f99c1867efa44df8643b10847a9169f1157576b",
+                            "figure_xi_2.csv": "1e0ceb9d18e4b38a4756ddc61756fe8e9ed92f74cfcadf949b9838db404bfbb5"}),
 }
 
 
@@ -500,10 +516,11 @@ class TestSweepCommand:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("case", ["rho", "n", "failed-fit"])
+    @pytest.mark.parametrize("case", ["rho", "n", "failed-fit", "failed-fit-reps-10"])
     def test_sweep_outputs_are_pinned(self, tmp_path, case, workers):
-        # the hashes are those of the sweep that fitted each (grid point, method)
-        # cell as its own batch; 3 workers split the groups into uneven shards
+        # the hashes are those of the sweep that kept one object per fit; its results and summary
+        # also equal those of the per-(grid point, method) batches before it for the first three
+        # cases; 3 workers split the groups into uneven shards
         payload, hashes = _PINNED_SWEEPS[case]
         out = tmp_path / "run"
         cfg_file = write_config(tmp_path / "sweep.yaml", dict(payload, out=str(out)))
@@ -512,7 +529,7 @@ class TestSweepCommand:
         results = read_rows(out / "results.csv")
         failed = [(r["grid_value"], r["method"], r["rep"]) for r in results if r["failed"] == "true"]
         # the starved fit's row records the error, and every other fit of its batch runs on
-        assert failed == ([("0.3", "noisy", "1")] if case == "failed-fit" else [])
+        assert failed == ([("0.3", "noisy", "1")] if case.startswith("failed-fit") else [])
 
     def test_progressive_plan_rejected_before_any_fit(self, tmp_path, capsys):
         out = tmp_path / "progressive"

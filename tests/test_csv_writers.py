@@ -5,6 +5,8 @@ rows, so that rows split over chunks, and a last chunk shorter than the
 others, give the same bytes.
 """
 
+import csv
+
 import numpy as np
 import pytest
 import yaml
@@ -12,14 +14,14 @@ import yaml
 from evidem import censoring
 from evidem.censoring import CensoredDataset, CensoringScheme, write_dataset_csv
 from evidem.cli import EXIT_OK, main
-from evidem.estimator import E2MTrace, LabelMode, write_soft_labels_csv
+from evidem.estimator import E2MTrace, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import (
     ExperimentConfig,
-    ReplicationResult,
     SweepResult,
     SweepSpec,
     aggregate_report,
+    row_dtype,
     write_figure_csv,
     write_results_csv,
     write_summary_csv,
@@ -96,23 +98,20 @@ def sweep_result() -> SweepResult:
 
     def fitted(method, rep, lambdas, xis, iterations, converged, gll):
         lambdas, xis = np.array(lambdas), np.array(xis)
-        return ReplicationResult(
-            "rho", 0.1, LabelMode(method), rep, converged=converged, iterations=iterations, gll=gll,
-            lambdas=lambdas, xis=xis, rabias_lambdas=np.abs(lambdas - truth.lambdas) / truth.lambdas,
-            rabias_xis=np.abs(xis - truth.xis) / truth.xis,
-        )
+        return (0.1, method, rep, lambdas, xis, iterations, converged, gll,
+                np.abs(lambdas - truth.lambdas) / truth.lambdas, np.abs(xis - truth.xis) / truth.xis, False, "")
 
     def failed(method, rep, error):
-        return ReplicationResult("rho", 0.1, LabelMode(method), rep, failed=True, error=error)
+        return (0.1, method, rep, np.nan, np.nan, 0, False, np.nan, np.nan, np.nan, True, error)
 
-    rows = [
+    rows = np.rec.fromrecords([
         fitted("uncertain", 0, [0.25, 0.75], [1.5, 2.0], 7, True, -12.5),
         failed("uncertain", 1, 'ComponentStarvedError: components 1, 2 starved; "weight" 0'),
         failed("noisy", 0, "DegenerateLikelihoodError: non-finite at record(s) [1, 4]"),
         failed("noisy", 1, "ComponentStarvedError: component 2"),
         fitted("unknown", 0, [0.5, 0.5], [0.9, 2.2], 1000, False, -20.0 / 3),
         fitted("unknown", 1, [0.4, 0.6], [1.1, 1.8], 12, True, -7.25),
-    ]
+    ], dtype=row_dtype(2))
     return SweepResult(spec, 11, rows, aggregate_report(spec, rows))
 
 
@@ -130,6 +129,15 @@ def test_results_csv(tmp_path):
         "rho,0.1,unknown,1,0.4,0.6,1.1,1.8,12,true,-7.25,0.19999999999999996,0.19999999999999996,"
         "0.10000000000000009,0.09999999999999998,false,\n"
     )
+    # an error message of any length, with a comma and quotes, comes out whole and quoted
+    long_error = 'DegenerateLikelihoodError: non-finite at "record(s)" [' + ", ".join(map(str, range(90))) + "]"
+    result = sweep_result()
+    result.rows.error[3] = long_error
+    write_results_csv(result, tmp_path / "long.csv")
+    assert written(tmp_path / "long.csv").splitlines()[4] == (
+        'rho,0.1,noisy,1,,,,,,,,,,,,true,"' + long_error.replace('"', '""') + '"')
+    with open(tmp_path / "long.csv", newline="") as fh:
+        assert [row["error"] for row in csv.DictReader(fh)][3] == long_error and len(long_error) > 300
 
 
 def test_summary_csv(tmp_path):

@@ -16,7 +16,6 @@ from evidem.simulation import (
     CorruptionConfig,
     ExperimentConfig,
     SweepSpec,
-    ReplicationResult,
     aggregate_report,
     align_to_truth,
     beta_shape_params,
@@ -24,6 +23,7 @@ from evidem.simulation import (
     draw_error_probs,
     effective_sd,
     rabias,
+    row_dtype,
     run_shard,
     run_sweep,
     substream,
@@ -140,6 +140,35 @@ class TestAlignment:
         assert_allclose(aligned.xis, est.xis)
 
 
+def failed_rows(grid_value, reps, error):
+    """Hand-built UNCERTAIN records of failed fits of a 3-component model, as run_shard writes them."""
+    return np.rec.fromrecords([(grid_value, "uncertain", rep, np.nan, np.nan, 0, False, np.nan, np.nan, np.nan, True,
+                                error) for rep in reps], dtype=row_dtype(3))
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stand in for ``multiprocessing.Pool`` with a pool that runs its tasks
+    in this process; the list returned holds the worker count of each pool started."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks, chunksize):
+            return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(simulation, "Pool", SerialPool)
+    return started
+
+
 def one_point(cfg):
     """A one-replication sweep whose only grid point is ``cfg`` itself."""
     return SweepSpec("rho", (cfg.rho,), 1, cfg)
@@ -204,7 +233,7 @@ class TestCell:
         keys = [(gi, rep) for gi in range(2) for rep in range(4)]
         shard = run_shard(spec, 0, LabelMode.NOISY, keys)
         assert [(row.grid_value, row.rep) for row in shard if row.failed] == [(0.3, 1)]
-        assert shard[5].error.startswith("ComponentStarvedError: ") and shard[5].lambdas is None
+        assert shard[5].error.startswith("ComponentStarvedError: ") and np.isnan(shard[5].lambdas).all()
         assert shard[5].error == run_shard(spec, 0, LabelMode.NOISY, [(1, 1)])[0].error
         assert all(row.converged and np.isfinite(row.gll) for row in shard if not row.failed)
 
@@ -237,8 +266,8 @@ class TestSweep:
         both = run_sweep(
             SweepSpec("rho", (0.1,), 2, cfg, methods=(LabelMode.UNCERTAIN, LabelMode.NOISY)), master_seed=4
         )
-        noisy_solo = [r for r in solo.rows if r.method is LabelMode.NOISY]
-        noisy_both = [r for r in both.rows if r.method is LabelMode.NOISY]
+        noisy_solo = [r for r in solo.rows if r.method == "noisy"]
+        noisy_both = [r for r in both.rows if r.method == "noisy"]
         for a, b in zip(noisy_solo, noisy_both):
             assert a.gll == b.gll
             assert np.array_equal(a.xis, b.xis)
@@ -254,20 +283,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers, records, batches", [(1, 2**15, [4, 2]), (3, 2**15, [1, 1, 2, 1, 1]),
                                                            (1, 100, [1, 1, 2, 1, 1])])
-    def test_one_batch_per_shard_of_each_sample_size(self, monkeypatch, workers, records, batches):
-        class SerialPool:
-            def __init__(self, processes):
-                assert processes == workers
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, fn, tasks, chunksize):
-                return [fn(*task) for task in tasks]
-
+    def test_one_batch_per_shard_of_each_sample_size(self, monkeypatch, serial_pool, workers, records, batches):
         sizes = []
         fit_batch = simulation.fit_batch
 
@@ -275,7 +291,6 @@ class TestSweep:
             sizes.append(len(datasets))
             return fit_batch(datasets, inits, config)
 
-        monkeypatch.setattr(simulation, "Pool", SerialPool)
         monkeypatch.setattr(simulation, "fit_batch", spy)
         monkeypatch.setattr(simulation, "_BATCH_RECORDS", records)
         spec = SweepSpec("n", (60, 90, 60), 2, small_config(), methods=(LabelMode.UNCERTAIN,))
@@ -283,17 +298,39 @@ class TestSweep:
         # the two n = 60 points share their batches, split into 3 uneven shards on 3 workers
         # or when 2 of their 4 replications would exceed the records of a batch
         assert sizes == batches
+        assert serial_pool == ([workers] if workers > 1 else [])
         assert [(row.grid_value, row.rep) for row in rows] == [(60, 0), (60, 1), (90, 0), (90, 1), (60, 0), (60, 1)]
+
+    @pytest.mark.parametrize("methods, started", [((LabelMode.UNCERTAIN,), []),
+                                                  ((LabelMode.UNCERTAIN, LabelMode.NOISY), [2])])
+    def test_starts_no_worker_without_a_task(self, serial_pool, methods, started):
+        # one grid point at reps 1 is one task per method, however many workers are asked for
+        spec = SweepSpec("rho", (0.1,), 1, small_config(n=40), methods=methods)
+        run_sweep(spec, master_seed=3, workers=16)
+        assert serial_pool == started
+
+    @pytest.mark.parametrize("variable, grid", [("rho", (0.1, 0.3)), ("n", (60, 90, 60))])
+    def test_each_grid_point_experiment_built_once(self, monkeypatch, variable, grid):
+        cfg = small_config(n=60)
+        built = []
+        build = simulation.scheme_from_censor_frac
+
+        def spy(n, censor_frac):
+            built.append(n)
+            return build(n, censor_frac)
+
+        monkeypatch.setattr(simulation, "scheme_from_censor_frac", spy)
+        spec = SweepSpec(variable, grid, 2, cfg, methods=(LabelMode.UNCERTAIN, LabelMode.NOISY))
+        run_sweep(spec, master_seed=1, workers=1)
+        # the base experiment was built before the spy, and a rho sweep keeps its n
+        assert built == ([60] * len(grid) if variable == "rho" else list(grid))
 
     def test_failure_accounting_and_reliability(self):
         cfg = small_config(n=40)
         spec = SweepSpec("rho", (0.2,), 4, cfg, methods=(LabelMode.UNCERTAIN,))
-        rows = [
-            ReplicationResult("rho", 0.2, LabelMode.UNCERTAIN, rep=k, failed=True, error="ComponentStarvedError: x")
-            for k in range(3)
-        ]
-        ok = run_shard(spec, 1, LabelMode.UNCERTAIN, [(0, 3)])[0]
-        report = aggregate_report(spec, rows + [ok])
+        rows = failed_rows(0.2, range(3), "ComponentStarvedError: x")
+        ok = run_shard(spec, 1, LabelMode.UNCERTAIN, [(0, 3)])
+        report = aggregate_report(spec, np.concatenate([rows, ok]).view(np.recarray))
         cell = report.cell(LabelMode.UNCERTAIN, 0.2, "xi_1")
         assert cell.n_failed == 3
         assert cell.n_success == 1
@@ -303,7 +340,7 @@ class TestSweep:
     def test_cell_lookup_rejects_a_repeated_grid_value(self):
         cfg = small_config(n=40)
         spec = SweepSpec("rho", (0.1, 0.1), 1, cfg, methods=(LabelMode.UNCERTAIN,))
-        rows = [ReplicationResult("rho", 0.1, LabelMode.UNCERTAIN, rep=0, failed=True, error="x") for _ in range(2)]
+        rows = failed_rows(0.1, [0, 0], "x")
         report = aggregate_report(spec, rows)
         assert len(report.points(LabelMode.UNCERTAIN, "xi_1")) == 2
         with pytest.raises(KeyError, match="grid value 0.1 matches 2"):
