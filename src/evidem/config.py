@@ -258,6 +258,10 @@ def parse_config(
                 raise ConfigError("'scheme' needs one of 'censor_frac', 'J', or 'R'")
         except SchemeError as exc:
             raise ConfigError(f"'scheme' is invalid: {exc}") from None
+        # checked once the plan is read, so a malformed value is named first; --censor-frac has dropped 'J' and 'R'
+        plan = [key for key in ("censor_frac", "J", "R") if key in scheme]
+        if len(plan) > 1:
+            raise ConfigError(f"'scheme' must give only one of 'censor_frac', 'J' and 'R', got {', '.join(plan)}")
         if cfg.censor_frac is None:
             cfg.censor_frac = 1.0 - cfg.scheme.J / cfg.scheme.n
 

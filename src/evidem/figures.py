@@ -42,9 +42,12 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     start = math.floor(lo / raw) * raw
     ticks = []
     t = start
+    # on an axis narrower than its values' float spacing a step can leave t where it is
     while t <= hi + 1e-9 * raw:
         if t >= lo - 1e-9 * raw:
             ticks.append(round(t, 12))
+        if t + raw == t:
+            break
         t += raw
     return ticks
 

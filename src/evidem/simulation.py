@@ -14,8 +14,10 @@ hold over ``_BATCH_RECORDS`` records; a shard is one pool task and fits its
 replications as one batch with ``estimator.fit_batch``, which gives each fit
 the iterates it would take alone.  A sweep's rows are one record array,
 one :func:`row_dtype` record per fit in sweep order (grid point, method,
-repetition); ``results.csv`` is its columns, and the summary is aggregated by
-position in that order, so a grid value listed twice makes two cells.
+repetition); ``results.csv`` is its columns.  The summary is aggregated by
+position in that order, so a grid value listed twice makes two cells, into
+one :func:`summary_dtype` record per (grid point, method, parameter);
+``summary.csv`` is the sweep variable and then that table's columns.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .censoring import CensoredDataset, CensoringScheme, run_life_test, scheme_from_censor_frac, write_table
+from .censoring import (MAX_UNITS, CensoredDataset, CensoringScheme, _shown, run_life_test, scheme_from_censor_frac,
+                        write_table)
 from .estimator import (
     E2MConfig,
     EstimationError,
@@ -44,7 +47,6 @@ __all__ = [
     "CorruptionConfig",
     "ExperimentConfig",
     "SweepSpec",
-    "RABiasCell",
     "RABiasReport",
     "SweepResult",
     "METHOD_ORDER",
@@ -60,6 +62,7 @@ __all__ = [
     "start_params",
     "substream",
     "row_dtype",
+    "summary_dtype",
     "run_shard",
     "run_sweep",
     "parameter_names",
@@ -281,6 +284,10 @@ class SweepSpec:
                 raise ValueError(f"'sweep.grid' values of a sweep over {self.variable} must each give a "
                                  f"valid experiment; {g!r} does not: {exc}") from None
         object.__setattr__(self, "configs", tuple(configs))
+        units = self.reps * len(self.methods) * sum(cfg.n for cfg in configs)
+        if units > MAX_UNITS:
+            raise ValueError(f"a sweep may draw at most {MAX_UNITS} units in all (reps x methods x the grid's "
+                             f"total n); this one draws {_shown(units)}")
 
 
 def row_dtype(p: int) -> np.dtype:
@@ -339,50 +346,34 @@ def run_shard(spec: SweepSpec, master_seed: int, method: LabelMode | str,
     return rows
 
 
-@dataclass(frozen=True)
-class RABiasCell:
-    """Aggregate for one (method, grid point, parameter)."""
-
-    method: LabelMode
-    grid_value: float
-    parameter: str
-    mean: float
-    sd: float
-    n_success: int
-    n_failed: int
-    reliable: bool
+def summary_dtype() -> np.dtype:
+    """The fields of a sweep's summary, one record per (grid point, method,
+    parameter): the columns of ``summary.csv`` after ``variable``."""
+    return np.dtype([("grid_value", float), ("method", object), ("parameter", object), ("mean_rabias", float),
+                     ("sd_rabias", float), ("n_success", int), ("n_failed", int), ("reliable", bool)])
 
 
 @dataclass
 class RABiasReport:
-    variable: str
-    cells: list[RABiasCell]
+    table: np.ndarray  # one summary_dtype record per (grid point, method, parameter), in sweep order
 
-    def cell(self, method: LabelMode | str, grid_value: float, parameter: str) -> RABiasCell:
-        """The one cell at ``grid_value``; a KeyError if none or several match, as a repeated grid value does."""
-        method = LabelMode(method)
-        found = [c for c in self.cells
-                 if c.method is method and c.parameter == parameter and np.isclose(c.grid_value, grid_value)]
+    def cell(self, method: LabelMode | str, grid_value: float, parameter: str) -> np.record:
+        """The one record at exactly ``grid_value``; a KeyError if none or several (a repeated grid value) match."""
+        pts = self.points(method, parameter)
+        found = pts[pts["grid_value"] == grid_value]
         if len(found) != 1:
-            raise KeyError(f"grid value {grid_value!r} matches {len(found)} {method.value} cells of {parameter}")
-        return found[0]
+            raise KeyError(f"grid value {grid_value!r} matches {len(found)} {LabelMode(method).value} cells of {parameter}")
+        return found.view(np.recarray)[0]
 
-    def points(self, method: LabelMode | str, parameter: str) -> list[RABiasCell]:
-        """One method's cells for one parameter, by grid value; repeated grid values keep their order."""
-        method = LabelMode(method)
-        return sorted(
-            (c for c in self.cells if c.method is method and c.parameter == parameter),
-            key=lambda c: c.grid_value,
-        )
+    def points(self, method: LabelMode | str, parameter: str) -> np.ndarray:
+        """One method's records for one parameter, by grid value; repeated grid values keep their order."""
+        pts = self.table[(self.table["method"] == LabelMode(method).value) & (self.table["parameter"] == parameter)]
+        return pts[np.argsort(pts["grid_value"], kind="stable")]
 
     def curve(self, method: LabelMode | str, parameter: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Grid values with per-point mean and sd for one method and parameter."""
         pts = self.points(method, parameter)
-        return (
-            np.array([c.grid_value for c in pts]),
-            np.array([c.mean for c in pts]),
-            np.array([c.sd for c in pts]),
-        )
+        return pts["grid_value"], pts["mean_rabias"], pts["sd_rabias"]
 
 
 @dataclass
@@ -434,7 +425,7 @@ def aggregate_report(spec: SweepSpec, rows: np.recarray) -> RABiasReport:
     if len(rows) != len(keys) * spec.reps:
         raise ValueError(f"expected {len(keys) * spec.reps} rows, got {len(rows)}")
     values = np.hstack([rows.rabias_lambdas, rows.rabias_xis])  # in parameter_names order
-    cells: list[RABiasCell] = []
+    table = np.zeros(len(keys) * 2 * p, summary_dtype())
     for k, (gv, method) in enumerate(keys):
         block = slice(k * spec.reps, (k + 1) * spec.reps)
         if np.any(rows.grid_value[block] != gv) or any(m != method.value for m in rows.method[block]):
@@ -442,15 +433,13 @@ def aggregate_report(spec: SweepSpec, rows: np.recarray) -> RABiasReport:
         # one contiguous row per parameter: numpy sums each row in the order it sums a 1-D array
         ok = np.ascontiguousarray(values[block][~rows.failed[block]].T)
         n_ok = ok.shape[1]
-        n_failed = spec.reps - n_ok
-        if n_ok == 0:
-            mean = sd = np.full(2 * p, np.nan)
-        else:
-            mean, sd = ok.mean(axis=1), (ok.std(axis=1, ddof=1) if n_ok > 1 else np.zeros(2 * p))
-        reliable = n_failed <= UNRELIABLE_FAILURE_FRAC * spec.reps
-        cells += [RABiasCell(method, gv, name, float(m), float(s), n_ok, n_failed, reliable)
-                  for name, m, s in zip(parameter_names(p), mean, sd)]
-    return RABiasReport(spec.variable, cells)
+        cell = table[k * 2 * p:(k + 1) * 2 * p]
+        cell["grid_value"], cell["method"], cell["parameter"] = gv, method.value, parameter_names(p)
+        cell["n_success"], cell["n_failed"] = n_ok, spec.reps - n_ok
+        cell["reliable"] = spec.reps - n_ok <= UNRELIABLE_FAILURE_FRAC * spec.reps
+        cell["mean_rabias"] = ok.mean(axis=1) if n_ok else np.nan
+        cell["sd_rabias"] = ok.std(axis=1, ddof=1) if n_ok > 1 else (0.0 if n_ok else np.nan)
+    return RABiasReport(table)
 
 
 def write_results_csv(result: SweepResult, path) -> None:
@@ -474,17 +463,15 @@ def write_results_csv(result: SweepResult, path) -> None:
 
 
 def write_summary_csv(result: SweepResult, path) -> None:
-    """Per (grid point, method, parameter) aggregate of the replication rows."""
-    table = [[result.spec.variable, c.grid_value, c.method.value, c.parameter, c.mean, c.sd,
-              c.n_success, c.n_failed, c.reliable] for c in result.report.cells]
-    header = ["variable", "grid_value", "method", "parameter", "mean_rabias", "sd_rabias",
-              "n_success", "n_failed", "reliable"]
-    write_table(path, header, len(table), list(zip(*table)))
+    """Per (grid point, method, parameter) aggregate of the replication rows:
+    the sweep variable, then a column per :func:`summary_dtype` field."""
+    table = result.report.table
+    write_table(path, ["variable", *table.dtype.names], len(table),
+                [lambda s: [result.spec.variable] * (s.stop - s.start), *(table[name] for name in table.dtype.names)])
 
 
 def write_figure_csv(result: SweepResult, parameter: str, path) -> None:
     """Plot-ready long-format table for one parameter across the grid."""
-    table = [[c.grid_value, method.value, c.mean, c.sd, c.n_failed]
-             for method in result.spec.methods for c in result.report.points(method, parameter)]
-    header = [result.spec.variable, "method", "mean_rabias", "sd_rabias", "n_failed"]
-    write_table(path, header, len(table), list(zip(*table)))
+    table = np.concatenate([result.report.points(method, parameter) for method in result.spec.methods])
+    names = ["grid_value", "method", "mean_rabias", "sd_rabias", "n_failed"]
+    write_table(path, [result.spec.variable, *names[1:]], len(table), [table[name] for name in names])

@@ -251,19 +251,19 @@ def test_criterion_08_figure1_trends(figure1_result):
         xi_names = ("xi_1", "xi_2", "xi_3")
         # (a) corrupted-label methods degrade from rho = 0 to rho = 0.5
         for method in (LabelMode.NOISY, LabelMode.UNCERTAIN):
-            lo = np.mean([report.cell(method, 0.0, nm).mean for nm in xi_names])
-            hi = np.mean([report.cell(method, 0.5, nm).mean for nm in xi_names])
+            lo = np.mean([report.cell(method, 0.0, nm).mean_rabias for nm in xi_names])
+            hi = np.mean([report.cell(method, 0.5, nm).mean_rabias for nm in xi_names])
             assert hi > lo, f"{method.value}: {hi} <= {lo}"
         # (b) soft labels dominate hard noisy labels where noise is heavy
         for rho in (0.3, 0.4, 0.5):
             for nm in ("xi_1", "xi_3"):
-                u = report.cell(LabelMode.UNCERTAIN, rho, nm).mean
-                v = report.cell(LabelMode.NOISY, rho, nm).mean
+                u = report.cell(LabelMode.UNCERTAIN, rho, nm).mean_rabias
+                v = report.cell(LabelMode.NOISY, rho, nm).mean_rabias
                 assert u <= v, f"rho={rho} {nm}: uncertain {u} > noisy {v}"
         # (c) mild soft labels beat no labels
         for nm in ("xi_1", "xi_3"):
-            u = report.cell(LabelMode.UNCERTAIN, 0.1, nm).mean
-            v = report.cell(LabelMode.UNKNOWN, 0.1, nm).mean
+            u = report.cell(LabelMode.UNCERTAIN, 0.1, nm).mean_rabias
+            v = report.cell(LabelMode.UNKNOWN, 0.1, nm).mean_rabias
             assert u <= v, f"{nm}: uncertain {u} > unknown {v}"
 
 

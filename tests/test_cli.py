@@ -86,6 +86,23 @@ class TestParseConfig:
         assert cfg.seed == 9
         assert cfg.scheme.J == 50
 
+    @pytest.mark.parametrize(
+        "scheme, given",
+        [({"n": 10, "J": 3, "censor_frac": 0.1}, "censor_frac, J"), ({"n": 10, "J": 3, "R": [0, 0, 7]}, "J, R"),
+         ({"n": 10, "censor_frac": 0.7, "R": [0, 0, 7]}, "censor_frac, R"),
+         ({"n": 10, "censor_frac": 0.7, "J": 3, "R": [0, 0, 7]}, "censor_frac, J, R")],
+        ids=["J-censor_frac", "J-R", "R-censor_frac", "all-three"],
+    )
+    def test_conflicting_plans_rejected(self, tmp_path, capsys, scheme, given):
+        out = tmp_path / "out"
+        cfg_file = write_config(tmp_path / "c.yaml", {"model": PAPER_MODEL, "scheme": scheme, "out": str(out)})
+        assert main(["generate", "--config", cfg_file]) == EXIT_CONFIG
+        assert f"'scheme' must give only one of 'censor_frac', 'J' and 'R', got {given}\n" in capsys.readouterr().err
+        assert not out.exists()
+        # --censor-frac drops the file's 'J' and 'R', so the flag's plan is the one plan
+        cfg = parse_config(cfg_file, {"scheme.censor_frac": 0.5}, command="generate")
+        assert (cfg.censor_frac, cfg.scheme.J) == (0.5, 5)
+
     def test_method_all(self, tmp_path):
         cfg_file = write_config(tmp_path / "c.yaml", {})
         cfg = parse_config(cfg_file, {"methods": "all"})
@@ -454,26 +471,36 @@ _PINNED_SWEEPS = {
              "summary.csv": "74826f72d0fd2484941e4b71db3255635252eabccc620e2727074a7cd658e608",
              "figure_xi_1.csv": "4688553a6231af1004d4ee09ce09f0faabaa8e58db1b727bf36bcffd6d162df0",
              "figure_xi_2.csv": "3752a6781e98ec575b5128f4e5fc8a31f26890d7b59e066f24abc2b58cbd92a0",
-             "figure_xi_3.csv": "a3268883df8b38c91d669c60731124a6b3af1da134eabdd61288adac04fd4940"}),
+             "figure_xi_3.csv": "a3268883df8b38c91d669c60731124a6b3af1da134eabdd61288adac04fd4940",
+             "figure_xi_1.svg": "fcb02ff696c670d48fd5c0d69cb67b1e29976bc33caa7546a0c7479571fc8ad4",
+             "figure_xi_2.svg": "5463cd7c47a41fd0e436dc013e13639a5b9bd3366e6f9d587fb5447e8309966f",
+             "figure_xi_3.svg": "6522d7a09098a8e7aa03f658ab785900a0984991f037a292b6f61951d52fad74"}),
     "n": ({"model": PAPER_MODEL, "scheme": {"n": 60, "censor_frac": 0.4}, "corruption": {"rho": 0.2}, "methods": "all",
            "reps": 2, "seed": 5, "sweep": {"variable": "n", "grid": [60, 90, 60]}},
           {"results.csv": "b0b49421cb7d3a6480105149c97521360ce156e903cca7d9b5a8f4500401ac72",
            "summary.csv": "baefbc96f6efbd70e86ba002a17d252b527c7e8f728c16e14ad1e59d0b02ac0b",
            "figure_xi_1.csv": "3786bf0fac1499d93c593b23329eeb34fd0e0560a8444510084d995856370f0d",
            "figure_xi_2.csv": "0cd70084435dab2e37740138a95e373f6e2d5d7aa818de8738a32e82f2c841b7",
-           "figure_xi_3.csv": "3cbdff2ab05376f48c8ea229b1ff3644376367f5a73c3f3bed55a6043dc89c37"}),
+           "figure_xi_3.csv": "3cbdff2ab05376f48c8ea229b1ff3644376367f5a73c3f3bed55a6043dc89c37",
+           "figure_xi_1.svg": "d803f1c763fa0d92163e487e39e302098c7be911fe8643b687f67604d4ddc975",
+           "figure_xi_2.svg": "b3c1e0f8d8fd81dc5ba510d5e036be6c61e36fb1e2687d40d9bc235edc81f196",
+           "figure_xi_3.svg": "3f7c402444b49f384a4b016859cda9672a62d2214536600ea4d7e8e51799616d"}),
     "failed-fit": (_FAILED_FIT,
                    {"results.csv": "5ffbe4287e78384edc07038adf42480f1647529c496760ce621f2a2a684302e8",
                     "summary.csv": "cd2d4b3c4d2e6dd943a2a3e288b2a591f8c73963d5ab30a6d4e47df1f1de7579",
                     "figure_xi_1.csv": "ea60ecc3797f3016f223296fefe66a285bc06faa610f329bb942837d21c264a9",
-                    "figure_xi_2.csv": "c88e3cd07e50bc035e84fbf533d1958f821dedc5fb5a4d46815b395054ba598a"}),
+                    "figure_xi_2.csv": "c88e3cd07e50bc035e84fbf533d1958f821dedc5fb5a4d46815b395054ba598a",
+                    "figure_xi_1.svg": "2b8cc4a77f79084a64acc45b0ff69d90201298a5852bc38a468fcea8e67cb02a",
+                    "figure_xi_2.svg": "d1bce7bd02841515ffac03ab192e9a37cb6d1990bc0f54a669715e7e29f7b20e"}),
     # the (0.3, noisy) cell has 9 successes and 1 failure: a mean over all 10 slots, the failed one
     # zero-filled, sums in another order and moves the cell's xi_2 mean in its last digit
     "failed-fit-reps-10": (dict(_FAILED_FIT, reps=10),
                            {"results.csv": "cce4d9100537f560b27b1d512141e3f090d19b76e6ec1abbc6368bd3c2b833d2",
                             "summary.csv": "633b5a5385ae147f8ef8e28c39dc61f6510ae3b04ae074c3150ffabfd18c1597",
                             "figure_xi_1.csv": "878b29bd513d8558498e57827f99c1867efa44df8643b10847a9169f1157576b",
-                            "figure_xi_2.csv": "1e0ceb9d18e4b38a4756ddc61756fe8e9ed92f74cfcadf949b9838db404bfbb5"}),
+                            "figure_xi_2.csv": "1e0ceb9d18e4b38a4756ddc61756fe8e9ed92f74cfcadf949b9838db404bfbb5",
+                            "figure_xi_1.svg": "e535ef6afe04866ea1891cc31472c16334de92f4bbe31be9a13a6dfbecd904a0",
+                            "figure_xi_2.svg": "b49a176f579ad9844c30390ebf6eb5c8a5ae8ce19a67e9df331bad21c075dd80"}),
 }
 
 
@@ -607,6 +634,17 @@ class TestSweepCommand:
         write_config(Path(cfg_file), payload)
         assert main(["sweep", "--config", cfg_file, "--workers", "1"]) == EXIT_CONFIG
         assert "'model.lambdas' must all be positive, got [1.0, 0.0]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("reps, shown", [("416667", "<9 digits>"), ("10000000000", "<13 digits>")])
+    def test_more_sweep_units_than_the_maximum_rejected_before_any_directory(self, tmp_path, capsys, reps, shown):
+        # two methods at two grid points of n = 60 draw 240 units a rep: 416 666 reps are 99 999 840 units
+        out = tmp_path / "huge"
+        cfg_file = sweep_config(tmp_path, out)
+        assert parse_config(cfg_file, {"reps": 416666}, command="sweep").sweep.reps == 416666
+        assert main(["sweep", "--config", cfg_file, "--reps", reps]) == EXIT_CONFIG
+        assert capsys.readouterr().err == ("configuration error: a sweep may draw at most 100000000 units in all "
+                                           f"(reps x methods x the grid's total n); this one draws {shown}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,8 +1,14 @@
 import math
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from evidem.figures import Series, line_chart_svg
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_basic_chart_structure():
@@ -38,3 +44,18 @@ def test_length_mismatch_rejected():
 def test_empty_inputs_rejected():
     with pytest.raises(ValueError):
         line_chart_svg([], [])
+
+
+def test_ticks_end_on_an_axis_below_float_spacing():
+    # a rho grid of 0.1 and the next float up: the tick step, 5e-18, is below the spacing of 0.1,
+    # so 0.1 + step == 0.1; a fresh interpreter with a time and a memory bound cuts a loop that never ends
+    code = (
+        "from evidem.figures import Series, _ticks, line_chart_svg\n"
+        "print(_ticks(0.1, 0.10000000000000002))\n"
+        "svg = line_chart_svg([0.1, 0.10000000000000002], [Series('a', [1.0, 2.0], [0.1, 0.1])])\n"
+        "print(svg.count('text-anchor=\"middle\">0.1</text>'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], cwd=SRC, capture_output=True, text=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["[0.1]", "1"]

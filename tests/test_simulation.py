@@ -256,8 +256,8 @@ class TestSweep:
         row = result.rows[0]
         for z in range(3):
             cell = result.report.cell(LabelMode.UNCERTAIN, 0.1, f"xi_{z + 1}")
-            assert_allclose(cell.mean, row.rabias_xis[z])
-            assert cell.sd == 0.0
+            assert_allclose(cell.mean_rabias, row.rabias_xis[z])
+            assert cell.sd_rabias == 0.0
             assert cell.n_success == 1 and cell.n_failed == 0
 
     def test_rows_independent_of_method_subset(self):
@@ -347,6 +347,16 @@ class TestSweep:
             report.cell(LabelMode.UNCERTAIN, 0.1, "xi_1")
         with pytest.raises(KeyError, match="grid value 0.3 matches 0"):
             report.cell(LabelMode.UNCERTAIN, 0.3, "xi_1")
+
+    def test_cell_lookup_tells_close_grid_values_apart(self):
+        # the table holds the grid as given, so a lookup matches a grid value exactly
+        cfg = small_config(n=40)
+        spec = SweepSpec("rho", (0.1, 0.1000001), 1, cfg, methods=(LabelMode.UNCERTAIN,))
+        rows = np.concatenate([failed_rows(0.1, [0], "x"), failed_rows(0.1000001, [0], "x")]).view(np.recarray)
+        report = aggregate_report(spec, rows)
+        for gv in spec.grid:
+            cell = report.cell(LabelMode.UNCERTAIN, gv, "xi_1")
+            assert (cell.grid_value, cell.method, cell.parameter) == (gv, "uncertain", "xi_1")
 
     def test_spec_validation(self):
         cfg = small_config()
