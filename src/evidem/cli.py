@@ -23,12 +23,12 @@ from .estimator import (
     LabelMode,
     SoftLabeledDataset,
     fit,
+    make_soft_labels,
     read_soft_labels_csv,
     write_soft_labels_csv,
 )
 from .figures import Series, write_line_chart
 from .simulation import (
-    effective_sd,
     parameter_names,
     run_sweep,
     simulate_dataset,
@@ -106,10 +106,11 @@ def _write_manifest(cfg: RunConfig, extra: dict | None = None) -> None:
 
 def cmd_generate(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
-    ds, _, pl = simulate_dataset(cfg.model, cfg.scheme, cfg.corruption, substream(cfg.seed))
+    ds, z_star, q = simulate_dataset(cfg.model, cfg.scheme, cfg.corruption, substream(cfg.seed))
+    pl = make_soft_labels(LabelMode.UNCERTAIN, cfg.model.n_components, ds.n, z_star, q)
     write_dataset_csv(ds, cfg.out / "data.csv")
     write_soft_labels_csv(pl, cfg.out / "labels.csv", item_ids=ds.item_id)
-    _write_manifest(cfg, {"effective_sd": effective_sd(cfg.corruption.rho, cfg.corruption.sd)})
+    _write_manifest(cfg, {"effective_sd": cfg.corruption.effective_sd})
     print(f"wrote {cfg.out / 'data.csv'} ({cfg.scheme.J} observed, {cfg.scheme.n_censored} censored)")
     return EXIT_OK
 
@@ -181,7 +182,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
             xlabel=spec.variable,
             ylabel="RABias",
         )
-    _write_manifest(cfg, {"effective_sd": result.effective_sds})
+    corrupted = spec.configs if spec.variable == "rho" else [spec.base]  # an n sweep has one corruption
+    _write_manifest(cfg, {"effective_sd": [c.corruption.effective_sd for c in corrupted]})
     n_failed = int(result.rows.failed.sum())
     print(f"{len(result.rows)} replications, {n_failed} failed; outputs in {cfg.out}")
     if n_failed == len(result.rows):

@@ -404,7 +404,7 @@ def make_soft_labels(
     q = np.asarray(error_probs, dtype=float)
     if q.shape != z.shape:
         raise ValueError("error_probs must match hard_labels in length")
-    if np.any((q < 0.0) | (q > 1.0)):
+    if not np.all((q >= 0.0) & (q <= 1.0)):  # NaN fails both comparisons
         raise ValueError("error probabilities must lie in [0, 1]")
     return q[:, None] / p + (1.0 - q)[:, None] * onehot
 

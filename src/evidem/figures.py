@@ -33,8 +33,12 @@ class Series:
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(count - 1, 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
+    steps = max(count - 1, 1)
+    # each end is divided first, so a span past the largest float cannot overflow,
+    # and a step below the smallest float is raised to it
+    raw = max(hi / steps - lo / steps, math.ulp(0.0))
+    exponent = math.floor(math.log10(raw))
+    mag = 10.0 ** exponent
     for step in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= step * mag:
             raw = step * mag
@@ -45,11 +49,19 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     # on an axis narrower than its values' float spacing a step can leave t where it is
     while t <= hi + 1e-9 * raw:
         if t >= lo - 1e-9 * raw:
-            ticks.append(round(t, 12))
+            # to 12 decimals, or 12 past the first digit of a step below 1, so narrow axes keep their ticks apart
+            ticks.append(round(t, 12 - min(exponent, 0)))
         if t + raw == t:
             break
         t += raw
     return ticks
+
+
+def _fraction(v: float, lo: float, hi: float) -> float:
+    """(v - lo) / (hi - lo), every term halved first where that span overflows."""
+    if math.isinf(hi - lo):
+        v, lo, hi = v / 2, lo / 2, hi / 2
+    return (v - lo) / (hi - lo)
 
 
 def _fmt_num(v: float) -> str:
@@ -69,18 +81,15 @@ def line_chart_svg(
     xs = [float(v) for v in x]
     if not xs or not series:
         raise ValueError("need at least one x value and one series")
-    y_lo, y_hi = math.inf, -math.inf
+    shown = []  # per series, the (x, mean, sd) points whose band is finite
     for s in series:
         means = [float(v) for v in s.mean]
         if len(means) != len(xs):
             raise ValueError(f"series {s.label!r} length {len(means)} != {len(xs)}")
         sds = [0.0] * len(xs) if s.sd is None else [float(v) for v in s.sd]
-        for m, d in zip(means, sds):
-            if math.isfinite(m):
-                y_lo = min(y_lo, m - d)
-                y_hi = max(y_hi, m + d)
-    if not math.isfinite(y_lo):
-        y_lo, y_hi = 0.0, 1.0
+        shown.append([(xv, m, d) for xv, m, d in zip(xs, means, sds) if math.isfinite(m - d) and math.isfinite(m + d)])
+    bands = [v for points in shown for _, m, d in points for v in (m - d, m + d)]
+    y_lo, y_hi = (min(bands), max(bands)) if bands else (0.0, 1.0)
     y_lo = min(y_lo, 0.0)
     if y_hi <= y_lo:
         y_hi = y_lo + 1.0
@@ -92,10 +101,10 @@ def line_chart_svg(
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(v: float) -> float:
-        return _MARGIN_LEFT + (v - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + _fraction(v, x_lo, x_hi) * plot_w
 
     def py(v: float) -> float:
-        return _MARGIN_TOP + (y_hi - v) / (y_hi - y_lo) * plot_h
+        return _MARGIN_TOP + _fraction(v, y_hi, y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -132,25 +141,18 @@ def line_chart_svg(
         parts.append(
             f'<text x="16" y="{cy:.1f}" text-anchor="middle" transform="rotate(-90 16 {cy:.1f})">{ylabel}</text>'
         )
-    for si, s in enumerate(series):
+    for si, (s, points) in enumerate(zip(series, shown)):
         color = _COLORS[si % len(_COLORS)]
-        means = [float(v) for v in s.mean]
-        sds = [0.0] * len(xs) if s.sd is None else [float(v) for v in s.sd]
-        shown = [
-            (xv, m, d)
-            for xv, m, d in zip(xs, means, sds)
-            if math.isfinite(m) and math.isfinite(d)
-        ]
-        if not shown:
+        if not points:
             continue
-        if any(d > 0 for _, _, d in shown):
-            upper = [(px(xv), py(m + d)) for xv, m, d in shown]
-            lower = [(px(xv), py(m - d)) for xv, m, d in shown]
+        if any(d > 0 for _, _, d in points):
+            upper = [(px(xv), py(m + d)) for xv, m, d in points]
+            lower = [(px(xv), py(m - d)) for xv, m, d in points]
             pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in upper + lower[::-1])
             parts.append(f'<polygon points="{pts}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
-        pts = " ".join(f"{px(xv):.2f},{py(m):.2f}" for xv, m, _ in shown)
+        pts = " ".join(f"{px(xv):.2f},{py(m):.2f}" for xv, m, _ in points)
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>')
-        for xv, m, _ in shown:
+        for xv, m, _ in points:
             parts.append(f'<circle cx="{px(xv):.2f}" cy="{py(m):.2f}" r="2.6" fill="{color}"/>')
         ly = _MARGIN_TOP + 14 + 16 * si
         lx = _MARGIN_LEFT + plot_w - 130

@@ -51,8 +51,6 @@ __all__ = [
     "SweepResult",
     "METHOD_ORDER",
     "INIT_RULES",
-    "effective_sd",
-    "beta_shape_params",
     "draw_error_probs",
     "corrupt_labels",
     "simulate_dataset",
@@ -90,46 +88,46 @@ _BATCH_RECORDS = 2**15
 class CorruptionConfig:
     """Per-item error probabilities: i.i.d. Beta with mean rho and the given sd.
 
-    When the requested sd is infeasible for a Beta with mean rho it is
-    clamped to 0.95 * sqrt(rho (1 - rho)); ``effective_sd`` reports the
-    value actually used, and run manifests record it.
+    Construction solves the Beta once.  An sd infeasible for a Beta with mean
+    rho is clamped to 0.95 * sqrt(rho (1 - rho)); ``effective_sd`` is the value
+    actually used, and run manifests record it.  ``shapes`` is the
+    moment-matched (alpha, beta), or None when the draw is the constant rho
+    (an effective sd of 0: sd 0 or rho in {0, 1}).  A ValueError is raised
+    when either shape is not a finite positive float: when sd**2 is so small
+    that they overflow (sd 1e-155, say), or rho so small that they round to 0
+    (rho 5e-324).
     """
 
     rho: float
     sd: float = 0.2
+    effective_sd: float = field(init=False, compare=False)
+    shapes: tuple[float, float] | None = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
+        rho = self.rho
+        if not 0.0 <= rho <= 1.0:
+            raise ValueError(f"rho must be in [0, 1], got {rho}")
         if not self.sd >= 0.0:
             raise ValueError(f"sd must be nonnegative, got {self.sd}")
-
-
-def effective_sd(rho: float, sd: float) -> float:
-    """The sd actually used: clamped to keep the Beta moment match feasible."""
-    bound = 0.95 * np.sqrt(rho * (1.0 - rho))
-    return float(min(sd, bound))
-
-
-def beta_shape_params(rho: float, sd: float) -> tuple[float, float]:
-    """Moment-matched Beta(alpha, beta) with mean rho and standard deviation sd."""
-    if sd <= 0.0:
-        raise ValueError("sd must be positive to solve for Beta shapes")
-    nu = rho * (1.0 - rho) / sd**2 - 1.0
-    if nu <= 0.0:
-        raise ValueError(f"sd={sd} is infeasible for a Beta with mean {rho}")
-    return rho * nu, (1.0 - rho) * nu
+        sd = float(min(self.sd, 0.95 * np.sqrt(rho * (1.0 - rho))))
+        shapes = None
+        if sd > 0.0:
+            nu = rho * (1.0 - rho) / sd**2 - 1.0 if sd**2 > 0.0 else math.inf
+            shapes = (rho * nu, (1.0 - rho) * nu)
+            if not all(0.0 < shape < math.inf for shape in shapes):
+                raise ValueError(f"rho={rho} and sd={sd} give no Beta in floating point: "
+                                 f"its shapes {shapes} must be finite and positive")
+        object.__setattr__(self, "effective_sd", sd)
+        object.__setattr__(self, "shapes", shapes)
 
 
 def draw_error_probs(cfg: CorruptionConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n error probabilities; degenerate draws (sd 0 or rho in {0, 1}) are constant."""
+    """Draw n error probabilities; degenerate draws (``cfg.shapes`` None) are constant."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    sd = effective_sd(cfg.rho, cfg.sd)
-    if sd == 0.0:
+    if cfg.shapes is None:
         return np.full(n, cfg.rho)
-    alpha, beta = beta_shape_params(cfg.rho, sd)
-    return rng.beta(alpha, beta, size=n)
+    return rng.beta(*cfg.shapes, size=n)
 
 
 def corrupt_labels(
@@ -137,12 +135,11 @@ def corrupt_labels(
     error_probs: np.ndarray,
     n_components: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the label-noise protocol.
+) -> np.ndarray:
+    """Apply the label-noise protocol and return the noisy hard labels.
 
     With probability q_j the hard label is redrawn uniformly over all
-    components (the original included), otherwise it is kept.  Returns the
-    noisy hard labels and the plausibility rows q/p + (1 - q) * indicator.
+    components (the original included), otherwise it is kept.
     """
     z = np.asarray(true_labels, dtype=int)
     q = np.asarray(error_probs, dtype=float)
@@ -150,9 +147,7 @@ def corrupt_labels(
         raise ValueError("true_labels and error_probs must have equal length")
     flip = rng.random(z.size) < q
     redraw = rng.integers(0, n_components, size=z.size)
-    z_star = np.where(flip, redraw, z)
-    pl = make_soft_labels(LabelMode.UNCERTAIN, n_components, hard_labels=z_star, error_probs=q)
-    return z_star, pl
+    return np.where(flip, redraw, z)
 
 
 def simulate_dataset(
@@ -163,14 +158,15 @@ def simulate_dataset(
 ) -> tuple[CensoredDataset, np.ndarray, np.ndarray]:
     """Sample labelled lifetimes, run the life test, and corrupt the labels.
 
-    Returns the censored dataset, the noisy hard labels and the UNCERTAIN
-    plausibility rows, both in the dataset's record order.
+    Returns the censored dataset, the noisy hard labels and their error
+    probabilities q, both in the dataset's record order;
+    ``make_soft_labels(method, p, scheme.n, z_star, q)`` builds any method's
+    plausibility rows from them.
     """
     times, labels = sample_labeled(truth, scheme.n, rng)
     ds = run_life_test(times, labels, scheme, rng)
     q = draw_error_probs(corruption, scheme.n, rng)
-    z_star, pl = corrupt_labels(ds.true_label, q, truth.n_components, rng)
-    return ds, z_star, pl
+    return ds, corrupt_labels(ds.true_label, q, truth.n_components, rng), q
 
 
 def rabias(estimate: float | np.ndarray, truth: float | np.ndarray) -> float | np.ndarray:
@@ -319,14 +315,8 @@ def run_shard(spec: SweepSpec, master_seed: int, method: LabelMode | str,
     datasets, inits = [], []
     for gi, rep in keys:
         cfg, rng = spec.configs[gi], substream(master_seed, gi, METHOD_ORDER.index(method), rep)
-        ds, z_star, pl_uncertain = simulate_dataset(truth, cfg.scheme, cfg.corruption, rng)
-        if method is LabelMode.UNCERTAIN:
-            pl = pl_uncertain
-        elif method is LabelMode.NOISY:
-            pl = make_soft_labels(LabelMode.NOISY, p, hard_labels=z_star)
-        else:
-            pl = make_soft_labels(LabelMode.UNKNOWN, p, n_items=cfg.n)
-        datasets.append(SoftLabeledDataset(ds, pl))
+        ds, z_star, q = simulate_dataset(truth, cfg.scheme, cfg.corruption, rng)
+        datasets.append(SoftLabeledDataset(ds, make_soft_labels(method, p, cfg.n, z_star, q)))
         inits.append(start_params(cfg.init, ds, p, truth))
     rows = np.zeros(len(keys), row_dtype(p)).view(np.recarray)
     rows.grid_value = [spec.grid[gi] for gi, _ in keys]
@@ -382,12 +372,6 @@ class SweepResult:
     master_seed: int
     rows: np.recarray  # one row_dtype record per fit, in sweep order: grid point, method, rep
     report: RABiasReport
-
-    @property
-    def effective_sds(self) -> list[float]:
-        if self.spec.variable == "rho":
-            return [effective_sd(g, self.spec.base.sd) for g in self.spec.grid]
-        return [effective_sd(self.spec.base.rho, self.spec.base.sd)]
 
 
 def parameter_names(p: int) -> list[str]:

@@ -714,6 +714,30 @@ def test_invalid_number_is_config_error(tmp_path, capsys, command, defect):
     assert not out.exists()
 
 
+_BETA_WITHOUT_FLOAT_SHAPES = {
+    "sd-squared-underflows": {"corruption": {"rho": 0.3, "sd": 1.0e-170}},
+    "shapes-overflow": {"corruption": {"rho": 0.3, "sd": 1.0e-155}},
+    "subnormal-rho": {"corruption": {"rho": 5.0e-324}},
+    "subnormal-grid-value": {"sweep": {"variable": "rho", "grid": [0.0, 5.0e-324]}},
+}
+
+
+# generate reads no sweep grid
+@pytest.mark.parametrize("command, case", [(command, case) for command in ("generate", "sweep")
+                                           for case in _BETA_WITHOUT_FLOAT_SHAPES
+                                           if command == "sweep" or "sweep" not in _BETA_WITHOUT_FLOAT_SHAPES[case]])
+def test_corruption_without_float_beta_is_config_error(tmp_path, capsys, command, case):
+    out = tmp_path / "out"
+    payload = {"model": {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]}, "scheme": {"n": 20, "censor_frac": 0.5},
+               "sweep": {"variable": "rho", "grid": [0.1]}, "reps": 1, "out": str(out),
+               **_BETA_WITHOUT_FLOAT_SHAPES[case]}
+    cfg_file = write_config(tmp_path / "beta.yaml", payload)
+    assert main([command, "--config", cfg_file, "--workers", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "give no Beta in floating point" in err
+    assert not out.exists()
+
+
 _COMPLETE_INPUTS = {
     "generate": {"model": PAPER_MODEL, "scheme": {"n": 20, "censor_frac": 0.5}},
     "fit": {"data": "data.csv", "labels": "labels.csv"},

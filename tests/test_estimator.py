@@ -363,9 +363,8 @@ def labelled_problem(mode, p, plan):
     J = n // 4
     scheme = conventional_scheme(n, J) if plan == "conventional" else CensoringScheme(n, (3,) * J)
     truth = MixtureParams(np.full(p, 1.0 / p), XI_POOL[:p])
-    ds, z_star, pl = simulate_dataset(truth, scheme, CorruptionConfig(0.3), np.random.default_rng(p))
-    if mode is not LabelMode.UNCERTAIN:
-        pl = make_soft_labels(mode, p, n_items=n, hard_labels=z_star)
+    ds, z_star, q = simulate_dataset(truth, scheme, CorruptionConfig(0.3), np.random.default_rng(p))
+    pl = make_soft_labels(mode, p, n, z_star, q)
     return SoftLabeledDataset(ds, pl), MixtureParams(np.full(p, 1.0 / p), 0.3 * XI_POOL[:p])
 
 
@@ -538,6 +537,11 @@ class TestSoftLabels:
     def test_label_bounds_checked(self):
         with pytest.raises(ValueError):
             make_soft_labels(LabelMode.NOISY, 2, hard_labels=np.array([2]))
+
+    @pytest.mark.parametrize("q", [np.nan, -0.1, 1.1, np.inf])
+    def test_error_probability_outside_unit_interval_rejected(self, q):
+        with pytest.raises(ValueError, match="error probabilities must lie in"):
+            make_soft_labels("uncertain", 2, hard_labels=[0, 1], error_probs=[q, 0.2])
 
     def test_csv_roundtrip(self, tmp_path, rng):
         plm = rng.uniform(0.0, 1.0, size=(9, 3))

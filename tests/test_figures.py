@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from evidem.figures import Series, line_chart_svg
+from evidem.figures import Series, _ticks, line_chart_svg
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -59,3 +59,17 @@ def test_ticks_end_on_an_axis_below_float_spacing():
                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n")[:2] == ["[0.1]", "1"]
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (-1e308, 1e308), (0.0, 1e-20)],
+                         ids=["step-underflows", "span-overflows", "ticks-below-1e-12"])
+def test_extreme_axes_are_drawn(lo, hi):
+    ticks = _ticks(lo, hi)
+    assert len(ticks) >= 2 and ticks == sorted(set(ticks))
+    assert all(lo <= t <= hi for t in ticks)
+    for x, y in [([lo, hi], [1.0, 2.0]), ([0.0, 1.0], [lo, hi])]:
+        svg = line_chart_svg(x, [Series("a", y, [0.0, 0.0])])
+        assert "nan" not in svg and "inf" not in svg
+        assert svg.count("<circle") == 2
+        # a mark per tick of both axes, whose y axis starts at 0 or below, and the frame
+        assert svg.count('stroke="black"/>') == len(_ticks(*x)) + len(_ticks(min(y[0], 0.0), y[1])) + 1

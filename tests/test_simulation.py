@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from evidem import simulation
 from evidem.censoring import scheme_from_censor_frac
-from evidem.estimator import E2MConfig, LabelMode
+from evidem.estimator import E2MConfig, LabelMode, make_soft_labels
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import (
     METHOD_ORDER,
@@ -18,10 +18,8 @@ from evidem.simulation import (
     SweepSpec,
     aggregate_report,
     align_to_truth,
-    beta_shape_params,
     corrupt_labels,
     draw_error_probs,
-    effective_sd,
     rabias,
     row_dtype,
     run_shard,
@@ -53,7 +51,7 @@ class TestErrorProbs:
         assert np.all(q == 0.3)
 
     def test_moment_matched_shapes(self):
-        alpha, beta = beta_shape_params(0.5, 0.2)
+        alpha, beta = CorruptionConfig(0.5, 0.2).shapes
         assert_allclose(alpha, 2.625, rtol=1e-12)
         assert_allclose(beta, 2.625, rtol=1e-12)
 
@@ -65,7 +63,7 @@ class TestErrorProbs:
 
     def test_infeasible_sd_clamped(self, rng):
         # a Beta with mean 0.01 cannot have sd 0.2
-        sd_eff = effective_sd(0.01, 0.2)
+        sd_eff = CorruptionConfig(0.01, 0.2).effective_sd
         assert sd_eff < 0.2
         assert sd_eff**2 < 0.01 * 0.99
         q = draw_error_probs(CorruptionConfig(0.01, sd=0.2), 2000, rng)
@@ -81,34 +79,61 @@ class TestErrorProbs:
         with pytest.raises(ValueError):
             CorruptionConfig(0.5, sd=-0.1)
 
+    @pytest.mark.parametrize("rho, sd", [(0.3, 1.0e-170), (0.3, 1.0e-155), (5.0e-324, 0.2)],
+                             ids=["sd-squared-underflows", "shapes-overflow", "subnormal-rho"])
+    def test_beta_without_float_shapes_rejected(self, rho, sd):
+        with pytest.raises(ValueError, match="give no Beta in floating point"):
+            CorruptionConfig(rho, sd)
+
+    def test_constant_draw_has_no_shapes(self):
+        for rho, sd in [(0.3, 0.0), (0.0, 0.2), (1.0, 0.2)]:
+            cfg = CorruptionConfig(rho, sd)
+            assert cfg.shapes is None and cfg.effective_sd == 0.0
+
+    @given(st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 1e-310, 2.5e-308, 1e-300, 1 - 2.0**-52])),
+           st.one_of(st.floats(0.0, 1e300), st.sampled_from([5e-324, 1e-170, 1e-155, 1e-154, 1e-150])))
+    @settings(max_examples=300, deadline=None)
+    def test_built_config_draws_probabilities(self, rho, sd):
+        """A config either fails to build or draws finite error probabilities in [0, 1]."""
+        try:
+            cfg = CorruptionConfig(rho, sd)
+        except ValueError:
+            return
+        q = draw_error_probs(cfg, 64, np.random.default_rng(0))
+        assert np.all(np.isfinite(q) & (q >= 0.0) & (q <= 1.0))
+
+
+def uncertain_rows(z_star, q, p):
+    return make_soft_labels(LabelMode.UNCERTAIN, p, hard_labels=z_star, error_probs=q)
+
 
 class TestCorruptLabels:
     def test_no_error_keeps_labels(self, rng):
         z = rng.integers(0, 3, size=40)
-        z_star, plm = corrupt_labels(z, np.zeros(40), 3, rng)
+        z_star = corrupt_labels(z, np.zeros(40), 3, rng)
         assert np.array_equal(z_star, z)
         expect = np.zeros((40, 3))
         expect[np.arange(40), z] = 1.0
-        assert_allclose(plm, expect)
+        assert_allclose(uncertain_rows(z_star, np.zeros(40), 3), expect)
 
     def test_full_error_gives_uniform_rows(self, rng):
         z = rng.integers(0, 3, size=40)
-        _, plm = corrupt_labels(z, np.ones(40), 3, rng)
-        assert_allclose(plm, np.full((40, 3), 1 / 3))
+        z_star = corrupt_labels(z, np.ones(40), 3, rng)
+        assert_allclose(uncertain_rows(z_star, np.ones(40), 3), np.full((40, 3), 1 / 3))
 
     def test_reference_row_value(self, rng):
         # q = 0.3, p = 3, noisy label = second component
-        z_star, plm = corrupt_labels(np.array([1]), np.array([0.3]), 3, rng)
+        z_star = corrupt_labels(np.array([1]), np.array([0.3]), 3, rng)
         expect = np.full(3, 0.1)
         expect[z_star[0]] += 0.7
-        assert_allclose(plm[0], expect, rtol=1e-12)
+        assert_allclose(uncertain_rows(z_star, np.array([0.3]), 3)[0], expect, rtol=1e-12)
 
     @given(st.floats(min_value=0.0, max_value=0.99), st.integers(min_value=2, max_value=5))
     @settings(max_examples=80, deadline=None)
     def test_row_structure(self, q, p):
         rng = np.random.default_rng(3)
-        _, plm = corrupt_labels(np.zeros(1, dtype=int), np.array([q]), p, rng)
-        row = plm[0]
+        z_star = corrupt_labels(np.zeros(1, dtype=int), np.array([q]), p, rng)
+        row = uncertain_rows(z_star, np.array([q]), p)[0]
         assert_allclose(row.max() - row.min(), 1 - q, atol=1e-12)
         assert np.sum(np.isclose(row, q / p + 1 - q)) >= 1
         assert np.sum(np.isclose(row, q / p)) >= p - 1
