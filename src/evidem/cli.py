@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .censoring import read_dataset_csv, write_dataset_csv, write_table
+from .censoring import read_dataset_csv, run_life_test, write_dataset_csv, write_table
 from .config import ConfigError, RunConfig, parse_config
 from .estimator import (
     EstimationError,
@@ -28,10 +28,12 @@ from .estimator import (
     write_soft_labels_csv,
 )
 from .figures import Series, write_line_chart
+from .rayleigh import sample_labeled
 from .simulation import (
+    corrupt_labels,
+    draw_error_probs,
     parameter_names,
     run_sweep,
-    simulate_dataset,
     start_params,
     substream,
     write_figure_csv,
@@ -106,8 +108,10 @@ def _write_manifest(cfg: RunConfig, extra: dict | None = None) -> None:
 
 def cmd_generate(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
-    ds, z_star, q = simulate_dataset(cfg.model, cfg.scheme, cfg.corruption, substream(cfg.seed))
-    pl = make_soft_labels(LabelMode.UNCERTAIN, cfg.model.n_components, ds.n, z_star, q)
+    rng, p = substream(cfg.seed), cfg.model.n_components
+    ds = run_life_test(*sample_labeled(cfg.model, cfg.scheme.n, rng), cfg.scheme, rng)
+    q = draw_error_probs(cfg.corruption, ds.n, rng)
+    pl = make_soft_labels(LabelMode.UNCERTAIN, p, ds.n, corrupt_labels(ds.true_label, q, p, rng), q)
     write_dataset_csv(ds, cfg.out / "data.csv")
     write_soft_labels_csv(pl, cfg.out / "labels.csv", item_ids=ds.item_id)
     _write_manifest(cfg, {"effective_sd": cfg.corruption.effective_sd})

@@ -30,9 +30,16 @@ class Series:
     sd: Sequence[float] | None = None
 
 
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """The axis [lo, hi]; a one-point one is widened by max(1, |lo| / 1024), downward where upward overflows."""
+    if hi > lo:
+        return lo, hi
+    width = max(1.0, abs(lo) / 1024)
+    return (lo, lo + width) if math.isfinite(lo + width) else (lo - width, lo)
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _span(lo, hi)
     steps = max(count - 1, 1)
     # each end is divided first, so a span past the largest float cannot overflow,
     # and a step below the smallest float is raised to it
@@ -46,8 +53,8 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     start = math.floor(lo / raw) * raw
     ticks = []
     t = start
-    # on an axis narrower than its values' float spacing a step can leave t where it is
-    while t <= hi + 1e-9 * raw:
+    # a step can leave t where it is on an axis below its float spacing, or overflow at the largest float
+    while math.isfinite(t) and t <= hi + 1e-9 * raw:
         if t >= lo - 1e-9 * raw:
             # to 12 decimals, or 12 past the first digit of a step below 1, so narrow axes keep their ticks apart
             ticks.append(round(t, 12 - min(exponent, 0)))
@@ -90,12 +97,8 @@ def line_chart_svg(
         shown.append([(xv, m, d) for xv, m, d in zip(xs, means, sds) if math.isfinite(m - d) and math.isfinite(m + d)])
     bands = [v for points in shown for _, m, d in points for v in (m - d, m + d)]
     y_lo, y_hi = (min(bands), max(bands)) if bands else (0.0, 1.0)
-    y_lo = min(y_lo, 0.0)
-    if y_hi <= y_lo:
-        y_hi = y_lo + 1.0
-    x_lo, x_hi = min(xs), max(xs)
-    if x_hi <= x_lo:
-        x_hi = x_lo + 1.0
+    y_lo, y_hi = _span(min(y_lo, 0.0), y_hi)
+    x_lo, x_hi = _span(min(xs), max(xs))
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM

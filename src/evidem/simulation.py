@@ -1,23 +1,25 @@
 """Monte-Carlo study of label quality versus estimation bias.
 
-One replication draws a labelled mixture sample, runs the progressively
-censored life test, corrupts the labels with per-item Beta error
-probabilities, builds the soft labels for the requested supervision regime,
-fits the mixture, aligns components, and scores absolute relative bias.
-A sweep repeats this over a grid of error probabilities or sample sizes,
-with one independent random substream per (grid point, method, repetition)
-so results never depend on scheduling or worker count.
+A replication draws a labelled mixture sample and runs the progressively
+censored life test (its experiment), corrupts the labels with per-item Beta
+error probabilities, builds each method's soft labels, fits the mixture,
+aligns components, and scores absolute relative bias.  A sweep repeats this
+over a grid of error probabilities or sample sizes.  Repetition r at grid
+index g draws its experiment, then g's corruption, from substream (g, 0, r),
+so results never depend on scheduling or worker count.  A rho sweep draws
+one experiment per repetition, at g = 0, and each other grid index gi's
+corruption from (gi, 0, r).  All methods fit the same experiment, UNCERTAIN
+and NOISY at a grid point the same noisy labels, and UNKNOWN, which reads
+none, once per experiment.
 
-The replications of one method at one n (all of a rho sweep's) are split
-into ``min(workers, count)`` contiguous shards, or more if a shard would
-hold over ``_BATCH_RECORDS`` records; a shard is one pool task and fits its
-replications as one batch with ``estimator.fit_batch``, which gives each fit
-the iterates it would take alone.  A sweep's rows are one record array,
-one :func:`row_dtype` record per fit in sweep order (grid point, method,
-repetition); ``results.csv`` is its columns.  The summary is aggregated by
-position in that order, so a grid value listed twice makes two cells, into
-one :func:`summary_dtype` record per (grid point, method, parameter);
-``summary.csv`` is the sweep variable and then that table's columns.
+The experiments at one n are split into ``min(workers, count)`` contiguous
+shards, or more if a shard would hold over ``_BATCH_RECORDS`` fit records.
+A shard is one pool task; ``estimator.fit_batch`` fits all its fits in one
+batch, each with the iterates it takes alone.  A sweep's rows are one
+:func:`row_dtype` record array in (grid point, method, repetition) order,
+the columns of ``results.csv``; the summary aggregates them by position, so
+a grid value listed twice makes two cells, into one :func:`summary_dtype`
+record per (grid point, method, parameter), the columns of ``summary.csv``.
 """
 
 from __future__ import annotations
@@ -49,11 +51,9 @@ __all__ = [
     "SweepSpec",
     "RABiasReport",
     "SweepResult",
-    "METHOD_ORDER",
     "INIT_RULES",
     "draw_error_probs",
     "corrupt_labels",
-    "simulate_dataset",
     "rabias",
     "align_to_truth",
     "truth_offset_init",
@@ -68,10 +68,6 @@ __all__ = [
     "write_summary_csv",
     "write_figure_csv",
 ]
-
-# Canonical method ordering; substream keys index into this, not into the
-# user's method list, so adding or dropping a method never reshuffles seeds.
-METHOD_ORDER = (LabelMode.UNCERTAIN, LabelMode.NOISY, LabelMode.UNKNOWN)
 
 UNRELIABLE_FAILURE_FRAC = 0.5
 TRUTH_OFFSET = 0.01
@@ -148,25 +144,6 @@ def corrupt_labels(
     flip = rng.random(z.size) < q
     redraw = rng.integers(0, n_components, size=z.size)
     return np.where(flip, redraw, z)
-
-
-def simulate_dataset(
-    truth: MixtureParams,
-    scheme: CensoringScheme,
-    corruption: CorruptionConfig,
-    rng: np.random.Generator,
-) -> tuple[CensoredDataset, np.ndarray, np.ndarray]:
-    """Sample labelled lifetimes, run the life test, and corrupt the labels.
-
-    Returns the censored dataset, the noisy hard labels and their error
-    probabilities q, both in the dataset's record order;
-    ``make_soft_labels(method, p, scheme.n, z_star, q)`` builds any method's
-    plausibility rows from them.
-    """
-    times, labels = sample_labeled(truth, scheme.n, rng)
-    ds = run_life_test(times, labels, scheme, rng)
-    q = draw_error_probs(corruption, scheme.n, rng)
-    return ds, corrupt_labels(ds.true_label, q, truth.n_components, rng), q
 
 
 def rabias(estimate: float | np.ndarray, truth: float | np.ndarray) -> float | np.ndarray:
@@ -255,7 +232,7 @@ class SweepSpec:
     grid: tuple[float, ...]
     reps: int
     base: ExperimentConfig
-    methods: tuple[LabelMode, ...] = METHOD_ORDER
+    methods: tuple[LabelMode, ...] = tuple(LabelMode)
     configs: tuple[ExperimentConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -287,7 +264,7 @@ class SweepSpec:
 
 
 def row_dtype(p: int) -> np.dtype:
-    """The fields of a sweep's rows, one record per fit of a p-component model.
+    """The fields of a sweep's rows, one record per (grid point, method, rep) of a p-component model.
 
     A failed fit holds NaN floats and its error message.  ``method`` (the
     label mode's name) and ``error`` are objects, as a message has no length bound.
@@ -298,41 +275,53 @@ def row_dtype(p: int) -> np.dtype:
                      ("failed", bool), ("error", object)])
 
 
-def run_shard(spec: SweepSpec, master_seed: int, method: LabelMode | str,
-              keys: Sequence[tuple[int, int]]) -> np.recarray:
-    """Sample, censor, corrupt, fit, align, score: one pipeline pass per (grid
-    index, rep) key of ``spec``, all at one n, with the fits run as one batch.
-    Record k of the :func:`row_dtype` table is replication ``keys[k]``, drawn
-    from its own substream alone.
+def _points(spec: SweepSpec, g: int) -> Sequence[int]:
+    """The grid indices the experiment keyed by grid index ``g`` is fitted at."""
+    return range(len(spec.grid)) if spec.variable == "rho" else (g,)
 
-    Estimation failures (starved components, degenerate likelihoods) are
-    recorded on the failing replication's row instead of raised, so sweep
-    aggregates can account for them.
+
+def run_shard(spec: SweepSpec, master_seed: int, keys: Sequence[tuple[int, int]]) -> np.recarray:
+    """Sample, censor, corrupt, fit, align, score: the experiment of each (grid
+    index, rep) key of ``spec`` (a rho sweep's are (0, rep)), all at one n, with
+    every fit in one batch.  The :func:`row_dtype` rows go key by key, grid
+    point by grid point (the key's own in an n sweep), method by method; an
+    UNKNOWN fit's row repeats at each grid point.  A failed fit (starved
+    component, degenerate likelihood) records its error on its rows instead
+    of raising it, so sweep aggregates can account for it.
     """
-    method = LabelMode(method)
     truth = spec.base.true_params
     p = truth.n_components
-    datasets, inits = [], []
-    for gi, rep in keys:
-        cfg, rng = spec.configs[gi], substream(master_seed, gi, METHOD_ORDER.index(method), rep)
-        ds, z_star, q = simulate_dataset(truth, cfg.scheme, cfg.corruption, rng)
-        datasets.append(SoftLabeledDataset(ds, make_soft_labels(method, p, cfg.n, z_star, q)))
-        inits.append(start_params(cfg.init, ds, p, truth))
-    rows = np.zeros(len(keys), row_dtype(p)).view(np.recarray)
-    rows.grid_value = [spec.grid[gi] for gi, _ in keys]
-    rows.rep = [rep for _, rep in keys]
-    rows.method, rows.error = method.value, ""
-    rows.lambdas = rows.xis = rows.gll = np.nan
+    datasets, inits, fit_of, keyed = [], [], [], []  # row k: fit fit_of[k] at keyed[k], (grid value, method, rep)
+    for g, rep in keys:
+        rng = substream(master_seed, g, 0, rep)
+        ds = run_life_test(*sample_labeled(truth, spec.configs[g].n, rng), spec.configs[g].scheme, rng)
+        init, fits = start_params(spec.base.init, ds, p, truth), {}
+        for gi in _points(spec, g):
+            noise = rng if gi == g else substream(master_seed, gi, 0, rep)
+            q = draw_error_probs(spec.configs[gi].corruption, ds.n, noise)
+            z_star = corrupt_labels(ds.true_label, q, p, noise)
+            for method in spec.methods:
+                slot = (method, g if method is LabelMode.UNKNOWN else gi)
+                if slot not in fits:
+                    fits[slot] = len(datasets)
+                    datasets.append(SoftLabeledDataset(ds, make_soft_labels(method, p, ds.n, z_star, q)))
+                    inits.append(init)
+                fit_of.append(fits[slot])
+                keyed.append((spec.grid[gi], method.value, rep))
+    fitted = np.zeros(len(datasets), row_dtype(p)).view(np.recarray)
+    fitted.error, fitted.lambdas, fitted.xis, fitted.gll = "", np.nan, np.nan, np.nan
     for k, outcome in enumerate(fit_batch(datasets, inits, spec.base.fit_config)):
         if isinstance(outcome, EstimationError):
-            rows.failed[k], rows.error[k] = True, f"{type(outcome).__name__}: {outcome}"
+            fitted.failed[k], fitted.error[k] = True, f"{type(outcome).__name__}: {outcome}"
             continue
         est, trace = outcome
         est = align_to_truth(est, truth)
-        rows.lambdas[k], rows.xis[k], rows.gll[k] = est.lambdas, est.xis, trace.gll_values[-1]
-        rows.iterations[k], rows.converged[k] = trace.iterations_used, trace.converged
-    rows.rabias_lambdas = rabias(rows.lambdas, truth.lambdas)
-    rows.rabias_xis = rabias(rows.xis, truth.xis)
+        fitted.lambdas[k], fitted.xis[k], fitted.gll[k] = est.lambdas, est.xis, trace.gll_values[-1]
+        fitted.iterations[k], fitted.converged[k] = trace.iterations_used, trace.converged
+    fitted.rabias_lambdas = rabias(fitted.lambdas, truth.lambdas)
+    fitted.rabias_xis = rabias(fitted.xis, truth.xis)
+    rows = fitted[fit_of]
+    rows.grid_value, rows.method, rows.rep = (list(column) for column in zip(*keyed))
     return rows
 
 
@@ -370,7 +359,7 @@ class RABiasReport:
 class SweepResult:
     spec: SweepSpec
     master_seed: int
-    rows: np.recarray  # one row_dtype record per fit, in sweep order: grid point, method, rep
+    rows: np.recarray  # one row_dtype record per (grid point, method, rep), in that order
     report: RABiasReport
 
 
@@ -379,14 +368,17 @@ def parameter_names(p: int) -> list[str]:
 
 
 def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> SweepResult:
-    """Run the full grid, one task per shard of a (method, n) group's (grid
-    index, rep) keys; deterministic in (spec, master_seed) regardless of workers."""
+    """Run the full grid, one task per shard of the experiment keys at one n
+    (see :func:`run_shard`); deterministic in (spec, master_seed) regardless of workers."""
     ns = [cfg.n for cfg in spec.configs]
+    starts = (0,) if spec.variable == "rho" else range(len(ns))
+    # fits per key: UNKNOWN once, every other method once per grid point it serves
+    fits = len({(m, 0 if m is LabelMode.UNKNOWN else gi) for gi in _points(spec, 0) for m in spec.methods})
     tasks = []
-    for method, n in itertools.product(spec.methods, dict.fromkeys(ns)):
-        keys = [(gi, rep) for gi in range(len(ns)) if ns[gi] == n for rep in range(spec.reps)]
-        shards = min(len(keys), max(workers, -(-len(keys) * n // _BATCH_RECORDS)))
-        tasks += [(spec, master_seed, method, keys[len(keys) * k // shards:len(keys) * (k + 1) // shards])
+    for n in dict.fromkeys(ns[g] for g in starts):
+        keys = [(g, rep) for g in starts if ns[g] == n for rep in range(spec.reps)]
+        shards = min(len(keys), max(workers, -(-len(keys) * fits * n // _BATCH_RECORDS)))
+        tasks += [(spec, master_seed, keys[len(keys) * k // shards:len(keys) * (k + 1) // shards])
                   for k in range(shards)]
     processes = min(workers, len(tasks))
     if processes > 1:
@@ -394,8 +386,8 @@ def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> SweepResul
             shard_rows = pool.starmap(run_shard, tasks, chunksize=1)
     else:
         shard_rows = [run_shard(*task) for task in tasks]
-    position = [(gi * len(spec.methods) + spec.methods.index(method)) * spec.reps + rep
-                for *_, method, keys in tasks for gi, rep in keys]
+    position = [(gi * len(spec.methods) + m) * spec.reps + rep  # in run_shard's row order
+                for *_, keys in tasks for g, rep in keys for gi in _points(spec, g) for m in range(len(spec.methods))]
     rows = np.concatenate(shard_rows)[np.argsort(position)].view(np.recarray)
     return SweepResult(spec, master_seed, rows, aggregate_report(spec, rows))
 

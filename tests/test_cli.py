@@ -462,45 +462,45 @@ def sweep_config(tmp_path, out, *, grid=(0.0, 0.3), reps=2, n=60, methods=("unce
 
 
 _FAILED_FIT = {"model": {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]}, "scheme": {"n": 12, "censor_frac": 0.5},
-               "corruption": {"rho": 0.3}, "methods": "all", "reps": 4, "seed": 0, "fit": {"max_iters": 200},
+               "corruption": {"rho": 0.3}, "methods": "all", "reps": 4, "seed": 1275, "fit": {"max_iters": 200},
                "sweep": {"variable": "rho", "grid": [0.1, 0.3]}}
 _PINNED_SWEEPS = {
     "rho": ({"model": PAPER_MODEL, "scheme": {"n": 60, "censor_frac": 0.4}, "methods": "all", "reps": 3, "seed": 11,
              "sweep": {"variable": "rho", "grid": [0.0, 0.2, 0.4]}},
-            {"results.csv": "c0e5e7f3039c0f62c7a1b3a208c8a250ab7042fc5cce0ed78171f83baa8b8b32",
-             "summary.csv": "74826f72d0fd2484941e4b71db3255635252eabccc620e2727074a7cd658e608",
-             "figure_xi_1.csv": "4688553a6231af1004d4ee09ce09f0faabaa8e58db1b727bf36bcffd6d162df0",
-             "figure_xi_2.csv": "3752a6781e98ec575b5128f4e5fc8a31f26890d7b59e066f24abc2b58cbd92a0",
-             "figure_xi_3.csv": "a3268883df8b38c91d669c60731124a6b3af1da134eabdd61288adac04fd4940",
-             "figure_xi_1.svg": "fcb02ff696c670d48fd5c0d69cb67b1e29976bc33caa7546a0c7479571fc8ad4",
-             "figure_xi_2.svg": "5463cd7c47a41fd0e436dc013e13639a5b9bd3366e6f9d587fb5447e8309966f",
-             "figure_xi_3.svg": "6522d7a09098a8e7aa03f658ab785900a0984991f037a292b6f61951d52fad74"}),
+            {"results.csv": "511b4cd88e2bd70d18f21b1de5b76fae89a66fe7245e3d1fd1899873d0ca5c81",
+             "summary.csv": "fd762692eb593df93803fc155ede827671fbd1dd9ef4e7604b5b7c40cebbf797",
+             "figure_xi_1.csv": "44506a3886531a4b32ed0ab8b6ab4de171e2fe079561df6a6264e995b8efb342",
+             "figure_xi_2.csv": "b45102faf5ce88f20ad5e18ca79dce37c40d0fd1d080f5d46b7cf5c1a4928eb7",
+             "figure_xi_3.csv": "401b218aaa33c74b4be5e65cfc51fcfd194c2f52e9ccb36cef4933d14b42a9f8",
+             "figure_xi_1.svg": "6e77aedf25f481f4d28c0744b16c1c9bd7c8fa0d51108b04000b9cc27fd5b8df",
+             "figure_xi_2.svg": "ba96505c2bdd509fd72ce53102fcb7afcf0540a61df72eed58fb2577971d79a1",
+             "figure_xi_3.svg": "fdd7991d9fd792cde868148db62ce23bdd900a4dc9e4ffde6629942790a25d82"}),
     "n": ({"model": PAPER_MODEL, "scheme": {"n": 60, "censor_frac": 0.4}, "corruption": {"rho": 0.2}, "methods": "all",
            "reps": 2, "seed": 5, "sweep": {"variable": "n", "grid": [60, 90, 60]}},
-          {"results.csv": "b0b49421cb7d3a6480105149c97521360ce156e903cca7d9b5a8f4500401ac72",
-           "summary.csv": "baefbc96f6efbd70e86ba002a17d252b527c7e8f728c16e14ad1e59d0b02ac0b",
-           "figure_xi_1.csv": "3786bf0fac1499d93c593b23329eeb34fd0e0560a8444510084d995856370f0d",
-           "figure_xi_2.csv": "0cd70084435dab2e37740138a95e373f6e2d5d7aa818de8738a32e82f2c841b7",
-           "figure_xi_3.csv": "3cbdff2ab05376f48c8ea229b1ff3644376367f5a73c3f3bed55a6043dc89c37",
-           "figure_xi_1.svg": "d803f1c763fa0d92163e487e39e302098c7be911fe8643b687f67604d4ddc975",
-           "figure_xi_2.svg": "b3c1e0f8d8fd81dc5ba510d5e036be6c61e36fb1e2687d40d9bc235edc81f196",
-           "figure_xi_3.svg": "3f7c402444b49f384a4b016859cda9672a62d2214536600ea4d7e8e51799616d"}),
+          {"results.csv": "6e4a00dd9d1e6ed383d6d4bdf4ab5cc9f000e5cc2dbd57a5356f50a884dd57bb",
+           "summary.csv": "ce4c1f42ef51ac6baf96ac0c3b1d808badd583de627114490bf5745911f5d8ed",
+           "figure_xi_1.csv": "f02524f7148450a51b1244964794e2b82cacfe11e548cf73f8f4701d263b15c1",
+           "figure_xi_2.csv": "9274849f72828983e5a09408b54567de694a8bc396d41e99c2c9260fe2a3d402",
+           "figure_xi_3.csv": "521324b7c3d99818dc815c820c2f1321af69fb5c65488f2f2677e1eeff2138bc",
+           "figure_xi_1.svg": "fdca56f2f37da7dea76f7f7b0d47549b7d51495db791ddc605631efaff25ce89",
+           "figure_xi_2.svg": "0192becf0fc8ab9fe4cea8308fa5d41328dc462213b549fd3a45ea420da51f47",
+           "figure_xi_3.svg": "68db3975501a63f63add3e99c420afe4dff860f1d46992d2406138c3431de6fe"}),
     "failed-fit": (_FAILED_FIT,
-                   {"results.csv": "5ffbe4287e78384edc07038adf42480f1647529c496760ce621f2a2a684302e8",
-                    "summary.csv": "cd2d4b3c4d2e6dd943a2a3e288b2a591f8c73963d5ab30a6d4e47df1f1de7579",
-                    "figure_xi_1.csv": "ea60ecc3797f3016f223296fefe66a285bc06faa610f329bb942837d21c264a9",
-                    "figure_xi_2.csv": "c88e3cd07e50bc035e84fbf533d1958f821dedc5fb5a4d46815b395054ba598a",
-                    "figure_xi_1.svg": "2b8cc4a77f79084a64acc45b0ff69d90201298a5852bc38a468fcea8e67cb02a",
-                    "figure_xi_2.svg": "d1bce7bd02841515ffac03ab192e9a37cb6d1990bc0f54a669715e7e29f7b20e"}),
+                   {"results.csv": "9a643cab827aa43dd079fe156e4bbdbd2769f0c8daeb51e4380ebe8c9d97d0ba",
+                    "summary.csv": "8dfac140999fce24dc4e4fc9f95fd9238595c407f3c1ce38e06b2ecca44aa3fa",
+                    "figure_xi_1.csv": "0bd89f93c5e3e021e18a12ea599cd5d9434b488fa36a59398f8c25808187bb02",
+                    "figure_xi_2.csv": "214d7bdf82badc3bdd3e3668bac5dd3e93d9e0b1e296f2ec5a68cfe0c3d9e33c",
+                    "figure_xi_1.svg": "dfed8bac5943cf0140eb869d96afe04c91a65adc6328b904987fcd0c0091b444",
+                    "figure_xi_2.svg": "fb0bcdcfaa928e570747399fc08ab36593c592da90e716c9226c3184b7e9d991"}),
     # the (0.3, noisy) cell has 9 successes and 1 failure: a mean over all 10 slots, the failed one
-    # zero-filled, sums in another order and moves the cell's xi_2 mean in its last digit
+    # zero-filled, sums in another order and moves the cell's xi_1 and xi_2 means in their last digit
     "failed-fit-reps-10": (dict(_FAILED_FIT, reps=10),
-                           {"results.csv": "cce4d9100537f560b27b1d512141e3f090d19b76e6ec1abbc6368bd3c2b833d2",
-                            "summary.csv": "633b5a5385ae147f8ef8e28c39dc61f6510ae3b04ae074c3150ffabfd18c1597",
-                            "figure_xi_1.csv": "878b29bd513d8558498e57827f99c1867efa44df8643b10847a9169f1157576b",
-                            "figure_xi_2.csv": "1e0ceb9d18e4b38a4756ddc61756fe8e9ed92f74cfcadf949b9838db404bfbb5",
-                            "figure_xi_1.svg": "e535ef6afe04866ea1891cc31472c16334de92f4bbe31be9a13a6dfbecd904a0",
-                            "figure_xi_2.svg": "b49a176f579ad9844c30390ebf6eb5c8a5ae8ce19a67e9df331bad21c075dd80"}),
+                           {"results.csv": "d0f189ded0edc38cca46cfc915b89d4bccc0f6add5d4735a4cf243eca911bfff",
+                            "summary.csv": "684943bc3d8f799e4a2a45e00526499e7e685bccfb41f91a13e57f5ef08a2f7f",
+                            "figure_xi_1.csv": "da54d9db9b6cc6c26941f45411f5442bec1b32d304055c010fb336a5bf21d833",
+                            "figure_xi_2.csv": "bce5aa59eb2786289ef3bd2f9b3e84b5ccff7acec89f49e7c4fce29f79813920",
+                            "figure_xi_1.svg": "983d8d172ece616a57f16d6aab21d346c1e199950760fe6f4e62c19627439db3",
+                            "figure_xi_2.svg": "fd478b1bc480520f4118d3777e8f078c16813dd95f5498858b6b7699b65ffbb6"}),
 }
 
 
@@ -545,9 +545,8 @@ class TestSweepCommand:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("case", ["rho", "n", "failed-fit", "failed-fit-reps-10"])
     def test_sweep_outputs_are_pinned(self, tmp_path, case, workers):
-        # the hashes are those of the sweep that kept one object per fit; its results and summary
-        # also equal those of the per-(grid point, method) batches before it for the first three
-        # cases; 3 workers split the groups into uneven shards
+        # the hashes are those of the sweep that draws one experiment per replication and fits all its
+        # methods in one batch; 3 workers split the replications into uneven shards
         payload, hashes = _PINNED_SWEEPS[case]
         out = tmp_path / "run"
         cfg_file = write_config(tmp_path / "sweep.yaml", dict(payload, out=str(out)))
@@ -556,7 +555,24 @@ class TestSweepCommand:
         results = read_rows(out / "results.csv")
         failed = [(r["grid_value"], r["method"], r["rep"]) for r in results if r["failed"] == "true"]
         # the starved fit's row records the error, and every other fit of its batch runs on
-        assert failed == ([("0.3", "noisy", "1")] if case.startswith("failed-fit") else [])
+        assert failed == ([("0.3", "noisy", "2")] if case.startswith("failed-fit") else [])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("case, methods, kept, pinned", [
+        ("rho", "all", "rho,0.0,uncertain,", "7f47cb7f2e7bddacf5424c8c00ca22bd4f3520e126799a17a49b84d59e574ffd"),
+        ("n", ["uncertain"], "n,", "1c127b14b771663182fa99e2f0062770619ec16b662575ad374569569846544c")])
+    def test_uncertain_rows_keep_their_draws(self, tmp_path, workers, case, methods, kept, pinned):
+        # the UNCERTAIN rows of a rho sweep's first grid point, and of an UNCERTAIN-only n sweep, draw
+        # from the substreams they drew from when every method had its own: the hashes are of their
+        # lines, header first, as written before the experiment was shared
+        out = tmp_path / "run"
+        payload = dict(_PINNED_SWEEPS[case][0], methods=methods, out=str(out))
+        cfg_file = write_config(tmp_path / "sweep.yaml", payload)
+        assert main(["sweep", "--config", cfg_file, "--workers", str(workers)]) == EXIT_OK
+        header, *lines = (out / "results.csv").read_text().splitlines(keepends=True)
+        rows = [header, *(line for line in lines if line.startswith(kept))]
+        assert len(rows) == 1 + {"rho": 3, "n": 6}[case]
+        assert hashlib.sha256("".join(rows).encode()).hexdigest() == pinned
 
     def test_progressive_plan_rejected_before_any_fit(self, tmp_path, capsys):
         out = tmp_path / "progressive"

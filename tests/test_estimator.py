@@ -24,7 +24,7 @@ from evidem.estimator import (
     write_soft_labels_csv,
 )
 from evidem.rayleigh import MixtureParams, sample_labeled
-from evidem.simulation import CorruptionConfig, simulate_dataset
+from evidem.simulation import CorruptionConfig, corrupt_labels, draw_error_probs
 from helpers import (
     classical_censored_em,
     golden_section_max,
@@ -363,8 +363,10 @@ def labelled_problem(mode, p, plan):
     J = n // 4
     scheme = conventional_scheme(n, J) if plan == "conventional" else CensoringScheme(n, (3,) * J)
     truth = MixtureParams(np.full(p, 1.0 / p), XI_POOL[:p])
-    ds, z_star, q = simulate_dataset(truth, scheme, CorruptionConfig(0.3), np.random.default_rng(p))
-    pl = make_soft_labels(mode, p, n, z_star, q)
+    rng = np.random.default_rng(p)
+    ds = run_life_test(*sample_labeled(truth, n, rng), scheme, rng)
+    q = draw_error_probs(CorruptionConfig(0.3), n, rng)
+    pl = make_soft_labels(mode, p, n, corrupt_labels(ds.true_label, q, p, rng), q)
     return SoftLabeledDataset(ds, pl), MixtureParams(np.full(p, 1.0 / p), 0.3 * XI_POOL[:p])
 
 

@@ -73,3 +73,23 @@ def test_extreme_axes_are_drawn(lo, hi):
         assert svg.count("<circle") == 2
         # a mark per tick of both axes, whose y axis starts at 0 or below, and the frame
         assert svg.count('stroke="black"/>') == len(_ticks(*x)) + len(_ticks(min(y[0], 0.0), y[1])) + 1
+
+
+@pytest.mark.parametrize("x", [1e300, -1e300, 0.0])
+def test_one_point_axis_is_widened(x):
+    # a gap of 1 is below the float spacing of 1e300, so the axis grows with |x| instead
+    ticks = _ticks(x, x)
+    assert len(ticks) >= 2 and ticks == sorted(set(ticks)) and ticks[0] == x
+    for xs, y in [([x], [1.0]), ([1.0], [x])]:
+        svg = line_chart_svg(xs, [Series("a", y)])
+        assert "nan" not in svg and "inf" not in svg
+        assert svg.count("<circle") == 1
+
+
+def test_axis_ending_at_the_largest_float_is_drawn():
+    # the tick past the last one overflows to inf
+    top = sys.float_info.max
+    for x in ([top], [0.9 * top, top]):
+        assert all(math.isfinite(t) for t in _ticks(min(x), max(x)))
+        svg = line_chart_svg(x, [Series("a", [1.0] * len(x))])
+        assert "inf" not in svg and svg.count("<circle") == len(x)

@@ -12,7 +12,6 @@ from evidem.censoring import scheme_from_censor_frac
 from evidem.estimator import E2MConfig, LabelMode, make_soft_labels
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import (
-    METHOD_ORDER,
     CorruptionConfig,
     ExperimentConfig,
     SweepSpec,
@@ -24,7 +23,6 @@ from evidem.simulation import (
     row_dtype,
     run_shard,
     run_sweep,
-    substream,
     truth_offset_init,
 )
 
@@ -194,6 +192,20 @@ def serial_pool(monkeypatch):
     return started
 
 
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """Record the number of fits of each ``fit_batch`` call a sweep makes, in call order."""
+    sizes = []
+    fit_batch = simulation.fit_batch
+
+    def spy(datasets, inits, config):
+        sizes.append(len(datasets))
+        return fit_batch(datasets, inits, config)
+
+    monkeypatch.setattr(simulation, "fit_batch", spy)
+    return sizes
+
+
 def one_point(cfg):
     """A one-replication sweep whose only grid point is ``cfg`` itself."""
     return SweepSpec("rho", (cfg.rho,), 1, cfg)
@@ -202,27 +214,30 @@ def one_point(cfg):
 class TestReplication:
     def test_deterministic_under_substream(self):
         spec = one_point(small_config())
-        a = run_shard(spec, 99, LabelMode.UNCERTAIN, [(0, 0)])[0]
-        b = run_shard(spec, 99, LabelMode.UNCERTAIN, [(0, 0)])[0]
+        a = run_shard(spec, 99, [(0, 0)])[0]
+        b = run_shard(spec, 99, [(0, 0)])[0]
         assert not a.failed and not b.failed
         assert a.gll == b.gll
         assert np.array_equal(a.lambdas, b.lambdas)
         assert np.array_equal(a.xis, b.xis)
 
-    def test_zero_error_probability_equates_uncertain_and_noisy(self, monkeypatch):
-        spec = one_point(small_config(rho=0.0, sd=0.0))
-        a = run_shard(spec, 5, LabelMode.UNCERTAIN, [(0, 0)])[0]
-        # each method draws from its own substream; force the UNCERTAIN one
-        # to compare the methods on identical inputs
-        monkeypatch.setattr(simulation, "substream", lambda seed, gi, mi, rep: substream(seed, gi, 0, rep))
-        b = run_shard(spec, 5, LabelMode.NOISY, [(0, 0)])[0]
-        assert np.array_equal(a.xis, b.xis)
-        assert np.array_equal(a.lambdas, b.lambdas)
+    def test_zero_error_probability_equates_uncertain_and_noisy(self):
+        # both methods read one set of noisy labels per (grid point, rep), the true labels at rho = 0,
+        # whether it continues the experiment's generator (grid index 0) or has its own (index 2)
+        spec = SweepSpec("rho", (0.0, 0.3, 0.0), 2, small_config(), methods=(LabelMode.UNCERTAIN, LabelMode.NOISY))
+        rows = run_sweep(spec, master_seed=5).rows
+        uncertain = rows[(rows.grid_value == 0.0) & (rows.method == "uncertain")]
+        noisy = rows[(rows.grid_value == 0.0) & (rows.method == "noisy")]
+        assert len(uncertain) == 4 and not uncertain.failed.any()
+        for name in row_dtype(3).names:
+            if name != "method":
+                assert np.array_equal(uncertain[name], noisy[name]), name
 
     def test_finite_outputs(self):
         spec = one_point(small_config())
-        for method in LabelMode:
-            row = run_shard(spec, 17, method, [(0, 0)])[0]
+        rows = run_shard(spec, 17, [(0, 0)])
+        assert [row.method for row in rows] == [method.value for method in LabelMode]
+        for row in rows:
             assert not row.failed
             assert row.converged
             assert np.isfinite(row.gll)
@@ -231,7 +246,7 @@ class TestReplication:
     def test_clean_labels_recover_truth(self):
         # reference setup with exact labels: estimates land near the truth
         spec = one_point(small_config(n=500, rho=0.0, sd=0.0))
-        row = run_shard(spec, 8, LabelMode.UNCERTAIN, [(0, 0)])[0]
+        row = run_shard(spec, 8, [(0, 0)])[0]
         assert row.converged
         assert np.all(row.rabias_xis < 0.15)
 
@@ -239,27 +254,34 @@ class TestReplication:
 class TestCell:
     @pytest.mark.parametrize("method", list(LabelMode))
     def test_rows_equal_single_replications(self, method):
-        # one shard spans grid points and replications, as a rho sweep's group does
-        spec = SweepSpec("rho", (0.1, 0.3), 3, small_config(n=80))
-        keys = [(1, 2), (0, 0), (0, 1), (1, 0)]
-        shard = run_shard(spec, 3, method, keys)
-        assert [(row.grid_value, row.rep) for row in shard] == [(0.3, 2), (0.1, 0), (0.1, 1), (0.3, 0)]
-        for key, row in zip(keys, shard):
-            solo = run_shard(spec, 3, method, [key])[0]
-            assert (row.iterations, row.converged, row.failed, row.gll) == (
-                solo.iterations, solo.converged, solo.failed, solo.gll)
-            assert np.array_equal(row.xis, solo.xis) and np.array_equal(row.rabias_lambdas, solo.rabias_lambdas)
+        # one shard fits every method of its replications in one batch: a rho sweep's keys (0, rep) each
+        # serve every grid point, an n sweep's (grid index, rep) their own; a method's rows equal those
+        # of one replication at a time that fits that method alone
+        for spec, keys in [(SweepSpec("rho", (0.1, 0.3), 3, small_config(n=80)), [(0, 2), (0, 0), (0, 1)]),
+                           (SweepSpec("n", (80, 80), 3, small_config(n=80)), [(1, 2), (0, 0), (1, 0)])]:
+            shard = run_shard(spec, 3, keys)
+            points = {"rho": lambda g: (0, 1), "n": lambda g: (g,)}[spec.variable]
+            assert [(row.grid_value, row.method, row.rep) for row in shard] == [
+                (spec.grid[gi], m.value, rep) for g, rep in keys for gi in points(g) for m in LabelMode]
+            mine = shard[shard.method == method.value]
+            per_key = len(mine) // len(keys)
+            for k, key in enumerate(keys):
+                solo = run_shard(replace(spec, methods=(method,)), 3, [key])
+                for row, alone in zip(mine[k * per_key:(k + 1) * per_key], solo, strict=True):
+                    assert (row.grid_value, row.rep, row.iterations, row.converged, row.failed, row.gll) == (
+                        alone.grid_value, alone.rep, alone.iterations, alone.converged, alone.failed, alone.gll)
+                    assert np.array_equal(row.xis, alone.xis)
+                    assert np.array_equal(row.rabias_lambdas, alone.rabias_lambdas)
 
     def test_failed_fit_leaves_the_rest_of_its_shard(self):
-        # at seed 0 the NOISY fit of (0.3, rep 1) starves a component
+        # at seed 1275 the NOISY fit of (0.3, rep 2) starves a component, and its batch runs on
         truth = MixtureParams(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
         cfg = small_config(true_params=truth, n=12, censor_frac=0.5, rho=0.3, fit_config=E2MConfig(max_iters=200))
         spec = SweepSpec("rho", (0.1, 0.3), 4, cfg, methods=(LabelMode.NOISY,))
-        keys = [(gi, rep) for gi in range(2) for rep in range(4)]
-        shard = run_shard(spec, 0, LabelMode.NOISY, keys)
-        assert [(row.grid_value, row.rep) for row in shard if row.failed] == [(0.3, 1)]
+        shard = run_shard(spec, 1275, [(0, rep) for rep in range(4)])
+        assert [(row.grid_value, row.rep) for row in shard if row.failed] == [(0.3, 2)]
         assert shard[5].error.startswith("ComponentStarvedError: ") and np.isnan(shard[5].lambdas).all()
-        assert shard[5].error == run_shard(spec, 0, LabelMode.NOISY, [(1, 1)])[0].error
+        assert shard[5].error == run_shard(spec, 1275, [(0, 2)])[1].error
         assert all(row.converged and np.isfinite(row.gll) for row in shard if not row.failed)
 
     def test_report_needs_rows_in_sweep_order(self):
@@ -297,6 +319,34 @@ class TestSweep:
             assert a.gll == b.gll
             assert np.array_equal(a.xis, b.xis)
 
+    def test_unknown_fitted_once_per_replication(self, batch_sizes):
+        # UNKNOWN reads no corruption: one fit per replication of a rho sweep, its row repeated at every grid point
+        spec = SweepSpec("rho", (0.0, 0.2, 0.4), 2, small_config(n=80))
+        rows = run_sweep(spec, master_seed=7).rows
+        assert batch_sizes == [2 * (3 * 2 + 1)]
+        unknown = rows[rows.method == "unknown"]
+        assert unknown.grid_value.tolist() == [0.0, 0.0, 0.2, 0.2, 0.4, 0.4]
+        for rep in range(2):
+            first, *others = unknown[unknown.rep == rep]
+            for other in others:
+                for name in row_dtype(3).names:
+                    if name != "grid_value":
+                        assert np.array_equal(other[name], first[name]), name
+
+    @pytest.mark.parametrize("workers, records, batches", [(1, 2**15, [15]), (2, 2**15, [5, 10]),
+                                                           (1, 600, [5, 5, 5])])
+    def test_one_batch_per_shard_of_replications(self, monkeypatch, serial_pool, batch_sizes, workers, records,
+                                                 batches):
+        # a rho sweep's shard holds whole replications: 2 grid points x 2 corrupted methods + 1 UNKNOWN fit
+        # each, 600 records at n = 120
+        monkeypatch.setattr(simulation, "_BATCH_RECORDS", records)
+        spec = SweepSpec("rho", (0.1, 0.3), 3, small_config())
+        rows = run_sweep(spec, master_seed=2, workers=workers).rows
+        assert batch_sizes == batches
+        assert serial_pool == ([workers] if workers > 1 else [])
+        assert [(row.grid_value, row.method, row.rep) for row in rows] == [
+            (gv, m.value, rep) for gv in (0.1, 0.3) for m in LabelMode for rep in range(3)]
+
     def test_sweep_determinism(self):
         cfg = small_config(n=60)
         spec = SweepSpec("n", (60, 90), 2, cfg, methods=(LabelMode.UNCERTAIN,))
@@ -308,28 +358,21 @@ class TestSweep:
 
     @pytest.mark.parametrize("workers, records, batches", [(1, 2**15, [4, 2]), (3, 2**15, [1, 1, 2, 1, 1]),
                                                            (1, 100, [1, 1, 2, 1, 1])])
-    def test_one_batch_per_shard_of_each_sample_size(self, monkeypatch, serial_pool, workers, records, batches):
-        sizes = []
-        fit_batch = simulation.fit_batch
-
-        def spy(datasets, inits, config):
-            sizes.append(len(datasets))
-            return fit_batch(datasets, inits, config)
-
-        monkeypatch.setattr(simulation, "fit_batch", spy)
+    def test_one_batch_per_shard_of_each_sample_size(self, monkeypatch, serial_pool, batch_sizes, workers, records,
+                                                      batches):
         monkeypatch.setattr(simulation, "_BATCH_RECORDS", records)
         spec = SweepSpec("n", (60, 90, 60), 2, small_config(), methods=(LabelMode.UNCERTAIN,))
         rows = run_sweep(spec, master_seed=2, workers=workers).rows
         # the two n = 60 points share their batches, split into 3 uneven shards on 3 workers
         # or when 2 of their 4 replications would exceed the records of a batch
-        assert sizes == batches
+        assert batch_sizes == batches
         assert serial_pool == ([workers] if workers > 1 else [])
         assert [(row.grid_value, row.rep) for row in rows] == [(60, 0), (60, 1), (90, 0), (90, 1), (60, 0), (60, 1)]
 
     @pytest.mark.parametrize("methods, started", [((LabelMode.UNCERTAIN,), []),
-                                                  ((LabelMode.UNCERTAIN, LabelMode.NOISY), [2])])
+                                                  ((LabelMode.UNCERTAIN, LabelMode.NOISY), [])])
     def test_starts_no_worker_without_a_task(self, serial_pool, methods, started):
-        # one grid point at reps 1 is one task per method, however many workers are asked for
+        # one grid point at reps 1 is one task, however many methods and workers are asked for
         spec = SweepSpec("rho", (0.1,), 1, small_config(n=40), methods=methods)
         run_sweep(spec, master_seed=3, workers=16)
         assert serial_pool == started
@@ -354,7 +397,7 @@ class TestSweep:
         cfg = small_config(n=40)
         spec = SweepSpec("rho", (0.2,), 4, cfg, methods=(LabelMode.UNCERTAIN,))
         rows = failed_rows(0.2, range(3), "ComponentStarvedError: x")
-        ok = run_shard(spec, 1, LabelMode.UNCERTAIN, [(0, 3)])
+        ok = run_shard(spec, 1, [(0, 3)])
         report = aggregate_report(spec, np.concatenate([rows, ok]).view(np.recarray))
         cell = report.cell(LabelMode.UNCERTAIN, 0.2, "xi_1")
         assert cell.n_failed == 3
