@@ -20,10 +20,7 @@ from .estimator import (
     EstimationError,
     LabelMode,
     SoftLabeledDataset,
-    e_step,
     fit,
-    generalized_loglik,
-    m_step,
     make_soft_labels,
 )
 from .rayleigh import MixtureParams, sample_labeled
@@ -55,9 +52,6 @@ __all__ = [
     "EstimationError",
     "ComponentStarvedError",
     "DegenerateLikelihoodError",
-    "generalized_loglik",
-    "e_step",
-    "m_step",
     "fit",
     "make_soft_labels",
     "CorruptionConfig",

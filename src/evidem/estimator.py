@@ -23,9 +23,12 @@ indicators.  An iteration is then one stacked log-weight product, one shifted
 M-step product, on raw arrays.  A fit leaves the batch when it converges,
 reaches the iteration cap or fails, and its failure is its own error: the
 other fits go on.  Every stacked operation works one dataset's slice at a
-time, so a fit takes the same iterates in any batch; ``fit`` is the batch of
-one.  ``MixtureParams`` are validated only at the start, the result and the
-trace.
+time, so a fit takes the same iterates in any batch.  The outcome is one
+:func:`fit_dtype` record per fit (final estimate, log-likelihood, completed
+updates, convergence, error), returned with the iterates of every step;
+``fit`` is the batch of one, which stacks its steps into an
+:class:`E2MTrace`.  ``MixtureParams`` are validated only at the start and
+for each finished fit's estimate.
 
 ``read_soft_labels_csv`` parses ``labels.csv`` with the same one-call
 ``loadtxt`` reader as ``data.csv``: an integer id and p plausibilities a row.
@@ -51,10 +54,8 @@ __all__ = [
     "SoftLabeledDataset",
     "E2MConfig",
     "E2MTrace",
-    "generalized_loglik",
-    "e_step",
-    "m_step",
     "fit",
+    "fit_dtype",
     "fit_batch",
     "make_soft_labels",
     "quantile_spread_init",
@@ -79,9 +80,10 @@ class ComponentStarvedError(EstimationError):
 class DegenerateLikelihoodError(EstimationError):
     """A record is impossible under every component it finds plausible.
 
-    When :func:`fit` raises it (or :func:`fit_batch` returns it) after the
-    first update, ``trace`` holds the iterations completed so far; otherwise
-    it is None.
+    When :func:`fit` raises it after the first update, ``trace`` holds the
+    iterations completed so far; otherwise it is None.  As the ``error`` of a
+    :func:`fit_batch` record its ``trace`` is None, and the record's
+    ``iterations`` counts them.
     """
 
     trace: "E2MTrace | None" = None
@@ -153,10 +155,6 @@ class E2MTrace:
     def iterations_used(self) -> int:
         return len(self.gll_values) - 1
 
-    @property
-    def iterates(self) -> list[tuple[MixtureParams, float]]:
-        return [(MixtureParams(lam, xi), float(g)) for lam, xi, g in zip(self.lambdas, self.xis, self.gll_values)]
-
 
 class _Kernel:
     """The E2M constants of B datasets of equal size n and width p, stacked on a
@@ -210,7 +208,14 @@ class _Kernel:
         return total.sum(axis=1), w, failed
 
     def m_step(self, W: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """:func:`m_step` on the (B, p, n) posteriors, returning raw (B, p) lambdas and xis."""
+        """The closed-form M-step on the (B, p, n) posteriors W, returning raw (B, p) lambdas and xis:
+
+            lambda_z = mean_j W_jz
+            xi_z^2   = 2 sum_j W_jz / [ sum_obs W_jz y*^2 + sum_cens W_jz (y*^2 + 2 / xi_z(k)^2) ]
+
+        The censored term is the exact truncated second moment under the
+        current ``xis``, never a numerical integral.
+        """
         weight, moment, cens = np.matmul(W, self.features[:, 1:].transpose(0, 2, 1)).transpose(2, 0, 1)
         starved = weight < STARVATION_FRAC * W.shape[2]
         denom = moment + cens * 2.0 / xis**2
@@ -230,71 +235,33 @@ class _Kernel:
         return weight / weight.sum(axis=1, keepdims=True), np.sqrt(twice / denom), failed
 
 
-def _one_kernel(ds: SoftLabeledDataset, params: MixtureParams) -> _Kernel:
-    if params.n_components != ds.n_components:
-        raise ValueError("parameter and label dimensions disagree")
-    return _Kernel([ds])
+def fit_dtype(p: int) -> np.dtype:
+    """The fields of :func:`fit_batch`'s table, one record per fit of a p-component model.
 
-
-def _loglik_and_posterior(ds: SoftLabeledDataset, params: MixtureParams) -> tuple[float, np.ndarray]:
-    gll, W, failed = _one_kernel(ds, params).loglik_and_posterior(params.lambdas[None], params.xis[None])
-    if failed:
-        raise failed[0]
-    return float(gll[0]), W[0]
-
-
-def generalized_loglik(ds: SoftLabeledDataset, params: MixtureParams) -> float:
-    """Generalized observed-data log-likelihood of ``params``.
-
-    Raises :class:`DegenerateLikelihoodError` naming the offending records
-    when some record is impossible under every component its soft label
-    allows.
+    ``iterations`` counts the completed updates, also for a failed fit, whose
+    estimate and ``gll`` are NaN; ``error`` is its :class:`EstimationError`,
+    or None.
     """
-    return _loglik_and_posterior(ds, params)[0]
-
-
-def e_step(ds: SoftLabeledDataset, params: MixtureParams) -> np.ndarray:
-    """Posterior component weights, one row per record, rows summing to 1.
-
-    Each row is the combination of the model-based posterior (density-based
-    for observed records, survival-based for censored ones) with the
-    record's soft label, i.e. proportional to lambda * (f or S) * pl.
-    """
-    return _loglik_and_posterior(ds, params)[1].T
-
-
-def m_step(ds: SoftLabeledDataset, W: np.ndarray, params_k: MixtureParams) -> MixtureParams:
-    """Closed-form maximizer of the expected complete-data log-likelihood.
-
-    lambda_z   = mean_j W_jz
-    xi_z^2     = 2 sum_j W_jz / [ sum_obs W_jz y*^2
-                                  + sum_cens W_jz (y*^2 + 2 / xi_z(k)^2) ]
-
-    The censored term is the exact truncated second moment under the
-    current parameters, never a numerical integral.
-    """
-    W = np.asarray(W, dtype=float)
-    if W.shape != (ds.data.n, ds.n_components):
-        raise ValueError("posterior matrix shape does not match the dataset")
-    lambdas, xis, failed = _one_kernel(ds, params_k).m_step(W.T[None], params_k.xis[None])
-    if failed:
-        raise failed[0]
-    return MixtureParams(lambdas[0], xis[0])
+    return np.dtype([("lambdas", float, (p,)), ("xis", float, (p,)), ("iterations", int), ("converged", bool),
+                     ("gll", float), ("error", object)])
 
 
 def fit_batch(
     datasets: Sequence[SoftLabeledDataset],
     inits: Sequence[MixtureParams],
     config: E2MConfig = E2MConfig(),
-) -> list[tuple[MixtureParams, E2MTrace] | EstimationError]:
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
     """Fit each dataset from its own start, all in one batch.
 
     The datasets must share their number of records and of components.  Every
     iteration updates all fits still in the batch with one stacked E-step and
     one stacked M-step; a fit leaves the batch when it converges, reaches
-    ``config.max_iters`` or fails, and the others go on.  Entry ``b`` of the
-    result is what ``fit(datasets[b], inits[b], config)`` returns, or the
-    :class:`EstimationError` it raises, with the same iterates.
+    ``config.max_iters`` or fails, and the others go on.  Returns the
+    :func:`fit_dtype` table, whose record ``b`` is the outcome of fitting
+    ``datasets[b]`` from ``inits[b]`` alone, and the steps: per E-step, the
+    datasets of the rows still in the batch and their (rows, p) lambdas and
+    xis and (rows,) log-likelihoods.  Step 0 is the start; a failed fit's last
+    step holds placeholder values.
     """
     if len(datasets) != len(inits) or not datasets:
         raise ValueError("a batch needs one start per dataset and at least one dataset")
@@ -307,38 +274,29 @@ def fit_batch(
     kernel = _Kernel(datasets)
     lambdas = np.stack([init.lambdas for init in inits])
     xis = np.stack([init.xis for init in inits])
-    results: list = [None] * len(datasets)
+    table = np.zeros(len(datasets), fit_dtype(p))
+    table["lambdas"], table["xis"], table["gll"], table["error"] = np.nan, np.nan, np.nan, None
     rows = np.arange(len(datasets))  # the dataset of each batch row
-    steps = []  # iterates since the rows last changed
-    segments = []  # (rows, lambdas, xis, gll), each stacked over the iterates between two row changes
-
-    def history(b: int) -> list[np.ndarray]:
-        parts = [[a[:, np.searchsorted(seg_rows, b)] for a in arrays] for seg_rows, *arrays in segments]
-        return [np.concatenate(a) for a in zip(*parts)]
-
+    steps = []
     it = 0
     gll, W, failed = kernel.loglik_and_posterior(lambdas, xis)
     converged = [False] * len(rows)
     while True:
-        steps.append((lambdas, xis, gll))
+        steps.append((rows, lambdas, xis, gll))
         if failed or it == config.max_iters or any(converged):
             leaving = np.array(converged) | (it == config.max_iters)
             leaving[list(failed)] = True
-            segments.append((rows, *map(np.stack, zip(*steps))))
-            steps = []
             for k in np.flatnonzero(leaving).tolist():
-                b = int(rows[k])
                 if k in failed:
-                    results[b] = exc = failed[k]
-                    if it and isinstance(exc, DegenerateLikelihoodError):
-                        # the iterations completed before the failing one
-                        exc.trace = E2MTrace(*(a[:-1] for a in history(b)), False)
+                    # the updates completed before the failing one
+                    table["iterations"][rows[k]], table["error"][rows[k]] = max(it - 1, 0), failed[k]
                 else:
-                    results[b] = (MixtureParams(lambdas[k], xis[k]), E2MTrace(*history(b), bool(converged[k])))
+                    MixtureParams(lambdas[k], xis[k])  # checks the estimate
+                    table[rows[k]] = lambdas[k], xis[k], it, converged[k], gll[k], None
             keep = ~leaving
             rows, lambdas, xis, gll, W = rows[keep], lambdas[keep], xis[keep], gll[keep], W[keep]
             if not rows.size:
-                return results
+                return table, steps
             kernel.keep(keep)
         it += 1
         lambdas, xis, starved = kernel.m_step(W, xis)
@@ -364,10 +322,14 @@ def fit(
     :class:`ComponentStarvedError` if the M-step cannot update a
     component.  This is the one-dataset call of :func:`fit_batch`.
     """
-    (result,) = fit_batch([ds], [init], config)
-    if isinstance(result, EstimationError):
-        raise result
-    return result
+    (result,), steps = fit_batch([ds], [init], config)
+    _, lambdas, xis, gll = (np.concatenate(a) for a in zip(*steps))
+    exc = result["error"]
+    if exc is None:
+        return MixtureParams(result["lambdas"], result["xis"]), E2MTrace(lambdas, xis, gll, bool(result["converged"]))
+    if isinstance(exc, DegenerateLikelihoodError) and len(steps) > 1:
+        exc.trace = E2MTrace(lambdas[:-1], xis[:-1], gll[:-1], False)
+    raise exc
 
 
 def make_soft_labels(

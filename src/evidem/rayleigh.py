@@ -53,11 +53,6 @@ class MixtureParams:
     def n_components(self) -> int:
         return int(self.lambdas.size)
 
-    def permuted(self, order) -> "MixtureParams":
-        """Components reordered so that new component z is old component order[z]."""
-        idx = np.asarray(order, dtype=int)
-        return MixtureParams(self.lambdas[idx], self.xis[idx])
-
 
 def sample_labeled(params: MixtureParams, n: int, rng: np.random.Generator):
     """Draw ``n`` labelled lifetimes from the mixture.

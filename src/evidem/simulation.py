@@ -34,15 +34,8 @@ import numpy as np
 
 from .censoring import (MAX_UNITS, CensoredDataset, CensoringScheme, _shown, run_life_test, scheme_from_censor_frac,
                         write_table)
-from .estimator import (
-    E2MConfig,
-    EstimationError,
-    LabelMode,
-    SoftLabeledDataset,
-    fit_batch,
-    make_soft_labels,
-    quantile_spread_init,
-)
+from .estimator import (E2MConfig, LabelMode, SoftLabeledDataset, fit_batch, fit_dtype, make_soft_labels,
+                        quantile_spread_init)
 from .rayleigh import MixtureParams, sample_labeled
 
 __all__ = [
@@ -154,20 +147,22 @@ def rabias(estimate: float | np.ndarray, truth: float | np.ndarray) -> float | n
     return np.abs((np.asarray(estimate, dtype=float) - truth) / truth)
 
 
-def align_to_truth(estimate: MixtureParams, truth: MixtureParams) -> MixtureParams:
-    """Resolve label switching: permute estimated components to minimize
-    the total relative xi bias against the truth (exhaustive for small p)."""
+def align_to_truth(lambdas: np.ndarray, xis: np.ndarray, truth: MixtureParams) -> tuple[np.ndarray, np.ndarray]:
+    """Resolve label switching: reorder the components of each row of the (B, p)
+    estimates by the first order, in ``itertools.permutations`` order, of least
+    total relative xi bias against the truth (exhaustive for small p).  A row
+    holding NaN keeps its order."""
     p = truth.n_components
-    if estimate.n_components != p:
+    if xis.shape[1] != p:
         raise ValueError("estimate and truth must have the same number of components")
     if p > MAX_ALIGN_COMPONENTS:
         raise ValueError(f"exhaustive alignment is only supported for p <= {MAX_ALIGN_COMPONENTS}")
-    best, best_cost = None, np.inf
+    order, least = np.tile(np.arange(p), (len(xis), 1)), np.full(len(xis), np.inf)
     for perm in itertools.permutations(range(p)):
-        cost = float(np.abs((estimate.xis[list(perm)] - truth.xis) / truth.xis).sum())
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    return estimate.permuted(list(best))
+        cost = np.abs((xis[:, list(perm)] - truth.xis) / truth.xis).sum(axis=1)
+        better = cost < least
+        order[better], least[better] = perm, cost[better]
+    return np.take_along_axis(lambdas, order, axis=1), np.take_along_axis(xis, order, axis=1)
 
 
 def truth_offset_init(truth: MixtureParams) -> MixtureParams:
@@ -224,8 +219,8 @@ class SweepSpec:
     """Grid driver: vary ``rho`` or ``n`` over ``grid``, ``reps`` runs per cell.
 
     Construction builds, and so checks, the experiment at every grid value,
-    ``configs[k]`` at ``grid[k]``, so a spec that builds is one
-    :func:`run_sweep` can run.
+    ``configs[k]`` at ``grid[k]``, and bounds the records the sweep fits by
+    ``MAX_UNITS``, so a spec that builds is one :func:`run_sweep` can run.
     """
 
     variable: str
@@ -257,22 +252,28 @@ class SweepSpec:
                 raise ValueError(f"'sweep.grid' values of a sweep over {self.variable} must each give a "
                                  f"valid experiment; {g!r} does not: {exc}") from None
         object.__setattr__(self, "configs", tuple(configs))
-        units = self.reps * len(self.methods) * sum(cfg.n for cfg in configs)
-        if units > MAX_UNITS:
-            raise ValueError(f"a sweep may draw at most {MAX_UNITS} units in all (reps x methods x the grid's "
-                             f"total n); this one draws {_shown(units)}")
+        records = self.reps * self.fits * (self.base.n if self.variable == "rho" else sum(cfg.n for cfg in configs))
+        if records > MAX_UNITS:
+            raise ValueError(f"a sweep may fit at most {MAX_UNITS} records in all (reps x fits per replication x n, "
+                             f"summed over an n sweep's grid); this one fits {_shown(records)}")
+
+    @property
+    def fits(self) -> int:
+        """Fits per replication: UNKNOWN once, every other method once per grid point it is fitted at."""
+        return len({(m, 0 if m is LabelMode.UNKNOWN else gi) for gi in _points(self, 0) for m in self.methods})
 
 
 def row_dtype(p: int) -> np.dtype:
     """The fields of a sweep's rows, one record per (grid point, method, rep) of a p-component model.
 
-    A failed fit holds NaN floats and its error message.  ``method`` (the
-    label mode's name) and ``error`` are objects, as a message has no length bound.
+    The fit's fields are those of ``estimator.fit_dtype``, its ``error`` given
+    as a message.  A failed fit holds NaN floats and its error message.
+    ``method`` (the label mode's name) and ``error`` are objects, as a message
+    has no length bound.
     """
-    return np.dtype([("grid_value", float), ("method", object), ("rep", int),
-                     ("lambdas", float, (p,)), ("xis", float, (p,)), ("iterations", int), ("converged", bool),
-                     ("gll", float), ("rabias_lambdas", float, (p,)), ("rabias_xis", float, (p,)),
-                     ("failed", bool), ("error", object)])
+    *fitted, error = fit_dtype(p).descr
+    return np.dtype([("grid_value", float), ("method", object), ("rep", int), *fitted,
+                     ("rabias_lambdas", float, (p,)), ("rabias_xis", float, (p,)), ("failed", bool), error])
 
 
 def _points(spec: SweepSpec, g: int) -> Sequence[int]:
@@ -308,16 +309,12 @@ def run_shard(spec: SweepSpec, master_seed: int, keys: Sequence[tuple[int, int]]
                     inits.append(init)
                 fit_of.append(fits[slot])
                 keyed.append((spec.grid[gi], method.value, rep))
+    table, _ = fit_batch(datasets, inits, spec.base.fit_config)
     fitted = np.zeros(len(datasets), row_dtype(p)).view(np.recarray)
-    fitted.error, fitted.lambdas, fitted.xis, fitted.gll = "", np.nan, np.nan, np.nan
-    for k, outcome in enumerate(fit_batch(datasets, inits, spec.base.fit_config)):
-        if isinstance(outcome, EstimationError):
-            fitted.failed[k], fitted.error[k] = True, f"{type(outcome).__name__}: {outcome}"
-            continue
-        est, trace = outcome
-        est = align_to_truth(est, truth)
-        fitted.lambdas[k], fitted.xis[k], fitted.gll[k] = est.lambdas, est.xis, trace.gll_values[-1]
-        fitted.iterations[k], fitted.converged[k] = trace.iterations_used, trace.converged
+    fitted.lambdas, fitted.xis = align_to_truth(table["lambdas"], table["xis"], truth)
+    fitted.iterations, fitted.converged, fitted.gll = table["iterations"], table["converged"], table["gll"]
+    fitted.error = ["" if exc is None else f"{type(exc).__name__}: {exc}" for exc in table["error"]]
+    fitted.failed = fitted.error != ""
     fitted.rabias_lambdas = rabias(fitted.lambdas, truth.lambdas)
     fitted.rabias_xis = rabias(fitted.xis, truth.xis)
     rows = fitted[fit_of]
@@ -372,12 +369,10 @@ def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> SweepResul
     (see :func:`run_shard`); deterministic in (spec, master_seed) regardless of workers."""
     ns = [cfg.n for cfg in spec.configs]
     starts = (0,) if spec.variable == "rho" else range(len(ns))
-    # fits per key: UNKNOWN once, every other method once per grid point it serves
-    fits = len({(m, 0 if m is LabelMode.UNKNOWN else gi) for gi in _points(spec, 0) for m in spec.methods})
     tasks = []
     for n in dict.fromkeys(ns[g] for g in starts):
         keys = [(g, rep) for g in starts if ns[g] == n for rep in range(spec.reps)]
-        shards = min(len(keys), max(workers, -(-len(keys) * fits * n // _BATCH_RECORDS)))
+        shards = min(len(keys), max(workers, -(-len(keys) * spec.fits * n // _BATCH_RECORDS)))
         tasks += [(spec, master_seed, keys[len(keys) * k // shards:len(keys) * (k + 1) // shards])
                   for k in range(shards)]
     processes = min(workers, len(tasks))

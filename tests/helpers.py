@@ -1,14 +1,20 @@
 """Independent oracles shared by the test modules.
 
-Everything here is deliberately written against the formulas only, with
-scalar loops, math.fsum, and generic search routines, so that agreement
-with the library is a genuine cross-check rather than a tautology.
+Everything here but the last section is deliberately written against the
+formulas only, with scalar loops, math.fsum, and generic search routines, so
+that agreement with the library is a genuine cross-check rather than a
+tautology.  The last section exposes the library's own batched kernel one
+dataset and one step at a time, for the tests that check single steps.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from evidem import estimator
+from evidem.estimator import E2MConfig, E2MTrace
+from evidem.rayleigh import MixtureParams
 from oracles import log_pdf, log_survival, truncated_second_moment
 
 
@@ -151,7 +157,7 @@ def random_soft_instance(rng, n_lo=20, n_hi=200, p_choices=(2, 3), censor_fracs=
     """Random censored dataset with random soft labels, plus an initial point."""
     from evidem.censoring import run_life_test, scheme_from_censor_frac
     from evidem.estimator import SoftLabeledDataset
-    from evidem.rayleigh import MixtureParams, sample_labeled
+    from evidem.rayleigh import sample_labeled
 
     n = int(rng.integers(n_lo, n_hi + 1))
     p = int(rng.choice(p_choices))
@@ -166,3 +172,56 @@ def random_soft_instance(rng, n_lo=20, n_hi=200, p_choices=(2, 3), censor_fracs=
     soft = SoftLabeledDataset(ds, pl)
     init = MixtureParams(rng.dirichlet(np.full(p, 8.0)), rng.uniform(0.6, 2.5, size=p))
     return soft, truth, init
+
+
+def _loglik_and_posterior(ds, params):
+    gll, W, failed = estimator._Kernel([ds]).loglik_and_posterior(params.lambdas[None], params.xis[None])
+    if failed:
+        raise failed[0]
+    return float(gll[0]), W[0]
+
+
+def generalized_loglik(ds, params):
+    """The kernel's generalized observed-data log-likelihood of ``params``.
+
+    Raises ``DegenerateLikelihoodError`` naming the offending records when
+    some record is impossible under every component its soft label allows.
+    """
+    return _loglik_and_posterior(ds, params)[0]
+
+
+def e_step(ds, params):
+    """The kernel's posterior component weights, one row per record, each
+    proportional to lambda * (f or S) * pl."""
+    return _loglik_and_posterior(ds, params)[1].T
+
+
+def m_step(ds, W, params_k):
+    """The kernel's closed-form M-step on the (n, p) posterior ``W``;
+    raises ``ComponentStarvedError`` where it cannot update a component."""
+    lambdas, xis, failed = estimator._Kernel([ds]).m_step(np.asarray(W, dtype=float).T[None], params_k.xis[None])
+    if failed:
+        raise failed[0]
+    return MixtureParams(lambdas[0], xis[0])
+
+
+@dataclass(eq=False)
+class IteratedTrace(E2MTrace):
+    """An ``E2MTrace`` that also lists its iterates."""
+
+    @property
+    def iterates(self):
+        """(MixtureParams, generalized log-likelihood) per iterate; entry 0 is the start."""
+        return [(MixtureParams(lam, xi), float(g)) for lam, xi, g in zip(self.lambdas, self.xis, self.gll_values)]
+
+
+def fit(ds, init, config=E2MConfig()):
+    """``estimator.fit``, its trace an :class:`IteratedTrace`."""
+    est, trace = estimator.fit(ds, init, config)
+    return est, IteratedTrace(trace.lambdas, trace.xis, trace.gll_values, trace.converged)
+
+
+def history(steps, b):
+    """The (lambdas, xis, gll) iterates of fit ``b`` among the steps ``fit_batch`` returns."""
+    picks = [(lam[k], xi[k], g[k]) for rows, lam, xi, g in steps for k in np.flatnonzero(rows == b)]
+    return [np.array(a) for a in zip(*picks)]

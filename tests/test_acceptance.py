@@ -24,16 +24,16 @@ from evidem.estimator import (
     E2MConfig,
     LabelMode,
     SoftLabeledDataset,
-    e_step,
-    fit,
-    m_step,
     make_soft_labels,
 )
 from evidem.rayleigh import MixtureParams, sample_labeled
 from evidem.simulation import ExperimentConfig, SweepSpec, run_sweep
 from helpers import (
     classical_censored_em,
+    e_step,
+    fit,
     golden_section_max,
+    m_step,
     max_weighted_log_simplex,
     random_soft_instance,
 )

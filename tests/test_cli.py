@@ -12,7 +12,7 @@ from numpy.testing import assert_allclose
 
 from evidem import simulation
 from evidem.censoring import conventional_scheme, read_dataset_csv
-from evidem.cli import EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main
+from evidem.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_NOT_CONVERGED, EXIT_OK, main
 from evidem.config import ConfigError, RunConfig, parse_config
 from evidem.estimator import E2MConfig, SoftLabeledDataset, fit, read_soft_labels_csv, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams
@@ -444,6 +444,37 @@ class TestFitCommand:
         )
         assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("case, flags, code, pinned", [
+        ("converged", [], EXIT_OK,
+         {"estimate.csv": "9cebe7058e3e038e799cd0dcb78fd14a4bd077c8ff0aaca27e9343bb9d1d4268",
+          "trace.csv": "b5c5ec2f8669297deaaae5ce77f4015493fba05af5fae15deeb9b639b551323c",
+          "manifest.json": "f634122fd49f5bc1ff6c94da712a25eea048c3025773903929a25762622dce8f"}),
+        ("capped", ["--max-iters", "1"], EXIT_NOT_CONVERGED,
+         {"estimate.csv": "19de09093ba508fb4ecedb608f6c54270452604be01701a8ebe3232456624720",
+          "trace.csv": "ee70006d37a9b9b5175b370be291ce369dc7557377840aa267c95f194d5eabc6",
+          "manifest.json": "364d6dd955b03d8a9b06d07fd4aa9cbb6eb0cce95884403c09ea8c734a58e339"}),
+        ("degenerate", [], EXIT_DEGENERATE,
+         {"manifest.json": "792c8d9fb453aca5e32fae6f9f196798d2817ca8d37ac48ada9e877c02aa505e"}),
+    ])
+    def test_fit_outputs_are_pinned(self, tmp_path, monkeypatch, case, flags, code, pinned):
+        # the hashes are those of the fit that assembled its trace from per-fit history segments;
+        # relative paths keep the manifest free of the temporary directory
+        monkeypatch.chdir(tmp_path)
+        model = {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]}
+        gen = write_config(tmp_path / "gen.yaml", {"model": model, "scheme": {"n": 40, "censor_frac": 0.5},
+                                                   "seed": 123, "out": "gen"})
+        assert main(["generate", "--config", gen]) == EXIT_OK
+        if case == "degenerate":
+            # the first record is plausible only under the second component, which has no weight
+            model = dict(model, lambdas=[1.0, 0.0])
+            header, first, *rest = Path("gen/labels.csv").read_text().splitlines(keepends=True)
+            Path("gen/labels.csv").write_text("".join([header, first.split(",")[0] + ",0.0,1.0\n", *rest]))
+        cfg_file = write_config(tmp_path / "fit.yaml", {"data": "gen/data.csv", "labels": "gen/labels.csv",
+                                                        "model": model, "fit": {"init": "model"}, "out": "fit"})
+        assert main(["fit", "--config", cfg_file, *flags]) == code
+        written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in Path("fit").iterdir()}
+        assert written == pinned
+
 
 def sweep_config(tmp_path, out, *, grid=(0.0, 0.3), reps=2, n=60, methods=("uncertain", "noisy"), seed=77):
     return write_config(
@@ -654,13 +685,14 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("reps, shown", [("416667", "<9 digits>"), ("10000000000", "<13 digits>")])
     def test_more_sweep_units_than_the_maximum_rejected_before_any_directory(self, tmp_path, capsys, reps, shown):
-        # two methods at two grid points of n = 60 draw 240 units a rep: 416 666 reps are 99 999 840 units
+        # two methods at two grid points of n = 60 fit 240 records a rep: 416 666 reps are 99 999 840 records
         out = tmp_path / "huge"
         cfg_file = sweep_config(tmp_path, out)
         assert parse_config(cfg_file, {"reps": 416666}, command="sweep").sweep.reps == 416666
         assert main(["sweep", "--config", cfg_file, "--reps", reps]) == EXIT_CONFIG
-        assert capsys.readouterr().err == ("configuration error: a sweep may draw at most 100000000 units in all "
-                                           f"(reps x methods x the grid's total n); this one draws {shown}\n")
+        assert capsys.readouterr().err == ("configuration error: a sweep may fit at most 100000000 records in all "
+                                           "(reps x fits per replication x n, summed over an n sweep's grid); "
+                                           f"this one fits {shown}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(

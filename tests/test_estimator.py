@@ -13,11 +13,8 @@ from evidem.estimator import (
     EstimationError,
     LabelMode,
     SoftLabeledDataset,
-    e_step,
     fit,
     fit_batch,
-    generalized_loglik,
-    m_step,
     make_soft_labels,
     quantile_spread_init,
     read_soft_labels_csv,
@@ -27,7 +24,11 @@ from evidem.rayleigh import MixtureParams, sample_labeled
 from evidem.simulation import CorruptionConfig, corrupt_labels, draw_error_probs
 from helpers import (
     classical_censored_em,
+    e_step,
+    generalized_loglik,
     golden_section_max,
+    history,
+    m_step,
     max_weighted_log_simplex,
     random_soft_instance,
     reference_e2m,
@@ -283,9 +284,8 @@ class TestFit:
                 ds.y_star.tolist(), ds.observed.tolist(), init.lambdas, init.xis, n_updates
             )
             for k, (lam_o, xi_o) in enumerate(oracle, start=1):
-                got = trace.iterates[k][0]
-                assert_allclose(got.lambdas, lam_o, rtol=1e-12, atol=1e-12)
-                assert_allclose(got.xis, xi_o, rtol=1e-12, atol=1e-12)
+                assert_allclose(trace.lambdas[k], lam_o, rtol=1e-12, atol=1e-12)
+                assert_allclose(trace.xis[k], xi_o, rtol=1e-12, atol=1e-12)
 
     def test_monotone_gll_random_instances(self, rng):
         for _ in range(10):
@@ -347,8 +347,12 @@ class TestFit:
         ds = toy_dataset([1.0], [True])
         soft = SoftLabeledDataset(ds, np.array([[1.0, 0.0]]))
         params = MixtureParams(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-        with pytest.raises(DegenerateLikelihoodError):
+        with pytest.raises(DegenerateLikelihoodError) as err:
             fit(soft, params)
+        assert err.value.trace is None
+        table, steps = fit_batch([soft], [params])
+        assert type(table["error"][0]) is DegenerateLikelihoodError and table["iterations"][0] == 0
+        assert len(steps) == 1 and np.isnan(table["gll"][0])
 
 
 XI_POOL = np.array([4.0, 0.5, 0.8, 1.6, 2.5, 1.1])
@@ -411,12 +415,9 @@ class TestKernel:
         assert trace.iterations_used == n_updates
         glls, params = reference_e2m(soft.data.y_star, soft.data.observed, soft.pl, init.lambdas, init.xis, n_updates)
         assert_allclose(trace.gll_values, glls, rtol=1e-12)
-        iterates = trace.iterates
         for k, (lam, xi) in enumerate(params, start=1):
             assert_allclose(trace.lambdas[k], lam, rtol=1e-12)
             assert_allclose(trace.xis[k], xi, rtol=1e-12)
-            got, gll = iterates[k]
-            assert np.array_equal(got.xis, trace.xis[k]) and gll == trace.gll_values[k]
 
     @pytest.mark.parametrize("mode", list(LabelMode))
     def test_public_steps_are_fits_first_update(self, mode):
@@ -438,30 +439,36 @@ class TestKernel:
             fit(soft, init, E2MConfig(max_iters=10, tol=1e-300))
         partial = err.value.trace
         assert not partial.converged and partial.iterations_used == 2
-        assert np.array_equal(partial.xis, full.xis) and np.array_equal(partial.gll_values, full.gll_values)
-        assert [p.lambdas.tolist() for p, _ in partial.iterates] == full.lambdas.tolist()
+        for name in ("lambdas", "xis", "gll_values"):
+            assert np.array_equal(getattr(partial, name), getattr(full, name))
 
     def test_component_collapsing_on_tiny_time_is_starved(self):
         with pytest.raises(ComponentStarvedError, match=r"component\(s\) \[0\]"):
             fit(*starving_problem())
+        # its fifth update starves: capped before it, the fit completes four
+        _, trace = fit(*starving_problem(), E2MConfig(max_iters=4))
+        assert trace.iterations_used == 4 and not trace.converged
 
     @pytest.mark.parametrize("p", [2, 3, 6])
     def test_batch_iterates_match_reference_and_solo_fits(self, p):
         problems = [labelled_problem(mode, p, plan) for mode in LabelMode for plan in ("conventional", "progressive")]
         config = E2MConfig(max_iters=60, tol=1e-300)
-        batch = fit_batch([soft for soft, _ in problems], [init for _, init in problems], config)
-        for (soft, init), (est, trace) in zip(problems, batch):
+        table, steps = fit_batch([soft for soft, _ in problems], [init for _, init in problems], config)
+        assert table.dtype == estimator.fit_dtype(p)
+        for b, ((soft, init), got) in enumerate(zip(problems, table)):
+            lambdas, xis, gll = history(steps, b)
             glls, params = reference_e2m(soft.data.y_star, soft.data.observed, soft.pl, init.lambdas, init.xis, 60)
-            assert_allclose(trace.gll_values, glls, rtol=1e-12)
+            assert_allclose(gll, glls, rtol=1e-12)
             for k, (lam, xi) in enumerate(params, start=1):
-                assert_allclose(trace.lambdas[k], lam, rtol=1e-12)
-                assert_allclose(trace.xis[k], xi, rtol=1e-12)
+                assert_allclose(lambdas[k], lam, rtol=1e-12)
+                assert_allclose(xis[k], xi, rtol=1e-12)
             solo_est, solo = fit(soft, init, config)
-            assert trace.iterations_used == solo.iterations_used == 60
-            assert not trace.converged and not solo.converged
-            assert np.array_equal(est.xis, solo_est.xis) and np.array_equal(est.lambdas, solo_est.lambdas)
-            for name in ("lambdas", "xis", "gll_values"):
-                assert np.array_equal(getattr(trace, name), getattr(solo, name))
+            assert got["iterations"] == solo.iterations_used == 60
+            assert not got["converged"] and not solo.converged and got["error"] is None
+            assert np.array_equal(got["lambdas"], solo_est.lambdas) and np.array_equal(got["xis"], solo_est.xis)
+            assert got["gll"] == solo.gll_values[-1]
+            assert np.array_equal(lambdas, solo.lambdas) and np.array_equal(xis, solo.xis)
+            assert np.array_equal(gll, solo.gll_values)
 
     def test_batch_fits_end_differently_as_solo_fits_do(self, monkeypatch):
         # one converges at the second update, one is capped, one starves and
@@ -476,7 +483,7 @@ class TestKernel:
         problems = [(supervised, start), starving_problem(), (vacuous, start), (uncertain, start)]
         monkeypatch.setattr(estimator, "_Kernel", kernel_failing_on_pass(4, [uncertain]))
         config = E2MConfig(max_iters=30, tol=1e-300)
-        batch = fit_batch([soft for soft, _ in problems], [init for _, init in problems], config)
+        table, steps = fit_batch([soft for soft, _ in problems], [init for _, init in problems], config)
         solos = []
         for soft, init in problems:
             try:
@@ -484,26 +491,33 @@ class TestKernel:
             except EstimationError as exc:
                 solos.append(exc)
         kinds = []
-        for got, solo in zip(batch, solos):
-            assert type(got) is type(solo)
+        for b, (got, solo) in enumerate(zip(table, solos)):
+            trace = history(steps, b)
             if isinstance(solo, EstimationError):
-                assert str(got) == str(solo)
+                assert type(got["error"]) is type(solo) and str(got["error"]) == str(solo)
+                assert np.isnan(got["lambdas"]).all() and np.isnan(got["xis"]).all() and np.isnan(got["gll"])
+                assert not got["converged"]
                 kinds.append(type(solo).__name__)
-                traces = [(got.trace, solo.trace)] if isinstance(solo, DegenerateLikelihoodError) else []
+                # the failing step's values are placeholders; the steps before it are the completed updates
+                assert len(trace[2]) == got["iterations"] + 2
+                trace = [values[:-1] for values in trace]
+                compared = [solo.trace] if isinstance(solo, DegenerateLikelihoodError) else []
             else:
-                (est, trace), (solo_est, solo_trace) = got, solo
-                assert np.array_equal(est.lambdas, solo_est.lambdas) and np.array_equal(est.xis, solo_est.xis)
-                kinds.append("converged" if trace.converged else "capped")
-                traces = [(trace, solo_trace)]
-            for trace, solo_trace in traces:
-                assert trace.converged == solo_trace.converged
-                assert trace.iterations_used == solo_trace.iterations_used
-                for name in ("lambdas", "xis", "gll_values"):
-                    assert np.array_equal(getattr(trace, name), getattr(solo_trace, name))
+                solo_est, solo_trace = solo
+                assert got["error"] is None
+                assert np.array_equal(got["lambdas"], solo_est.lambdas) and np.array_equal(got["xis"], solo_est.xis)
+                assert got["gll"] == solo_trace.gll_values[-1]
+                assert got["iterations"] == solo_trace.iterations_used
+                assert got["converged"] == solo_trace.converged
+                kinds.append("converged" if got["converged"] else "capped")
+                compared = [solo_trace]
+            for solo_trace in compared:
+                for name, values in zip(("lambdas", "xis", "gll_values"), trace):
+                    assert np.array_equal(values, getattr(solo_trace, name))
         assert kinds == ["converged", "ComponentStarvedError", "capped", "DegenerateLikelihoodError"]
-        assert batch[0][1].iterations_used == 2 and batch[2][1].iterations_used == 30
-        assert batch[3].trace.iterations_used == 2 and str(batch[3]).endswith("record(s) [0]")
-        assert "component(s) [0]" in str(batch[1])
+        assert table["iterations"].tolist() == [2, 4, 30, 2]
+        assert str(table["error"][3]).endswith("record(s) [0]")
+        assert "component(s) [0]" in str(table["error"][1])
 
     def test_batch_needs_equal_shapes(self):
         small, init = labelled_problem(LabelMode.UNKNOWN, 2, "conventional")

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -152,15 +153,28 @@ class TestRABias:
 
 class TestAlignment:
     def test_recovers_permutation(self):
-        est = MixtureParams(np.array([0.2, 0.5, 0.3]), np.array([0.81, 3.9, 0.52]))
-        aligned = align_to_truth(est, TRUTH)
-        assert_allclose(aligned.xis, [3.9, 0.52, 0.81])
-        assert_allclose(aligned.lambdas, [0.5, 0.3, 0.2])
+        lambdas, xis = align_to_truth(np.array([[0.2, 0.5, 0.3]]), np.array([[0.81, 3.9, 0.52]]), TRUTH)
+        assert_allclose(xis, [[3.9, 0.52, 0.81]])
+        assert_allclose(lambdas, [[0.5, 0.3, 0.2]])
 
     def test_identity_when_already_aligned(self):
-        est = MixtureParams(np.array([0.4, 0.3, 0.3]), np.array([4.1, 0.49, 0.83]))
-        aligned = align_to_truth(est, TRUTH)
-        assert_allclose(aligned.xis, est.xis)
+        xis = np.array([[4.1, 0.49, 0.83]])
+        assert_allclose(align_to_truth(np.array([[0.4, 0.3, 0.3]]), xis, TRUTH)[1], xis)
+
+    def test_rows_take_the_first_least_cost_order(self, rng):
+        # each row is aligned as a loop over itertools.permutations keeping the first least cost would;
+        # a tied row keeps the earlier order, and a NaN row its own
+        xis = rng.uniform(0.3, 5.0, size=(40, 3))
+        xis[0] = [0.5, 0.5, 0.5]
+        xis[1] = np.nan
+        lambdas = rng.dirichlet(np.ones(3), size=40)
+        got_lambdas, got_xis = align_to_truth(lambdas, xis, TRUTH)
+        for row in range(40):
+            costs = [np.abs((xis[row, list(perm)] - TRUTH.xis) / TRUTH.xis).sum()
+                     for perm in itertools.permutations(range(3))]
+            best = list(itertools.permutations(range(3)))[int(np.argmin(costs))]
+            assert np.array_equal(got_xis[row], xis[row, list(best)], equal_nan=True)
+            assert np.array_equal(got_lambdas[row], lambdas[row, list(best)])
 
 
 def failed_rows(grid_value, reps, error):
@@ -441,6 +455,15 @@ class TestSweep:
         eight = MixtureParams(np.full(8, 1 / 8), np.arange(1.0, 9.0))
         with pytest.raises(ValueError, match="at most 6 components"):
             small_config(true_params=eight)
+
+    def test_figure_one_grid_builds_up_to_the_record_bound(self):
+        # the figure-1 sweep fits UNCERTAIN and NOISY at 6 grid points and UNKNOWN once: 13 fits of 500 a rep
+        spec = SweepSpec("rho", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5), 11112, small_config(n=500))
+        assert spec.fits == 13 and spec.reps * spec.fits * 500 == 72_228_000
+        with pytest.raises(ValueError, match=r"at most 100000000 records .* this one fits <9 digits>"):
+            SweepSpec("rho", spec.grid, 15385, small_config(n=500))
+        # an n sweep fits every method once per grid point
+        assert SweepSpec("n", (60, 90), 2, small_config()).fits == 3
 
     def test_zero_true_weight_rejected(self):
         # the relative bias of a weight whose true value is 0 is undefined
