@@ -32,8 +32,10 @@ loadtxt has failed is the file read again, to name the first bad row.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,6 +66,12 @@ class SchemeError(ValueError):
 def _shown(n: int) -> int | str:
     """A count as an error message gives it: above MAX_UNITS only its number of digits."""
     return n if n <= MAX_UNITS else f"<{len(str(n))} digits>"
+
+
+def _records(indices: np.ndarray) -> str:
+    """Record indices as an error message names them: the first 32, and past 32 also their count."""
+    shown = str(indices[:32].tolist())
+    return shown if indices.size <= 32 else f"{shown[:-1]}, ...] ({indices.size} in all)"
 
 
 @dataclass(frozen=True)
@@ -163,7 +171,7 @@ class CensoredDataset:
             label.flags.writeable = False
         bad = np.flatnonzero(~(np.isfinite(y) & (y > 0.0)))
         if bad.size:
-            raise ValueError(f"y_star must be finite and positive; record(s) {bad.tolist()} are not")
+            raise ValueError(f"y_star must be finite and positive; record(s) {_records(bad)} are not")
         ordered = np.sort(item_id)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("item_id values must be unique")
@@ -330,22 +338,34 @@ def run_life_test(
 # Rows per write_table chunk: one chunk's cells are all the Python objects that
 # a table of any length holds at once.
 _CHUNK_ROWS = 4096
+_SPECIAL = re.compile('[,"\r\n]')  # csv.writer quotes a field holding one; "\r" in some Python versions
 
 
-def _cell(value):
-    """A boolean as true/false and NaN as None, an empty field; other values as they are."""
+def _field(value) -> str:
+    """A cell as csv.writer writes it: a boolean as true/false, None and NaN empty, else its str."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    return None if value != value else value
+    text = "" if value is None or value != value else str(value)
+    if _SPECIAL.search(text):
+        csv.writer(out := io.StringIO(), lineterminator="\n").writerow([text])
+        text = out.getvalue()[:-1]
+    return text
 
 
-def _cells(values) -> list:
-    """One column's chunk as the values csv.writer writes; it writes a float as its repr."""
+def _fields(values) -> list[str]:
+    """One column's chunk as fields: a number is its repr, for a float the shortest that round-trips,
+    and a text column is searched once; only other cells go through ``_field``."""
     values = np.asarray(values)
-    cells = values.tolist()
-    if values.dtype.kind in "bO" or (values.dtype.kind == "f" and np.isnan(values).any()):
-        return [_cell(v) for v in cells]
-    return cells
+    cells, kind = values.tolist(), values.dtype.kind
+    if kind in "iu" or (kind == "f" and not np.isnan(values).any()):
+        return list(map(repr, cells))
+    return cells if kind == "U" and not _SPECIAL.search("".join(cells)) else list(map(_field, cells))
+
+
+def _lines(columns: list[list[str]]) -> str:
+    """Columns of fields as CSV lines; as csv.writer does, a row of one empty field is written ""."""
+    rows = map(",".join, zip(*columns)) if len(columns) > 1 else (cell or '""' for cell in columns[0])
+    return "\n".join(rows) + "\n"
 
 
 def write_table(path, header, n_rows: int, columns) -> None:
@@ -354,14 +374,14 @@ def write_table(path, header, n_rows: int, columns) -> None:
     A column holds ``n_rows`` values, or maps a slice of rows to their values,
     which builds a derived column a chunk at a time.  Floats are written as
     their shortest round-trip repr, booleans as true/false, None and NaN as
-    empty fields, and fields holding "," or '"' quoted; rows end in "\\n".
+    empty fields, and fields holding ",", '"' or a newline quoted, '"' doubled;
+    rows end in "\\n", and each chunk is written with one call.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(_lines([[_field(name)] for name in header]))
         for start in range(0, n_rows, _CHUNK_ROWS):
             rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
-            writer.writerows(zip(*(_cells(col(rows) if callable(col) else col[rows]) for col in columns)))
+            fh.write(_lines([_fields(col(rows) if callable(col) else col[rows]) for col in columns]))
 
 
 def write_dataset_csv(ds: CensoredDataset, path) -> None:
@@ -370,8 +390,8 @@ def write_dataset_csv(ds: CensoredDataset, path) -> None:
         lambda rows: ds.item_id[rows] + 1,
         ds.y_star,
         lambda rows: np.where(ds.observed[rows], "observed", "censored"),
-        lambda rows: np.where(ds.observed[rows], None, ds.censored_at_failure[rows]),
-        lambda rows: [None] * (rows.stop - rows.start) if ds.true_label is None else ds.true_label[rows] + 1,
+        lambda rows: np.where(ds.observed[rows], "", ds.censored_at_failure[rows].astype(str)),
+        lambda rows: [""] * (rows.stop - rows.start) if ds.true_label is None else ds.true_label[rows] + 1,
     ])
 
 

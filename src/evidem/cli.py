@@ -1,7 +1,7 @@
 """Command-line entry point: generate data, fit one dataset, run sweeps.
 
 Exit codes partition outcomes: 0 success, 2 configuration error, 3 fit did
-not converge, 4 estimation degenerated, 5 I/O failure.  Every run writes a
+not converge, 4 estimation failed, 5 I/O failure.  Every run writes a
 manifest.json echoing the resolved configuration and master seed, which is
 enough to reproduce it exactly.
 """
@@ -19,6 +19,7 @@ from . import __version__
 from .censoring import read_dataset_csv, run_life_test, write_dataset_csv, write_table
 from .config import ConfigError, RunConfig, parse_config
 from .estimator import (
+    ComponentStarvedError,
     EstimationError,
     LabelMode,
     SoftLabeledDataset,
@@ -148,7 +149,8 @@ def cmd_fit(cfg: RunConfig) -> int:
         est, trace = fit(soft, start_params(cfg.init, ds, p, cfg.model), cfg.fit_config)
     except EstimationError as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
-        _write_manifest(cfg, {"outcome": f"degenerate: {exc}"})
+        kind = "starved" if isinstance(exc, ComponentStarvedError) else "degenerate"
+        _write_manifest(cfg, {"outcome": f"{kind}: {exc}"})
         return EXIT_DEGENERATE
 
     names = parameter_names(p)

@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .censoring import CensoredDataset, load_csv_rows, read_csv_header, write_table
+from .censoring import CensoredDataset, _records, load_csv_rows, read_csv_header, write_table
 from .rayleigh import MixtureParams
 
 __all__ = [
@@ -110,12 +110,12 @@ class SoftLabeledDataset:
             raise ValueError(f"plausibility matrix must have {self.data.n} rows, got {arr.shape}")
         bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
         if bad.size:
-            raise ValueError(f"plausibilities must be finite; record(s) {bad.tolist()} are not")
+            raise ValueError(f"plausibilities must be finite; record(s) {_records(bad)} are not")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise ValueError("plausibilities must lie in [0, 1]")
         if np.any(arr.max(axis=1) <= 0.0):
             bad = np.flatnonzero(arr.max(axis=1) <= 0.0)
-            raise ValueError(f"record(s) {bad.tolist()} have all-zero plausibility")
+            raise ValueError(f"record(s) {_records(bad)} have all-zero plausibility")
         arr.flags.writeable = False
         object.__setattr__(self, "pl", arr)
 
@@ -193,9 +193,8 @@ class _Kernel:
         failed = {}
         if not finite.all():
             for b in np.flatnonzero(~finite.all(axis=1)):
-                records = np.flatnonzero(~finite[b]).tolist()
                 failed[int(b)] = DegenerateLikelihoodError(
-                    f"generalized log-likelihood is non-finite at record(s) {records}")
+                    f"generalized log-likelihood is non-finite at record(s) {_records(np.flatnonzero(~finite[b]))}")
             rows = list(failed)
             hi[rows] = 0.0
             w[rows] = 0.0

@@ -51,6 +51,8 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
             raw = step * mag
             break
     start = math.floor(lo / raw) * raw
+    if math.isinf(start):  # the step's multiple below the least float; the one above it is in range
+        start = math.ceil(lo / raw) * raw
     ticks = []
     t = start
     # a step can leave t where it is on an axis below its float spacing, or overflow at the largest float

@@ -3,8 +3,9 @@
 Everything here but the last section is deliberately written against the
 formulas only, with scalar loops, math.fsum, and generic search routines, so
 that agreement with the library is a genuine cross-check rather than a
-tautology.  The last section exposes the library's own batched kernel one
-dataset and one step at a time, for the tests that check single steps.
+tautology.  The last sections hold small hand-built datasets and expose the
+library's own batched kernel one dataset and one step at a time, for the
+tests that check single steps.
 """
 
 import math
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from evidem import estimator
-from evidem.estimator import E2MConfig, E2MTrace
+from evidem.censoring import CensoredDataset, CensoringScheme
+from evidem.estimator import E2MConfig, E2MTrace, SoftLabeledDataset
 from evidem.rayleigh import MixtureParams
 from oracles import log_pdf, log_survival, truncated_second_moment
 
@@ -156,7 +158,6 @@ def random_mass_assignments(frame_size, rng, max_focal=None):
 def random_soft_instance(rng, n_lo=20, n_hi=200, p_choices=(2, 3), censor_fracs=(0.0, 0.4)):
     """Random censored dataset with random soft labels, plus an initial point."""
     from evidem.censoring import run_life_test, scheme_from_censor_frac
-    from evidem.estimator import SoftLabeledDataset
     from evidem.rayleigh import sample_labeled
 
     n = int(rng.integers(n_lo, n_hi + 1))
@@ -172,6 +173,37 @@ def random_soft_instance(rng, n_lo=20, n_hi=200, p_choices=(2, 3), censor_fracs=
     soft = SoftLabeledDataset(ds, pl)
     init = MixtureParams(rng.dirichlet(np.full(p, 8.0)), rng.uniform(0.6, 2.5, size=p))
     return soft, truth, init
+
+
+def toy_dataset(times, observed, labels=None, rng=None):
+    """Assemble a dataset in event order from explicit record arrays."""
+    times = np.asarray(times, dtype=float)
+    observed = np.asarray(observed, dtype=bool)
+    n = times.size
+    J = int(observed.sum())
+    fail_times = times[observed]
+    removals = [0] * J
+    caf = np.zeros(n, dtype=int)
+    for i in np.flatnonzero(~observed):
+        j = int(np.searchsorted(fail_times, times[i], side="left"))
+        assert fail_times[j] == times[i], "censored times must equal a failure time"
+        removals[j] += 1
+        caf[i] = j + 1
+    return CensoredDataset(
+        scheme=CensoringScheme(n, tuple(removals)),
+        item_id=np.arange(n),
+        y_star=times,
+        observed=observed,
+        censored_at_failure=caf,
+        true_label=None if labels is None else np.asarray(labels, dtype=int),
+    )
+
+
+def starving_problem():
+    """Component 0 keeps only a failure at 1e-160, so xi_0^2 = 2 / y^2 overflows."""
+    ds = toy_dataset([1e-160, 1.0, 1.5, 2.0, 2.5], [True] * 5)
+    pl = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+    return SoftLabeledDataset(ds, pl), MixtureParams(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
 
 
 def _loglik_and_posterior(ds, params):

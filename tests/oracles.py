@@ -12,7 +12,8 @@ observed-data log-likelihood of a progressively censored sample of ordered
 failure times; the O(n J) replay of a progressive life test that
 ``run_life_test`` must match draw for draw; and the row-by-row
 ``csv``-module readers of ``data.csv`` and ``labels.csv`` that the column
-readers must match value for value.
+readers must match value for value, and the row-by-row ``csv.writer`` form of
+``write_table`` whose bytes the column writer must match.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "reference_life_test",
     "reference_read_dataset_csv",
     "reference_read_soft_labels_csv",
+    "reference_write_table",
 ]
 
 # Combination only fails when the conflict is this close to certainty.
@@ -481,3 +483,28 @@ def reference_read_soft_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
             ids.append(int(r[0]) - 1)
             rows.append([float(v) for v in r[1:]])
     return np.array(ids, dtype=int), np.array(rows, dtype=float)
+
+
+def _reference_cell(value):
+    """A boolean as true/false and NaN as None, an empty field; other values as they are."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return None if value != value else value
+
+
+def _reference_cells(values) -> list:
+    """One column as the values csv.writer writes; it writes a float as its repr."""
+    values = np.asarray(values)
+    cells = values.tolist()
+    if values.dtype.kind in "bO" or (values.dtype.kind == "f" and np.isnan(values).any()):
+        return [_reference_cell(v) for v in cells]
+    return cells
+
+
+def reference_write_table(path, header, n_rows: int, columns) -> None:
+    """Write a table of ``n_rows`` rows as ``csv.writer.writerows`` does, one row of cells at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        if n_rows:
+            writer.writerows(zip(*(_reference_cells(col) for col in columns)))

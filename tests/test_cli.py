@@ -11,12 +11,13 @@ import yaml
 from numpy.testing import assert_allclose
 
 from evidem import simulation
-from evidem.censoring import conventional_scheme, read_dataset_csv
+from evidem.censoring import conventional_scheme, read_dataset_csv, write_dataset_csv
 from evidem.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_NOT_CONVERGED, EXIT_OK, main
 from evidem.config import ConfigError, RunConfig, parse_config
 from evidem.estimator import E2MConfig, SoftLabeledDataset, fit, read_soft_labels_csv, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import truth_offset_init
+from helpers import starving_problem
 
 PAPER_MODEL = {"lambdas": [1 / 3, 1 / 3, 1 / 3], "xis": [4.0, 0.5, 0.8]}
 
@@ -474,6 +475,36 @@ class TestFitCommand:
         assert main(["fit", "--config", cfg_file, *flags]) == code
         written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in Path("fit").iterdir()}
         assert written == pinned
+
+    def test_thousands_of_impossible_records_give_a_short_message(self, tmp_path, capsys):
+        # every record is plausible only under the second component, which has no weight
+        gen = write_config(tmp_path / "gen.yaml", {"model": {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]},
+                                                   "scheme": {"n": 5000, "censor_frac": 0.5}, "seed": 5})
+        assert main(["generate", "--config", gen, "--out", str(tmp_path / "gen")]) == EXIT_OK
+        ids, pl = read_soft_labels_csv(tmp_path / "gen" / "labels.csv")
+        write_soft_labels_csv(np.tile([0.0, 1.0], (len(ids), 1)), tmp_path / "impossible.csv", item_ids=ids)
+        cfg_file = write_config(tmp_path / "fit.yaml", {
+            "data": str(tmp_path / "gen" / "data.csv"), "labels": str(tmp_path / "impossible.csv"),
+            "model": {"lambdas": [1.0, 0.0], "xis": [1.0, 2.0]}, "fit": {"init": "model"}, "out": str(tmp_path / "fit")})
+        assert main(["fit", "--config", cfg_file]) == EXIT_DEGENERATE
+        err = capsys.readouterr().err
+        assert f"record(s) {list(range(32))}"[:-1] + ", ...] (5000 in all)" in err and len(err.encode()) < 2048
+        manifest = tmp_path / "fit" / "manifest.json"
+        assert read_manifest(manifest)["outcome"].startswith("degenerate: ") and manifest.stat().st_size < 2048
+
+    def test_starved_fit_is_named_in_the_manifest(self, tmp_path, capsys):
+        soft, init = starving_problem()
+        write_dataset_csv(soft.data, tmp_path / "data.csv")
+        write_soft_labels_csv(soft.pl, tmp_path / "labels.csv", item_ids=soft.data.item_id)
+        cfg_file = write_config(tmp_path / "fit.yaml", {
+            "data": str(tmp_path / "data.csv"), "labels": str(tmp_path / "labels.csv"),
+            "model": {"lambdas": init.lambdas.tolist(), "xis": init.xis.tolist()}, "fit": {"init": "model"},
+            "out": str(tmp_path / "fit")})
+        assert main(["fit", "--config", cfg_file]) == EXIT_DEGENERATE
+        assert "component(s) [0]" in capsys.readouterr().err
+        outcome = read_manifest(tmp_path / "fit" / "manifest.json")["outcome"]
+        assert outcome == "starved: component(s) [0] have a degenerate moment denominator"
+        assert not (tmp_path / "fit" / "estimate.csv").exists()
 
 
 def sweep_config(tmp_path, out, *, grid=(0.0, 0.3), reps=2, n=60, methods=("uncertain", "noisy"), seed=77):

@@ -1,4 +1,6 @@
-"""Golden bytes of every output table, written from small hand-built inputs.
+"""Golden bytes of every output table, written from small hand-built inputs,
+and the bytes of ``write_table`` on drawn columns against the row-by-row
+``csv.writer`` oracle.
 
 Each table is also written with the writer's chunk size set to 1 and to 3
 rows, so that rows split over chunks, and a last chunk shorter than the
@@ -6,13 +8,16 @@ others, give the same bytes.
 """
 
 import csv
+import sys
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from evidem import censoring
-from evidem.censoring import CensoredDataset, CensoringScheme, write_dataset_csv
+from evidem.censoring import CensoredDataset, CensoringScheme, write_dataset_csv, write_table
 from evidem.cli import EXIT_OK, main
 from evidem.estimator import E2MTrace, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams
@@ -26,6 +31,7 @@ from evidem.simulation import (
     write_results_csv,
     write_summary_csv,
 )
+from oracles import reference_write_table
 
 
 @pytest.fixture(params=[None, 1, 3], ids=["default-chunk", "chunk-1", "chunk-3"], autouse=True)
@@ -195,3 +201,47 @@ def test_estimate_and_trace_csv(tmp_path, monkeypatch):
         "1,-9.5,0.3,0.7,0.30000000000000004,2.5\n"
         "2,-1e-300,0.25,0.75,0.3333333333333333,2.0\n"
     )
+
+
+_INT64 = np.iinfo(np.int64)
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e16,
+                                                  0.1, 1 / 3, sys.float_info.max, -sys.float_info.max]))
+INTS = st.one_of(st.integers(_INT64.min, _INT64.max), st.sampled_from([_INT64.min, _INT64.max, -1, 0]))
+TEXT = st.text(st.one_of(st.sampled_from(',"\n\r '), st.characters(blacklist_categories=("Cs",))), max_size=6)
+OBJECTS = st.one_of(st.none(), st.just(float("nan")), FLOATS.map(np.float64), FLOATS, INTS, st.booleans(),
+                    st.booleans().map(np.bool_), TEXT)
+
+
+def object_array(values) -> np.ndarray:
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+@st.composite
+def tables(draw):
+    """A header and columns of one length: float, int64, bool, text and mixed object columns."""
+    n_rows = draw(st.integers(0, 8))
+    kinds = {
+        "float": (FLOATS, lambda v: np.array(v, dtype=float)),
+        "int": (INTS, lambda v: np.array(v, dtype=np.int64)),
+        "bool": (st.booleans(), lambda v: np.array(v, dtype=bool)),
+        "text": (TEXT, lambda v: np.array(v, dtype=str)),
+        "object": (OBJECTS, object_array),
+    }
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=5)):
+        values, build = kinds[kind]
+        columns.append(build(draw(st.lists(values, min_size=n_rows, max_size=n_rows))))
+    header = draw(st.lists(TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, n_rows, columns
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(table=tables())
+@example(table=(["a", "\x00"], 1, [np.array([0.5]), np.array([True])]))  # a numpy text array drops the NUL
+def test_write_table_matches_csv_writer(tmp_path, table):
+    header, n_rows, columns = table
+    reference_write_table(tmp_path / "want.csv", header, n_rows, columns)
+    write_table(tmp_path / "got.csv", header, n_rows, columns)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

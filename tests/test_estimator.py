@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from helpers import (
     max_weighted_log_simplex,
     random_soft_instance,
     reference_e2m,
+    starving_problem,
+    toy_dataset,
 )
 from oracles import (
     ContourFunction,
@@ -45,30 +48,6 @@ from oracles import (
     pdf,
     survival,
 )
-
-
-def toy_dataset(times, observed, labels=None, rng=None):
-    """Assemble a dataset in event order from explicit record arrays."""
-    times = np.asarray(times, dtype=float)
-    observed = np.asarray(observed, dtype=bool)
-    n = times.size
-    J = int(observed.sum())
-    fail_times = times[observed]
-    removals = [0] * J
-    caf = np.zeros(n, dtype=int)
-    for i in np.flatnonzero(~observed):
-        j = int(np.searchsorted(fail_times, times[i], side="left"))
-        assert fail_times[j] == times[i], "censored times must equal a failure time"
-        removals[j] += 1
-        caf[i] = j + 1
-    return CensoredDataset(
-        scheme=CensoringScheme(n, tuple(removals)),
-        item_id=np.arange(n),
-        y_star=times,
-        observed=observed,
-        censored_at_failure=caf,
-        true_label=None if labels is None else np.asarray(labels, dtype=int),
-    )
 
 
 class TestGeneralizedLoglik:
@@ -374,13 +353,6 @@ def labelled_problem(mode, p, plan):
     return SoftLabeledDataset(ds, pl), MixtureParams(np.full(p, 1.0 / p), 0.3 * XI_POOL[:p])
 
 
-def starving_problem():
-    """Component 0 keeps only a failure at 1e-160, so xi_0^2 = 2 / y^2 overflows."""
-    ds = toy_dataset([1e-160, 1.0, 1.5, 2.0, 2.5], [True] * 5)
-    pl = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
-    return SoftLabeledDataset(ds, pl), MixtureParams(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
-
-
 def kernel_failing_on_pass(on_pass, targets):
     """A ``_Kernel`` whose E-step number ``on_pass`` finds record 0 of each
     dataset in ``targets`` impossible under every component."""
@@ -567,6 +539,21 @@ class TestSoftLabels:
         back_ids, back = read_soft_labels_csv(path)
         assert np.array_equal(back_ids, ids)
         assert_allclose(back, plm)
+
+    def test_messages_name_at_most_32_records(self):
+        ds = toy_dataset(np.arange(1.0, 41.0), [True] * 40)
+        listed = re.escape(f"record(s) {list(range(32))}"[:-1] + ", ...] (40 in all)")
+        with pytest.raises(ValueError, match=listed + " have all-zero plausibility"):
+            SoftLabeledDataset(ds, np.zeros((40, 2)))
+        with pytest.raises(ValueError, match=listed + " are not"):
+            SoftLabeledDataset(ds, np.full((40, 2), np.nan))
+        with pytest.raises(ValueError, match="y_star must be finite and positive; " + listed):
+            CensoredDataset(ds.scheme, ds.item_id, -ds.y_star, ds.observed, ds.censored_at_failure)
+        # 32 records or fewer are all named
+        pl = np.ones((40, 2))
+        pl[8:] = 0.0
+        with pytest.raises(ValueError, match=re.escape(f"record(s) {list(range(8, 40))} have")):
+            SoftLabeledDataset(ds, pl)
 
 
 class TestInit:

@@ -93,3 +93,14 @@ def test_axis_ending_at_the_largest_float_is_drawn():
         assert all(math.isfinite(t) for t in _ticks(min(x), max(x)))
         svg = line_chart_svg(x, [Series("a", [1.0] * len(x))])
         assert "inf" not in svg and svg.count("<circle") == len(x)
+
+
+def test_axis_starting_at_the_most_negative_float_is_drawn():
+    # the step's multiple below the one point overflows to -inf
+    bottom = -sys.float_info.max
+    ticks = _ticks(bottom, bottom)
+    assert len(ticks) >= 2 and ticks == sorted(set(ticks)) and all(math.isfinite(t) for t in ticks)
+    svg = line_chart_svg([bottom], [Series("a", [1.0])])
+    assert "inf" not in svg and svg.count("<circle") == 1
+    # a mark per tick of both axes, and the frame
+    assert svg.count('stroke="black"/>') == len(ticks) + len(_ticks(0.0, 1.0)) + 1
