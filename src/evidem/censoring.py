@@ -32,7 +32,6 @@ loadtxt has failed is the file read again, to name the first bad row.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import operator
 import re
@@ -335,53 +334,43 @@ def run_life_test(
     )
 
 
-# Rows per write_table chunk: one chunk's cells are all the Python objects that
-# a table of any length holds at once.
-_CHUNK_ROWS = 4096
-_SPECIAL = re.compile('[,"\r\n]')  # csv.writer quotes a field holding one; "\r" in some Python versions
+# Rows per write_table chunk: one chunk's cells and fields are all the Python objects
+# a table of any length holds at once; at 1 024 rows the peak RSS is a row-at-a-time writer's.
+_CHUNK_ROWS = 1024
 
 
-def _field(value) -> str:
-    """A cell as csv.writer writes it: a boolean as true/false, None and NaN empty, else its str."""
+def _cell(value):
+    """A boolean as true/false and NaN as None, an empty field; other values as they are."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    text = "" if value is None or value != value else str(value)
-    if _SPECIAL.search(text):
-        csv.writer(out := io.StringIO(), lineterminator="\n").writerow([text])
-        text = out.getvalue()[:-1]
-    return text
+    return None if value != value else value
 
 
-def _fields(values) -> list[str]:
-    """One column's chunk as fields: a number is its repr, for a float the shortest that round-trips,
-    and a text column is searched once; only other cells go through ``_field``."""
-    values = np.asarray(values)
-    cells, kind = values.tolist(), values.dtype.kind
-    if kind in "iu" or (kind == "f" and not np.isnan(values).any()):
-        return list(map(repr, cells))
-    return cells if kind == "U" and not _SPECIAL.search("".join(cells)) else list(map(_field, cells))
-
-
-def _lines(columns: list[list[str]]) -> str:
-    """Columns of fields as CSV lines; as csv.writer does, a row of one empty field is written ""."""
-    rows = map(",".join, zip(*columns)) if len(columns) > 1 else (cell or '""' for cell in columns[0])
-    return "\n".join(rows) + "\n"
+def _fields(values: np.ndarray) -> list[str] | np.ndarray:
+    """One column's chunk as fields if csv.writer would write each as it is (a number as its repr), else as it is."""
+    if values.dtype.kind in "iu" or (values.dtype.kind == "f" and not np.isnan(values).any()):
+        return list(map(repr, values.tolist()))
+    return cells if values.dtype.kind == "U" and not re.search('[,"\r\n\x00]', "".join(cells := values.tolist())) else values
 
 
 def write_table(path, header, n_rows: int, columns) -> None:
     """Write every output table: a CSV of ``n_rows`` rows under ``header``, a chunk of rows at a time.
 
     A column holds ``n_rows`` values, or maps a slice of rows to their values,
-    which builds a derived column a chunk at a time.  Floats are written as
-    their shortest round-trip repr, booleans as true/false, None and NaN as
-    empty fields, and fields holding ",", '"' or a newline quoted, '"' doubled;
-    rows end in "\\n", and each chunk is written with one call.
+    which builds a derived column a chunk at a time.  Floats are written as their
+    shortest round-trip repr, booleans as true/false, None and NaN as empty fields,
+    fields holding ",", '"' or a newline quoted with '"' doubled; rows end in "\\n".
     """
     with open(path, "w", newline="") as fh:
-        fh.write(_lines([[_field(name)] for name in header]))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         for start in range(0, n_rows, _CHUNK_ROWS):
             rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
-            fh.write(_lines([_fields(col(rows) if callable(col) else col[rows]) for col in columns]))
+            fields = [_fields(np.asarray(col(rows) if callable(col) else col[rows])) for col in columns]
+            if len(fields) > 1 and all(isinstance(f, list) for f in fields):  # a row of one "" csv.writer writes as '""'
+                fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            else:  # the other columns' cells as csv.writer writes them
+                writer.writerows(zip(*(f if isinstance(f, list) else map(_cell, f.tolist()) for f in fields)))
 
 
 def write_dataset_csv(ds: CensoredDataset, path) -> None:

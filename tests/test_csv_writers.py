@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evidem import censoring
@@ -207,7 +207,9 @@ _INT64 = np.iinfo(np.int64)
 FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e16,
                                                   0.1, 1 / 3, sys.float_info.max, -sys.float_info.max]))
 INTS = st.one_of(st.integers(_INT64.min, _INT64.max), st.sampled_from([_INT64.min, _INT64.max, -1, 0]))
-TEXT = st.text(st.one_of(st.sampled_from(',"\n\r '), st.characters(blacklist_categories=("Cs",))), max_size=6)
+# NUL is left out: csv.writer raises on it before Python 3.11 and writes it after; test_nul_fields covers it
+TEXT = st.text(st.one_of(st.sampled_from(',"\n\r '), st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
+               max_size=6)
 OBJECTS = st.one_of(st.none(), st.just(float("nan")), FLOATS.map(np.float64), FLOATS, INTS, st.booleans(),
                     st.booleans().map(np.bool_), TEXT)
 
@@ -239,9 +241,27 @@ def tables(draw):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(table=tables())
-@example(table=(["a", "\x00"], 1, [np.array([0.5]), np.array([True])]))  # a numpy text array drops the NUL
 def test_write_table_matches_csv_writer(tmp_path, table):
     header, n_rows, columns = table
     reference_write_table(tmp_path / "want.csv", header, n_rows, columns)
     write_table(tmp_path / "got.csv", header, n_rows, columns)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def outcome(write, path, table):
+    """The bytes a writer leaves, or the type of the error it raises."""
+    try:
+        write(path, *table)
+    except csv.Error as exc:
+        return type(exc)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("table", [
+    (["a", "\x00"], 1, [np.array([0.5]), np.array([True])]),
+    (["a", "b"], 2, [np.array([1, 2]), np.array(["x\x00y", "z"])]),
+    (["a", "b"], 1, [np.array([0.5]), object_array(["\x00"])]),
+], ids=["header", "text", "object"])
+def test_nul_fields(tmp_path, table):
+    """A NUL is written, or raises, exactly as csv.writer does on the running Python."""
+    assert outcome(write_table, tmp_path / "got.csv", table) == outcome(reference_write_table, tmp_path / "want.csv", table)
