@@ -26,9 +26,11 @@ other fits go on.  Every stacked operation works one dataset's slice at a
 time, so a fit takes the same iterates in any batch.  The outcome is one
 :func:`fit_dtype` record per fit (final estimate, log-likelihood, completed
 updates, convergence, error), returned with the iterates of every step;
-``fit`` is the batch of one, which stacks its steps into an
+``fit`` is the batch of one, which stacks a finished fit's steps into an
 :class:`E2MTrace`.  ``MixtureParams`` are validated only at the start and
-for each finished fit's estimate.
+for each finished fit's estimate.  A batch runs with floating-point warnings
+off: the kernel tests every value it hands on, so an overflow or NaN ends
+only its own fit, as that fit's error.
 
 ``read_soft_labels_csv`` parses ``labels.csv`` with the same one-call
 ``loadtxt`` reader as ``data.csv``: an integer id and p plausibilities a row.
@@ -66,7 +68,7 @@ __all__ = [
 # A component whose total posterior weight falls below STARVATION_FRAC * n
 # can no longer be updated meaningfully; the fit aborts rather than restart.
 STARVATION_FRAC = 1e-10
-_TINY, _HUGE = float(np.finfo(float).tiny), float(np.finfo(float).max)
+_TINY = float(np.finfo(float).tiny)
 
 
 class EstimationError(RuntimeError):
@@ -78,15 +80,8 @@ class ComponentStarvedError(EstimationError):
 
 
 class DegenerateLikelihoodError(EstimationError):
-    """A record is impossible under every component it finds plausible.
-
-    When :func:`fit` raises it after the first update, ``trace`` holds the
-    iterations completed so far; otherwise it is None.  As the ``error`` of a
-    :func:`fit_batch` record its ``trace`` is None, and the record's
-    ``iterations`` counts them.
-    """
-
-    trace: "E2MTrace | None" = None
+    """A record is impossible under every component it finds plausible, or the
+    log-likelihood leaves the floating-point range."""
 
 
 class LabelMode(str, Enum):
@@ -163,17 +158,17 @@ class _Kernel:
     component-major (p, n).  ``posterior`` is the one (B, p, n) buffer every
     E-step writes into.  ``keep`` drops the datasets whose fits left the batch.
 
-    Both steps report a fit that cannot go on in a dict from its row to its
-    error, and give that row placeholder values that raise no floating-point
-    warning, so one failing fit never stops or taints the others.
+    Both steps run under :func:`fit_batch`'s floating-point state, which
+    ignores every warning, and report a fit that cannot go on in a dict from
+    its row to its error.  That row's values are then meaningless, but they
+    stay in its own slice, so one failing fit never stops or taints the others.
     """
 
     def __init__(self, datasets: Sequence[SoftLabeledDataset]) -> None:
         y = np.stack([ds.data.y_star for ds in datasets])
         obs = np.stack([ds.data.observed for ds in datasets])
         self.features = np.stack([obs, np.ones_like(y), y * y, ~obs], axis=1)
-        with np.errstate(divide="ignore"):
-            self.log_base = np.log(np.stack([ds.pl.T for ds in datasets]), order="C")
+        self.log_base = np.log(np.stack([ds.pl.T for ds in datasets]), order="C")
         self.log_base += np.where(obs, np.log(y), 0.0)[:, None, :]
         self.posterior = np.empty_like(self.log_base)
 
@@ -183,28 +178,26 @@ class _Kernel:
 
     def loglik_and_posterior(self, lambdas: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         """Log-weights log[lambda_z (f or S)(y*_j; xi_z) pl_j(z)], then one max-shifted
-        ``exp`` gives both the (B,) generalized log-likelihoods and ``posterior``."""
-        with np.errstate(divide="ignore"):
-            coef = np.array([2.0 * np.log(xis), np.log(lambdas), -0.5 * xis**2]).transpose(1, 2, 0)
+        ``exp`` gives both the (B,) generalized log-likelihoods and ``posterior``.
+        A non-finite record max makes its fit's sum non-finite, so one test finds both."""
+        coef = np.array([2.0 * np.log(xis), np.log(lambdas), -0.5 * xis**2]).transpose(1, 2, 0)
         w = np.matmul(coef, self.features[:, :3], out=self.posterior)
         w += self.log_base
         hi = w.max(axis=1)
-        finite = np.isfinite(hi)
-        failed = {}
-        if not finite.all():
-            for b in np.flatnonzero(~finite.all(axis=1)):
-                failed[int(b)] = DegenerateLikelihoodError(
-                    f"generalized log-likelihood is non-finite at record(s) {_records(np.flatnonzero(~finite[b]))}")
-            rows = list(failed)
-            hi[rows] = 0.0
-            w[rows] = 0.0
         w -= hi[:, None, :]
         np.exp(w, out=w)
         total = w.sum(axis=1)
         w /= total[:, None, :]
         np.log(total, out=total)
         total += hi
-        return total.sum(axis=1), w, failed
+        gll = total.sum(axis=1)
+        failed = {}
+        if not np.isfinite(gll).all():
+            for b in np.flatnonzero(~np.isfinite(gll)).tolist():
+                bad = np.flatnonzero(~np.isfinite(hi[b]))
+                where = f"at record(s) {_records(bad)}" if bad.size else "in the sum over records"
+                failed[b] = DegenerateLikelihoodError(f"generalized log-likelihood is non-finite {where}")
+        return gll, w, failed
 
     def m_step(self, W: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
         """The closed-form M-step on the (B, p, n) posteriors W, returning raw (B, p) lambdas and xis:
@@ -217,10 +210,9 @@ class _Kernel:
         """
         weight, moment, cens = np.matmul(W, self.features[:, 1:].transpose(0, 2, 1)).transpose(2, 0, 1)
         starved = weight < STARVATION_FRAC * W.shape[2]
-        denom = moment + cens * 2.0 / xis**2
-        twice = 2.0 * weight
-        # xi^2 = 2 weight / denom must stay finite, so denom must not vanish
-        flat = ~(denom > twice / _HUGE)
+        xi2 = 2.0 * weight / (moment + cens * 2.0 / xis**2)
+        # a denominator that vanishes, overflows or is NaN leaves no finite positive xi^2
+        flat = ~((xi2 > 0.0) & (xi2 < np.inf))
         failed = {}
         if (starved | flat).any():
             for b in np.flatnonzero(starved.any(axis=1) | flat.any(axis=1)):
@@ -229,9 +221,7 @@ class _Kernel:
                 else:
                     reason = f"component(s) {np.flatnonzero(flat[b]).tolist()} have a degenerate moment denominator"
                 failed[int(b)] = ComponentStarvedError(reason)
-            rows = list(failed)
-            weight[rows] = twice[rows] = denom[rows] = 1.0
-        return weight / weight.sum(axis=1, keepdims=True), np.sqrt(twice / denom), failed
+        return weight / weight.sum(axis=1, keepdims=True), np.sqrt(xi2), failed
 
 
 def fit_dtype(p: int) -> np.dtype:
@@ -245,6 +235,7 @@ def fit_dtype(p: int) -> np.dtype:
                      ("gll", float), ("error", object)])
 
 
+@np.errstate(all="ignore")  # the kernel tests what it hands on; see _Kernel
 def fit_batch(
     datasets: Sequence[SoftLabeledDataset],
     inits: Sequence[MixtureParams],
@@ -260,7 +251,7 @@ def fit_batch(
     ``datasets[b]`` from ``inits[b]`` alone, and the steps: per E-step, the
     datasets of the rows still in the batch and their (rows, p) lambdas and
     xis and (rows,) log-likelihoods.  Step 0 is the start; a failed fit's last
-    step holds placeholder values.
+    step holds meaningless values, and the steps before it its completed updates.
     """
     if len(datasets) != len(inits) or not datasets:
         raise ValueError("a batch needs one start per dataset and at least one dataset")
@@ -316,19 +307,16 @@ def fit(
     ``config.max_iters`` updates have been applied.
 
     Returns the final parameters and the full iteration trace.  Raises
-    :class:`DegenerateLikelihoodError` (with the partial trace attached)
-    if the log-likelihood leaves the finite range, and
-    :class:`ComponentStarvedError` if the M-step cannot update a
-    component.  This is the one-dataset call of :func:`fit_batch`.
+    :class:`DegenerateLikelihoodError` if the log-likelihood leaves the finite
+    range, and :class:`ComponentStarvedError` if the M-step cannot update a
+    component.  This is the one-dataset call of :func:`fit_batch`, whose
+    steps also hold the iterates of a failed fit.
     """
     (result,), steps = fit_batch([ds], [init], config)
+    if result["error"] is not None:
+        raise result["error"]
     _, lambdas, xis, gll = (np.concatenate(a) for a in zip(*steps))
-    exc = result["error"]
-    if exc is None:
-        return MixtureParams(result["lambdas"], result["xis"]), E2MTrace(lambdas, xis, gll, bool(result["converged"]))
-    if isinstance(exc, DegenerateLikelihoodError) and len(steps) > 1:
-        exc.trace = E2MTrace(lambdas[:-1], xis[:-1], gll[:-1], False)
-    raise exc
+    return MixtureParams(result["lambdas"], result["xis"]), E2MTrace(lambdas, xis, gll, bool(result["converged"]))
 
 
 def make_soft_labels(

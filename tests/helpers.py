@@ -206,6 +206,7 @@ def starving_problem():
     return SoftLabeledDataset(ds, pl), MixtureParams(np.array([0.5, 0.5]), np.array([1.0, 1.0]))
 
 
+@np.errstate(all="ignore")  # the kernel runs under fit_batch's floating-point state
 def _loglik_and_posterior(ds, params):
     gll, W, failed = estimator._Kernel([ds]).loglik_and_posterior(params.lambdas[None], params.xis[None])
     if failed:
@@ -228,6 +229,7 @@ def e_step(ds, params):
     return _loglik_and_posterior(ds, params)[1].T
 
 
+@np.errstate(all="ignore")
 def m_step(ds, W, params_k):
     """The kernel's closed-form M-step on the (n, p) posterior ``W``;
     raises ``ComponentStarvedError`` where it cannot update a component."""

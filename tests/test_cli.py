@@ -3,16 +3,21 @@ import hashlib
 import json
 import os
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evidem import simulation
 from evidem.censoring import conventional_scheme, read_dataset_csv, write_dataset_csv
-from evidem.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_NOT_CONVERGED, EXIT_OK, main
+from evidem.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
 from evidem.config import ConfigError, RunConfig, parse_config
 from evidem.estimator import E2MConfig, SoftLabeledDataset, fit, read_soft_labels_csv, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams
@@ -506,6 +511,21 @@ class TestFitCommand:
         assert outcome == "starved: component(s) [0] have a degenerate moment denominator"
         assert not (tmp_path / "fit" / "estimate.csv").exists()
 
+    def test_overflowing_times_exit_4_with_only_a_manifest(self, tmp_path, generated, capsys):
+        # y*^2 overflows; the suite's filter would turn any floating-point warning into a traceback
+        with open(generated / "data.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            row[1] = "1e300"
+        with open(tmp_path / "huge.csv", "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        cfg_file = write_config(tmp_path / "fit.yaml", {
+            "data": str(tmp_path / "huge.csv"), "labels": str(generated / "labels.csv"), "out": str(tmp_path / "fit")})
+        assert main(["fit", "--config", cfg_file]) == EXIT_DEGENERATE
+        assert "generalized log-likelihood is non-finite at record(s) [0, 1, 2," in capsys.readouterr().err
+        assert read_manifest(tmp_path / "fit" / "manifest.json")["outcome"].startswith("degenerate: ")
+        assert [path.name for path in (tmp_path / "fit").iterdir()] == ["manifest.json"]
+
 
 def sweep_config(tmp_path, out, *, grid=(0.0, 0.3), reps=2, n=60, methods=("uncertain", "noisy"), seed=77):
     return write_config(
@@ -758,6 +778,17 @@ class TestSweepCommand:
         assert f"'{key}' must be a list, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_moment_denominator_starves_every_fit(self, tmp_path, capsys):
+        # the true xi_1 = 1e-160 as the start: 2 / xi_1^2 overflows in the first M-step
+        cfg_file = write_config(tmp_path / "sweep.yaml", {
+            "model": {"lambdas": [0.5, 0.5], "xis": [1.0e-160, 1.0]}, "scheme": {"n": 20, "censor_frac": 0.5},
+            "fit": {"init": "model"}, "methods": "all", "reps": 1, "sweep": {"variable": "rho", "grid": [0.1]},
+            "out": str(tmp_path / "out")})
+        assert main(["sweep", "--config", cfg_file, "--workers", "1"]) == EXIT_DEGENERATE
+        assert "every replication failed" in capsys.readouterr().err
+        errors = {row["error"] for row in read_rows(tmp_path / "out" / "results.csv")}
+        assert errors == {"ComponentStarvedError: component(s) [0] have a degenerate moment denominator"}
+
     @pytest.mark.parametrize("grid", [(0.1, 0.1), (0.1, 0.10000000001)], ids=["equal", "close"])
     def test_repeated_grid_values_make_separate_cells(self, tmp_path, grid):
         out = tmp_path / "repeated"
@@ -866,3 +897,46 @@ def test_manifest_records_the_resolved_start_rule(tmp_path, command, model, rule
     manifest = read_manifest(out / "manifest.json")
     assert manifest["config"]["fit"]["init"] == rule
     assert "init" not in manifest
+
+
+# byte strings a mutation may splice in: numbers at and beyond the float range, CSV structure, bad encodings
+_SPLICES = [b"1e300", b"1e-320", b"1e400", b"nan", b"-inf", b"-1", b"0", b"0.0", b"99999999999999999999", b"observed",
+            b"censored", b",", b"\n", b"\r\n", b'"', b" ", b"\xff\xfe", b"\x00"]
+
+
+@pytest.fixture(scope="module")
+def fit_inputs(tmp_path_factory):
+    """The bytes of a generated data.csv and labels.csv of 16 units, a quarter censored, which fit in 11 updates."""
+    base = tmp_path_factory.mktemp("fuzz")
+    cfg_file = write_config(base / "gen.yaml", {"model": {"lambdas": [0.5, 0.5], "xis": [1.0, 3.0]}, "seed": 2,
+                                                "scheme": {"n": 16, "censor_frac": 0.25}, "out": str(base / "gen")})
+    assert main(["generate", "--config", cfg_file]) == EXIT_OK
+    return {name: (base / "gen" / name).read_bytes() for name in ("data.csv", "labels.csv")}
+
+
+@st.composite
+def mutated(draw, valid):
+    """``valid`` with one to four short spans, half of them at a digit, replaced by spliced or random bytes."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        digits = [i for i, byte in enumerate(data) if byte in b"0123456789"]
+        at = draw(st.sampled_from(digits) if digits and draw(st.booleans()) else st.integers(0, len(data)))
+        splice = st.sampled_from(_SPLICES) | st.from_regex(rb"[0-9.eE+-]{1,6}", fullmatch=True) | st.binary(max_size=3)
+        data[at:at + draw(st.integers(0, 3))] = draw(splice)
+    return bytes(data)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fit_survives_mutated_csv_bytes(tmp_path, fit_inputs, data):
+    """Any bytes in data.csv and labels.csv end ``evidem fit`` with an exit code, never an exception,
+    under the suite's filter that turns every RuntimeWarning into an error."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    changed = data.draw(st.sampled_from([["data.csv"], ["labels.csv"], ["data.csv", "labels.csv"]]))
+    for name, valid in fit_inputs.items():
+        (work / name).write_bytes(data.draw(mutated(valid), label=name) if name in changed else valid)
+    cfg_file = write_config(work / "fit.yaml", {"data": str(work / "data.csv"), "labels": str(work / "labels.csv"),
+                                                "out": str(work / "out")})
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+        code = main(["fit", "--config", cfg_file])
+    assert code in {EXIT_OK, EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_DEGENERATE, EXIT_IO}

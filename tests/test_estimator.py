@@ -326,12 +326,17 @@ class TestFit:
         ds = toy_dataset([1.0], [True])
         soft = SoftLabeledDataset(ds, np.array([[1.0, 0.0]]))
         params = MixtureParams(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-        with pytest.raises(DegenerateLikelihoodError) as err:
+        with pytest.raises(DegenerateLikelihoodError, match=r"record\(s\) \[0\]$"):
             fit(soft, params)
-        assert err.value.trace is None
         table, steps = fit_batch([soft], [params])
         assert type(table["error"][0]) is DegenerateLikelihoodError and table["iterations"][0] == 0
         assert len(steps) == 1 and np.isnan(table["gll"][0])
+
+    def test_overflowing_log_likelihood_sum_is_degenerate(self):
+        # every record's log-likelihood is finite, about -0.85e308, but three of them sum beyond the float range
+        soft = SoftLabeledDataset(toy_dataset([1.3e154] * 3, [True] * 3), np.ones((3, 1)))
+        with pytest.raises(DegenerateLikelihoodError, match=r"^generalized log-likelihood is non-finite in the sum"):
+            fit(soft, MixtureParams(np.array([1.0]), np.array([1.0])))
 
 
 XI_POOL = np.array([4.0, 0.5, 0.8, 1.6, 2.5, 1.1])
@@ -376,6 +381,14 @@ def kernel_failing_on_pass(on_pass, targets):
     return Kernel
 
 
+def assert_is_solo_fit(got, soft, init, config):
+    """``got``, a :func:`fit_batch` record, is the outcome of fitting ``soft`` from ``init`` alone."""
+    est, trace = fit(soft, init, config)
+    assert got["error"] is None and got["iterations"] == trace.iterations_used and got["converged"] == trace.converged
+    assert np.array_equal(got["lambdas"], est.lambdas) and np.array_equal(got["xis"], est.xis)
+    assert got["gll"] == trace.gll_values[-1]
+
+
 class TestKernel:
     @pytest.mark.parametrize("plan", ["conventional", "progressive"])
     @pytest.mark.parametrize("p", [2, 3, 6])
@@ -407,12 +420,15 @@ class TestKernel:
         soft, init = labelled_problem(LabelMode.UNCERTAIN, 3, "conventional")
         _, full = fit(soft, init, E2MConfig(max_iters=2, tol=1e-300))
         monkeypatch.setattr(estimator, "_Kernel", kernel_failing_on_pass(4, [soft]))
-        with pytest.raises(DegenerateLikelihoodError, match=r"record\(s\) \[0\]$") as err:
-            fit(soft, init, E2MConfig(max_iters=10, tol=1e-300))
-        partial = err.value.trace
-        assert not partial.converged and partial.iterations_used == 2
-        for name in ("lambdas", "xis", "gll_values"):
-            assert np.array_equal(getattr(partial, name), getattr(full, name))
+        config = E2MConfig(max_iters=10, tol=1e-300)
+        with pytest.raises(DegenerateLikelihoodError, match=r"record\(s\) \[0\]$"):
+            fit(soft, init, config)
+        (result,), steps = fit_batch([soft], [init], config)
+        assert result["iterations"] == 2 and not result["converged"]
+        # the steps before the failing one are the capped run's iterates
+        partial = [values[:-1] for values in history(steps, 0)]
+        for values, name in zip(partial, ("lambdas", "xis", "gll_values")):
+            assert np.array_equal(values, getattr(full, name))
 
     def test_component_collapsing_on_tiny_time_is_starved(self):
         with pytest.raises(ComponentStarvedError, match=r"component\(s\) \[0\]"):
@@ -463,17 +479,18 @@ class TestKernel:
             except EstimationError as exc:
                 solos.append(exc)
         kinds = []
-        for b, (got, solo) in enumerate(zip(table, solos)):
+        for b, ((soft, init), got, solo) in enumerate(zip(problems, table, solos)):
             trace = history(steps, b)
             if isinstance(solo, EstimationError):
                 assert type(got["error"]) is type(solo) and str(got["error"]) == str(solo)
                 assert np.isnan(got["lambdas"]).all() and np.isnan(got["xis"]).all() and np.isnan(got["gll"])
                 assert not got["converged"]
                 kinds.append(type(solo).__name__)
-                # the failing step's values are placeholders; the steps before it are the completed updates
+                # the failing step's values are meaningless; the steps before it are the completed updates,
+                # the same as in a batch of one
                 assert len(trace[2]) == got["iterations"] + 2
-                trace = [values[:-1] for values in trace]
-                compared = [solo.trace] if isinstance(solo, DegenerateLikelihoodError) else []
+                solo_steps = history(fit_batch([soft], [init], config)[1], 0)
+                trace, expected = ([values[:-1] for values in t] for t in (trace, solo_steps))
             else:
                 solo_est, solo_trace = solo
                 assert got["error"] is None
@@ -482,14 +499,39 @@ class TestKernel:
                 assert got["iterations"] == solo_trace.iterations_used
                 assert got["converged"] == solo_trace.converged
                 kinds.append("converged" if got["converged"] else "capped")
-                compared = [solo_trace]
-            for solo_trace in compared:
-                for name, values in zip(("lambdas", "xis", "gll_values"), trace):
-                    assert np.array_equal(values, getattr(solo_trace, name))
+                expected = [solo_trace.lambdas, solo_trace.xis, solo_trace.gll_values]
+            for values, solo_values in zip(trace, expected):
+                assert np.array_equal(values, solo_values)
         assert kinds == ["converged", "ComponentStarvedError", "capped", "DegenerateLikelihoodError"]
         assert table["iterations"].tolist() == [2, 4, 30, 2]
         assert str(table["error"][3]).endswith("record(s) [0]")
         assert "component(s) [0]" in str(table["error"][1])
+
+    def test_overflowing_times_fail_only_their_own_fit(self):
+        # y*^2 overflows, and the quantile start's xi^2 underflows to 0: the batch must
+        # raise no floating-point warning, which the suite turns into an error
+        soft, init = labelled_problem(LabelMode.UNCERTAIN, 2, "conventional")
+        ds = soft.data
+        huge = SoftLabeledDataset(CensoredDataset(scheme=ds.scheme, item_id=ds.item_id, y_star=np.full(ds.n, 1e300),
+                                                  observed=ds.observed, censored_at_failure=ds.censored_at_failure),
+                                  soft.pl)
+        config = E2MConfig(max_iters=30)
+        table, _ = fit_batch([soft, huge], [init, quantile_spread_init(huge.data, 2)], config)
+        assert_is_solo_fit(table[0], soft, init, config)
+        assert type(table["error"][1]) is DegenerateLikelihoodError and table["iterations"][1] == 0
+        assert str(table["error"][1]).startswith("generalized log-likelihood is non-finite at record(s) [0, 1, 2,")
+
+    def test_overflowing_moment_denominator_starves_only_its_own_fit(self):
+        # at xi_0 = 1e-160 the censored term 2 / xi_0^2 overflows, which would make the updated xi_0 zero
+        soft, init = labelled_problem(LabelMode.UNCERTAIN, 2, "conventional")
+        tiny = MixtureParams(init.lambdas, np.array([1e-160, init.xis[1]]))
+        config = E2MConfig(max_iters=30)
+        table, _ = fit_batch([soft, soft], [init, tiny], config)
+        assert_is_solo_fit(table[0], soft, init, config)
+        assert type(table["error"][1]) is ComponentStarvedError and table["iterations"][1] == 0
+        assert str(table["error"][1]) == "component(s) [0] have a degenerate moment denominator"
+        with pytest.raises(ComponentStarvedError, match=r"^component\(s\) \[0\] have a degenerate moment denominator$"):
+            fit(soft, tiny, config)
 
     def test_batch_needs_equal_shapes(self):
         small, init = labelled_problem(LabelMode.UNKNOWN, 2, "conventional")
