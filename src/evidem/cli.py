@@ -1,9 +1,9 @@
 """Command-line entry point: generate data, fit one dataset, run sweeps.
 
 Exit codes partition outcomes: 0 success, 2 configuration error, 3 fit did
-not converge, 4 estimation failed, 5 I/O failure.  Every run writes a
-manifest.json echoing the resolved configuration and master seed, which is
-enough to reproduce it exactly.
+not converge, 4 estimation failed, 5 I/O failure.  A command takes the flags
+of the config sections it reads (``config.READS``), and every run writes a
+manifest.json echoing their resolved values, enough to reproduce it exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .censoring import read_dataset_csv, run_life_test, write_dataset_csv, write_table
-from .config import ConfigError, RunConfig, parse_config
+from .config import READS, ConfigError, RunConfig, parse_config
 from .estimator import (
     ComponentStarvedError,
     EstimationError,
@@ -48,8 +48,6 @@ EXIT_NOT_CONVERGED = 3
 EXIT_DEGENERATE = 4
 EXIT_IO = 5
 
-_METHOD_CHOICES = [m.value for m in LabelMode] + ["all"]
-
 
 def _integer(text: str) -> int:
     """The type of the integer flags: ``int``, but the error for an invalid
@@ -61,47 +59,40 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid integer value: {shown}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", type=Path, help="YAML run configuration")
-    shared.add_argument("--seed", type=_integer, help="master seed (overrides config)")
-    shared.add_argument("--n", type=_integer, help="number of test units")
-    shared.add_argument("--censor-frac", type=float, help="fraction of units censored")
-    shared.add_argument("--rho", type=float, help="mean label error probability")
-    shared.add_argument("--reps", type=_integer, help="repetitions per sweep cell")
-    shared.add_argument("--method", choices=_METHOD_CHOICES, help="supervision regime(s)")
-    shared.add_argument("--out", type=Path, help="output directory")
-    shared.add_argument("--workers", type=_integer, help="sweep worker processes")
-    shared.add_argument("--tol", type=float, help="relative log-likelihood stop threshold")
-    shared.add_argument("--max-iters", type=_integer, help="iteration cap")
+# each override flag once; its dest is the config key it overrides, whose section decides the commands that take it
+_FLAGS = {
+    "--seed": dict(dest="seed", type=_integer, help="master seed (overrides config)"),
+    "--n": dict(dest="scheme.n", type=_integer, help="number of test units"),
+    "--censor-frac": dict(dest="scheme.censor_frac", type=float, help="fraction of units censored"),
+    "--rho": dict(dest="corruption.rho", type=float, help="mean label error probability"),
+    "--reps": dict(dest="reps", type=_integer, help="repetitions per sweep cell"),
+    "--method": dict(dest="methods", choices=[m.value for m in LabelMode] + ["all"], help="supervision regime(s)"),
+    "--out": dict(dest="out", type=Path, help="output directory"),
+    "--workers": dict(dest="workers", type=_integer, help="sweep worker processes"),
+    "--tol": dict(dest="fit.tol", type=float, help="relative log-likelihood stop threshold"),
+    "--max-iters": dict(dest="fit.max_iters", type=_integer, help="iteration cap"),
+}
+_HELP = {"generate": "simulate a censored, label-corrupted dataset", "fit": "fit one dataset with its soft labels",
+         "sweep": "run a Monte-Carlo bias sweep"}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evidem", description=__doc__)
     parser.add_argument("--version", action="version", version=f"evidem {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("generate", parents=[shared], help="simulate a censored, label-corrupted dataset")
-    sub.add_parser("fit", parents=[shared], help="fit one dataset with its soft labels")
-    sub.add_parser("sweep", parents=[shared], help="run a Monte-Carlo bias sweep")
+    for command, reads in READS.items():
+        command_parser = sub.add_parser(command, help=_HELP[command])
+        command_parser.add_argument("--config", type=Path, help="YAML run configuration")
+        for flag, options in _FLAGS.items():
+            if options["dest"].split(".")[0] in reads:
+                command_parser.add_argument(flag, **options)
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    return {
-        "seed": args.seed,
-        "out": None if args.out is None else str(args.out),
-        "reps": args.reps,
-        "workers": args.workers,
-        "methods": None if args.method is None else args.method,
-        "scheme.n": args.n,
-        "scheme.censor_frac": args.censor_frac,
-        "corruption.rho": args.rho,
-        "fit.tol": args.tol,
-        "fit.max_iters": args.max_iters,
-    }
-
-
 def _write_manifest(cfg: RunConfig, extra: dict | None = None) -> None:
-    payload = {"version": __version__, "master_seed": cfg.seed, "config": cfg.manifest_dict()}
-    payload.update(extra or {})
+    payload = {"version": __version__, "config": cfg.manifest_dict(), **(extra or {})}
+    if "seed" in payload["config"]:
+        payload["master_seed"] = cfg.seed
     with open(cfg.out / "manifest.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -191,7 +182,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     corrupted = spec.configs if spec.variable == "rho" else [spec.base]  # an n sweep has one corruption
     _write_manifest(cfg, {"effective_sd": [c.corruption.effective_sd for c in corrupted]})
     n_failed = int(result.rows.failed.sum())
-    print(f"{len(result.rows)} replications, {n_failed} failed; outputs in {cfg.out}")
+    print(f"{len(result.rows)} rows, {n_failed} failed; outputs in {cfg.out}")
     if n_failed == len(result.rows):
         print("every replication failed", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -202,10 +193,11 @@ _COMMANDS = {"generate": cmd_generate, "fit": cmd_fit, "sweep": cmd_sweep}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    overrides = vars(build_parser().parse_args(argv))
+    command, path = overrides.pop("command"), overrides.pop("config")
     try:
-        cfg = parse_config(args.config, _overrides(args), command=args.command)
-        return _COMMANDS[args.command](cfg)
+        cfg = parse_config(path, overrides, command=command)
+        return _COMMANDS[command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

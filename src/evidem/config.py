@@ -1,8 +1,8 @@
 """Run configuration: YAML file plus command-line overrides.
 
 The file vocabulary is shared by all subcommands; unknown keys anywhere are
-an error that lists them, and every resolved value is echoed into the run
-manifest so a run can be reproduced from its output directory alone.
+an error that lists them.  A command takes the flags, and its run manifest
+echoes the resolved values, of only the sections :data:`READS` lists for it.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import yaml
 from .censoring import CensoringScheme, SchemeError, conventional_scheme, scheme_from_censor_frac
 from .estimator import E2MConfig, LabelMode
 from .rayleigh import MixtureParams
-from .simulation import INIT_RULES, TRUTH_OFFSET, CorruptionConfig, ExperimentConfig, SweepSpec
+from .simulation import INIT_RULES, CorruptionConfig, ExperimentConfig, SweepSpec, truth_offset_init
 
-__all__ = ["ConfigError", "RunConfig", "parse_config"]
+__all__ = ["ConfigError", "READS", "RunConfig", "parse_config"]
 
 
 class ConfigError(ValueError):
@@ -43,14 +43,20 @@ _SCHEMA: dict[str, Any] = {
     "fit": {"tol": True, "max_iters": True, "init": True},
     "sweep": {"variable": True, "grid": True},
 }
+# the top-level sections each command reads; parse_config still checks every section for every command
+READS: dict[str, tuple[str, ...]] = {
+    "generate": ("seed", "out", "model", "scheme", "corruption"),
+    "fit": ("out", "data", "labels", "soft_labels", "model", "fit"),
+    "sweep": tuple(key for key in _SCHEMA if key not in ("data", "labels", "soft_labels")),
+}
 
 
 @dataclass
 class RunConfig:
     """Fully resolved configuration for one command invocation.
 
-    ``sweep`` is built, and so checked, only for the sweep command; the
-    other commands never read a 'sweep' section and echo it as null.
+    ``sweep`` is built, and so checked, only for the sweep command, the
+    only one that reads a 'sweep' section.
     """
 
     command: str | None
@@ -71,9 +77,8 @@ class RunConfig:
     soft_labels: np.ndarray | None = None
 
     def manifest_dict(self) -> dict:
-        """JSON-ready echo of every resolved value."""
-        return {
-            "command": self.command,
+        """JSON-ready echo of every resolved value of the sections the command reads, all for no command."""
+        full = {
             "seed": self.seed,
             "out": str(self.out),
             "reps": self.reps,
@@ -84,8 +89,7 @@ class RunConfig:
             else {"lambdas": [float(v) for v in self.model.lambdas], "xis": [float(v) for v in self.model.xis]},
             "scheme": None
             if self.scheme is None
-            else {"n": self.scheme.n, "J": self.scheme.J, "R": list(self.scheme.removals)},
-            "censor_frac": self.censor_frac,
+            else {"n": self.scheme.n, "J": self.scheme.J, "R": list(self.scheme.removals), "censor_frac": self.censor_frac},
             "corruption": {"rho": self.corruption.rho, "sd": self.corruption.sd},
             "fit": {"tol": self.fit_config.tol, "max_iters": self.fit_config.max_iters, "init": self.init},
             "sweep": None if self.sweep is None else {"variable": self.sweep.variable, "grid": list(self.sweep.grid)},
@@ -93,6 +97,7 @@ class RunConfig:
             "labels": None if self.labels is None else str(self.labels),
             "soft_labels": None if self.soft_labels is None else [list(map(float, row)) for row in self.soft_labels],
         }
+        return {"command": self.command, **{k: v for k, v in full.items() if k in READS.get(self.command, _SCHEMA)}}
 
 
 def _check_unknown_keys(raw: Mapping, schema: Mapping, prefix: str = "") -> list[str]:
@@ -152,14 +157,11 @@ def _parse_methods(raw) -> list[LabelMode]:
 
 
 def _sweep_spec(cfg: RunConfig, section: Mapping) -> SweepSpec:
-    """The sweep of the resolved ``cfg``, which must replay a conventional plan."""
+    """The sweep of the resolved ``cfg``, which must replay a conventional plan; raises ValueError."""
     grid = tuple(_as_float(v, "sweep.grid") for v in _as_list(section.get("grid"), "sweep.grid"))
-    try:
-        base = ExperimentConfig(cfg.model, cfg.scheme.n, cfg.censor_frac, cfg.corruption.rho, cfg.corruption.sd,
-                                init=cfg.init, fit_config=cfg.fit_config)
-        spec = SweepSpec(section.get("variable"), grid, cfg.reps, base, tuple(cfg.methods))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    base = ExperimentConfig(cfg.model, cfg.scheme.n, cfg.censor_frac, cfg.corruption.rho, cfg.corruption.sd,
+                            init=cfg.init, fit_config=cfg.fit_config)
+    spec = SweepSpec(section.get("variable"), grid, cfg.reps, base, tuple(cfg.methods))
     if base.scheme != cfg.scheme:
         raise ConfigError(
             "sweeps replay conventional plans only, which remove every survivor at the last failure; "
@@ -310,9 +312,11 @@ def parse_config(
     for keys, what in required.get(command, []):
         if all(raw.get(key) is None for key in keys):
             raise ConfigError(f"the {command} command needs {what}")
-    # the truth-offset start is the model's xi minus TRUTH_OFFSET
-    if cfg.init == "truth-offset" and cfg.model is not None and np.any(cfg.model.xis <= TRUTH_OFFSET):
-        raise ConfigError(f"'model.xis' must exceed {TRUTH_OFFSET} for the truth-offset start, got {cfg.model.xis.tolist()}")
-    if command == "sweep":
-        cfg.sweep = _sweep_spec(cfg, raw["sweep"])
+    try:  # the only check of a fit's truth-offset start; a sweep's ExperimentConfig checks it again
+        if cfg.init == "truth-offset" and cfg.model is not None:
+            truth_offset_init(cfg.model)
+        if command == "sweep":
+            cfg.sweep = _sweep_spec(cfg, raw["sweep"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return cfg

@@ -166,7 +166,9 @@ def align_to_truth(lambdas: np.ndarray, xis: np.ndarray, truth: MixtureParams) -
 
 
 def truth_offset_init(truth: MixtureParams) -> MixtureParams:
-    """Reproduction-protocol starting point: true weights, true xi minus :data:`TRUTH_OFFSET`."""
+    """Reproduction-protocol starting point: true weights, true xi minus :data:`TRUTH_OFFSET`, which each must exceed."""
+    if np.any(truth.xis <= TRUTH_OFFSET):
+        raise ValueError(f"'model.xis' must exceed {TRUTH_OFFSET} for the truth-offset start, got {truth.xis.tolist()}")
     return MixtureParams(truth.lambdas, truth.xis - TRUTH_OFFSET)
 
 
@@ -188,7 +190,7 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 class ExperimentConfig:
     """Everything one replication needs except the method and the generator.
 
-    Construction builds, and so checks, the ``scheme`` and ``corruption`` it replays.
+    Construction builds, and so checks, the ``scheme``, ``corruption`` and truth-offset start it replays.
     """
 
     true_params: MixtureParams
@@ -206,6 +208,8 @@ class ExperimentConfig:
         object.__setattr__(self, "corruption", CorruptionConfig(self.rho, self.sd))
         if self.init not in INIT_RULES:
             raise ValueError(f"unknown init rule {self.init!r}; valid: {', '.join(INIT_RULES)}")
+        if self.init == "truth-offset":
+            truth_offset_init(self.true_params)
         if self.true_params.n_components > MAX_ALIGN_COMPONENTS:
             raise ValueError(f"sweeps align at most {MAX_ALIGN_COMPONENTS} components to the truth, "
                              f"the model has {self.true_params.n_components}")

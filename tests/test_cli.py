@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -15,15 +17,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from evidem import simulation
+from evidem import cli, simulation
 from evidem.censoring import conventional_scheme, read_dataset_csv, write_dataset_csv
 from evidem.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
-from evidem.config import ConfigError, RunConfig, parse_config
+from evidem.config import READS, ConfigError, RunConfig, parse_config
 from evidem.estimator import E2MConfig, SoftLabeledDataset, fit, read_soft_labels_csv, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import truth_offset_init
 from helpers import starving_problem
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 PAPER_MODEL = {"lambdas": [1 / 3, 1 / 3, 1 / 3], "xis": [4.0, 0.5, 0.8]}
 
 
@@ -454,13 +457,13 @@ class TestFitCommand:
         ("converged", [], EXIT_OK,
          {"estimate.csv": "9cebe7058e3e038e799cd0dcb78fd14a4bd077c8ff0aaca27e9343bb9d1d4268",
           "trace.csv": "b5c5ec2f8669297deaaae5ce77f4015493fba05af5fae15deeb9b639b551323c",
-          "manifest.json": "f634122fd49f5bc1ff6c94da712a25eea048c3025773903929a25762622dce8f"}),
+          "manifest.json": "95cfa099a12955614841801f6822b00c949f994582bf77bb709209f8a12a8056"}),
         ("capped", ["--max-iters", "1"], EXIT_NOT_CONVERGED,
          {"estimate.csv": "19de09093ba508fb4ecedb608f6c54270452604be01701a8ebe3232456624720",
           "trace.csv": "ee70006d37a9b9b5175b370be291ce369dc7557377840aa267c95f194d5eabc6",
-          "manifest.json": "364d6dd955b03d8a9b06d07fd4aa9cbb6eb0cce95884403c09ea8c734a58e339"}),
+          "manifest.json": "0836a8be169fdf1c5fc93ce1dcffd0033c24c450fdd0f2761603afc6884b8d27"}),
         ("degenerate", [], EXIT_DEGENERATE,
-         {"manifest.json": "792c8d9fb453aca5e32fae6f9f196798d2817ca8d37ac48ada9e877c02aa505e"}),
+         {"manifest.json": "c449961a214b176187754a86f6b62fea9ba96ea48579df25abb25227bd18beae"}),
     ])
     def test_fit_outputs_are_pinned(self, tmp_path, monkeypatch, case, flags, code, pinned):
         # the hashes are those of the fit that assembled its trace from per-fit history segments;
@@ -603,6 +606,13 @@ class TestSweepCommand:
         assert len(rows) == 2 * 2 * 2
         manifest = read_manifest(out / "manifest.json")
         assert manifest["effective_sd"][0] == 0.0
+
+    def test_summary_line_counts_rows(self, tmp_path, capsys):
+        # 4 replications give 24 rows (2 grid points x 3 methods), and one fit fails: NOISY at rho 0.3, rep 2
+        out = tmp_path / "counted"
+        cfg_file = write_config(tmp_path / "sweep.yaml", dict(_FAILED_FIT, out=str(out)))
+        assert main(["sweep", "--config", cfg_file, "--workers", "1"]) == EXIT_OK
+        assert capsys.readouterr().out == f"24 rows, 1 failed; outputs in {out}\n"
 
     def test_single_cell_summary_equals_row(self, tmp_path):
         out = tmp_path / "single"
@@ -819,7 +829,8 @@ def test_invalid_number_is_config_error(tmp_path, capsys, command, defect):
     else:
         flags = ["--seed", "-1"]
     cfg_file = write_config(tmp_path / "bad.yaml", payload)
-    assert main([command, "--config", cfg_file, "--workers", "1", *flags]) == EXIT_CONFIG
+    workers = ["--workers", "1"] if command == "sweep" else []
+    assert main([command, "--config", cfg_file, *workers, *flags]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists()
 
@@ -842,7 +853,8 @@ def test_corruption_without_float_beta_is_config_error(tmp_path, capsys, command
                "sweep": {"variable": "rho", "grid": [0.1]}, "reps": 1, "out": str(out),
                **_BETA_WITHOUT_FLOAT_SHAPES[case]}
     cfg_file = write_config(tmp_path / "beta.yaml", payload)
-    assert main([command, "--config", cfg_file, "--workers", "1"]) == EXIT_CONFIG
+    workers = ["--workers", "1"] if command == "sweep" else []
+    assert main([command, "--config", cfg_file, *workers]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error") and "give no Beta in floating point" in err
     assert not out.exists()
@@ -893,10 +905,61 @@ def test_manifest_records_the_resolved_start_rule(tmp_path, command, model, rule
         cfg_file = write_config(tmp_path / "fit.yaml", payload)
     else:
         cfg_file = sweep_config(tmp_path, out, grid=(0.1,), reps=1, n=40, methods=("uncertain",))
-    assert main([command, "--config", cfg_file, "--workers", "1"]) in (EXIT_OK, EXIT_NOT_CONVERGED)
+    workers = ["--workers", "1"] if command == "sweep" else []
+    assert main([command, "--config", cfg_file, *workers]) in (EXIT_OK, EXIT_NOT_CONVERGED)
     manifest = read_manifest(out / "manifest.json")
     assert manifest["config"]["fit"]["init"] == rule
     assert "init" not in manifest
+
+
+_FLAG_VALUES = {"--seed": "9", "--n": "30", "--censor-frac": "0.5", "--rho": "0.3", "--reps": "7", "--method": "noisy",
+                "--out": "elsewhere", "--workers": "2", "--tol": "1e-6", "--max-iters": "5"}
+_TAKES = {"generate": {"--seed", "--n", "--censor-frac", "--rho", "--out"}, "fit": {"--out", "--tol", "--max-iters"},
+          "sweep": set(_FLAG_VALUES)}
+
+
+@pytest.mark.parametrize("flag", _FLAG_VALUES)
+@pytest.mark.parametrize("command", _TAKES)
+def test_a_command_takes_the_flags_of_the_sections_it_reads(capsys, command, flag):
+    assert set(cli._FLAGS) == set(_FLAG_VALUES)
+    dest = cli._FLAGS[flag]["dest"]
+    assert (flag in _TAKES[command]) == (dest.split(".")[0] in READS[command])
+    if flag in _TAKES[command]:
+        args = vars(cli.build_parser().parse_args([command, "--config", "c.yaml", flag, _FLAG_VALUES[flag]]))
+        assert set(args) == {"command", "config"} | {cli._FLAGS[f]["dest"] for f in _TAKES[command]}
+        assert str(args[dest]) == _FLAG_VALUES[flag] or args[dest] == float(_FLAG_VALUES[flag])
+    else:
+        with pytest.raises(SystemExit) as exit_:
+            main([command, flag, _FLAG_VALUES[flag]])
+        assert exit_.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} {_FLAG_VALUES[flag]}\n" in capsys.readouterr().err
+
+
+def test_fit_and_generate_manifests_do_not_depend_on_the_cpu_count(tmp_path):
+    # a fresh interpreter per count, since RunConfig takes its default worker count when evidem is imported
+    code = (
+        "import os, sys\n"
+        "os.cpu_count = lambda: int(sys.argv[1])\n"
+        "from evidem.cli import main\n"
+        "assert main(['generate', '--config', 'gen.yaml', '--out', 'gen']) == 0\n"
+        "assert main(['fit', '--config', 'fit.yaml', '--out', 'fit']) == 0\n"
+    )
+    manifests = {}
+    for count in (1, 4):
+        run = tmp_path / f"cpus{count}"
+        run.mkdir()
+        write_config(run / "gen.yaml", {"model": {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]},
+                                        "scheme": {"n": 40, "censor_frac": 0.5}, "seed": 123})
+        write_config(run / "fit.yaml", {"data": "gen/data.csv", "labels": "gen/labels.csv"})
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", code, str(count)], cwd=run, env=env, capture_output=True, timeout=60,
+                       check=True)
+        manifests[count] = [(run / command / "manifest.json").read_bytes() for command in ("gen", "fit")]
+    assert manifests[1] == manifests[4]
+    generate, fit_ = (json.loads(text) for text in manifests[1])
+    assert set(generate["config"]) == {"command", "seed", "out", "model", "scheme", "corruption"}
+    assert set(fit_["config"]) == {"command", "out", "data", "labels", "soft_labels", "model", "fit"}
+    assert "master_seed" in generate and "master_seed" not in fit_
 
 
 # byte strings a mutation may splice in: numbers at and beyond the float range, CSV structure, bad encodings

@@ -486,3 +486,13 @@ class TestInitRule:
         init = truth_offset_init(TRUTH)
         assert_allclose(init.lambdas, TRUTH.lambdas)
         assert_allclose(init.xis, TRUTH.xis - 0.01)
+
+    def test_truth_offset_start_is_checked_when_the_experiment_is_built(self):
+        # a spec that builds is one run_sweep can run; the start xi of 0.005 - 0.01 is not a valid xi
+        small = MixtureParams(np.array([0.5, 0.5]), np.array([0.005, 1.0]))
+        message = r"'model.xis' must exceed 0.01 for the truth-offset start, got \[0.005, 1.0\]"
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(small, 40, 0.5, 0.1)
+        with pytest.raises(ValueError, match=message):
+            truth_offset_init(small)
+        ExperimentConfig(small, 40, 0.5, 0.1, init="model")  # the other rules start from a valid xi
