@@ -27,7 +27,6 @@ from .rayleigh import MixtureParams, sample_labeled
 from .simulation import (
     CorruptionConfig,
     ExperimentConfig,
-    RABiasReport,
     SweepSpec,
     corrupt_labels,
     draw_error_probs,
@@ -57,7 +56,6 @@ __all__ = [
     "CorruptionConfig",
     "ExperimentConfig",
     "SweepSpec",
-    "RABiasReport",
     "draw_error_probs",
     "corrupt_labels",
     "rabias",

@@ -31,7 +31,9 @@ from .estimator import (
 from .figures import Series, write_line_chart
 from .rayleigh import sample_labeled
 from .simulation import (
+    aggregate_report,
     corrupt_labels,
+    curve,
     draw_error_probs,
     parameter_names,
     run_sweep,
@@ -76,10 +78,20 @@ _HELP = {"generate": "simulate a censored, label-corrupted dataset", "fit": "fit
          "sweep": "run a Monte-Carlo bias sweep"}
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an argument it does not take is a usage error given with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="evidem", description=__doc__)
     parser.add_argument("--version", action="version", version=f"evidem {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, reads in READS.items():
         command_parser = sub.add_parser(command, help=_HELP[command])
         command_parser.add_argument("--config", type=Path, help="YAML run configuration")
@@ -161,19 +173,20 @@ def cmd_sweep(cfg: RunConfig) -> int:
     """Run ``cfg.sweep``, which :func:`parse_config` builds and checks, and write its outputs."""
     spec = cfg.sweep
     cfg.out.mkdir(parents=True, exist_ok=True)
-    result = run_sweep(spec, cfg.seed, workers=cfg.workers)
-    write_results_csv(result, cfg.out / "results.csv")
-    write_summary_csv(result, cfg.out / "summary.csv")
+    rows = run_sweep(spec, cfg.seed, workers=cfg.workers)
+    summary = aggregate_report(spec, rows)
+    write_results_csv(spec, rows, cfg.out / "results.csv")
+    write_summary_csv(spec, summary, cfg.out / "summary.csv")
     for z in range(spec.base.true_params.n_components):
         name = f"xi_{z + 1}"
-        write_figure_csv(result, name, cfg.out / f"figure_{name}.csv")
+        write_figure_csv(spec, summary, name, cfg.out / f"figure_{name}.csv")
         series = []
         for method in spec.methods:
-            grid, mean, sd = result.report.curve(method, name)
-            series.append(Series(label=method.value, mean=mean, sd=sd))
+            points = curve(summary, method, name)
+            series.append(Series(label=method.value, mean=points["mean_rabias"], sd=points["sd_rabias"]))
         write_line_chart(
             cfg.out / f"figure_{name}.svg",
-            grid,
+            points["grid_value"],
             series,
             title=f"mean absolute relative bias of {name}",
             xlabel=spec.variable,
@@ -181,9 +194,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
         )
     corrupted = spec.configs if spec.variable == "rho" else [spec.base]  # an n sweep has one corruption
     _write_manifest(cfg, {"effective_sd": [c.corruption.effective_sd for c in corrupted]})
-    n_failed = int(result.rows.failed.sum())
-    print(f"{len(result.rows)} rows, {n_failed} failed; outputs in {cfg.out}")
-    if n_failed == len(result.rows):
+    n_failed = int(rows.failed.sum())
+    print(f"{len(rows)} rows, {n_failed} failed; outputs in {cfg.out}")
+    if n_failed == len(rows):
         print("every replication failed", file=sys.stderr)
         return EXIT_DEGENERATE
     return EXIT_OK

@@ -1,8 +1,8 @@
 """Run configuration: YAML file plus command-line overrides.
 
 The file vocabulary is shared by all subcommands; unknown keys anywhere are
-an error that lists them.  A command takes the flags, and its run manifest
-echoes the resolved values, of only the sections :data:`READS` lists for it.
+an error that lists them.  A command parses, takes the flags of, and echoes
+in its run manifest only the sections :data:`READS` lists for it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _SCHEMA: dict[str, Any] = {
     "fit": {"tol": True, "max_iters": True, "init": True},
     "sweep": {"variable": True, "grid": True},
 }
-# the top-level sections each command reads; parse_config still checks every section for every command
+# the top-level sections each command reads; parse_config checks the others only for unknown keys
 READS: dict[str, tuple[str, ...]] = {
     "generate": ("seed", "out", "model", "scheme", "corruption"),
     "fit": ("out", "data", "labels", "soft_labels", "model", "fit"),
@@ -53,13 +53,9 @@ READS: dict[str, tuple[str, ...]] = {
 
 @dataclass
 class RunConfig:
-    """Fully resolved configuration for one command invocation.
+    """Fully resolved configuration for one command invocation; a section it does not read keeps its default."""
 
-    ``sweep`` is built, and so checked, only for the sweep command, the
-    only one that reads a 'sweep' section.
-    """
-
-    command: str | None
+    command: str
     seed: int = 0
     out: Path = Path("out")
     reps: int = 20
@@ -77,7 +73,7 @@ class RunConfig:
     soft_labels: np.ndarray | None = None
 
     def manifest_dict(self) -> dict:
-        """JSON-ready echo of every resolved value of the sections the command reads, all for no command."""
+        """JSON-ready echo of every resolved value of the sections the command reads."""
         full = {
             "seed": self.seed,
             "out": str(self.out),
@@ -97,7 +93,7 @@ class RunConfig:
             "labels": None if self.labels is None else str(self.labels),
             "soft_labels": None if self.soft_labels is None else [list(map(float, row)) for row in self.soft_labels],
         }
-        return {"command": self.command, **{k: v for k, v in full.items() if k in READS.get(self.command, _SCHEMA)}}
+        return {"command": self.command, **{k: v for k, v in full.items() if k in READS[self.command]}}
 
 
 def _check_unknown_keys(raw: Mapping, schema: Mapping, prefix: str = "") -> list[str]:
@@ -173,15 +169,17 @@ def _sweep_spec(cfg: RunConfig, section: Mapping) -> SweepSpec:
 def parse_config(
     path: str | Path | None,
     overrides: Mapping[str, Any] | None = None,
-    command: str | None = None,
+    *,
+    command: str,
 ) -> RunConfig:
     """Load a YAML config file and apply flag overrides on top.
 
     ``overrides`` uses dotted keys mirroring the file layout
     (``scheme.n``, ``corruption.rho``, ``fit.tol``, ...); values set to
-    None are ignored.  Raises :class:`ConfigError` on unknown keys,
-    invariant violations and a ``command``'s missing inputs, naming the
-    offending field, and resolves ``init``, the start rule of its fits.
+    None are ignored.  Raises :class:`ConfigError` on unknown keys anywhere,
+    and on invariant violations and missing inputs in the sections
+    :data:`READS` lists for ``command``, the only ones it parses, naming
+    the offending field.  Resolves ``init``, the start rule of its fits.
     """
     raw: dict[str, Any] = {}
     if path is not None:
@@ -219,6 +217,7 @@ def parse_config(
         if key == "scheme.censor_frac":
             node.pop("R", None)
             node.pop("J", None)
+    raw = {key: value for key, value in raw.items() if key in READS[command]}
 
     cfg = RunConfig(command=command)
     cfg.seed = _as_int(raw.get("seed", cfg.seed), "seed")
@@ -309,7 +308,7 @@ def parse_config(
         + ([(("model",), f"a 'model' section (fit.init = {cfg.init})")] if cfg.init != "quantile-spread" else []),
         "sweep": [(("model",), "a 'model' section"), (("scheme",), "a 'scheme' section"), (("sweep",), "a 'sweep' section")],
     }
-    for keys, what in required.get(command, []):
+    for keys, what in required[command]:
         if all(raw.get(key) is None for key in keys):
             raise ConfigError(f"the {command} command needs {what}")
     try:  # the only check of a fit's truth-offset start; a sweep's ExperimentConfig checks it again

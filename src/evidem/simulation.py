@@ -42,8 +42,6 @@ __all__ = [
     "CorruptionConfig",
     "ExperimentConfig",
     "SweepSpec",
-    "RABiasReport",
-    "SweepResult",
     "INIT_RULES",
     "draw_error_probs",
     "corrupt_labels",
@@ -56,6 +54,8 @@ __all__ = [
     "summary_dtype",
     "run_shard",
     "run_sweep",
+    "aggregate_report",
+    "curve",
     "parameter_names",
     "write_results_csv",
     "write_summary_csv",
@@ -333,44 +333,20 @@ def summary_dtype() -> np.dtype:
                      ("sd_rabias", float), ("n_success", int), ("n_failed", int), ("reliable", bool)])
 
 
-@dataclass
-class RABiasReport:
-    table: np.ndarray  # one summary_dtype record per (grid point, method, parameter), in sweep order
-
-    def cell(self, method: LabelMode | str, grid_value: float, parameter: str) -> np.record:
-        """The one record at exactly ``grid_value``; a KeyError if none or several (a repeated grid value) match."""
-        pts = self.points(method, parameter)
-        found = pts[pts["grid_value"] == grid_value]
-        if len(found) != 1:
-            raise KeyError(f"grid value {grid_value!r} matches {len(found)} {LabelMode(method).value} cells of {parameter}")
-        return found.view(np.recarray)[0]
-
-    def points(self, method: LabelMode | str, parameter: str) -> np.ndarray:
-        """One method's records for one parameter, by grid value; repeated grid values keep their order."""
-        pts = self.table[(self.table["method"] == LabelMode(method).value) & (self.table["parameter"] == parameter)]
-        return pts[np.argsort(pts["grid_value"], kind="stable")]
-
-    def curve(self, method: LabelMode | str, parameter: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Grid values with per-point mean and sd for one method and parameter."""
-        pts = self.points(method, parameter)
-        return pts["grid_value"], pts["mean_rabias"], pts["sd_rabias"]
-
-
-@dataclass
-class SweepResult:
-    spec: SweepSpec
-    master_seed: int
-    rows: np.recarray  # one row_dtype record per (grid point, method, rep), in that order
-    report: RABiasReport
+def curve(summary: np.ndarray, method: LabelMode | str, parameter: str) -> np.ndarray:
+    """One method's summary records for one parameter, by grid value; repeated grid values keep their order."""
+    pts = summary[(summary["method"] == LabelMode(method).value) & (summary["parameter"] == parameter)]
+    return pts[np.argsort(pts["grid_value"], kind="stable")]
 
 
 def parameter_names(p: int) -> list[str]:
     return [f"lambda_{z + 1}" for z in range(p)] + [f"xi_{z + 1}" for z in range(p)]
 
 
-def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> SweepResult:
-    """Run the full grid, one task per shard of the experiment keys at one n
-    (see :func:`run_shard`); deterministic in (spec, master_seed) regardless of workers."""
+def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> np.recarray:
+    """The :func:`row_dtype` rows of the full grid, in (grid point, method, rep) order: one task per
+    shard of the experiment keys at one n (see :func:`run_shard`); deterministic in (spec, master_seed)
+    regardless of workers."""
     ns = [cfg.n for cfg in spec.configs]
     starts = (0,) if spec.variable == "rho" else range(len(ns))
     tasks = []
@@ -387,14 +363,13 @@ def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> SweepResul
         shard_rows = [run_shard(*task) for task in tasks]
     position = [(gi * len(spec.methods) + m) * spec.reps + rep  # in run_shard's row order
                 for *_, keys in tasks for g, rep in keys for gi in _points(spec, g) for m in range(len(spec.methods))]
-    rows = np.concatenate(shard_rows)[np.argsort(position)].view(np.recarray)
-    return SweepResult(spec, master_seed, rows, aggregate_report(spec, rows))
+    return np.concatenate(shard_rows)[np.argsort(position)].view(np.recarray)
 
 
-def aggregate_report(spec: SweepSpec, rows: np.recarray) -> RABiasReport:
-    """Aggregate ``rows`` in :func:`run_sweep` order: ``spec.reps`` rows per
-    (grid point, method) cell, grid point by grid point.  Cells are found by
-    position, so a repeated grid value makes cells of its own."""
+def aggregate_report(spec: SweepSpec, rows: np.recarray) -> np.ndarray:
+    """The :func:`summary_dtype` summary of ``rows`` in :func:`run_sweep` order:
+    ``spec.reps`` rows per (grid point, method) cell, grid point by grid point.
+    Cells are found by position, so a repeated grid value makes cells of its own."""
     p = spec.base.true_params.n_components
     keys = [(gv, method) for gv in spec.grid for method in spec.methods]
     if len(rows) != len(keys) * spec.reps:
@@ -414,15 +389,14 @@ def aggregate_report(spec: SweepSpec, rows: np.recarray) -> RABiasReport:
         cell["reliable"] = spec.reps - n_ok <= UNRELIABLE_FAILURE_FRAC * spec.reps
         cell["mean_rabias"] = ok.mean(axis=1) if n_ok else np.nan
         cell["sd_rabias"] = ok.std(axis=1, ddof=1) if n_ok > 1 else (0.0 if n_ok else np.nan)
-    return RABiasReport(table)
+    return table
 
 
-def write_results_csv(result: SweepResult, path) -> None:
+def write_results_csv(spec: SweepSpec, rows: np.recarray, path) -> None:
     """One row per fit, byte-stable for a fixed (spec, seed): a column per
     :func:`row_dtype` field, or per component of a parameter vector.  A failed
     fit's estimates, iterations and convergence are blank."""
-    rows = result.rows
-    header, columns = ["variable"], [lambda s: [result.spec.variable] * (s.stop - s.start)]
+    header, columns = ["variable"], [lambda s: [spec.variable] * (s.stop - s.start)]
     for name in rows.dtype.names:
         values = rows[name]
         if values.ndim == 2:
@@ -437,16 +411,15 @@ def write_results_csv(result: SweepResult, path) -> None:
     write_table(path, header, len(rows), columns)
 
 
-def write_summary_csv(result: SweepResult, path) -> None:
+def write_summary_csv(spec: SweepSpec, summary: np.ndarray, path) -> None:
     """Per (grid point, method, parameter) aggregate of the replication rows:
     the sweep variable, then a column per :func:`summary_dtype` field."""
-    table = result.report.table
-    write_table(path, ["variable", *table.dtype.names], len(table),
-                [lambda s: [result.spec.variable] * (s.stop - s.start), *(table[name] for name in table.dtype.names)])
+    write_table(path, ["variable", *summary.dtype.names], len(summary),
+                [lambda s: [spec.variable] * (s.stop - s.start), *(summary[name] for name in summary.dtype.names)])
 
 
-def write_figure_csv(result: SweepResult, parameter: str, path) -> None:
+def write_figure_csv(spec: SweepSpec, summary: np.ndarray, parameter: str, path) -> None:
     """Plot-ready long-format table for one parameter across the grid."""
-    table = np.concatenate([result.report.points(method, parameter) for method in result.spec.methods])
+    table = np.concatenate([curve(summary, method, parameter) for method in spec.methods])
     names = ["grid_value", "method", "mean_rabias", "sd_rabias", "n_failed"]
-    write_table(path, [result.spec.variable, *names[1:]], len(table), [table[name] for name in names])
+    write_table(path, [spec.variable, *names[1:]], len(table), [table[name] for name in names])

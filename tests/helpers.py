@@ -5,7 +5,7 @@ formulas only, with scalar loops, math.fsum, and generic search routines, so
 that agreement with the library is a genuine cross-check rather than a
 tautology.  The last sections hold small hand-built datasets and expose the
 library's own batched kernel one dataset and one step at a time, for the
-tests that check single steps.
+tests that check single steps, and look up one cell of a sweep's summary.
 """
 
 import math
@@ -15,8 +15,9 @@ import numpy as np
 
 from evidem import estimator
 from evidem.censoring import CensoredDataset, CensoringScheme
-from evidem.estimator import E2MConfig, E2MTrace, SoftLabeledDataset
+from evidem.estimator import E2MConfig, E2MTrace, LabelMode, SoftLabeledDataset
 from evidem.rayleigh import MixtureParams
+from evidem.simulation import curve
 from oracles import log_pdf, log_survival, truncated_second_moment
 
 
@@ -259,3 +260,12 @@ def history(steps, b):
     """The (lambdas, xis, gll) iterates of fit ``b`` among the steps ``fit_batch`` returns."""
     picks = [(lam[k], xi[k], g[k]) for rows, lam, xi, g in steps for k in np.flatnonzero(rows == b)]
     return [np.array(a) for a in zip(*picks)]
+
+
+def cell(summary, method, grid_value, parameter):
+    """The one summary record at exactly ``grid_value``; a KeyError if none or several (a repeated grid value) match."""
+    pts = curve(summary, method, parameter)
+    found = pts[pts["grid_value"] == grid_value]
+    if len(found) != 1:
+        raise KeyError(f"grid value {grid_value!r} matches {len(found)} {LabelMode(method).value} cells of {parameter}")
+    return found.view(np.recarray)[0]

@@ -27,8 +27,9 @@ from evidem.estimator import (
     make_soft_labels,
 )
 from evidem.rayleigh import MixtureParams, sample_labeled
-from evidem.simulation import ExperimentConfig, SweepSpec, run_sweep
+from evidem.simulation import ExperimentConfig, SweepSpec, aggregate_report, curve, run_sweep
 from helpers import (
+    cell,
     classical_censored_em,
     e_step,
     fit,
@@ -84,13 +85,15 @@ def base_experiment():
 @pytest.fixture(scope="module")
 def figure1_result():
     spec = SweepSpec("rho", RHO_GRID, 20, base_experiment())
-    return run_sweep(spec, master_seed=MASTER_SEED)
+    rows = run_sweep(spec, master_seed=MASTER_SEED)
+    return rows, aggregate_report(spec, rows)
 
 
 @pytest.fixture(scope="module")
 def figure2_result():
     spec = SweepSpec("n", N_GRID, 20, base_experiment(), methods=(LabelMode.UNCERTAIN,))
-    return run_sweep(spec, master_seed=MASTER_SEED)
+    rows = run_sweep(spec, master_seed=MASTER_SEED)
+    return rows, aggregate_report(spec, rows)
 
 
 def test_criterion_01_ascent_property():
@@ -246,33 +249,33 @@ def test_criterion_07_censoring_sampler():
 
 def test_criterion_08_figure1_trends(figure1_result):
     with criterion(8, "error-probability sweep trends"):
-        report = figure1_result.report
-        assert sum(r.failed for r in figure1_result.rows) == 0
+        rows, summary = figure1_result
+        assert sum(r.failed for r in rows) == 0
         xi_names = ("xi_1", "xi_2", "xi_3")
         # (a) corrupted-label methods degrade from rho = 0 to rho = 0.5
         for method in (LabelMode.NOISY, LabelMode.UNCERTAIN):
-            lo = np.mean([report.cell(method, 0.0, nm).mean_rabias for nm in xi_names])
-            hi = np.mean([report.cell(method, 0.5, nm).mean_rabias for nm in xi_names])
+            lo = np.mean([cell(summary, method, 0.0, nm).mean_rabias for nm in xi_names])
+            hi = np.mean([cell(summary, method, 0.5, nm).mean_rabias for nm in xi_names])
             assert hi > lo, f"{method.value}: {hi} <= {lo}"
         # (b) soft labels dominate hard noisy labels where noise is heavy
         for rho in (0.3, 0.4, 0.5):
             for nm in ("xi_1", "xi_3"):
-                u = report.cell(LabelMode.UNCERTAIN, rho, nm).mean_rabias
-                v = report.cell(LabelMode.NOISY, rho, nm).mean_rabias
+                u = cell(summary, LabelMode.UNCERTAIN, rho, nm).mean_rabias
+                v = cell(summary, LabelMode.NOISY, rho, nm).mean_rabias
                 assert u <= v, f"rho={rho} {nm}: uncertain {u} > noisy {v}"
         # (c) mild soft labels beat no labels
         for nm in ("xi_1", "xi_3"):
-            u = report.cell(LabelMode.UNCERTAIN, 0.1, nm).mean_rabias
-            v = report.cell(LabelMode.UNKNOWN, 0.1, nm).mean_rabias
+            u = cell(summary, LabelMode.UNCERTAIN, 0.1, nm).mean_rabias
+            v = cell(summary, LabelMode.UNKNOWN, 0.1, nm).mean_rabias
             assert u <= v, f"{nm}: uncertain {u} > unknown {v}"
 
 
 def test_criterion_09_figure2_trends(figure2_result):
     with criterion(9, "sample-size sweep trends"):
-        report = figure2_result.report
-        assert sum(r.failed for r in figure2_result.rows) == 0
+        rows, summary = figure2_result
+        assert sum(r.failed for r in rows) == 0
         for nm in ("xi_1", "xi_2", "xi_3"):
-            _, mean, _ = report.curve(LabelMode.UNCERTAIN, nm)
+            mean = curve(summary, LabelMode.UNCERTAIN, nm)["mean_rabias"]
             violations = [
                 (mean[i + 1] - mean[i]) / mean[i]
                 for i in range(len(mean) - 1)

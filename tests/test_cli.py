@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from evidem import cli, simulation
+from evidem import cli, config, simulation
 from evidem.censoring import conventional_scheme, read_dataset_csv, write_dataset_csv
 from evidem.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
 from evidem.config import READS, ConfigError, RunConfig, parse_config
@@ -78,14 +79,14 @@ class TestParseConfig:
             {"seeed": 1, "scheme": {"n": 10, "J": 10, "bogus": 2}},
         )
         with pytest.raises(ConfigError) as err:
-            parse_config(cfg_file)
+            parse_config(cfg_file, command="generate")
         assert "seeed" in str(err.value)
         assert "scheme.bogus" in str(err.value)
 
     def test_bad_removal_sum_is_scheme_error(self, tmp_path):
         cfg_file = write_config(tmp_path / "c.yaml", {"scheme": {"n": 10, "R": [1, 1, 1]}})
         with pytest.raises(ConfigError, match="scheme"):
-            parse_config(cfg_file)
+            parse_config(cfg_file, command="generate")
 
     def test_flag_overrides_beat_file(self, tmp_path):
         cfg_file = write_config(
@@ -113,13 +114,13 @@ class TestParseConfig:
         assert (cfg.censor_frac, cfg.scheme.J) == (0.5, 5)
 
     def test_method_all(self, tmp_path):
-        cfg_file = write_config(tmp_path / "c.yaml", {})
-        cfg = parse_config(cfg_file, {"methods": "all"})
+        cfg_file = write_config(tmp_path / "c.yaml", _COMPLETE_INPUTS["sweep"])  # only sweep reads 'methods'
+        cfg = parse_config(cfg_file, {"methods": "all"}, command="sweep")
         assert [m.value for m in cfg.methods] == ["uncertain", "noisy", "unknown"]
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
-            parse_config("does-not-exist.yaml")
+            parse_config("does-not-exist.yaml", command="fit")
 
     def test_truncated_yaml_is_config_error(self, tmp_path, capsys):
         text = yaml.safe_dump({"model": PAPER_MODEL, "scheme": {"n": 6, "R": [1, 1, 1]}}, default_flow_style=None)
@@ -153,7 +154,7 @@ class TestParseConfig:
     def test_model_invariants_checked(self, tmp_path):
         cfg_file = write_config(tmp_path / "c.yaml", {"model": {"lambdas": [0.6, 0.6], "xis": [1, 2]}})
         with pytest.raises(ConfigError, match="model"):
-            parse_config(cfg_file)
+            parse_config(cfg_file, command="generate")
 
 
 def generate_args(tmp_path, out, seed=123, n=40, censor=0.5, rho=0.2):
@@ -933,6 +934,56 @@ def test_a_command_takes_the_flags_of_the_sections_it_reads(capsys, command, fla
             main([command, flag, _FLAG_VALUES[flag]])
         assert exit_.value.code == EXIT_CONFIG
         assert f"unrecognized arguments: {flag} {_FLAG_VALUES[flag]}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, takes in _TAKES.items()
+                                           for flag in _FLAG_VALUES if flag not in takes])
+def test_a_flag_a_command_does_not_take_is_reported_with_its_usage(capsys, command, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", "c.yaml", flag, _FLAG_VALUES[flag]])
+    assert exit_.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: evidem {command} [-h] [--config CONFIG]")
+    assert err.endswith(f"evidem {command}: error: unrecognized arguments: {flag} {_FLAG_VALUES[flag]}\n")
+
+
+# a malformed value of each top-level section, which a command that does not read the section never parses
+_MALFORMED = {"seed": -1, "reps": "many", "workers": 0, "methods": ["bogus"], "data": [1, 2], "labels": [1, 2],
+              "soft_labels": [["x"]], "scheme": {"n": 100}, "corruption": {"rho": 2}, "fit": {"tol": -1},
+              "sweep": {"variable": "bogus", "grid": 3}}
+
+
+@pytest.mark.parametrize("command, section", [(command, section) for command, reads in READS.items()
+                                              for section in config._SCHEMA if section not in reads])
+def test_a_section_a_command_does_not_read_is_checked_only_for_unknown_keys(tmp_path, capsys, fit_inputs, command,
+                                                                           section):
+    for name, data in fit_inputs.items():
+        (tmp_path / name).write_bytes(data)
+    out = tmp_path / "out"
+    model = {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]}
+    complete = {
+        "generate": {"model": model, "scheme": {"n": 20, "censor_frac": 0.5}, "seed": 3},
+        "fit": {"data": str(tmp_path / "data.csv"), "labels": str(tmp_path / "labels.csv")},
+        "sweep": {"model": model, "scheme": {"n": 20, "censor_frac": 0.5}, "reps": 1, "workers": 1,
+                  "methods": "uncertain", "sweep": {"variable": "rho", "grid": [0.1]}},
+    }
+
+    def run(name, payload):
+        shutil.rmtree(out, ignore_errors=True)
+        code = main([name, "--config", write_config(tmp_path / "c.yaml", {**payload, "out": str(out)})])
+        files = {path.name: path.read_bytes() for path in out.iterdir()} if out.exists() else None
+        return code, files, capsys.readouterr()
+
+    # the value is malformed: a command that reads the section rejects it
+    reader = next(name for name, reads in READS.items() if section in reads)
+    code, files, printed = run(reader, {**complete[reader], section: _MALFORMED[section]})
+    assert (code, files) == (EXIT_CONFIG, None) and printed.err.startswith("configuration error")
+    without = run(command, complete[command])
+    assert without[0] in (EXIT_OK, EXIT_NOT_CONVERGED) and without[1]
+    assert run(command, {**complete[command], section: _MALFORMED[section]}) == without
+    # its keys are still checked
+    if isinstance(_MALFORMED[section], dict):
+        assert run(command, {**complete[command], section: {"bogus": 1}})[0] == EXIT_CONFIG
 
 
 def test_fit_and_generate_manifests_do_not_depend_on_the_cpu_count(tmp_path):

@@ -23,7 +23,6 @@ from evidem.estimator import E2MTrace, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import (
     ExperimentConfig,
-    SweepResult,
     SweepSpec,
     aggregate_report,
     row_dtype,
@@ -91,9 +90,9 @@ def test_labels_csv(tmp_path):
     )
 
 
-def sweep_result() -> SweepResult:
-    """A rho sweep with one grid point and reps 2: UNCERTAIN fits once and fails
-    once, NOISY fails twice, UNKNOWN fits twice."""
+def sweep_result():
+    """The spec, rows and summary of a rho sweep with one grid point and reps 2:
+    UNCERTAIN fits once and fails once, NOISY fails twice, UNKNOWN fits twice."""
     truth = MixtureParams(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
     spec = SweepSpec(
         variable="rho",
@@ -118,11 +117,12 @@ def sweep_result() -> SweepResult:
         fitted("unknown", 0, [0.5, 0.5], [0.9, 2.2], 1000, False, -20.0 / 3),
         fitted("unknown", 1, [0.4, 0.6], [1.1, 1.8], 12, True, -7.25),
     ], dtype=row_dtype(2))
-    return SweepResult(spec, 11, rows, aggregate_report(spec, rows))
+    return spec, rows, aggregate_report(spec, rows)
 
 
 def test_results_csv(tmp_path):
-    write_results_csv(sweep_result(), tmp_path / "results.csv")
+    spec, rows, _ = sweep_result()
+    write_results_csv(spec, rows, tmp_path / "results.csv")
     assert written(tmp_path / "results.csv") == (
         "variable,grid_value,method,rep,lambda_1,lambda_2,xi_1,xi_2,iterations,converged,gll,"
         "rabias_lambda_1,rabias_lambda_2,rabias_xi_1,rabias_xi_2,failed,error\n"
@@ -137,9 +137,9 @@ def test_results_csv(tmp_path):
     )
     # an error message of any length, with a comma and quotes, comes out whole and quoted
     long_error = 'DegenerateLikelihoodError: non-finite at "record(s)" [' + ", ".join(map(str, range(90))) + "]"
-    result = sweep_result()
-    result.rows.error[3] = long_error
-    write_results_csv(result, tmp_path / "long.csv")
+    spec, rows, _ = sweep_result()
+    rows.error[3] = long_error
+    write_results_csv(spec, rows, tmp_path / "long.csv")
     assert written(tmp_path / "long.csv").splitlines()[4] == (
         'rho,0.1,noisy,1,,,,,,,,,,,,true,"' + long_error.replace('"', '""') + '"')
     with open(tmp_path / "long.csv", newline="") as fh:
@@ -147,7 +147,8 @@ def test_results_csv(tmp_path):
 
 
 def test_summary_csv(tmp_path):
-    write_summary_csv(sweep_result(), tmp_path / "summary.csv")
+    spec, _, summary = sweep_result()
+    write_summary_csv(spec, summary, tmp_path / "summary.csv")
     assert written(tmp_path / "summary.csv") == (
         "variable,grid_value,method,parameter,mean_rabias,sd_rabias,n_success,n_failed,reliable\n"
         "rho,0.1,uncertain,lambda_1,0.5,0.0,1,1,true\n"
@@ -166,7 +167,8 @@ def test_summary_csv(tmp_path):
 
 
 def test_figure_csv(tmp_path):
-    write_figure_csv(sweep_result(), "xi_2", tmp_path / "figure_xi_2.csv")
+    spec, _, summary = sweep_result()
+    write_figure_csv(spec, summary, "xi_2", tmp_path / "figure_xi_2.csv")
     assert written(tmp_path / "figure_xi_2.csv") == (
         "rho,method,mean_rabias,sd_rabias,n_failed\n"
         "0.1,uncertain,0.0,0.0,1\n"

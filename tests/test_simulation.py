@@ -19,6 +19,7 @@ from evidem.simulation import (
     aggregate_report,
     align_to_truth,
     corrupt_labels,
+    curve,
     draw_error_probs,
     rabias,
     row_dtype,
@@ -26,6 +27,7 @@ from evidem.simulation import (
     run_sweep,
     truth_offset_init,
 )
+import helpers
 
 TRUTH = MixtureParams(np.array([1, 1, 1]) / 3, np.array([4.0, 0.5, 0.8]))
 
@@ -239,7 +241,7 @@ class TestReplication:
         # both methods read one set of noisy labels per (grid point, rep), the true labels at rho = 0,
         # whether it continues the experiment's generator (grid index 0) or has its own (index 2)
         spec = SweepSpec("rho", (0.0, 0.3, 0.0), 2, small_config(), methods=(LabelMode.UNCERTAIN, LabelMode.NOISY))
-        rows = run_sweep(spec, master_seed=5).rows
+        rows = run_sweep(spec, master_seed=5)
         uncertain = rows[(rows.grid_value == 0.0) & (rows.method == "uncertain")]
         noisy = rows[(rows.grid_value == 0.0) & (rows.method == "noisy")]
         assert len(uncertain) == 4 and not uncertain.failed.any()
@@ -301,7 +303,7 @@ class TestCell:
     def test_report_needs_rows_in_sweep_order(self):
         cfg = small_config(n=60)
         spec = SweepSpec("rho", (0.1, 0.3), 1, cfg, methods=(LabelMode.UNCERTAIN,))
-        rows = run_sweep(spec, master_seed=5).rows
+        rows = run_sweep(spec, master_seed=5)
         with pytest.raises(ValueError, match="not in sweep order"):
             aggregate_report(spec, rows[::-1])
         with pytest.raises(ValueError, match="expected 2 rows"):
@@ -312,11 +314,11 @@ class TestSweep:
     def test_single_cell_report_equals_row(self):
         cfg = small_config(n=80)
         spec = SweepSpec("rho", (0.1,), 1, cfg, methods=(LabelMode.UNCERTAIN,))
-        result = run_sweep(spec, master_seed=11)
-        assert len(result.rows) == 1
-        row = result.rows[0]
+        rows = run_sweep(spec, master_seed=11)
+        assert len(rows) == 1
+        row = rows[0]
         for z in range(3):
-            cell = result.report.cell(LabelMode.UNCERTAIN, 0.1, f"xi_{z + 1}")
+            cell = helpers.cell(aggregate_report(spec, rows), LabelMode.UNCERTAIN, 0.1, f"xi_{z + 1}")
             assert_allclose(cell.mean_rabias, row.rabias_xis[z])
             assert cell.sd_rabias == 0.0
             assert cell.n_success == 1 and cell.n_failed == 0
@@ -327,8 +329,8 @@ class TestSweep:
         both = run_sweep(
             SweepSpec("rho", (0.1,), 2, cfg, methods=(LabelMode.UNCERTAIN, LabelMode.NOISY)), master_seed=4
         )
-        noisy_solo = [r for r in solo.rows if r.method == "noisy"]
-        noisy_both = [r for r in both.rows if r.method == "noisy"]
+        noisy_solo = [r for r in solo if r.method == "noisy"]
+        noisy_both = [r for r in both if r.method == "noisy"]
         for a, b in zip(noisy_solo, noisy_both):
             assert a.gll == b.gll
             assert np.array_equal(a.xis, b.xis)
@@ -336,7 +338,7 @@ class TestSweep:
     def test_unknown_fitted_once_per_replication(self, batch_sizes):
         # UNKNOWN reads no corruption: one fit per replication of a rho sweep, its row repeated at every grid point
         spec = SweepSpec("rho", (0.0, 0.2, 0.4), 2, small_config(n=80))
-        rows = run_sweep(spec, master_seed=7).rows
+        rows = run_sweep(spec, master_seed=7)
         assert batch_sizes == [2 * (3 * 2 + 1)]
         unknown = rows[rows.method == "unknown"]
         assert unknown.grid_value.tolist() == [0.0, 0.0, 0.2, 0.2, 0.4, 0.4]
@@ -355,7 +357,7 @@ class TestSweep:
         # each, 600 records at n = 120
         monkeypatch.setattr(simulation, "_BATCH_RECORDS", records)
         spec = SweepSpec("rho", (0.1, 0.3), 3, small_config())
-        rows = run_sweep(spec, master_seed=2, workers=workers).rows
+        rows = run_sweep(spec, master_seed=2, workers=workers)
         assert batch_sizes == batches
         assert serial_pool == ([workers] if workers > 1 else [])
         assert [(row.grid_value, row.method, row.rep) for row in rows] == [
@@ -366,7 +368,7 @@ class TestSweep:
         spec = SweepSpec("n", (60, 90), 2, cfg, methods=(LabelMode.UNCERTAIN,))
         r1 = run_sweep(spec, master_seed=2)
         r2 = run_sweep(spec, master_seed=2)
-        for a, b in zip(r1.rows, r2.rows):
+        for a, b in zip(r1, r2):
             assert a.grid_value == b.grid_value and a.rep == b.rep
             assert a.gll == b.gll
 
@@ -376,7 +378,7 @@ class TestSweep:
                                                       batches):
         monkeypatch.setattr(simulation, "_BATCH_RECORDS", records)
         spec = SweepSpec("n", (60, 90, 60), 2, small_config(), methods=(LabelMode.UNCERTAIN,))
-        rows = run_sweep(spec, master_seed=2, workers=workers).rows
+        rows = run_sweep(spec, master_seed=2, workers=workers)
         # the two n = 60 points share their batches, split into 3 uneven shards on 3 workers
         # or when 2 of their 4 replications would exceed the records of a batch
         assert batch_sizes == batches
@@ -412,8 +414,8 @@ class TestSweep:
         spec = SweepSpec("rho", (0.2,), 4, cfg, methods=(LabelMode.UNCERTAIN,))
         rows = failed_rows(0.2, range(3), "ComponentStarvedError: x")
         ok = run_shard(spec, 1, [(0, 3)])
-        report = aggregate_report(spec, np.concatenate([rows, ok]).view(np.recarray))
-        cell = report.cell(LabelMode.UNCERTAIN, 0.2, "xi_1")
+        summary = aggregate_report(spec, np.concatenate([rows, ok]).view(np.recarray))
+        cell = helpers.cell(summary, LabelMode.UNCERTAIN, 0.2, "xi_1")
         assert cell.n_failed == 3
         assert cell.n_success == 1
         assert not cell.reliable
@@ -423,21 +425,21 @@ class TestSweep:
         cfg = small_config(n=40)
         spec = SweepSpec("rho", (0.1, 0.1), 1, cfg, methods=(LabelMode.UNCERTAIN,))
         rows = failed_rows(0.1, [0, 0], "x")
-        report = aggregate_report(spec, rows)
-        assert len(report.points(LabelMode.UNCERTAIN, "xi_1")) == 2
+        summary = aggregate_report(spec, rows)
+        assert len(curve(summary, LabelMode.UNCERTAIN, "xi_1")) == 2
         with pytest.raises(KeyError, match="grid value 0.1 matches 2"):
-            report.cell(LabelMode.UNCERTAIN, 0.1, "xi_1")
+            helpers.cell(summary, LabelMode.UNCERTAIN, 0.1, "xi_1")
         with pytest.raises(KeyError, match="grid value 0.3 matches 0"):
-            report.cell(LabelMode.UNCERTAIN, 0.3, "xi_1")
+            helpers.cell(summary, LabelMode.UNCERTAIN, 0.3, "xi_1")
 
     def test_cell_lookup_tells_close_grid_values_apart(self):
         # the table holds the grid as given, so a lookup matches a grid value exactly
         cfg = small_config(n=40)
         spec = SweepSpec("rho", (0.1, 0.1000001), 1, cfg, methods=(LabelMode.UNCERTAIN,))
         rows = np.concatenate([failed_rows(0.1, [0], "x"), failed_rows(0.1000001, [0], "x")]).view(np.recarray)
-        report = aggregate_report(spec, rows)
+        summary = aggregate_report(spec, rows)
         for gv in spec.grid:
-            cell = report.cell(LabelMode.UNCERTAIN, gv, "xi_1")
+            cell = helpers.cell(summary, LabelMode.UNCERTAIN, gv, "xi_1")
             assert (cell.grid_value, cell.method, cell.parameter) == (gv, "uncertain", "xi_1")
 
     def test_spec_validation(self):
