@@ -96,8 +96,9 @@ def build_parser() -> argparse.ArgumentParser:
         command_parser = sub.add_parser(command, help=_HELP[command])
         command_parser.add_argument("--config", type=Path, help="YAML run configuration")
         for flag, options in _FLAGS.items():
-            if options["dest"].split(".")[0] in reads:
-                command_parser.add_argument(flag, **options)
+            if options["dest"].split(".")[0] in reads:  # shown as its name (--max-iters MAX_ITERS), or its choices
+                metavar = None if "choices" in options else flag[2:].replace("-", "_").upper()
+                command_parser.add_argument(flag, metavar=metavar, **options)
     return parser
 
 

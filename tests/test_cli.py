@@ -947,6 +947,29 @@ def test_a_flag_a_command_does_not_take_is_reported_with_its_usage(capsys, comma
     assert err.endswith(f"evidem {command}: error: unrecognized arguments: {flag} {_FLAG_VALUES[flag]}\n")
 
 
+_USAGE = {
+    "generate": "usage: evidem generate [-h] [--config CONFIG] [--seed SEED] [--n N] [--censor-frac CENSOR_FRAC] "
+                "[--rho RHO] [--out OUT]",
+    "fit": "usage: evidem fit [-h] [--config CONFIG] [--out OUT] [--tol TOL] [--max-iters MAX_ITERS]",
+    "sweep": "usage: evidem sweep [-h] [--config CONFIG] [--seed SEED] [--n N] [--censor-frac CENSOR_FRAC] [--rho RHO] "
+             "[--reps REPS] [--method {uncertain,noisy,unknown,all}] [--out OUT] [--workers WORKERS] [--tol TOL] "
+             "[--max-iters MAX_ITERS]",
+}
+
+
+@pytest.mark.parametrize("command", _USAGE)
+def test_a_flag_shows_its_name_not_its_config_key(capsys, command):
+    """The usage line of --help and of a usage error names each value after its flag, or lists its choices."""
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == EXIT_OK
+    assert " ".join(capsys.readouterr().out.split("\n\n")[0].split()) == _USAGE[command]
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--bogus"])
+    assert exit_.value.code == EXIT_CONFIG
+    assert " ".join(capsys.readouterr().err.split(f"\nevidem {command}: error:")[0].split()) == _USAGE[command]
+
+
 # a malformed value of each top-level section, which a command that does not read the section never parses
 _MALFORMED = {"seed": -1, "reps": "many", "workers": 0, "methods": ["bogus"], "data": [1, 2], "labels": [1, 2],
               "soft_labels": [["x"]], "scheme": {"n": 100}, "corruption": {"rho": 2}, "fit": {"tol": -1},

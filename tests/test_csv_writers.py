@@ -16,15 +16,18 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from evidem import censoring
-from evidem.censoring import CensoredDataset, CensoringScheme, write_dataset_csv, write_table
+from evidem import censoring, estimator
+from evidem.censoring import CensoredDataset, CensoringScheme, run_life_test, write_dataset_csv, write_table
 from evidem.cli import EXIT_OK, main
-from evidem.estimator import E2MTrace, write_soft_labels_csv
-from evidem.rayleigh import MixtureParams
+from evidem.estimator import E2MTrace, LabelMode, make_soft_labels, write_soft_labels_csv
+from evidem.rayleigh import MixtureParams, sample_labeled
 from evidem.simulation import (
+    CorruptionConfig,
     ExperimentConfig,
     SweepSpec,
     aggregate_report,
+    corrupt_labels,
+    draw_error_probs,
     row_dtype,
     write_figure_csv,
     write_results_csv,
@@ -205,9 +208,47 @@ def test_estimate_and_trace_csv(tmp_path, monkeypatch):
     )
 
 
+def reference_bytes(monkeypatch, module, write, path) -> bytes:
+    """The bytes ``write(path)`` leaves when ``module``'s ``write_table`` is the row-by-row oracle."""
+    def oracle(path, header, n_rows, columns):
+        reference_write_table(path, header, n_rows, [col(slice(0, n_rows)) if callable(col) else col for col in columns])
+
+    with monkeypatch.context() as patched:
+        patched.setattr(module, "write_table", oracle)
+        write(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("q", ["0", "1", "beta"])
+def test_uncertain_labels_csv_matches_csv_writer(tmp_path, monkeypatch, q):
+    """UNCERTAIN rows q/p + (1 - q) one-hot repeat q/p in a row and down the columns: one-hot rows at q = 0,
+    every cell 1/3 at q = 1."""
+    rng = np.random.default_rng(7)
+    n, p = 2500, 3
+    z = rng.integers(0, p, n)
+    q = np.full(n, float(q)) if q != "beta" else draw_error_probs(CorruptionConfig(0.1), n, rng)
+    pl, ids = make_soft_labels(LabelMode.UNCERTAIN, p, n, corrupt_labels(z, q, p, rng), q), rng.permutation(n)
+    want = reference_bytes(monkeypatch, estimator, lambda path: write_soft_labels_csv(pl, path, ids), tmp_path / "want.csv")
+    write_soft_labels_csv(pl, tmp_path / "got.csv", ids)
+    assert (tmp_path / "got.csv").read_bytes() == want
+
+
+def test_progressive_dataset_csv_matches_csv_writer(tmp_path, monkeypatch):
+    """Each censored record of a progressive replay repeats the y* of the failure it was removed at."""
+    rng = np.random.default_rng(8)
+    scheme = CensoringScheme(2500, (1,) * 1250)
+    ds = run_life_test(*sample_labeled(MixtureParams(np.full(3, 1 / 3), np.array([4.0, 0.5, 0.8])), scheme.n, rng),
+                       scheme, rng)
+    want = reference_bytes(monkeypatch, censoring, lambda path: write_dataset_csv(ds, path), tmp_path / "want.csv")
+    write_dataset_csv(ds, tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == want
+
+
 _INT64 = np.iinfo(np.int64)
 FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-308, 1e16,
                                                   0.1, 1 / 3, sys.float_info.max, -sys.float_info.max]))
+# a pool this small repeats values within a column, across a row and across chunks
+POOLED = st.sampled_from([0.0, -0.0, 0.1, 1 / 3, 5e-324, 1e16, np.inf, -np.inf])
 INTS = st.one_of(st.integers(_INT64.min, _INT64.max), st.sampled_from([_INT64.min, _INT64.max, -1, 0]))
 # NUL is left out: csv.writer raises on it before Python 3.11 and writes it after; test_nul_fields covers it
 TEXT = st.text(st.one_of(st.sampled_from(',"\n\r '), st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00")),
@@ -224,10 +265,12 @@ def object_array(values) -> np.ndarray:
 
 @st.composite
 def tables(draw):
-    """A header and columns of one length: float, int64, bool, text and mixed object columns."""
+    """A header and columns of one length: float (wide-ranging or from a small pool), int64, bool, text
+    and mixed object columns."""
     n_rows = draw(st.integers(0, 8))
     kinds = {
         "float": (FLOATS, lambda v: np.array(v, dtype=float)),
+        "pooled": (POOLED, lambda v: np.array(v, dtype=float)),
         "int": (INTS, lambda v: np.array(v, dtype=np.int64)),
         "bool": (st.booleans(), lambda v: np.array(v, dtype=bool)),
         "text": (TEXT, lambda v: np.array(v, dtype=str)),
