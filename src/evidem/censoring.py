@@ -354,28 +354,23 @@ def _fields(values: np.ndarray) -> list[str] | np.ndarray:
 
 
 def _chunk_fields(values: list[np.ndarray]) -> list:
-    """Each column's chunk as ``_fields`` gives it, but in a full chunk a float that repeats in the
-    NaN-free float64 columns is formatted once: one repr per distinct bit pattern, so -0.0 stays
-    apart from 0.0.  A shorter chunk, a short table or the tail of one, is formatted value by value:
-    its few repeats do not pay for the numpy calls."""
-    floats = [i for i, v in enumerate(values) if v.dtype == np.float64 and not np.isnan(v).any()]
-    if not floats or len(values[floats[0]]) < _CHUNK_ROWS:
+    """Each column's chunk as ``_fields`` gives it, but in a full chunk the NaN-free float64 columns
+    are formatted together: one repr per distinct bit pattern, so a repeated float is formatted once
+    and -0.0 stays apart from 0.0."""
+    # A shorter chunk (all of a short table, the tail of a long one) is formatted value by value: a
+    # sweep's main process, which writes only short tables, does not otherwise run the numpy kernels
+    # below, and their code pages raised perfbench's sweep-rho peak RSS by 0.37 MB
+    floats = {i for i, v in enumerate(values) if len(v) == _CHUNK_ROWS and v.dtype == np.float64 and not np.isnan(v).any()}
+    if not floats:
         return [_fields(v) for v in values]
-    bits = np.stack([values[i] for i in floats]).view(np.uint64).ravel()
-    order = bits.argsort()
-    ordered = bits[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))  # of each run of one pattern
-    if starts.size == bits.size:  # nothing repeats
-        return [_fields(v) for v in values]
-    # np.unique gives the same runs, but its inverse goes through np.cumsum, which on numpy 2.4.6 leaves
-    # small objects alive: perfbench's generate-progressive peak RSS rose 2.4 MB with it, 0.5 MB this way
-    strings = np.array(list(map(repr, ordered[starts].view(np.float64).tolist())), dtype=object)
-    cells = np.empty(bits.size, dtype=object)
-    cells[order] = np.repeat(strings, np.diff(starts, append=bits.size))
-    fields = [None if i in floats else _fields(v) for i, v in enumerate(values)]
-    for i, col in zip(floats, cells.reshape(len(floats), -1).tolist()):
-        fields[i] = col
-    return fields
+    bits = np.stack([v for i, v in enumerate(values) if i in floats]).view(np.int64).ravel()
+    distinct = np.sort(bits)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    # not np.unique: its inverse takes a default argsort, a numpy kernel `generate` does not otherwise load,
+    # whose code pages raised perfbench's generate-progressive peak RSS by 0.6 MB; sort and searchsorted it runs anyway
+    strings = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    cols = iter(strings[np.searchsorted(distinct, bits)].reshape(len(floats), -1).tolist())
+    return [next(cols) if i in floats else _fields(v) for i, v in enumerate(values)]
 
 
 def write_table(path, header, n_rows: int, columns) -> None:
