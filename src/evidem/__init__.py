@@ -26,7 +26,6 @@ from .estimator import (
 from .rayleigh import MixtureParams, sample_labeled
 from .simulation import (
     CorruptionConfig,
-    ExperimentConfig,
     SweepSpec,
     corrupt_labels,
     draw_error_probs,
@@ -54,7 +53,6 @@ __all__ = [
     "fit",
     "make_soft_labels",
     "CorruptionConfig",
-    "ExperimentConfig",
     "SweepSpec",
     "draw_error_probs",
     "corrupt_labels",

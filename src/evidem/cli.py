@@ -178,7 +178,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     summary = aggregate_report(spec, rows)
     write_results_csv(spec, rows, cfg.out / "results.csv")
     write_summary_csv(spec, summary, cfg.out / "summary.csv")
-    for z in range(spec.base.true_params.n_components):
+    for z in range(spec.true_params.n_components):
         name = f"xi_{z + 1}"
         write_figure_csv(spec, summary, name, cfg.out / f"figure_{name}.csv")
         series = []
@@ -193,8 +193,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
             xlabel=spec.variable,
             ylabel="RABias",
         )
-    corrupted = spec.configs if spec.variable == "rho" else [spec.base]  # an n sweep has one corruption
-    _write_manifest(cfg, {"effective_sd": [c.corruption.effective_sd for c in corrupted]})
+    corrupted = spec.corruptions if spec.variable == "rho" else [spec.corruption]  # an n sweep has one corruption
+    _write_manifest(cfg, {"effective_sd": [c.effective_sd for c in corrupted]})
     n_failed = int(rows.failed.sum())
     print(f"{len(rows)} rows, {n_failed} failed; outputs in {cfg.out}")
     if n_failed == len(rows):

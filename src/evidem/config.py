@@ -18,7 +18,7 @@ import yaml
 from .censoring import CensoringScheme, SchemeError, conventional_scheme, scheme_from_censor_frac
 from .estimator import E2MConfig, LabelMode
 from .rayleigh import MixtureParams
-from .simulation import INIT_RULES, CorruptionConfig, ExperimentConfig, SweepSpec, truth_offset_init
+from .simulation import INIT_RULES, CorruptionConfig, SweepSpec, truth_offset_init
 
 __all__ = ["ConfigError", "READS", "RunConfig", "parse_config"]
 
@@ -115,6 +115,8 @@ def _as_float(raw, name: str) -> float:
         return float(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"'{name}' must be a number, got {raw!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"'{name}' must be a number in the float range, got <{len(str(abs(raw)))} digits>") from None
 
 
 def _as_int(raw, name: str) -> int:
@@ -150,20 +152,6 @@ def _parse_methods(raw) -> list[LabelMode]:
     if not methods:
         raise ConfigError("'methods' must name at least one method")
     return methods
-
-
-def _sweep_spec(cfg: RunConfig, section: Mapping) -> SweepSpec:
-    """The sweep of the resolved ``cfg``, which must replay a conventional plan; raises ValueError."""
-    grid = tuple(_as_float(v, "sweep.grid") for v in _as_list(section.get("grid"), "sweep.grid"))
-    base = ExperimentConfig(cfg.model, cfg.scheme.n, cfg.censor_frac, cfg.corruption.rho, cfg.corruption.sd,
-                            init=cfg.init, fit_config=cfg.fit_config)
-    spec = SweepSpec(section.get("variable"), grid, cfg.reps, base, tuple(cfg.methods))
-    if base.scheme != cfg.scheme:
-        raise ConfigError(
-            "sweeps replay conventional plans only, which remove every survivor at the last failure; "
-            "the configured 'scheme.R' removes units before it"
-        )
-    return spec
 
 
 def parse_config(
@@ -223,7 +211,10 @@ def parse_config(
     cfg.seed = _as_int(raw.get("seed", cfg.seed), "seed")
     if cfg.seed < 0:
         raise ConfigError(f"'seed' must be nonnegative, got {cfg.seed}")
-    cfg.out = Path(str(raw.get("out", cfg.out)))
+    out = raw.get("out", cfg.out)
+    if not isinstance(out, (str, os.PathLike)):  # --out gives a Path; an empty 'out:' is None, not a path
+        raise ConfigError(f"'out' must be a path, got {out!r}")
+    cfg.out = Path(out)
     cfg.reps = _as_int(raw.get("reps", cfg.reps), "reps")
     cfg.workers = _as_int(raw.get("workers", cfg.workers), "workers")
     if cfg.workers < 1:
@@ -295,6 +286,8 @@ def parse_config(
         if matrix.ndim != 2:
             raise ConfigError("'soft_labels' must be an array of equal-length numeric arrays")
         cfg.soft_labels = matrix
+    if cfg.labels is not None and cfg.soft_labels is not None:
+        raise ConfigError("the fit command takes only one of 'labels' and 'soft_labels'")
 
     cfg.init = fit_section.get("init")
     if cfg.init is None:  # each command's default start rule; generate fits nothing
@@ -311,11 +304,13 @@ def parse_config(
     for keys, what in required[command]:
         if all(raw.get(key) is None for key in keys):
             raise ConfigError(f"the {command} command needs {what}")
-    try:  # the only check of a fit's truth-offset start; a sweep's ExperimentConfig checks it again
+    try:  # the only check of a fit's truth-offset start; a sweep's SweepSpec checks it again
         if cfg.init == "truth-offset" and cfg.model is not None:
             truth_offset_init(cfg.model)
         if command == "sweep":
-            cfg.sweep = _sweep_spec(cfg, raw["sweep"])
+            grid = [_as_float(v, "sweep.grid") for v in _as_list(raw["sweep"].get("grid"), "sweep.grid")]
+            cfg.sweep = SweepSpec(raw["sweep"].get("variable"), tuple(grid), cfg.reps, cfg.model, cfg.scheme,
+                                  cfg.censor_frac, cfg.corruption, tuple(cfg.methods), cfg.init, cfg.fit_config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return cfg

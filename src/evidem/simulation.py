@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Sequence
 
@@ -40,7 +40,6 @@ from .rayleigh import MixtureParams, sample_labeled
 
 __all__ = [
     "CorruptionConfig",
-    "ExperimentConfig",
     "SweepSpec",
     "INIT_RULES",
     "draw_error_probs",
@@ -187,25 +186,38 @@ def substream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything one replication needs except the method and the generator.
+class SweepSpec:
+    """Grid driver: vary ``rho`` or ``n`` over ``grid``, ``reps`` runs per cell.
 
-    Construction builds, and so checks, the ``scheme``, ``corruption`` and truth-offset start it replays.
+    A rho sweep replays ``scheme`` at every grid value, with ``corruption.sd``
+    at rho = ``grid[k]``; an n sweep scales the plan, ``censor_frac`` of
+    ``round(grid[k])`` units censored, and keeps ``corruption``.
+    Construction builds, and so checks, the plan ``schemes[k]`` and the
+    corruption ``corruptions[k]`` each grid value replays, checks the start
+    rule and the model, and bounds the records the sweep fits by
+    ``MAX_UNITS``, so a spec that builds is one :func:`run_sweep` can run.
     """
 
+    variable: str
+    grid: tuple[float, ...]
+    reps: int
     true_params: MixtureParams
-    n: int
+    scheme: CensoringScheme
     censor_frac: float
-    rho: float
-    sd: float = 0.2
+    corruption: CorruptionConfig
+    methods: tuple[LabelMode, ...] = tuple(LabelMode)
     init: str = "truth-offset"
     fit_config: E2MConfig = field(default_factory=E2MConfig)
-    scheme: CensoringScheme = field(init=False, repr=False, compare=False)
-    corruption: CorruptionConfig = field(init=False, repr=False, compare=False)
+    schemes: tuple[CensoringScheme, ...] = field(init=False, repr=False, compare=False)
+    corruptions: tuple[CorruptionConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scheme", scheme_from_censor_frac(self.n, self.censor_frac))
-        object.__setattr__(self, "corruption", CorruptionConfig(self.rho, self.sd))
+        if self.variable not in ("rho", "n"):
+            raise ValueError(f"'sweep.variable' must be 'rho' or 'n', got {self.variable!r}")
+        if len(self.grid) == 0:
+            raise ValueError("'sweep.grid' must be nonempty")
+        if self.reps < 1:
+            raise ValueError("'reps' must be at least 1")
         if self.init not in INIT_RULES:
             raise ValueError(f"unknown init rule {self.init!r}; valid: {', '.join(INIT_RULES)}")
         if self.init == "truth-offset":
@@ -216,47 +228,28 @@ class ExperimentConfig:
         if not np.all(self.true_params.lambdas > 0.0):
             raise ValueError("sweeps score the relative bias of every weight, so 'model.lambdas' must all be "
                              f"positive, got {self.true_params.lambdas.tolist()}")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid driver: vary ``rho`` or ``n`` over ``grid``, ``reps`` runs per cell.
-
-    Construction builds, and so checks, the experiment at every grid value,
-    ``configs[k]`` at ``grid[k]``, and bounds the records the sweep fits by
-    ``MAX_UNITS``, so a spec that builds is one :func:`run_sweep` can run.
-    """
-
-    variable: str
-    grid: tuple[float, ...]
-    reps: int
-    base: ExperimentConfig
-    methods: tuple[LabelMode, ...] = tuple(LabelMode)
-    configs: tuple[ExperimentConfig, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.variable not in ("rho", "n"):
-            raise ValueError(f"'sweep.variable' must be 'rho' or 'n', got {self.variable!r}")
-        if len(self.grid) == 0:
-            raise ValueError("'sweep.grid' must be nonempty")
-        if self.reps < 1:
-            raise ValueError("'reps' must be at least 1")
+        if any(self.scheme.removals[:-1]):
+            raise ValueError("sweeps replay conventional plans only, which remove every survivor at the last "
+                             "failure; the configured 'scheme.R' removes units before it")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "methods", tuple(LabelMode(m) for m in self.methods))
-        configs = []
+        schemes, corruptions = [], []
         for g in self.grid:
             try:
                 if self.variable == "rho":
-                    configs.append(replace(self.base, rho=g))
+                    schemes.append(self.scheme)
+                    corruptions.append(CorruptionConfig(g, self.corruption.sd))
                 elif not math.isfinite(g):
                     raise ValueError(f"n must be finite, got {g}")
                 else:
-                    configs.append(replace(self.base, n=int(round(g))))
+                    schemes.append(scheme_from_censor_frac(int(round(g)), self.censor_frac))
+                    corruptions.append(self.corruption)
             except ValueError as exc:
                 raise ValueError(f"'sweep.grid' values of a sweep over {self.variable} must each give a "
                                  f"valid experiment; {g!r} does not: {exc}") from None
-        object.__setattr__(self, "configs", tuple(configs))
-        records = self.reps * self.fits * (self.base.n if self.variable == "rho" else sum(cfg.n for cfg in configs))
+        object.__setattr__(self, "schemes", tuple(schemes))
+        object.__setattr__(self, "corruptions", tuple(corruptions))
+        records = self.reps * self.fits * (self.scheme.n if self.variable == "rho" else sum(s.n for s in schemes))
         if records > MAX_UNITS:
             raise ValueError(f"a sweep may fit at most {MAX_UNITS} records in all (reps x fits per replication x n, "
                              f"summed over an n sweep's grid); this one fits {_shown(records)}")
@@ -294,16 +287,16 @@ def run_shard(spec: SweepSpec, master_seed: int, keys: Sequence[tuple[int, int]]
     component, degenerate likelihood) records its error on its rows instead
     of raising it, so sweep aggregates can account for it.
     """
-    truth = spec.base.true_params
+    truth = spec.true_params
     p = truth.n_components
     datasets, inits, fit_of, keyed = [], [], [], []  # row k: fit fit_of[k] at keyed[k], (grid value, method, rep)
     for g, rep in keys:
         rng = substream(master_seed, g, 0, rep)
-        ds = run_life_test(*sample_labeled(truth, spec.configs[g].n, rng), spec.configs[g].scheme, rng)
-        init, fits = start_params(spec.base.init, ds, p, truth), {}
+        ds = run_life_test(*sample_labeled(truth, spec.schemes[g].n, rng), spec.schemes[g], rng)
+        init, fits = start_params(spec.init, ds, p, truth), {}
         for gi in _points(spec, g):
             noise = rng if gi == g else substream(master_seed, gi, 0, rep)
-            q = draw_error_probs(spec.configs[gi].corruption, ds.n, noise)
+            q = draw_error_probs(spec.corruptions[gi], ds.n, noise)
             z_star = corrupt_labels(ds.true_label, q, p, noise)
             for method in spec.methods:
                 slot = (method, g if method is LabelMode.UNKNOWN else gi)
@@ -313,7 +306,7 @@ def run_shard(spec: SweepSpec, master_seed: int, keys: Sequence[tuple[int, int]]
                     inits.append(init)
                 fit_of.append(fits[slot])
                 keyed.append((spec.grid[gi], method.value, rep))
-    table, _ = fit_batch(datasets, inits, spec.base.fit_config)
+    table, _ = fit_batch(datasets, inits, spec.fit_config)
     fitted = np.zeros(len(datasets), row_dtype(p)).view(np.recarray)
     fitted.lambdas, fitted.xis = align_to_truth(table["lambdas"], table["xis"], truth)
     fitted.iterations, fitted.converged, fitted.gll = table["iterations"], table["converged"], table["gll"]
@@ -347,7 +340,7 @@ def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> np.recarra
     """The :func:`row_dtype` rows of the full grid, in (grid point, method, rep) order: one task per
     shard of the experiment keys at one n (see :func:`run_shard`); deterministic in (spec, master_seed)
     regardless of workers."""
-    ns = [cfg.n for cfg in spec.configs]
+    ns = [scheme.n for scheme in spec.schemes]
     starts = (0,) if spec.variable == "rho" else range(len(ns))
     tasks = []
     for n in dict.fromkeys(ns[g] for g in starts):
@@ -370,7 +363,7 @@ def aggregate_report(spec: SweepSpec, rows: np.recarray) -> np.ndarray:
     """The :func:`summary_dtype` summary of ``rows`` in :func:`run_sweep` order:
     ``spec.reps`` rows per (grid point, method) cell, grid point by grid point.
     Cells are found by position, so a repeated grid value makes cells of its own."""
-    p = spec.base.true_params.n_components
+    p = spec.true_params.n_components
     keys = [(gv, method) for gv in spec.grid for method in spec.methods]
     if len(rows) != len(keys) * spec.reps:
         raise ValueError(f"expected {len(keys) * spec.reps} rows, got {len(rows)}")

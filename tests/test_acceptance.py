@@ -18,7 +18,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import kstest
 
-from evidem.censoring import CensoringScheme, conventional_scheme, run_life_test
+from evidem.censoring import CensoringScheme, conventional_scheme, run_life_test, scheme_from_censor_frac
 from evidem.cli import EXIT_OK, main
 from evidem.estimator import (
     E2MConfig,
@@ -27,7 +27,7 @@ from evidem.estimator import (
     make_soft_labels,
 )
 from evidem.rayleigh import MixtureParams, sample_labeled
-from evidem.simulation import ExperimentConfig, SweepSpec, aggregate_report, curve, run_sweep
+from evidem.simulation import CorruptionConfig, SweepSpec, aggregate_report, curve, run_sweep
 from helpers import (
     cell,
     classical_censored_em,
@@ -70,28 +70,22 @@ def criterion(num, name):
     print(f"ACCEPTANCE {num:2d} [{name}]: PASS")
 
 
-def base_experiment():
-    return ExperimentConfig(
-        true_params=TRUTH,
-        n=500,
-        censor_frac=0.4,
-        rho=0.1,
-        sd=0.2,
-        init="truth-offset",
-        fit_config=E2MConfig(),
-    )
+def paper_sweep(variable, grid, **fields):
+    """The paper's sweep over ``grid``: n = 500 units, 40 % censored, labels corrupted at rho 0.1, sd 0.2."""
+    return SweepSpec(variable, grid, 20, TRUTH, scheme_from_censor_frac(500, 0.4), 0.4, CorruptionConfig(0.1, 0.2),
+                     init="truth-offset", fit_config=E2MConfig(), **fields)
 
 
 @pytest.fixture(scope="module")
 def figure1_result():
-    spec = SweepSpec("rho", RHO_GRID, 20, base_experiment())
+    spec = paper_sweep("rho", RHO_GRID)
     rows = run_sweep(spec, master_seed=MASTER_SEED)
     return rows, aggregate_report(spec, rows)
 
 
 @pytest.fixture(scope="module")
 def figure2_result():
-    spec = SweepSpec("n", N_GRID, 20, base_experiment(), methods=(LabelMode.UNCERTAIN,))
+    spec = paper_sweep("n", N_GRID, methods=(LabelMode.UNCERTAIN,))
     rows = run_sweep(spec, master_seed=MASTER_SEED)
     return rows, aggregate_report(spec, rows)
 

@@ -339,6 +339,17 @@ class TestFitCommand:
         est, _ = fit(soft, truth_offset_init(truth), E2MConfig())
         assert_allclose(float(row["xi_1"]), est.xis[0], rtol=1e-12)
 
+    def test_labels_and_inline_soft_labels_rejected(self, tmp_path, generated, capsys):
+        # with both, fit used to read labels.csv and record the unused matrix in its manifest
+        out = tmp_path / "both"
+        cfg_file = write_config(tmp_path / "both.yaml", {
+            "data": str(generated / "data.csv"), "labels": str(generated / "labels.csv"),
+            "soft_labels": [[1.0, 0.0, 0.0]] * read_dataset_csv(generated / "data.csv").n, "out": str(out)})
+        assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: the fit command takes only one of 'labels' and 'soft_labels'\n")
+        assert not out.exists()
+
     def test_clean_reference_run_recovers_truth(self, tmp_path):
         gen_out = tmp_path / "genclean"
         main(generate_args(tmp_path, gen_out, seed=5, n=500, censor=0.4, rho=0.0))
@@ -694,6 +705,16 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg_file, "--workers", "1"]) == EXIT_OK
         assert seen and all(scheme == conventional_scheme(10, 3) for scheme in seen)
 
+    def test_conventional_plan_whose_censor_frac_does_not_give_back_its_j(self, tmp_path):
+        # 1 - J / n at this (n, J) gives back J + 1, and the plan was rejected as progressive; a rho sweep
+        # replays the configured plan itself
+        cfg_file = write_config(tmp_path / "sweep.yaml", {
+            "model": PAPER_MODEL, "scheme": {"n": 54362499, "J": 2107888}, "reps": 1, "methods": "unknown",
+            "sweep": {"variable": "rho", "grid": [0.1]}})
+        cfg = parse_config(cfg_file, command="sweep")
+        assert cfg.sweep.schemes[0].J == 2107888
+        assert cfg.sweep.schemes[0] is cfg.scheme
+
     def test_model_start_begins_every_fit_at_the_truth(self, tmp_path, monkeypatch):
         starts = []
         fit_batch = simulation.fit_batch
@@ -890,6 +911,29 @@ def test_missing_required_input_is_config_error(tmp_path, capsys, command, missi
     cfg_file = write_config(tmp_path / "missing.yaml", payload)
     assert main([command, "--config", cfg_file]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: the {command} command needs {needs}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "sweep"])
+@pytest.mark.parametrize("out", [None, ["a", "b"], {"dir": "a"}, 7], ids=["empty", "list", "mapping", "number"])
+def test_out_that_is_not_a_path_is_config_error(tmp_path, monkeypatch, capsys, command, out):
+    # an empty 'out:' used to send every output into a directory named None
+    monkeypatch.chdir(tmp_path)
+    cfg_file = write_config(tmp_path / "out.yaml", {**_COMPLETE_INPUTS[command], "out": out})
+    assert main([command, "--config", cfg_file]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: 'out' must be a path, got {out!r}\n"
+    assert os.listdir(tmp_path) == ["out.yaml"]
+
+
+@pytest.mark.parametrize("command, entry, name", [
+    ("generate", {"corruption": {"rho": 10**400}}, "corruption.rho"),
+    ("sweep", {"sweep": {"variable": "n", "grid": [60, -10**400]}}, "sweep.grid")])
+def test_integer_beyond_the_float_range_is_config_error(tmp_path, capsys, command, entry, name):
+    out = tmp_path / "out"
+    cfg_file = write_config(tmp_path / "huge.yaml", {**_COMPLETE_INPUTS[command], **entry, "out": str(out)})
+    assert main([command, "--config", cfg_file]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: '{name}' must be a number in the float range, got <401 digits>\n")
     assert not out.exists()
 
 

@@ -17,13 +17,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evidem import censoring, estimator
-from evidem.censoring import CensoredDataset, CensoringScheme, run_life_test, write_dataset_csv, write_table
+from evidem.censoring import (CensoredDataset, CensoringScheme, run_life_test, scheme_from_censor_frac,
+                              write_dataset_csv, write_table)
 from evidem.cli import EXIT_OK, main
 from evidem.estimator import E2MTrace, LabelMode, make_soft_labels, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams, sample_labeled
 from evidem.simulation import (
     CorruptionConfig,
-    ExperimentConfig,
     SweepSpec,
     aggregate_report,
     corrupt_labels,
@@ -101,7 +101,10 @@ def sweep_result():
         variable="rho",
         grid=(0.1,),
         reps=2,
-        base=ExperimentConfig(true_params=truth, n=10, censor_frac=0.5, rho=0.1),
+        true_params=truth,
+        scheme=scheme_from_censor_frac(10, 0.5),
+        censor_frac=0.5,
+        corruption=CorruptionConfig(0.1),
     )
 
     def fitted(method, rep, lambdas, xis, iterations, converged, gll):

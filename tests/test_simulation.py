@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from evidem import simulation
-from evidem.censoring import scheme_from_censor_frac
+from evidem.censoring import CensoringScheme, scheme_from_censor_frac
 from evidem.estimator import E2MConfig, LabelMode, make_soft_labels
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import (
     CorruptionConfig,
-    ExperimentConfig,
     SweepSpec,
     aggregate_report,
     align_to_truth,
@@ -32,18 +31,12 @@ import helpers
 TRUTH = MixtureParams(np.array([1, 1, 1]) / 3, np.array([4.0, 0.5, 0.8]))
 
 
-def small_config(**kwargs):
-    defaults = dict(
-        true_params=TRUTH,
-        n=120,
-        censor_frac=0.4,
-        rho=0.1,
-        sd=0.2,
-        init="truth-offset",
-        fit_config=E2MConfig(),
-    )
-    defaults.update(kwargs)
-    return ExperimentConfig(**defaults)
+def small_spec(variable, grid, reps, *, true_params=TRUTH, n=120, censor_frac=0.4, scheme=None, rho=0.1, sd=0.2,
+               **fields):
+    """A sweep of ``true_params`` over ``scheme``, by default the conventional plan censoring ``censor_frac`` of
+    ``n`` units, its labels corrupted at (rho, sd); ``fields`` sets the other :class:`SweepSpec` fields."""
+    scheme = scheme or scheme_from_censor_frac(n, censor_frac)
+    return SweepSpec(variable, grid, reps, true_params, scheme, censor_frac, CorruptionConfig(rho, sd), **fields)
 
 
 class TestErrorProbs:
@@ -222,14 +215,9 @@ def batch_sizes(monkeypatch):
     return sizes
 
 
-def one_point(cfg):
-    """A one-replication sweep whose only grid point is ``cfg`` itself."""
-    return SweepSpec("rho", (cfg.rho,), 1, cfg)
-
-
 class TestReplication:
     def test_deterministic_under_substream(self):
-        spec = one_point(small_config())
+        spec = small_spec("rho", (0.1,), 1)
         a = run_shard(spec, 99, [(0, 0)])[0]
         b = run_shard(spec, 99, [(0, 0)])[0]
         assert not a.failed and not b.failed
@@ -240,7 +228,7 @@ class TestReplication:
     def test_zero_error_probability_equates_uncertain_and_noisy(self):
         # both methods read one set of noisy labels per (grid point, rep), the true labels at rho = 0,
         # whether it continues the experiment's generator (grid index 0) or has its own (index 2)
-        spec = SweepSpec("rho", (0.0, 0.3, 0.0), 2, small_config(), methods=(LabelMode.UNCERTAIN, LabelMode.NOISY))
+        spec = small_spec("rho", (0.0, 0.3, 0.0), 2, methods=(LabelMode.UNCERTAIN, LabelMode.NOISY))
         rows = run_sweep(spec, master_seed=5)
         uncertain = rows[(rows.grid_value == 0.0) & (rows.method == "uncertain")]
         noisy = rows[(rows.grid_value == 0.0) & (rows.method == "noisy")]
@@ -250,7 +238,7 @@ class TestReplication:
                 assert np.array_equal(uncertain[name], noisy[name]), name
 
     def test_finite_outputs(self):
-        spec = one_point(small_config())
+        spec = small_spec("rho", (0.1,), 1)
         rows = run_shard(spec, 17, [(0, 0)])
         assert [row.method for row in rows] == [method.value for method in LabelMode]
         for row in rows:
@@ -261,7 +249,7 @@ class TestReplication:
 
     def test_clean_labels_recover_truth(self):
         # reference setup with exact labels: estimates land near the truth
-        spec = one_point(small_config(n=500, rho=0.0, sd=0.0))
+        spec = small_spec("rho", (0.0,), 1, n=500, sd=0.0)
         row = run_shard(spec, 8, [(0, 0)])[0]
         assert row.converged
         assert np.all(row.rabias_xis < 0.15)
@@ -273,8 +261,8 @@ class TestCell:
         # one shard fits every method of its replications in one batch: a rho sweep's keys (0, rep) each
         # serve every grid point, an n sweep's (grid index, rep) their own; a method's rows equal those
         # of one replication at a time that fits that method alone
-        for spec, keys in [(SweepSpec("rho", (0.1, 0.3), 3, small_config(n=80)), [(0, 2), (0, 0), (0, 1)]),
-                           (SweepSpec("n", (80, 80), 3, small_config(n=80)), [(1, 2), (0, 0), (1, 0)])]:
+        for spec, keys in [(small_spec("rho", (0.1, 0.3), 3, n=80), [(0, 2), (0, 0), (0, 1)]),
+                           (small_spec("n", (80, 80), 3, n=80), [(1, 2), (0, 0), (1, 0)])]:
             shard = run_shard(spec, 3, keys)
             points = {"rho": lambda g: (0, 1), "n": lambda g: (g,)}[spec.variable]
             assert [(row.grid_value, row.method, row.rep) for row in shard] == [
@@ -292,8 +280,8 @@ class TestCell:
     def test_failed_fit_leaves_the_rest_of_its_shard(self):
         # at seed 1275 the NOISY fit of (0.3, rep 2) starves a component, and its batch runs on
         truth = MixtureParams(np.array([0.5, 0.5]), np.array([1.0, 2.0]))
-        cfg = small_config(true_params=truth, n=12, censor_frac=0.5, rho=0.3, fit_config=E2MConfig(max_iters=200))
-        spec = SweepSpec("rho", (0.1, 0.3), 4, cfg, methods=(LabelMode.NOISY,))
+        spec = small_spec("rho", (0.1, 0.3), 4, true_params=truth, n=12, censor_frac=0.5,
+                          fit_config=E2MConfig(max_iters=200), methods=(LabelMode.NOISY,))
         shard = run_shard(spec, 1275, [(0, rep) for rep in range(4)])
         assert [(row.grid_value, row.rep) for row in shard if row.failed] == [(0.3, 2)]
         assert shard[5].error.startswith("ComponentStarvedError: ") and np.isnan(shard[5].lambdas).all()
@@ -301,8 +289,7 @@ class TestCell:
         assert all(row.converged and np.isfinite(row.gll) for row in shard if not row.failed)
 
     def test_report_needs_rows_in_sweep_order(self):
-        cfg = small_config(n=60)
-        spec = SweepSpec("rho", (0.1, 0.3), 1, cfg, methods=(LabelMode.UNCERTAIN,))
+        spec = small_spec("rho", (0.1, 0.3), 1, n=60, methods=(LabelMode.UNCERTAIN,))
         rows = run_sweep(spec, master_seed=5)
         with pytest.raises(ValueError, match="not in sweep order"):
             aggregate_report(spec, rows[::-1])
@@ -312,8 +299,7 @@ class TestCell:
 
 class TestSweep:
     def test_single_cell_report_equals_row(self):
-        cfg = small_config(n=80)
-        spec = SweepSpec("rho", (0.1,), 1, cfg, methods=(LabelMode.UNCERTAIN,))
+        spec = small_spec("rho", (0.1,), 1, n=80, methods=(LabelMode.UNCERTAIN,))
         rows = run_sweep(spec, master_seed=11)
         assert len(rows) == 1
         row = rows[0]
@@ -324,11 +310,9 @@ class TestSweep:
             assert cell.n_success == 1 and cell.n_failed == 0
 
     def test_rows_independent_of_method_subset(self):
-        cfg = small_config(n=80)
-        solo = run_sweep(SweepSpec("rho", (0.1,), 2, cfg, methods=(LabelMode.NOISY,)), master_seed=4)
-        both = run_sweep(
-            SweepSpec("rho", (0.1,), 2, cfg, methods=(LabelMode.UNCERTAIN, LabelMode.NOISY)), master_seed=4
-        )
+        solo = run_sweep(small_spec("rho", (0.1,), 2, n=80, methods=(LabelMode.NOISY,)), master_seed=4)
+        both = run_sweep(small_spec("rho", (0.1,), 2, n=80, methods=(LabelMode.UNCERTAIN, LabelMode.NOISY)),
+                         master_seed=4)
         noisy_solo = [r for r in solo if r.method == "noisy"]
         noisy_both = [r for r in both if r.method == "noisy"]
         for a, b in zip(noisy_solo, noisy_both):
@@ -337,7 +321,7 @@ class TestSweep:
 
     def test_unknown_fitted_once_per_replication(self, batch_sizes):
         # UNKNOWN reads no corruption: one fit per replication of a rho sweep, its row repeated at every grid point
-        spec = SweepSpec("rho", (0.0, 0.2, 0.4), 2, small_config(n=80))
+        spec = small_spec("rho", (0.0, 0.2, 0.4), 2, n=80)
         rows = run_sweep(spec, master_seed=7)
         assert batch_sizes == [2 * (3 * 2 + 1)]
         unknown = rows[rows.method == "unknown"]
@@ -356,7 +340,7 @@ class TestSweep:
         # a rho sweep's shard holds whole replications: 2 grid points x 2 corrupted methods + 1 UNKNOWN fit
         # each, 600 records at n = 120
         monkeypatch.setattr(simulation, "_BATCH_RECORDS", records)
-        spec = SweepSpec("rho", (0.1, 0.3), 3, small_config())
+        spec = small_spec("rho", (0.1, 0.3), 3)
         rows = run_sweep(spec, master_seed=2, workers=workers)
         assert batch_sizes == batches
         assert serial_pool == ([workers] if workers > 1 else [])
@@ -364,8 +348,7 @@ class TestSweep:
             (gv, m.value, rep) for gv in (0.1, 0.3) for m in LabelMode for rep in range(3)]
 
     def test_sweep_determinism(self):
-        cfg = small_config(n=60)
-        spec = SweepSpec("n", (60, 90), 2, cfg, methods=(LabelMode.UNCERTAIN,))
+        spec = small_spec("n", (60, 90), 2, n=60, methods=(LabelMode.UNCERTAIN,))
         r1 = run_sweep(spec, master_seed=2)
         r2 = run_sweep(spec, master_seed=2)
         for a, b in zip(r1, r2):
@@ -377,7 +360,7 @@ class TestSweep:
     def test_one_batch_per_shard_of_each_sample_size(self, monkeypatch, serial_pool, batch_sizes, workers, records,
                                                       batches):
         monkeypatch.setattr(simulation, "_BATCH_RECORDS", records)
-        spec = SweepSpec("n", (60, 90, 60), 2, small_config(), methods=(LabelMode.UNCERTAIN,))
+        spec = small_spec("n", (60, 90, 60), 2, methods=(LabelMode.UNCERTAIN,))
         rows = run_sweep(spec, master_seed=2, workers=workers)
         # the two n = 60 points share their batches, split into 3 uneven shards on 3 workers
         # or when 2 of their 4 replications would exceed the records of a batch
@@ -389,13 +372,12 @@ class TestSweep:
                                                   ((LabelMode.UNCERTAIN, LabelMode.NOISY), [])])
     def test_starts_no_worker_without_a_task(self, serial_pool, methods, started):
         # one grid point at reps 1 is one task, however many methods and workers are asked for
-        spec = SweepSpec("rho", (0.1,), 1, small_config(n=40), methods=methods)
+        spec = small_spec("rho", (0.1,), 1, n=40, methods=methods)
         run_sweep(spec, master_seed=3, workers=16)
         assert serial_pool == started
 
     @pytest.mark.parametrize("variable, grid", [("rho", (0.1, 0.3)), ("n", (60, 90, 60))])
     def test_each_grid_point_experiment_built_once(self, monkeypatch, variable, grid):
-        cfg = small_config(n=60)
         built = []
         build = simulation.scheme_from_censor_frac
 
@@ -404,14 +386,13 @@ class TestSweep:
             return build(n, censor_frac)
 
         monkeypatch.setattr(simulation, "scheme_from_censor_frac", spy)
-        spec = SweepSpec(variable, grid, 2, cfg, methods=(LabelMode.UNCERTAIN, LabelMode.NOISY))
+        spec = small_spec(variable, grid, 2, n=60, methods=(LabelMode.UNCERTAIN, LabelMode.NOISY))
         run_sweep(spec, master_seed=1, workers=1)
-        # the base experiment was built before the spy, and a rho sweep keeps its n
-        assert built == ([60] * len(grid) if variable == "rho" else list(grid))
+        # a rho sweep replays the plan it is given; an n sweep builds each grid value's plan with the spec
+        assert built == ([] if variable == "rho" else list(grid))
 
     def test_failure_accounting_and_reliability(self):
-        cfg = small_config(n=40)
-        spec = SweepSpec("rho", (0.2,), 4, cfg, methods=(LabelMode.UNCERTAIN,))
+        spec = small_spec("rho", (0.2,), 4, n=40, methods=(LabelMode.UNCERTAIN,))
         rows = failed_rows(0.2, range(3), "ComponentStarvedError: x")
         ok = run_shard(spec, 1, [(0, 3)])
         summary = aggregate_report(spec, np.concatenate([rows, ok]).view(np.recarray))
@@ -422,8 +403,7 @@ class TestSweep:
         assert cell.n_failed + cell.n_success == spec.reps
 
     def test_cell_lookup_rejects_a_repeated_grid_value(self):
-        cfg = small_config(n=40)
-        spec = SweepSpec("rho", (0.1, 0.1), 1, cfg, methods=(LabelMode.UNCERTAIN,))
+        spec = small_spec("rho", (0.1, 0.1), 1, n=40, methods=(LabelMode.UNCERTAIN,))
         rows = failed_rows(0.1, [0, 0], "x")
         summary = aggregate_report(spec, rows)
         assert len(curve(summary, LabelMode.UNCERTAIN, "xi_1")) == 2
@@ -434,8 +414,7 @@ class TestSweep:
 
     def test_cell_lookup_tells_close_grid_values_apart(self):
         # the table holds the grid as given, so a lookup matches a grid value exactly
-        cfg = small_config(n=40)
-        spec = SweepSpec("rho", (0.1, 0.1000001), 1, cfg, methods=(LabelMode.UNCERTAIN,))
+        spec = small_spec("rho", (0.1, 0.1000001), 1, n=40, methods=(LabelMode.UNCERTAIN,))
         rows = np.concatenate([failed_rows(0.1, [0], "x"), failed_rows(0.1000001, [0], "x")]).view(np.recarray)
         summary = aggregate_report(spec, rows)
         for gv in spec.grid:
@@ -443,44 +422,59 @@ class TestSweep:
             assert (cell.grid_value, cell.method, cell.parameter) == (gv, "uncertain", "xi_1")
 
     def test_spec_validation(self):
-        cfg = small_config()
         with pytest.raises(ValueError):
-            SweepSpec("bad", (0.1,), 1, cfg)
+            small_spec("bad", (0.1,), 1)
         with pytest.raises(ValueError):
-            SweepSpec("rho", (), 1, cfg)
+            small_spec("rho", (), 1)
         with pytest.raises(ValueError):
-            SweepSpec("rho", (0.1,), 0, cfg)
+            small_spec("rho", (0.1,), 0)
         # every grid value is checked when the spec is built, not when a worker runs it
         for variable, value in [("rho", 1.2), ("rho", math.nan), ("n", 0.4), ("n", math.inf)]:
             with pytest.raises(ValueError, match="'sweep.grid' values of"):
-                SweepSpec(variable, (0.1 if variable == "rho" else 60, value), 1, cfg)
+                small_spec(variable, (0.1 if variable == "rho" else 60, value), 1)
         eight = MixtureParams(np.full(8, 1 / 8), np.arange(1.0, 9.0))
         with pytest.raises(ValueError, match="at most 6 components"):
-            small_config(true_params=eight)
+            small_spec("rho", (0.1,), 1, true_params=eight)
+        with pytest.raises(ValueError, match="unknown init rule 'middle'; valid: truth-offset, quantile-spread, model"):
+            small_spec("rho", (0.1,), 1, init="middle")
+
+    @pytest.mark.parametrize("variable", ["rho", "n"])
+    def test_progressive_plan_rejected(self, variable):
+        # sweeps replay conventional plans only: no unit is removed before the last failure
+        progressive = CensoringScheme(6, (1, 1, 1))
+        with pytest.raises(ValueError, match="conventional plans only"):
+            small_spec(variable, (0.1 if variable == "rho" else 6,), 1, scheme=progressive)
+        small_spec(variable, (0.1 if variable == "rho" else 6,), 1, scheme=CensoringScheme(6, (0, 0, 3)))
 
     def test_figure_one_grid_builds_up_to_the_record_bound(self):
         # the figure-1 sweep fits UNCERTAIN and NOISY at 6 grid points and UNKNOWN once: 13 fits of 500 a rep
-        spec = SweepSpec("rho", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5), 11112, small_config(n=500))
+        spec = small_spec("rho", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5), 11112, n=500)
         assert spec.fits == 13 and spec.reps * spec.fits * 500 == 72_228_000
         with pytest.raises(ValueError, match=r"at most 100000000 records .* this one fits <9 digits>"):
-            SweepSpec("rho", spec.grid, 15385, small_config(n=500))
+            small_spec("rho", spec.grid, 15385, n=500)
         # an n sweep fits every method once per grid point
-        assert SweepSpec("n", (60, 90), 2, small_config()).fits == 3
+        assert small_spec("n", (60, 90), 2).fits == 3
 
     def test_zero_true_weight_rejected(self):
         # the relative bias of a weight whose true value is 0 is undefined
         zero = MixtureParams(np.array([1.0, 0.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="'model.lambdas' must all be positive"):
-            small_config(true_params=zero, init="quantile-spread")
+            small_spec("rho", (0.1,), 1, true_params=zero, init="quantile-spread")
 
     def test_builds_the_plan_and_corruption_it_replays(self):
-        cfg = small_config()
-        assert cfg.scheme == scheme_from_censor_frac(120, 0.4)
-        assert cfg.corruption == CorruptionConfig(0.1, 0.2)
-        assert replace(cfg, n=60).scheme == scheme_from_censor_frac(60, 0.4)
-        assert replace(cfg, rho=0.3).corruption == CorruptionConfig(0.3, 0.2)
-        with pytest.raises(ValueError, match="n <= 100000000, got"):
-            small_config(n=10**400)
+        # a rho sweep replays its plan itself and corrupts at each grid value with the configured sd
+        spec = small_spec("rho", (0.1, 0.3), 1, rho=0.5)
+        assert all(scheme is spec.scheme for scheme in spec.schemes) and len(spec.schemes) == 2
+        assert spec.corruptions == (CorruptionConfig(0.1, 0.2), CorruptionConfig(0.3, 0.2))
+        # an n sweep censors censor_frac of each grid value's units and keeps the configured corruption
+        spec = small_spec("n", (60, 90.4), 1, censor_frac=1 / 3)
+        assert spec.schemes == (scheme_from_censor_frac(60, 1 / 3), scheme_from_censor_frac(90, 1 / 3))
+        assert [scheme.J for scheme in spec.schemes] == [40, 60]
+        assert all(corruption is spec.corruption for corruption in spec.corruptions)
+        assert spec.corruption == CorruptionConfig(0.1, 0.2)
+        # an n beyond MAX_UNITS is named by its digits
+        with pytest.raises(ValueError, match=r"1e\+300 does not: need 1 <= n <= 100000000, got n=<301 digits>"):
+            small_spec("n", (60, 1e300), 1)
 
 
 class TestInitRule:
@@ -494,7 +488,7 @@ class TestInitRule:
         small = MixtureParams(np.array([0.5, 0.5]), np.array([0.005, 1.0]))
         message = r"'model.xis' must exceed 0.01 for the truth-offset start, got \[0.005, 1.0\]"
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig(small, 40, 0.5, 0.1)
+            small_spec("rho", (0.1,), 1, true_params=small, n=40, censor_frac=0.5)
         with pytest.raises(ValueError, match=message):
             truth_offset_init(small)
-        ExperimentConfig(small, 40, 0.5, 0.1, init="model")  # the other rules start from a valid xi
+        small_spec("rho", (0.1,), 1, true_params=small, init="model")  # the other rules start from a valid xi
