@@ -125,6 +125,9 @@ def cmd_generate(cfg: RunConfig) -> int:
 
 
 def _align_labels(ds_item_ids: np.ndarray, ids: np.ndarray, pl: np.ndarray) -> np.ndarray:
+    """The label rows in the dataset's record order; ``pl`` itself if the label file lists the records in it."""
+    if np.array_equal(ids, ds_item_ids):
+        return pl
     order = np.argsort(ids)
     by_id = ids[order]
     if by_id.shape != ds_item_ids.shape or not np.array_equal(by_id, np.sort(ds_item_ids)):

@@ -273,10 +273,12 @@ def parse_config(
     except ValueError as exc:
         raise ConfigError(f"'fit' is invalid: {exc}") from None
 
-    if raw.get("data") is not None:
-        cfg.data = Path(str(raw["data"]))
-    if raw.get("labels") is not None:
-        cfg.labels = Path(str(raw["labels"]))
+    for key in ("data", "labels"):  # an empty 'data:' is None, a missing input the required check names
+        value = raw.get(key)
+        if value is not None:
+            if not isinstance(value, str) or not value:  # '' would read the working directory
+                raise ConfigError(f"'{key}' must be a path, got {value!r}")
+            setattr(cfg, key, Path(value))
     if "soft_labels" in raw:
         # inline plausibility matrix, one row per dataset record
         try:

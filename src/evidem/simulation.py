@@ -231,7 +231,14 @@ class SweepSpec:
         if any(self.scheme.removals[:-1]):
             raise ValueError("sweeps replay conventional plans only, which remove every survivor at the last "
                              "failure; the configured 'scheme.R' removes units before it")
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
+        grid = []
+        for g in self.grid:
+            try:
+                grid.append(float(g))
+            except OverflowError:  # an integer beyond the float range
+                raise ValueError(f"'sweep.grid' values must be numbers in the float range, "
+                                 f"got <{len(str(abs(g)))} digits>") from None
+        object.__setattr__(self, "grid", tuple(grid))
         object.__setattr__(self, "methods", tuple(LabelMode(m) for m in self.methods))
         schemes, corruptions = [], []
         for g in self.grid:

@@ -26,6 +26,7 @@ from evidem.estimator import E2MConfig, SoftLabeledDataset, fit, read_soft_label
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import truth_offset_init
 from helpers import starving_problem
+from oracles import reference_read_dataset_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PAPER_MODEL = {"lambdas": [1 / 3, 1 / 3, 1 / 3], "xis": [4.0, 0.5, 0.8]}
@@ -432,6 +433,43 @@ class TestFitCommand:
         assert "invalid input data" in err
         assert message in err
         assert not (tmp_path / "bad_out").exists()
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_label_row_order_does_not_change_the_fit(self, tmp_path, generated, order):
+        # labels.csv in data.csv's order is taken as it is, any other order is aligned by item_id
+        header, *rows = (generated / "labels.csv").read_text().splitlines(keepends=True)
+        rows = rows[::-1] if order == "reversed" else [rows[k] for k in np.random.default_rng(5).permutation(len(rows))]
+        (tmp_path / "reordered.csv").write_text("".join([header, *rows]))
+        outputs = {}
+        for name, labels in (("in-order", generated / "labels.csv"), (order, tmp_path / "reordered.csv")):
+            cfg_file = write_config(tmp_path / f"{name}.yaml", {
+                "data": str(generated / "data.csv"), "labels": str(labels), "model": PAPER_MODEL,
+                "out": str(tmp_path / name)})
+            assert main(["fit", "--config", cfg_file]) == EXIT_OK
+            outputs[name] = [(tmp_path / name / f).read_bytes() for f in ("estimate.csv", "trace.csv")]
+        assert outputs[order] == outputs["in-order"]
+        ds, want = read_dataset_csv(generated / "data.csv"), reference_read_dataset_csv(generated / "data.csv")
+        assert ds.item_id.tobytes() == want.item_id.tobytes() and ds.true_label.tobytes() == want.true_label.tobytes()
+
+    @pytest.mark.parametrize("defect", ["unknown-id", "duplicate-id", "missing-row"])
+    def test_label_ids_that_do_not_match_the_dataset(self, tmp_path, generated, capsys, defect):
+        with open(generated / "labels.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        if defect == "unknown-id":
+            rows[1][0] = str(len(rows) + 5)
+        elif defect == "duplicate-id":
+            rows[2][0] = rows[1][0]
+        else:
+            del rows[-1]
+        labels = tmp_path / "bad_labels.csv"
+        with open(labels, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        cfg_file = write_config(tmp_path / "fit_ids.yaml", {"data": str(generated / "data.csv"), "labels": str(labels),
+                                                            "out": str(tmp_path / "ids_out")})
+        assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: invalid input data: label file item_ids do not match the dataset\n")
+        assert not (tmp_path / "ids_out").exists()
 
     @pytest.mark.parametrize("init", ["model", "truth-offset"])
     def test_label_width_differs_from_model(self, tmp_path, generated, capsys, init):
@@ -923,6 +961,16 @@ def test_out_that_is_not_a_path_is_config_error(tmp_path, monkeypatch, capsys, c
     assert main([command, "--config", cfg_file]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: 'out' must be a path, got {out!r}\n"
     assert os.listdir(tmp_path) == ["out.yaml"]
+
+
+@pytest.mark.parametrize("key", ["data", "labels"])
+@pytest.mark.parametrize("value", [["a", "b"], {"file": "a"}, 5, ""], ids=["list", "mapping", "number", "empty"])
+def test_input_that_is_not_a_path_is_config_error(tmp_path, monkeypatch, capsys, key, value):
+    monkeypatch.chdir(tmp_path)
+    cfg_file = write_config(tmp_path / "inputs.yaml", {**_COMPLETE_INPUTS["fit"], key: value})
+    assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: '{key}' must be a path, got {value!r}\n"
+    assert os.listdir(tmp_path) == ["inputs.yaml"]
 
 
 @pytest.mark.parametrize("command, entry, name", [

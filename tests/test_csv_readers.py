@@ -138,6 +138,7 @@ GOOD_ROW = "1,1.5,observed,,1\n"
         ("1,1.5#2,observed,,1\n", "row 1 is malformed: could not convert string '1.5#2'"),
         (GOOD_ROW + "2,1.5,censored," + "0" * 40 + "1,2\n", "row 2 has a censored_at_failure field longer than"),
         (GOOD_ROW + "2,1.5,censored,1," + "9" * 22 + "\n", "row 2 has true_label '" + "9" * 22 + "', not an integer"),
+        (GOOD_ROW + "2,1.5,censored,1," + "9" * 19 + "\n", "row 2 has true_label '" + "9" * 19 + "', not an integer"),
         (GOOD_ROW + "\n2,abc,censored,1,2\n", "row 2 is malformed: could not convert string 'abc'"),
         (GOOD_ROW + "2,1.5,removed,1,2\n", "row 2 has unknown status 'removed'"),
         (GOOD_ROW + "2,1.5\n", "row 2 has fewer than 5 fields"),
@@ -145,7 +146,8 @@ GOOD_ROW = "1,1.5,observed,,1\n"
         (GOOD_ROW + "2,1.5,censored,2,2\n", "row 2 is censored at failure 2, outside 1..1"),
     ],
     ids=["header-only", "header-and-blank-lines", "hash-in-label", "hash-in-y_star", "over-long-integer",
-         "int64-overflow", "non-numeric-y_star", "unknown-status", "short-row", "whitespace-row", "failure-beyond-J"],
+         "int64-overflow", "int64-overflow-19-digits", "non-numeric-y_star", "unknown-status", "short-row",
+         "whitespace-row", "failure-beyond-J"],
 )
 def test_malformed_data_names_the_row(tmp_path, body, message):
     path = tmp_path / "data.csv"
@@ -156,6 +158,32 @@ def test_malformed_data_names_the_row(tmp_path, body, message):
             read_dataset_csv(path)
     assert message in str(err.value)
     assert caught == []
+
+
+@pytest.mark.parametrize(
+    "caf, labels",
+    [("", ("", "", "")), ("002", ("1", "02", "007")), ("2", ("1", "2", "9" * 18)), ("2", ("1", "2", "1" + "0" * 18)),
+     (" 2", ("1", "2", " 3")), ("+2", ("1", "2", "+3")), ("2", ("1", "2", "3_0")), ("2", ("1", "2", "1.0"))],
+    ids=["all-empty", "leading-zeros", "18-digits", "19-digits", "padded", "signed", "underscore", "decimal"],
+)
+def test_integer_spellings_match_oracle(tmp_path, caf, labels):
+    # a column of plain digits is parsed a byte position at a time, any other as Python's int() reads it
+    path = tmp_path / "data.csv"
+    last = f"3,2.5,{'censored' if caf else 'observed'},{caf},{labels[2]}\n"
+    path.write_text(DATA_HEADER + f"1,1.5,observed,,{labels[0]}\n2,2.5,observed,,{labels[1]}\n" + last)
+    try:
+        want = reference_read_dataset_csv(path)
+    except ValueError:
+        with pytest.raises(ValueError, match=f"row 3 has true_label '{labels[2]}', not an integer"):
+            read_dataset_csv(path)
+        return
+    got = read_dataset_csv(path)
+    assert got.scheme == want.scheme
+    for name in ("item_id", "y_star", "observed", "censored_at_failure"):
+        assert_same_array(getattr(got, name), getattr(want, name))
+    assert (got.true_label is None) == (want.true_label is None)
+    if want.true_label is not None:
+        assert_same_array(got.true_label, want.true_label)
 
 
 def test_row_missing_an_ignored_column_is_short(tmp_path):

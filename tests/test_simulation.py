@@ -439,6 +439,12 @@ class TestSweep:
             small_spec("rho", (0.1,), 1, init="middle")
 
     @pytest.mark.parametrize("variable", ["rho", "n"])
+    def test_integer_grid_value_beyond_the_float_range(self, variable):
+        # float() of such a value raises OverflowError; the spec reports it as its ValueError
+        with pytest.raises(ValueError, match="'sweep.grid' values must be numbers in the float range, got <401 "):
+            small_spec(variable, (0.1 if variable == "rho" else 60, -(10**400)), 1)
+
+    @pytest.mark.parametrize("variable", ["rho", "n"])
     def test_progressive_plan_rejected(self, variable):
         # sweeps replay conventional plans only: no unit is removed before the last failure
         progressive = CensoringScheme(6, (1, 1, 1))
