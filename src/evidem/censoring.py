@@ -15,12 +15,16 @@ which numpy draws with the same bounded-integer routine.  So the draws and
 the generator state are those of choosing from the survivors' indices, and a
 seed gives the dataset of a replay that scans the alive mask at every event
 (``tests/oracles.reference_life_test``).  Sorted ranks map to units through
-a Fenwick tree of survivor counts, one O(log n) pass per unit, built at the
-first event whose passes cost less than one scan of the n-entry mask.  An
-event removing more, such as the terminal one of a conventional plan, reads
-its units off the mask with one O(n) ``flatnonzero``; there are O(log n)
-such events, each removing n / (128 log2 n) units or more, so a plan of n
-units replays in O(n log n).
+a rank tree: the survivors of each block of 1 024 consecutive units as a
+sorted list, under a Fenwick tree (Fenwick 1994) of the blocks' survivor
+counts.  A removed unit costs one O(log(n / 1 024)) descent and a
+``list.pop``, a failed one a bisection in its block and an O(log(n / 1 024))
+climb; a pop or delete moves at most 1 024 pointers.  The tree is built at
+the first event whose removals cost less through it than one scan of the
+n-entry mask.  An event removing more, such as the terminal one of a
+conventional plan, reads its units off the mask with one O(n)
+``flatnonzero``; there are O(log n) such events, each removing
+n / (80 log2 n) units or more, so a plan of n units replays in O(n log n).
 
 ``read_dataset_csv`` parses all rows with one ``np.loadtxt`` call into a
 structured array, picking its columns by header name: item_id and y_star as
@@ -39,6 +43,7 @@ import math
 import operator
 import re
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -210,30 +215,44 @@ class CensoredDataset:
         return self.y_star[self.observed]
 
 
-class _RankTree:
-    """Fenwick tree over an alive mask: unit index by rank among survivors.
+# log2 of the units per rank-tree block: a list.pop or del in a block of
+# 1 024 moves at most 8 KiB of pointers, cheaper than the ten tree levels it
+# replaces.
+_BLOCK_SHIFT = 10
 
-    The mask is padded with dead units to a power-of-two length, so the
-    descent in :meth:`take` needs no bounds check.
+
+class _RankTree:
+    """Unit index by rank among survivors: the survivors of each block of
+    ``1 << _BLOCK_SHIFT`` consecutive units as a sorted list, under a Fenwick
+    tree of the blocks' survivor counts.
+
+    The block counts are padded with empty blocks to a power-of-two length,
+    so the descent in :meth:`take` needs no bounds check.
     """
 
     def __init__(self, alive: np.ndarray) -> None:
-        size = 1 << max(alive.size - 1, 0).bit_length()
-        prefix = np.cumsum(np.pad(alive, (1, size - alive.size)), dtype=np.int64)
+        units = np.flatnonzero(alive)
+        per_block = np.bincount(units >> _BLOCK_SHIFT)  # up to the last survivor's block: none past it is used
+        self.blocks = [block.tolist() for block in np.split(units, np.cumsum(per_block)[:-1])]
+        size = 1 << (len(self.blocks) - 1).bit_length()
+        prefix = np.cumsum(np.pad(per_block, (1, size - per_block.size)))
         i = np.arange(size + 1)
         self.size, self.counts = size, (prefix - prefix[i - (i & -i)]).tolist()
 
     def discard(self, unit: int) -> None:
         """Mark a surviving unit dead."""
+        i = unit >> _BLOCK_SHIFT
+        block = self.blocks[i]
+        del block[bisect_left(block, unit)]
         counts, size = self.counts, self.size
-        i = unit + 1
+        i += 1
         while i <= size:
             counts[i] -= 1
             i += i & -i
 
     def take(self, rank: int) -> int:
         """Mark the survivor of 0-based ``rank`` dead and return its unit index, in one
-        pass: the nodes where the descent does not advance are those covering that unit."""
+        pass: the nodes where the descent does not advance are those covering its block."""
         counts = self.counts
         pos, step = 0, self.size
         while step:
@@ -244,13 +263,17 @@ class _RankTree:
             else:
                 counts[nxt] -= 1
             step >>= 1
-        return pos
+        return self.blocks[pos].pop(rank)
 
 
-# One step of a rank-tree descent costs about as much as flatnonzero over 160
-# to 180 mask entries (measured at n = 32 000 and 500 000, numpy 2.4, x86-64);
-# rounding down favours the scan, which needs no tree.
-_MASK_ENTRIES_PER_TREE_STEP = 128
+# An event removing r_j units takes them from the rank tree when r_j times
+# n.bit_length() times this is below n, else reads them off the mask.  Plans of
+# equal removals R replay as fast either way at R of about 10, 33, 78 and 115
+# for n = 4 000, 32 000, 100 000 and 200 000 (numpy 2.4, x86-64), which puts
+# the constant at 33, 65, 75 and 97.  At 80 the replay is within about 10 % of
+# the faster path from n = 32 000 up; below, where both are cheap, the scan is
+# favoured.
+_MASK_ENTRIES_PER_TREE_STEP = 80
 
 # The most events whose single removals one rng.integers call draws, so no
 # list of all J ranks is built.
@@ -519,6 +542,6 @@ def read_dataset_csv(path) -> CensoredDataset:
         raise ValueError(f"{path}: row {bad[0] + 1} is censored at failure {caf[bad[0]]}, outside 1..{J}")
     scheme = CensoringScheme(len(table), tuple(np.bincount(caf[~observed] - 1, minlength=J).tolist()))
     have_labels = np.all(lengths["true_label"] > 0)
-    return CensoredDataset(
-        scheme, table["item_id"] - 1, table["y_star"], observed, caf, labels - 1 if have_labels else None
-    )
+    item_id, y_star = table["item_id"] - 1, table["y_star"].copy()
+    del table, status  # so that the loadtxt table is freed before the dataset copies its columns
+    return CensoredDataset(scheme, item_id, y_star, observed, caf, labels - 1 if have_labels else None)

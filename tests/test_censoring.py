@@ -163,12 +163,19 @@ class TestRunLifeTest:
 
     # 0 sends every removal through the rank tree, 1 splits events between
     # the tree and the mask scan even at n <= 400, where the measured
-    # constant sends every event to the mask scan
-    @pytest.mark.parametrize("entries_per_step", [0, 1, censoring._MASK_ENTRIES_PER_TREE_STEP])
+    # constant sends every event to the mask scan; blocks of 1 and 4 units
+    # make n <= 400 span many blocks, the last one full or partial
+    @pytest.mark.parametrize("entries_per_step, block_shift", [
+        (0, censoring._BLOCK_SHIFT), (1, censoring._BLOCK_SHIFT),
+        (censoring._MASK_ENTRIES_PER_TREE_STEP, censoring._BLOCK_SHIFT),
+        (0, 0), (1, 0), (0, 2), (1, 2),
+    ], ids=["0", "1", str(censoring._MASK_ENTRIES_PER_TREE_STEP), "0-blocks-of-1", "1-blocks-of-1",
+            "0-blocks-of-4", "1-blocks-of-4"])
     @settings(max_examples=100, deadline=None)
     @given(case=life_tests())
-    def test_matches_reference_replay(self, entries_per_step, case):
-        with patch.object(censoring, "_MASK_ENTRIES_PER_TREE_STEP", entries_per_step):
+    def test_matches_reference_replay(self, entries_per_step, block_shift, case):
+        with patch.object(censoring, "_MASK_ENTRIES_PER_TREE_STEP", entries_per_step), \
+                patch.object(censoring, "_BLOCK_SHIFT", block_shift):
             assert_same_replay(*case)
 
     def test_rank_tree_and_mask_paths_interleaved(self, monkeypatch):
@@ -187,8 +194,9 @@ class TestRunLifeTest:
         "n, removals",
         [(4000, [1] * 1000 + [0] * 100 + [2] * 3 + [1] * 400 + [3] + [0] * 10 + [1] * 300 + [476]),
          (6500, [0] * 5 + [1] * 2500 + [7] + [1] * 3 + [0] + [1] * 9 + [2, 0, 2] + [1] * 600 + [0] * 40 + [214]),
-         (4000, [1] * 2000)],
-        ids=["runs-between-larger-events", "long-run-then-short-runs", "one-per-failure"],
+         (4000, [1] * 2000),
+         (32000, [1] * 16000)],
+        ids=["runs-between-larger-events", "long-run-then-short-runs", "one-per-failure", "one-per-failure-32000"],
     )
     def test_single_removal_runs_on_the_rank_tree_match_reference_replay(self, draw_chunk, n, removals):
         # at these n every single removal, and at n = 6500 every pair, goes
