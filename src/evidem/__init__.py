@@ -9,6 +9,7 @@ from .censoring import (
     CensoringScheme,
     SchemeError,
     conventional_scheme,
+    draw_experiment,
     run_life_test,
     scheme_from_censor_frac,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "conventional_scheme",
     "scheme_from_censor_frac",
     "run_life_test",
+    "draw_experiment",
     "MixtureParams",
     "sample_labeled",
     "LabelMode",

@@ -2,29 +2,24 @@
 
 A scheme places ``n`` units on test, observes ``J`` failures, and removes
 ``R_j`` still-functioning units immediately after the j-th failure, so
-``sum(R) + J == n``.  The module validates schemes, replays the physical
-experiment on labelled lifetimes (labels must survive censoring so that the
-label-corruption protocol can act on every unit), and reads and writes the
-resulting datasets as CSV.  ``write_table`` writes every output table of the
+``sum(R) + J == n``.  The module validates schemes, produces the datasets of
+life tests with their component labels (labels must survive censoring so
+that the label-corruption protocol can act on every record), and reads and
+writes them as CSV.  ``write_table`` writes every output table of the
 program, so it alone knows the cell format.
 
-The replay draws each event's removals as ranks among the m_j survivors, a
-count the plan fixes: ``rng.choice(m_j, R_j, replace=False)`` if R_j >= 2,
-and one ``rng.integers(0, m)`` call per chunk of a run of single removals,
-which numpy draws with the same bounded-integer routine.  So the draws and
-the generator state are those of choosing from the survivors' indices, and a
-seed gives the dataset of a replay that scans the alive mask at every event
-(``tests/oracles.reference_life_test``).  Sorted ranks map to units through
-a rank tree: the survivors of each block of 1 024 consecutive units as a
-sorted list, under a Fenwick tree (Fenwick 1994) of the blocks' survivor
-counts.  A removed unit costs one O(log(n / 1 024)) descent and a
-``list.pop``, a failed one a bisection in its block and an O(log(n / 1 024))
-climb; a pop or delete moves at most 1 024 pointers.  The tree is built at
-the first event whose removals cost less through it than one scan of the
-n-entry mask.  An event removing more, such as the terminal one of a
-conventional plan, reads its units off the mask with one O(n)
-``flatnonzero``; there are O(log n) such events, each removing
-n / (80 log2 n) units or more, so a plan of n units replays in O(n log n).
+``draw_experiment`` produces the life test of a plan on units drawn from a
+mixture.  A conventional plan, removing units only at its last failure, is
+replayed unit by unit by ``run_life_test`` on ``sample_labeled``'s units,
+whose draws fix the dataset of each seed of a sweep.  Any other plan is drawn directly from the
+joint law of its failure times (Balakrishnan & Aggarwala 2000, *Progressive
+Censoring*, ch. 2), through uniform spacings, and its records' labels from
+their conditional law given those times.  This costs O(n p), where the replay
+removes each event's units by a scan of the n-entry alive mask, O(n J) over a
+plan.  ``run_life_test`` draws each event's removals with one
+``rng.choice(m_j, R_j, replace=False)`` over the m_j survivors' ranks, so the
+draws and the generator state are those of choosing from the survivors'
+indices (``tests/oracles.reference_life_test``).
 
 ``read_dataset_csv`` parses all rows with one ``np.loadtxt`` call into a
 structured array, picking its columns by header name: item_id and y_star as
@@ -43,11 +38,12 @@ import math
 import operator
 import re
 import warnings
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .rayleigh import MixtureParams, sample_labeled
 
 __all__ = [
     "SchemeError",
@@ -56,6 +52,7 @@ __all__ = [
     "conventional_scheme",
     "scheme_from_censor_frac",
     "run_life_test",
+    "draw_experiment",
     "write_dataset_csv",
     "read_dataset_csv",
 ]
@@ -150,7 +147,9 @@ class CensoredDataset:
     then the ``R_j`` units withdrawn at that failure time.  For censored
     units ``y_star`` is the failure time at which they were removed and
     ``censored_at_failure`` is j (1-based); both are 0 on observed rows.
-    ``item_id`` is the 0-based position of the unit in the input sample.
+    ``item_id`` identifies a record's unit: in a replayed life test its 0-based
+    position in the input sample, and in one drawn directly (see
+    :func:`draw_experiment`) the record's own 0-based position.
     """
 
     scheme: CensoringScheme
@@ -215,69 +214,13 @@ class CensoredDataset:
         return self.y_star[self.observed]
 
 
-# log2 of the units per rank-tree block: a list.pop or del in a block of
-# 1 024 moves at most 8 KiB of pointers, cheaper than the ten tree levels it
-# replaces.
-_BLOCK_SHIFT = 10
-
-
-class _RankTree:
-    """Unit index by rank among survivors: the survivors of each block of
-    ``1 << _BLOCK_SHIFT`` consecutive units as a sorted list, under a Fenwick
-    tree of the blocks' survivor counts.
-
-    The block counts are padded with empty blocks to a power-of-two length,
-    so the descent in :meth:`take` needs no bounds check.
-    """
-
-    def __init__(self, alive: np.ndarray) -> None:
-        units = np.flatnonzero(alive)
-        per_block = np.bincount(units >> _BLOCK_SHIFT)  # up to the last survivor's block: none past it is used
-        self.blocks = [block.tolist() for block in np.split(units, np.cumsum(per_block)[:-1])]
-        size = 1 << (len(self.blocks) - 1).bit_length()
-        prefix = np.cumsum(np.pad(per_block, (1, size - per_block.size)))
-        i = np.arange(size + 1)
-        self.size, self.counts = size, (prefix - prefix[i - (i & -i)]).tolist()
-
-    def discard(self, unit: int) -> None:
-        """Mark a surviving unit dead."""
-        i = unit >> _BLOCK_SHIFT
-        block = self.blocks[i]
-        del block[bisect_left(block, unit)]
-        counts, size = self.counts, self.size
-        i += 1
-        while i <= size:
-            counts[i] -= 1
-            i += i & -i
-
-    def take(self, rank: int) -> int:
-        """Mark the survivor of 0-based ``rank`` dead and return its unit index, in one
-        pass: the nodes where the descent does not advance are those covering its block."""
-        counts = self.counts
-        pos, step = 0, self.size
-        while step:
-            nxt = pos + step
-            if counts[nxt] <= rank:
-                pos = nxt
-                rank -= counts[nxt]
-            else:
-                counts[nxt] -= 1
-            step >>= 1
-        return self.blocks[pos].pop(rank)
-
-
-# An event removing r_j units takes them from the rank tree when r_j times
-# n.bit_length() times this is below n, else reads them off the mask.  Plans of
-# equal removals R replay as fast either way at R of about 10, 33, 78 and 115
-# for n = 4 000, 32 000, 100 000 and 200 000 (numpy 2.4, x86-64), which puts
-# the constant at 33, 65, 75 and 97.  At 80 the replay is within about 10 % of
-# the faster path from n = 32 000 up; below, where both are cheap, the scan is
-# favoured.
-_MASK_ENTRIES_PER_TREE_STEP = 80
-
-# The most events whose single removals one rng.integers call draws, so no
-# list of all J ranks is built.
-_DRAW_CHUNK = 4096
+def _events(removals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per record in event order (failure j, then the R_j units removed at it): j, and whether it is the failure."""
+    records = removals + 1
+    failure_of = np.repeat(np.arange(1, records.size + 1), records)
+    observed = np.zeros(failure_of.size, dtype=bool)
+    observed[np.cumsum(records) - records] = True
+    return failure_of, observed
 
 
 def run_life_test(
@@ -303,61 +246,99 @@ def run_life_test(
     order = np.argsort(times, kind="stable").tolist()
     alive = bytearray(b"\x01") * n
     alive_mask = np.frombuffer(alive, dtype=bool)
-    tree: _RankTree | None = None
     ids: list[int] = []
     cursor = 0
-    depth = n.bit_length()
-    removals = np.array(scheme.removals)
-    records = removals + 1  # per event: the failure, then its removals
-    survivors = n - np.cumsum(records) + removals  # m_j, after failure j
-    multi = np.append(np.flatnonzero(removals > 1), scheme.J)  # events removing more than one unit, and J
-    pending: list[int] = []  # drawn ranks of the next single removals, last one first
-    for j, r_j in enumerate(scheme.removals):
+    for r_j in scheme.removals:
         while not alive[order[cursor]]:
             cursor += 1
-        fail = order[cursor]
-        alive[fail] = 0
-        ids.append(fail)
-        if tree is not None:
-            tree.discard(fail)
-        # ranks among the survivors in unit order: the same draws, and the same
-        # generator state afterwards, as choice(flatnonzero(alive), r_j) per event
-        if r_j == 1:
-            if not pending:  # draw the run up to the next event removing more, a chunk at a time
-                stop = min(j + _DRAW_CHUNK, int(multi[np.searchsorted(multi, j)]))
-                pending = rng.integers(0, survivors[j:stop][removals[j:stop] == 1]).tolist()[::-1]
-            picks = [pending.pop()]
-        elif r_j:
-            picks = np.sort(rng.choice(int(survivors[j]), size=r_j, replace=False)).tolist()
-        else:
-            continue
-        if r_j * depth * _MASK_ENTRIES_PER_TREE_STEP < n:
-            if tree is None:
-                tree = _RankTree(alive_mask)
-            for removed, rank in enumerate(picks):
-                unit = tree.take(rank - removed)
-                alive[unit] = 0
-                ids.append(unit)
-        else:
-            units = np.flatnonzero(alive_mask)[picks]
+        alive[order[cursor]] = 0
+        ids.append(order[cursor])
+        if r_j:
+            # ranks among the n - len(ids) survivors in unit order: the draws, and the
+            # generator state afterwards, of choice(flatnonzero(alive), r_j)
+            units = np.flatnonzero(alive_mask)[np.sort(rng.choice(n - len(ids), size=r_j, replace=False))]
             alive_mask[units] = False
             ids.extend(units.tolist())
-            if tree is not None:
-                for unit in ids[-r_j:]:
-                    tree.discard(unit)
 
     item_id = np.array(ids)
-    failure_of = np.repeat(np.arange(1, scheme.J + 1), records)
-    observed = np.zeros(n, dtype=bool)
-    observed[np.cumsum(records) - records] = True
-    return CensoredDataset(
-        scheme=scheme,
-        item_id=item_id,
-        y_star=times[item_id[observed]][failure_of - 1],
-        observed=observed,
-        censored_at_failure=np.where(observed, 0, failure_of),
-        true_label=labels[item_id],
-    )
+    failure_of, observed = _events(np.array(scheme.removals))
+    return CensoredDataset(scheme, item_id, times[item_id[observed]][failure_of - 1], observed,
+                           np.where(observed, 0, failure_of), labels[item_id])
+
+
+# Newton's method stops once a step moves no y by more than this share: the steps are then in
+# their quadratic phase, and the error left is at the rounding floor.  The paper's model took 7
+# steps, mixtures whose xi span two to four orders of magnitude 9 to 13; the cap only bounds a
+# solve that cannot settle, as on a NaN.
+_NEWTON_RTOL = 1e-9
+_MAX_NEWTON_STEPS = 64
+
+
+def _log_survival(lambdas: np.ndarray, rate: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log S(y) for S(y) = sum_z lambdas_z exp(-rate_z y), and, component-major, each component's share
+    of S there: log1p(-F) while F = 1 - S < 1/2, which is accurate where S is near 1, and a
+    log-sum-exp beyond, which holds in the far tail."""
+    e = np.multiply.outer(rate, y)
+    with np.errstate(divide="ignore"):  # a weight of 0 has log -inf; log1p(-F) is -inf where F = 1, and not used
+        a = np.log(lambdas)[:, None] - e
+        top = a.max(axis=0)
+        terms = np.exp(a - top)
+        total = terms.sum(axis=0)
+        F = lambdas @ -np.expm1(-e)
+        return np.where(F < 0.5, np.log1p(-F), top + np.log(total)), terms / total
+
+
+def _solve_survival(lambdas: np.ndarray, rate: np.ndarray, log_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The y at which log S(y) = ``log_s``, for S(y) = sum_z lambdas_z exp(-rate_z y) with every
+    rate_z <= 1, and, component-major, each component's share of S there.
+
+    log S is convex and decreasing in y, so Newton's method from y = -log s, where S >= s, rises to
+    the root.
+    """
+    y = -log_s
+    for _ in range(_MAX_NEWTON_STEPS):
+        log_S, share = _log_survival(lambdas, rate, y)
+        step = (log_S - log_s) / (rate @ share)  # d log S / dy = -sum_z share_z rate_z
+        y = y + step
+        if np.all(np.abs(step) <= _NEWTON_RTOL * y):
+            break
+    return y, _log_survival(lambdas, rate, y)[1]
+
+
+def _categorical(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per column of component-major ``weights``, the component drawn by the uniform ``u`` with
+    probability proportional to its weight."""
+    cdf = np.cumsum(weights, axis=0)
+    return np.count_nonzero(u >= cdf / cdf[-1], axis=0)
+
+
+def draw_experiment(model: MixtureParams, scheme: CensoringScheme, rng: np.random.Generator) -> CensoredDataset:
+    """One life test of ``scheme`` on units drawn from ``model``.
+
+    A conventional plan, which removes no unit before its last failure, is replayed:
+    :func:`run_life_test` on the units of :func:`~evidem.rayleigh.sample_labeled`, each of whose
+    ``item_id`` is its position in that sample.  Any other plan is drawn directly (Balakrishnan &
+    Sandhu 1995, *Amer. Statist.* 49:229): with W_i ~ U(0, 1) and g_i = i + R_J + ... + R_{J-i+1},
+    the j-th failure time solves log S(t_j) = sum_{i=J-j+1}^{J} log(W_i) / g_i.  Given the times,
+    the unit failing at t_j has label z with probability proportional to lambda_z f_z(t_j), and
+    each unit removed there, independently, with probability proportional to lambda_z S_z(t_j).
+    No unit has an identity before it fails, so record k, in event order, has ``item_id`` k.
+    """
+    if not any(scheme.removals[:-1]):
+        return run_life_test(*sample_labeled(model, scheme.n, rng), scheme, rng)
+    removals = np.array(scheme.removals)
+    g = np.arange(1, scheme.J + 1) + np.cumsum(removals[::-1])
+    log_s = np.cumsum((np.log1p(-rng.random(scheme.J)) / g)[::-1])  # W_i = 1 - u_i, uniform as u_i is
+    # in y = max xi^2 t^2 / 2, S_z(y) = exp(-rate_z y) and f_z is proportional to rate_z S_z
+    xi_max = model.xis.max()
+    rate = (model.xis / xi_max) ** 2
+    y, share = _solve_survival(model.lambdas, rate, log_s)
+    failure_of, observed = _events(removals)
+    labels = np.empty(scheme.n, dtype=int)
+    labels[observed] = _categorical(share * rate[:, None], rng.random(scheme.J))
+    labels[~observed] = _categorical(np.repeat(share, removals, axis=1), rng.random(scheme.n_censored))
+    return CensoredDataset(scheme, np.arange(scheme.n), (np.sqrt(2.0 * y) / xi_max)[failure_of - 1], observed,
+                           np.where(observed, 0, failure_of), labels)
 
 
 # Rows per write_table chunk: one chunk's cells and fields are all the Python objects
@@ -542,6 +523,6 @@ def read_dataset_csv(path) -> CensoredDataset:
         raise ValueError(f"{path}: row {bad[0] + 1} is censored at failure {caf[bad[0]]}, outside 1..{J}")
     scheme = CensoringScheme(len(table), tuple(np.bincount(caf[~observed] - 1, minlength=J).tolist()))
     have_labels = np.all(lengths["true_label"] > 0)
-    item_id, y_star = table["item_id"] - 1, table["y_star"].copy()
-    del table, status  # so that the loadtxt table is freed before the dataset copies its columns
-    return CensoredDataset(scheme, item_id, y_star, observed, caf, labels - 1 if have_labels else None)
+    return CensoredDataset(
+        scheme, table["item_id"] - 1, table["y_star"], observed, caf, labels - 1 if have_labels else None
+    )

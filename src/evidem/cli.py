@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .censoring import read_dataset_csv, run_life_test, write_dataset_csv, write_table
+from .censoring import draw_experiment, read_dataset_csv, write_dataset_csv, write_table
 from .config import READS, ConfigError, RunConfig, parse_config
 from .estimator import (
     ComponentStarvedError,
@@ -29,7 +29,6 @@ from .estimator import (
     write_soft_labels_csv,
 )
 from .figures import Series, write_line_chart
-from .rayleigh import sample_labeled
 from .simulation import (
     aggregate_report,
     corrupt_labels,
@@ -114,7 +113,7 @@ def _write_manifest(cfg: RunConfig, extra: dict | None = None) -> None:
 def cmd_generate(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     rng, p = substream(cfg.seed), cfg.model.n_components
-    ds = run_life_test(*sample_labeled(cfg.model, cfg.scheme.n, rng), cfg.scheme, rng)
+    ds = draw_experiment(cfg.model, cfg.scheme, rng)
     q = draw_error_probs(cfg.corruption, ds.n, rng)
     pl = make_soft_labels(LabelMode.UNCERTAIN, p, ds.n, corrupt_labels(ds.true_label, q, p, rng), q)
     write_dataset_csv(ds, cfg.out / "data.csv")

@@ -32,11 +32,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .censoring import (MAX_UNITS, CensoredDataset, CensoringScheme, _shown, run_life_test, scheme_from_censor_frac,
+from .censoring import (MAX_UNITS, CensoredDataset, CensoringScheme, _shown, draw_experiment, scheme_from_censor_frac,
                         write_table)
 from .estimator import (E2MConfig, LabelMode, SoftLabeledDataset, fit_batch, fit_dtype, make_soft_labels,
                         quantile_spread_init)
-from .rayleigh import MixtureParams, sample_labeled
+from .rayleigh import MixtureParams
 
 __all__ = [
     "CorruptionConfig",
@@ -299,7 +299,7 @@ def run_shard(spec: SweepSpec, master_seed: int, keys: Sequence[tuple[int, int]]
     datasets, inits, fit_of, keyed = [], [], [], []  # row k: fit fit_of[k] at keyed[k], (grid value, method, rep)
     for g, rep in keys:
         rng = substream(master_seed, g, 0, rep)
-        ds = run_life_test(*sample_labeled(truth, spec.schemes[g].n, rng), spec.schemes[g], rng)
+        ds = draw_experiment(truth, spec.schemes[g], rng)
         init, fits = start_params(spec.init, ds, p, truth), {}
         for gi in _points(spec, g):
             noise = rng if gi == g else substream(master_seed, gi, 0, rep)

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.stats import kstest
+from scipy.stats import kstest, ks_2samp
 
 from evidem import censoring
 from evidem.censoring import (
     CensoringScheme,
     SchemeError,
     conventional_scheme,
+    draw_experiment,
     read_dataset_csv,
     run_life_test,
     scheme_from_censor_frac,
@@ -161,35 +161,17 @@ class TestRunLifeTest:
             sigma = math.sqrt((1 / 3) * (2 / 3) / reps)
             assert abs(freq - 1 / 3) < 4 * sigma
 
-    # 0 sends every removal through the rank tree, 1 splits events between
-    # the tree and the mask scan even at n <= 400, where the measured
-    # constant sends every event to the mask scan; blocks of 1 and 4 units
-    # make n <= 400 span many blocks, the last one full or partial
-    @pytest.mark.parametrize("entries_per_step, block_shift", [
-        (0, censoring._BLOCK_SHIFT), (1, censoring._BLOCK_SHIFT),
-        (censoring._MASK_ENTRIES_PER_TREE_STEP, censoring._BLOCK_SHIFT),
-        (0, 0), (1, 0), (0, 2), (1, 2),
-    ], ids=["0", "1", str(censoring._MASK_ENTRIES_PER_TREE_STEP), "0-blocks-of-1", "1-blocks-of-1",
-            "0-blocks-of-4", "1-blocks-of-4"])
     @settings(max_examples=100, deadline=None)
     @given(case=life_tests())
-    def test_matches_reference_replay(self, entries_per_step, block_shift, case):
-        with patch.object(censoring, "_MASK_ENTRIES_PER_TREE_STEP", entries_per_step), \
-                patch.object(censoring, "_BLOCK_SHIFT", block_shift):
-            assert_same_replay(*case)
+    def test_matches_reference_replay(self, case):
+        assert_same_replay(*case)
 
-    def test_rank_tree_and_mask_paths_interleaved(self, monkeypatch):
-        # one-per-failure events use the rank tree; the 2000-unit event reads
-        # the mask and must keep the tree current for the events after it
-        taken = []
-        take = censoring._RankTree.take
-        monkeypatch.setattr(censoring._RankTree, "take", lambda tree, rank: taken.append(rank) or take(tree, rank))
+    def test_rank_tree_and_mask_paths_interleaved(self):
+        # runs of single removals on either side of a 2000-unit event
         scheme = CensoringScheme(4000, tuple([1] * 500 + [2000] + [1] * 499 + [0]))
         times = np.random.default_rng(3).uniform(0.1, 5.0, size=4000)
         assert_same_replay(times, np.zeros(4000, dtype=int), scheme, seed=11)
-        assert len(taken) == 999
 
-    @pytest.mark.parametrize("draw_chunk", [7, censoring._DRAW_CHUNK])
     @pytest.mark.parametrize(
         "n, removals",
         [(4000, [1] * 1000 + [0] * 100 + [2] * 3 + [1] * 400 + [3] + [0] * 10 + [1] * 300 + [476]),
@@ -198,13 +180,11 @@ class TestRunLifeTest:
          (32000, [1] * 16000)],
         ids=["runs-between-larger-events", "long-run-then-short-runs", "one-per-failure", "one-per-failure-32000"],
     )
-    def test_single_removal_runs_on_the_rank_tree_match_reference_replay(self, draw_chunk, n, removals):
-        # at these n every single removal, and at n = 6500 every pair, goes
-        # through the rank tree; a chunk of 7 events splits every run
+    def test_single_removal_runs_on_the_rank_tree_match_reference_replay(self, n, removals):
+        # long runs of single removals, between and around larger events
         scheme = CensoringScheme(n, tuple(removals))
         times = np.random.default_rng(n).uniform(0.1, 5.0, size=n)
-        with patch.object(censoring, "_DRAW_CHUNK", draw_chunk):
-            assert_same_replay(times, np.arange(n) % 3, scheme, seed=29)
+        assert_same_replay(times, np.arange(n) % 3, scheme, seed=29)
 
     def test_wrong_sample_size_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -256,20 +236,125 @@ class TestRunLifeTest:
         assert kstest(spacings.ravel(), "expon").pvalue > 0.01
 
 
-class TestNumpyDrawContract:
-    def test_one_integers_call_draws_what_one_choice_per_event_draws(self):
-        # run_life_test draws a run of single removals with one rng.integers
-        # call, which must give the values of one choice(m, 1, replace=False)
-        # per event and leave the generator in the same state; every bound
-        # m <= MAX_UNITS < 2**32 takes numpy's 32-bit path
-        assert censoring.MAX_UNITS < 2**32
-        bounds = [1, 2, 3, 7, 100, 9_999, 10_000, 10_001, 65_537, 2**24 + 1, censoring.MAX_UNITS - 1, censoring.MAX_UNITS]
-        for seed in range(200):
-            ms = np.random.default_rng(seed).permutation(bounds + [1, 2, 10_000])
-            batch, per_event = np.random.default_rng(seed), np.random.default_rng(seed)
-            drawn = batch.integers(0, ms).tolist()
-            assert drawn == [int(per_event.choice(int(m), 1, replace=False)[0]) for m in ms]
-            assert batch.bit_generator.state == per_event.bit_generator.state
+def survival_oracle(model, log_s, iters=200):
+    """x = t^2 / 2 with log S = log_s, by bisection in long double: log1p(-F) while F < 1/2, else a log-sum-exp."""
+    lam = model.lambdas.astype(np.longdouble)[:, None]
+    xi2 = (model.xis.astype(np.longdouble) ** 2)[:, None]
+    target = np.asarray(log_s, dtype=np.longdouble)
+
+    def log_survival(x):
+        e = xi2 * x
+        F = np.sum(lam * -np.expm1(-e), axis=0)
+        with np.errstate(divide="ignore"):
+            a = np.log(lam) - e
+        top = a.max(axis=0)
+        return np.where(F < 0.5, np.log1p(-np.minimum(F, 0.5)), top + np.log(np.exp(a - top).sum(axis=0)))
+
+    lo = np.zeros_like(target)
+    hi = -target / xi2.min()  # every S_z(hi) <= s, so S(hi) <= s <= S(0)
+    for _ in range(iters):
+        mid = (lo + hi) / 2
+        above = log_survival(mid) > target
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    return (lo + hi) / 2
+
+
+# The distribution checks below were fixed before their first run: one generator per side
+# (seeds 2601 and 2602), 3 000 experiments per side, a two-sample KS test per statistic,
+# every p-value at least ALPHA.
+ALPHA = 1e-3
+SIDES = 3000
+MIXED_MODEL = MixtureParams(np.array([0.5, 0.3, 0.2]), np.array([2.0, 0.5, 1.0]))
+ONE_COMPONENT = MixtureParams(np.array([1.0]), np.array([1.7]))
+
+
+def experiment_statistics(ds, p):
+    """Four failure times, then the failed and the removed units' label counts per component."""
+    t = ds.observed_times
+    J = t.size
+    labels = ds.true_label
+    return np.concatenate((t[[0, J // 3, 2 * J // 3, J - 1]], np.bincount(labels[ds.observed], minlength=p),
+                           np.bincount(labels[~ds.observed], minlength=p)))
+
+
+class TestDrawExperiment:
+    @pytest.mark.parametrize("scheme", [conventional_scheme(500, 300), CensoringScheme(7, (0,) * 7),
+                                        CensoringScheme(1, (0,))], ids=["conventional", "complete", "one-unit"])
+    def test_conventional_plan_is_replayed(self, scheme):
+        got_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = draw_experiment(MIXED_MODEL, scheme, got_rng)
+        ref = run_life_test(*sample_labeled(MIXED_MODEL, scheme.n, ref_rng), scheme, ref_rng)
+        for name in ("item_id", "y_star", "observed", "censored_at_failure", "true_label"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_drawn_plan_records(self):
+        # a component of weight 0 is never drawn, for a failed or a removed unit
+        model = MixtureParams(np.array([0.5, 0.0, 0.5]), np.array([1.0, 3.0, 0.2]))
+        scheme = CensoringScheme(1750, (1, 0, 3) * 250)
+        rng = np.random.default_rng(17)
+        ds = draw_experiment(model, scheme, rng)
+        assert np.array_equal(ds.item_id, np.arange(scheme.n))
+        assert ds.scheme == scheme and set(np.unique(ds.true_label).tolist()) == {0, 2}
+        fail_times = ds.observed_times
+        assert np.all(fail_times > 0) and np.all(np.diff(fail_times) >= 0)
+        # two uniforms a failure and one a removal: the W_i, then one call per label set
+        again = np.random.default_rng(17)
+        again.random(2 * scheme.J + scheme.n_censored)
+        assert rng.bit_generator.state == again.bit_generator.state
+
+    @pytest.mark.parametrize("model, removals", [
+        (MIXED_MODEL, (0, 1, 3, 1, 0, 3, 1, 0, 3, 0, 1, 3)),
+        (MIXED_MODEL, (1,) * 10),
+        (ONE_COMPONENT, (3, 0, 2, 1, 0, 4)),
+    ], ids=["mixed", "single-removals", "one-component"])
+    def test_matches_reference_replay_in_distribution(self, model, removals):
+        scheme = CensoringScheme(sum(removals) + len(removals), removals)
+        p = model.n_components
+        drawn_rng, replay_rng = np.random.default_rng(2601), np.random.default_rng(2602)
+        drawn = np.array([experiment_statistics(draw_experiment(model, scheme, drawn_rng), p) for _ in range(SIDES)])
+        replayed = np.array([
+            experiment_statistics(reference_life_test(*sample_labeled(model, scheme.n, replay_rng), scheme, replay_rng), p)
+            for _ in range(SIDES)
+        ])
+        pvalues = [ks_2samp(drawn[:, k], replayed[:, k]).pvalue for k in range(drawn.shape[1])]
+        assert min(pvalues) >= ALPHA, pvalues
+
+    def test_one_component_normalized_spacings_are_standard_exponential(self):
+        # gamma_i (X_i - X_{i-1}) on X = xi^2 t^2 / 2, with gamma_i = n - sum_{k<i} (R_k + 1), are i.i.d. Exp(1):
+        # pooled, and at each failure index
+        removals = (3, 0, 2, 1, 0, 4)
+        scheme = CensoringScheme(sum(removals) + len(removals), removals)
+        gamma = scheme.n - np.concatenate(([0], np.cumsum(np.array(removals) + 1)[:-1]))
+        rng = np.random.default_rng(2603)
+        x = np.array([0.5 * 1.7**2 * draw_experiment(ONE_COMPONENT, scheme, rng).observed_times ** 2
+                      for _ in range(SIDES)])
+        spacings = gamma * np.diff(x, axis=1, prepend=0.0)
+        pvalues = [kstest(spacings.ravel(), "expon").pvalue] + [kstest(col, "expon").pvalue for col in spacings.T]
+        assert min(pvalues) >= ALPHA, pvalues
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("model", [
+        MixtureParams(np.full(3, 1 / 3), np.array([4.0, 0.5, 0.8])),
+        MixtureParams(np.array([0.6, 0.0, 0.4]), np.array([1.0, 2.0, 0.3])),
+        MixtureParams(np.array([0.98, 0.02]), np.array([10.0, 0.1])),
+        MixtureParams(np.array([0.01, 0.09, 0.9]), np.array([100.0, 1.0, 0.01])),
+        ONE_COMPONENT,
+    ], ids=["paper", "zero-weight", "spread", "four-decades", "one-component"])
+    def test_newton_solve_matches_long_double_bisection(self, model):
+        # the first and last failures of n = 200 000 single removals, where s is near 1 and only
+        # log1p(-F) is accurate; values around F = 1/2; and -log s from 1e-12 far into the tail
+        rng = np.random.default_rng(200_000)
+        J = 100_000
+        g = np.arange(1, J + 1) + np.arange(1, J + 1)
+        plan = np.cumsum((np.log1p(-rng.random(J)) / g)[::-1])
+        log_s = np.concatenate((plan[:500], plan[-500:], np.log(0.5) + np.array([-1e-9, 0.0, 1e-9]),
+                                -np.logspace(-12, 5, 400), [-700.0, -5000.0]))
+        xi_max = model.xis.max()
+        y, share = censoring._solve_survival(model.lambdas, (model.xis / xi_max) ** 2, log_s)
+        want = np.longdouble(xi_max) ** 2 * survival_oracle(model, log_s)
+        assert np.all(np.abs(y / want - 1) <= 1e-13)
+        assert_allclose(share.sum(axis=0), 1.0, rtol=1e-15)
 
 
 class TestProgressiveLoglik:

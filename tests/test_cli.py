@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from evidem import cli, config, simulation
+from evidem import censoring, cli, config, simulation
 from evidem.censoring import conventional_scheme, read_dataset_csv, write_dataset_csv
 from evidem.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
 from evidem.config import READS, ConfigError, RunConfig, parse_config
@@ -240,9 +240,8 @@ class TestGenerate:
         assert not out.exists()
 
     def test_progressive_plan_outputs_are_pinned(self, tmp_path):
-        # a plan mixing R_j in {0, 1, 3}: its single removals go through the
-        # rank tree and its triples through the mask scan; the hashes are those
-        # of the replay that drew every event with one rng.choice call
+        # a plan mixing R_j in {0, 1, 3}, drawn directly by draw_experiment: its
+        # failure times from uniform spacings, its labels given the times
         removals = ([1] * 50 + [0] * 10 + [3] * 5) * 23
         out = tmp_path / "run"
         cfg_file = write_config(tmp_path / "gen.yaml", {
@@ -251,8 +250,8 @@ class TestGenerate:
         })
         assert main(["generate", "--config", cfg_file]) == EXIT_OK
         assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("data.csv", "labels.csv")} == {
-            "data.csv": "7bd797cab2e3171bdc0d62256a778f8c10b5e15a3b88ec042a8d331cff9aa0ef",
-            "labels.csv": "c79ca52c1c8244a5d60f548e06758d08e296963a9307d9007930934c38e71d38",
+            "data.csv": "9073aae14d74f6b82afeb16dffa7a25d5f66f3fff3af483571a20b12969bf132",
+            "labels.csv": "8832a764c1cb5565776e0b21ed8ac981b46e797f13bf5701cc5df6bf9a66a5e6",
         }
 
 
@@ -728,13 +727,13 @@ class TestSweepCommand:
 
     def test_conventional_plan_replayed_as_configured(self, tmp_path, monkeypatch):
         seen = []
-        run_life_test = simulation.run_life_test
+        run_life_test = censoring.run_life_test
 
         def spy(times, labels, scheme, rng):
             seen.append(scheme)
             return run_life_test(times, labels, scheme, rng)
 
-        monkeypatch.setattr(simulation, "run_life_test", spy)
+        monkeypatch.setattr(censoring, "run_life_test", spy)
         out = tmp_path / "conventional"
         cfg_file = sweep_config(tmp_path, out, grid=(0.1,), reps=2)
         payload = yaml.safe_load(Path(cfg_file).read_text())
