@@ -25,15 +25,24 @@ from oracles import log_pdf, log_survival, pdf, progressive_loglik, reference_li
 
 
 @st.composite
-def life_tests(draw):
-    """(times, labels, scheme, seed): a random plan over lifetimes with ties."""
-    n = draw(st.integers(1, 400))
-    J = draw(st.integers(1, n))
-    distinct = draw(st.integers(1, n))
+def life_tests(draw, min_removal=0, tie_block=None):
+    """(times, labels, scheme, seed): a random plan over lifetimes with ties.
+
+    Every event removes at least ``min_removal`` units.  Lifetimes take a
+    random number of distinct values, or, given ``tie_block``, tie in blocks
+    of that many units spread over the input order.
+    """
+    n = draw(st.integers(min_removal + 1, 400))
+    J = draw(st.integers(1, n // (min_removal + 1)))
+    distinct = draw(st.integers(1, n)) if tie_block is None else None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cuts = np.sort(rng.integers(0, n - J + 1, size=J - 1))
-    removals = np.diff(np.concatenate(([0], cuts, [n - J])))
-    times = 0.5 + 0.25 * rng.integers(0, distinct, size=n)
+    extra = n - J * (min_removal + 1)
+    cuts = np.sort(rng.integers(0, extra + 1, size=J - 1))
+    removals = min_removal + np.diff(np.concatenate(([0], cuts, [extra])))
+    if tie_block is None:
+        times = 0.5 + 0.25 * rng.integers(0, distinct, size=n)
+    else:
+        times = 0.5 + 0.25 * rng.permutation(np.arange(n) // tie_block)
     labels = rng.integers(0, 3, size=n)
     return times, labels, CensoringScheme(n, tuple(removals.tolist())), draw(st.integers(0, 2**32 - 1))
 
@@ -161,10 +170,16 @@ class TestRunLifeTest:
             sigma = math.sqrt((1 / 3) * (2 / 3) / reps)
             assert abs(freq - 1 / 3) < 4 * sigma
 
+    # each case searches its own family of plans: events removing at least 0, 1 or 80
+    # units, over lifetimes with random ties, all distinct (blocks of 1) or tied in
+    # blocks of 4 units, so ties break by input order within every event
+    @pytest.mark.parametrize("min_removal, tie_block", [
+        (0, None), (1, None), (80, None), (0, 1), (1, 1), (0, 4), (1, 4),
+    ], ids=["0", "1", "80", "0-blocks-of-1", "1-blocks-of-1", "0-blocks-of-4", "1-blocks-of-4"])
     @settings(max_examples=100, deadline=None)
-    @given(case=life_tests())
-    def test_matches_reference_replay(self, case):
-        assert_same_replay(*case)
+    @given(data=st.data())
+    def test_matches_reference_replay(self, min_removal, tie_block, data):
+        assert_same_replay(*data.draw(life_tests(min_removal, tie_block)))
 
     def test_rank_tree_and_mask_paths_interleaved(self):
         # runs of single removals on either side of a 2000-unit event
