@@ -10,16 +10,13 @@ program, so it alone knows the cell format.
 
 ``draw_experiment`` produces the life test of a plan on units drawn from a
 mixture.  A conventional plan, removing units only at its last failure, is
-replayed unit by unit by ``run_life_test`` on ``sample_labeled``'s units,
-whose draws fix the dataset of each seed of a sweep.  Any other plan is drawn directly from the
-joint law of its failure times (Balakrishnan & Aggarwala 2000, *Progressive
-Censoring*, ch. 2), through uniform spacings, and its records' labels from
-their conditional law given those times.  This costs O(n p), where the replay
-removes each event's units by a scan of the n-entry alive mask, O(n J) over a
-plan.  ``run_life_test`` draws each event's removals with one
-``rng.choice(m_j, R_j, replace=False)`` over the m_j survivors' ranks, so the
-draws and the generator state are those of choosing from the survivors'
-indices (``tests/oracles.reference_life_test``).
+replayed by ``run_life_test`` on ``sample_labeled``'s units, whose draws fix
+the dataset of each seed of a sweep: a stable sort of the lifetimes, and one
+``rng.choice`` of the survivors, whose draws and generator state are those of
+the unit-by-unit replay ``tests/oracles.reference_life_test``.  Any other plan
+is drawn directly from the joint law of its failure times (Balakrishnan &
+Aggarwala 2000, *Progressive Censoring*, ch. 2), through uniform spacings, and
+its records' labels from their conditional law given those times, in O(n p).
 
 ``read_dataset_csv`` parses all rows with one ``np.loadtxt`` call into a
 structured array, picking its columns by header name: item_id and y_star as
@@ -114,6 +111,11 @@ class CensoringScheme:
     def n_censored(self) -> int:
         return self.n - self.J
 
+    @property
+    def conventional(self) -> bool:
+        """Whether the plan removes no unit before its last failure."""
+        return not any(self.removals[:-1])
+
 
 def conventional_scheme(n: int, J: int) -> CensoringScheme:
     """Plan removing all survivors at the last failure: R = (0, ..., 0, n - J)."""
@@ -202,7 +204,7 @@ class CensoredDataset:
         counts = np.bincount(cens_j, minlength=scheme.J + 1)[1:]
         if not np.array_equal(counts, scheme.removals):
             raise ValueError(f"censored counts per failure {list(counts)} do not match removals {list(scheme.removals)}")
-        if not np.allclose(y[~obs], fail_times[cens_j - 1]):
+        if not np.array_equal(y[~obs], fail_times[cens_j - 1]):
             raise ValueError("each censored time must equal the failure time at which the unit was removed")
 
     @property
@@ -214,56 +216,37 @@ class CensoredDataset:
         return self.y_star[self.observed]
 
 
-def _events(removals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per record in event order (failure j, then the R_j units removed at it): j, and whether it is the failure."""
-    records = removals + 1
-    failure_of = np.repeat(np.arange(1, records.size + 1), records)
-    observed = np.zeros(failure_of.size, dtype=bool)
-    observed[np.cumsum(records) - records] = True
-    return failure_of, observed
-
-
 def run_life_test(
     times: np.ndarray,
     labels: np.ndarray,
     scheme: CensoringScheme,
     rng: np.random.Generator,
 ) -> CensoredDataset:
-    """Replay the physical experiment on a complete labelled sample.
+    """Replay a conventional life test on a complete labelled sample.
 
-    Unit i has lifetime ``times[i]`` and component label ``labels[i]``.
-    Repeatedly the smallest remaining lifetime fails; then ``R_j`` of the
-    survivors are removed uniformly at random without replacement and
-    recorded as censored at that failure time.  Lifetime ties (probability
-    zero under continuous models) break by input order.
+    Unit i has lifetime ``times[i]`` and component label ``labels[i]``.  The J
+    smallest lifetimes fail in turn, ties broken by input order; the other units
+    are removed at the J-th failure, in unit order, after one ``rng.choice`` of
+    them, the generator's draw for removing units at random.  Any other plan
+    raises :class:`SchemeError`: :func:`draw_experiment` draws it.
     """
+    if not scheme.conventional:
+        raise SchemeError("run_life_test replays conventional plans only, which remove every survivor at the "
+                          "last failure; draw_experiment draws any other plan")
     times = np.asarray(times, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    n = scheme.n
+    n, J = scheme.n, scheme.J
     if times.shape != (n,) or labels.shape != (n,):
         raise ValueError(f"expected {n} lifetimes and labels, got shapes {times.shape} and {labels.shape}")
 
-    order = np.argsort(times, kind="stable").tolist()
-    alive = bytearray(b"\x01") * n
-    alive_mask = np.frombuffer(alive, dtype=bool)
-    ids: list[int] = []
-    cursor = 0
-    for r_j in scheme.removals:
-        while not alive[order[cursor]]:
-            cursor += 1
-        alive[order[cursor]] = 0
-        ids.append(order[cursor])
-        if r_j:
-            # ranks among the n - len(ids) survivors in unit order: the draws, and the
-            # generator state afterwards, of choice(flatnonzero(alive), r_j)
-            units = np.flatnonzero(alive_mask)[np.sort(rng.choice(n - len(ids), size=r_j, replace=False))]
-            alive_mask[units] = False
-            ids.extend(units.tolist())
-
-    item_id = np.array(ids)
-    failure_of, observed = _events(np.array(scheme.removals))
-    return CensoredDataset(scheme, item_id, times[item_id[observed]][failure_of - 1], observed,
-                           np.where(observed, 0, failure_of), labels[item_id])
+    order = np.argsort(times, kind="stable")
+    order[J:].sort()
+    if n > J:
+        rng.choice(n - J, size=n - J, replace=False)
+    y_star = times[order]
+    y_star[J:] = y_star[J - 1]
+    observed = np.arange(n) < J
+    return CensoredDataset(scheme, order, y_star, observed, np.where(observed, 0, J), labels[order])
 
 
 # Newton's method stops once a step moves no y by more than this share: the steps are then in
@@ -324,7 +307,7 @@ def draw_experiment(model: MixtureParams, scheme: CensoringScheme, rng: np.rando
     each unit removed there, independently, with probability proportional to lambda_z S_z(t_j).
     No unit has an identity before it fails, so record k, in event order, has ``item_id`` k.
     """
-    if not any(scheme.removals[:-1]):
+    if scheme.conventional:
         return run_life_test(*sample_labeled(model, scheme.n, rng), scheme, rng)
     removals = np.array(scheme.removals)
     g = np.arange(1, scheme.J + 1) + np.cumsum(removals[::-1])
@@ -333,7 +316,10 @@ def draw_experiment(model: MixtureParams, scheme: CensoringScheme, rng: np.rando
     xi_max = model.xis.max()
     rate = (model.xis / xi_max) ** 2
     y, share = _solve_survival(model.lambdas, rate, log_s)
-    failure_of, observed = _events(removals)
+    records = removals + 1  # failure j, then the R_j units removed at it
+    failure_of = np.repeat(np.arange(1, scheme.J + 1), records)
+    observed = np.zeros(scheme.n, dtype=bool)
+    observed[np.cumsum(records) - records] = True
     labels = np.empty(scheme.n, dtype=int)
     labels[observed] = _categorical(share * rate[:, None], rng.random(scheme.J))
     labels[~observed] = _categorical(np.repeat(share, removals, axis=1), rng.random(scheme.n_censored))

@@ -228,7 +228,7 @@ class SweepSpec:
         if not np.all(self.true_params.lambdas > 0.0):
             raise ValueError("sweeps score the relative bias of every weight, so 'model.lambdas' must all be "
                              f"positive, got {self.true_params.lambdas.tolist()}")
-        if any(self.scheme.removals[:-1]):
+        if not self.scheme.conventional:
             raise ValueError("sweeps replay conventional plans only, which remove every survivor at the last "
                              "failure; the configured 'scheme.R' removes units before it")
         grid = []

@@ -9,8 +9,9 @@ plain arrays.  It also holds the Rayleigh component's formulas (density,
 survival, quantile and the exact truncated second moment, broadcasting over
 ``xi`` and ``x``), which the estimator's kernel writes out inline; the exact
 observed-data log-likelihood of a progressively censored sample of ordered
-failure times; the O(n J) replay of a progressive life test that
-``run_life_test`` must match draw for draw; and the row-by-row
+failure times; the O(n J) replay of a progressive life test, which
+``run_life_test`` must match draw for draw on conventional plans and
+``draw_experiment`` in distribution on the others; and the row-by-row
 ``csv``-module readers of ``data.csv`` and ``labels.csv`` that the column
 readers must match value for value, and the row-by-row ``csv.writer`` form of
 ``write_table`` whose bytes the column writer must match.

@@ -25,26 +25,22 @@ from oracles import log_pdf, log_survival, pdf, progressive_loglik, reference_li
 
 
 @st.composite
-def life_tests(draw, min_removal=0, tie_block=None):
-    """(times, labels, scheme, seed): a random plan over lifetimes with ties.
+def conventional_life_tests(draw, tie_block=None):
+    """(times, labels, scheme, seed): a random conventional plan over lifetimes with ties.
 
-    Every event removes at least ``min_removal`` units.  Lifetimes take a
-    random number of distinct values, or, given ``tie_block``, tie in blocks
-    of that many units spread over the input order.
+    Lifetimes take a random number of distinct values, or, given ``tie_block``,
+    tie in blocks of that many units spread over the input order.
     """
-    n = draw(st.integers(min_removal + 1, 400))
-    J = draw(st.integers(1, n // (min_removal + 1)))
+    n = draw(st.integers(1, 400))
+    scheme = conventional_scheme(n, draw(st.integers(1, n)))
     distinct = draw(st.integers(1, n)) if tie_block is None else None
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    extra = n - J * (min_removal + 1)
-    cuts = np.sort(rng.integers(0, extra + 1, size=J - 1))
-    removals = min_removal + np.diff(np.concatenate(([0], cuts, [extra])))
     if tie_block is None:
         times = 0.5 + 0.25 * rng.integers(0, distinct, size=n)
     else:
         times = 0.5 + 0.25 * rng.permutation(np.arange(n) // tie_block)
     labels = rng.integers(0, 3, size=n)
-    return times, labels, CensoringScheme(n, tuple(removals.tolist())), draw(st.integers(0, 2**32 - 1))
+    return times, labels, scheme, draw(st.integers(0, 2**32 - 1))
 
 
 def assert_same_replay(times, labels, scheme, seed):
@@ -118,6 +114,9 @@ class TestScheme:
 
 
 class TestRunLifeTest:
+    # run_life_test takes conventional plans only, so the checks below on progressive plans check
+    # the reference replay: run_life_test matches it draw for draw on conventional plans, and
+    # draw_experiment's direct draws match it in distribution on the others
     def test_complete_sample_is_sorted(self, rng):
         times = rng.uniform(0.1, 5.0, size=12)
         labels = rng.integers(0, 2, size=12)
@@ -136,14 +135,14 @@ class TestRunLifeTest:
     def test_status_counts(self, rng):
         scheme = CensoringScheme(20, (2, 0, 3, 0, 1, 3, 0, 0, 1, 0))
         times = rng.uniform(0.1, 5.0, size=20)
-        ds = run_life_test(times, np.zeros(20, dtype=int), scheme, rng)
+        ds = reference_life_test(times, np.zeros(20, dtype=int), scheme, rng)
         assert int(ds.observed.sum()) == 10
         assert int((~ds.observed).sum()) == 10
 
     def test_censored_at_current_failure_time(self, rng):
         scheme = CensoringScheme(15, (1, 2, 0, 1, 6))
         times = rng.uniform(0.1, 5.0, size=15)
-        ds = run_life_test(times, np.zeros(15, dtype=int), scheme, rng)
+        ds = reference_life_test(times, np.zeros(15, dtype=int), scheme, rng)
         fail_times = ds.y_star[ds.observed]
         for i in np.flatnonzero(~ds.observed):
             j = ds.censored_at_failure[i]
@@ -159,7 +158,7 @@ class TestRunLifeTest:
         reps = 9000
         rng = np.random.default_rng(7)
         for _ in range(reps):
-            ds = run_life_test(lifetimes, np.zeros(4, dtype=int), scheme, rng)
+            ds = reference_life_test(lifetimes, np.zeros(4, dtype=int), scheme, rng)
             first_removed = ds.item_id[np.flatnonzero(~ds.observed)[0]]
             second_failure = ds.y_star[ds.observed][1]
             outcomes[(int(first_removed), float(second_failure))] += 1
@@ -170,36 +169,17 @@ class TestRunLifeTest:
             sigma = math.sqrt((1 / 3) * (2 / 3) / reps)
             assert abs(freq - 1 / 3) < 4 * sigma
 
-    # each case searches its own family of plans: events removing at least 0, 1 or 80
-    # units, over lifetimes with random ties, all distinct (blocks of 1) or tied in
-    # blocks of 4 units, so ties break by input order within every event
-    @pytest.mark.parametrize("min_removal, tie_block", [
-        (0, None), (1, None), (80, None), (0, 1), (1, 1), (0, 4), (1, 4),
-    ], ids=["0", "1", "80", "0-blocks-of-1", "1-blocks-of-1", "0-blocks-of-4", "1-blocks-of-4"])
+    # conventional plans, whose events but the last remove 0 units, over lifetimes with random ties,
+    # all distinct (blocks of 1) or tied in blocks of 4 units, so ties break by input order
+    @pytest.mark.parametrize("tie_block", [None, 1, 4], ids=["0", "0-blocks-of-1", "0-blocks-of-4"])
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_matches_reference_replay(self, min_removal, tie_block, data):
-        assert_same_replay(*data.draw(life_tests(min_removal, tie_block)))
+    def test_matches_reference_replay(self, tie_block, data):
+        assert_same_replay(*data.draw(conventional_life_tests(tie_block)))
 
-    def test_rank_tree_and_mask_paths_interleaved(self):
-        # runs of single removals on either side of a 2000-unit event
-        scheme = CensoringScheme(4000, tuple([1] * 500 + [2000] + [1] * 499 + [0]))
-        times = np.random.default_rng(3).uniform(0.1, 5.0, size=4000)
-        assert_same_replay(times, np.zeros(4000, dtype=int), scheme, seed=11)
-
-    @pytest.mark.parametrize(
-        "n, removals",
-        [(4000, [1] * 1000 + [0] * 100 + [2] * 3 + [1] * 400 + [3] + [0] * 10 + [1] * 300 + [476]),
-         (6500, [0] * 5 + [1] * 2500 + [7] + [1] * 3 + [0] + [1] * 9 + [2, 0, 2] + [1] * 600 + [0] * 40 + [214]),
-         (4000, [1] * 2000),
-         (32000, [1] * 16000)],
-        ids=["runs-between-larger-events", "long-run-then-short-runs", "one-per-failure", "one-per-failure-32000"],
-    )
-    def test_single_removal_runs_on_the_rank_tree_match_reference_replay(self, n, removals):
-        # long runs of single removals, between and around larger events
-        scheme = CensoringScheme(n, tuple(removals))
-        times = np.random.default_rng(n).uniform(0.1, 5.0, size=n)
-        assert_same_replay(times, np.arange(n) % 3, scheme, seed=29)
+    def test_progressive_plan_rejected(self, rng):
+        with pytest.raises(SchemeError, match="draw_experiment draws any other plan"):
+            run_life_test(np.ones(3), np.zeros(3, dtype=int), CensoringScheme(3, (1, 0)), rng)
 
     def test_wrong_sample_size_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -228,7 +208,7 @@ class TestRunLifeTest:
         firsts = np.empty(reps)
         for i in range(reps):
             times = np.sqrt(-2.0 * np.log1p(-rng.random(n))) / xi
-            ds = run_life_test(times, np.zeros(n, dtype=int), scheme, rng)
+            ds = reference_life_test(times, np.zeros(n, dtype=int), scheme, rng)
             firsts[i] = ds.y_star[ds.observed][0]
         stat = kstest(firsts, lambda x: 1.0 - np.exp(-0.5 * (xi**2) * n * x**2))
         assert stat.pvalue > 0.01
@@ -246,7 +226,7 @@ class TestRunLifeTest:
         spacings = np.empty((reps, scheme.J))
         for i in range(reps):
             times, labels = sample_labeled(truth, scheme.n, rng)
-            x = 0.5 * xi**2 * run_life_test(times, labels, scheme, rng).observed_times ** 2
+            x = 0.5 * xi**2 * reference_life_test(times, labels, scheme, rng).observed_times ** 2
             spacings[i] = gamma * np.diff(x, prepend=0.0)
         assert kstest(spacings.ravel(), "expon").pvalue > 0.01
 
@@ -423,7 +403,7 @@ class TestDatasetCsv:
         scheme = CensoringScheme(12, (1, 0, 2, 0, 3, 0))
         times = rng.uniform(0.1, 5.0, size=12)
         labels = rng.integers(0, 3, size=12)
-        ds = run_life_test(times, labels, scheme, rng)
+        ds = reference_life_test(times, labels, scheme, rng)
         path = tmp_path / "data.csv"
         write_dataset_csv(ds, path)
         back = read_dataset_csv(path)

@@ -240,19 +240,24 @@ class TestGenerate:
         assert not out.exists()
 
     def test_progressive_plan_outputs_are_pinned(self, tmp_path):
-        # a plan mixing R_j in {0, 1, 3}, drawn directly by draw_experiment: its
-        # failure times from uniform spacings, its labels given the times
+        # a plan mixing R_j in {0, 1, 3}, drawn directly by draw_experiment: its failure times from
+        # uniform spacings, its labels given the times; and a conventional plan, replayed by
+        # run_life_test, whose labels.csv also pins the generator state the replay leaves
         removals = ([1] * 50 + [0] * 10 + [3] * 5) * 23
-        out = tmp_path / "run"
-        cfg_file = write_config(tmp_path / "gen.yaml", {
-            "model": PAPER_MODEL, "scheme": {"n": sum(removals) + len(removals), "R": removals},
-            "corruption": {"rho": 0.2}, "seed": 2024, "out": str(out),
-        })
-        assert main(["generate", "--config", cfg_file]) == EXIT_OK
-        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("data.csv", "labels.csv")} == {
+        pinned = [({"n": sum(removals) + len(removals), "R": removals}, {
             "data.csv": "9073aae14d74f6b82afeb16dffa7a25d5f66f3fff3af483571a20b12969bf132",
             "labels.csv": "8832a764c1cb5565776e0b21ed8ac981b46e797f13bf5701cc5df6bf9a66a5e6",
-        }
+        }), ({"n": 2000, "J": 800}, {
+            "data.csv": "9d28ba85168f0b8a9f6b01d5e0432839f7535e76d7ba8cd55c772ec91b19e826",
+            "labels.csv": "aa700e38705c0d3cf6371461df7f444c1916e34b0000230e27c006aabdcd1bf3",
+        })]
+        for k, (scheme, hashes) in enumerate(pinned):
+            out = tmp_path / f"run{k}"
+            cfg_file = write_config(tmp_path / f"gen{k}.yaml", {
+                "model": PAPER_MODEL, "scheme": scheme, "corruption": {"rho": 0.2}, "seed": 2024, "out": str(out),
+            })
+            assert main(["generate", "--config", cfg_file]) == EXIT_OK
+            assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in hashes} == hashes
 
 
 class TestFitCommand:
@@ -383,11 +388,19 @@ class TestFitCommand:
         assert code == EXIT_NOT_CONVERGED
         assert (out / "estimate.csv").exists()
 
-    @pytest.mark.parametrize("defect", ["nan", "-1.0", "0.0", "duplicate-id", "failure-beyond-J", "short-row"])
+    @pytest.mark.parametrize("defect", ["nan", "-1.0", "0.0", "duplicate-id", "failure-beyond-J", "short-row",
+                                        "censored-at-9e-09-for-1e-09", "censored-at-2.00001-for-2.0"])
     def test_malformed_data_is_config_error(self, tmp_path, generated, capsys, defect):
         with open(generated / "data.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        if defect == "duplicate-id":
+        if defect.startswith("censored-at-"):
+            # every record at the failure time, but one censored record just off it
+            censored, failure = defect.removeprefix("censored-at-").split("-for-")
+            y = rows[0].index("y_star")
+            for row in rows[1:]:
+                row[y] = failure
+            next(r for r in rows if r[2] == "censored")[y] = censored
+        elif defect == "duplicate-id":
             rows[2][0] = rows[1][0]
         elif defect == "failure-beyond-J":
             censored = next(r for r in rows if r[2] == "censored")
@@ -404,7 +417,10 @@ class TestFitCommand:
             {"data": str(data), "labels": str(generated / "labels.csv"), "out": str(tmp_path / "bad_out")},
         )
         assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
-        assert "invalid input data" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "invalid input data" in err
+        if defect.startswith("censored-at-"):
+            assert "each censored time must equal the failure time" in err
         assert not (tmp_path / "bad_out").exists()
 
     @pytest.mark.parametrize(

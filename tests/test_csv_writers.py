@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from evidem import censoring, estimator
-from evidem.censoring import (CensoredDataset, CensoringScheme, run_life_test, scheme_from_censor_frac,
+from evidem.censoring import (CensoredDataset, CensoringScheme, scheme_from_censor_frac,
                               write_dataset_csv, write_table)
 from evidem.cli import EXIT_OK, main
 from evidem.estimator import E2MTrace, LabelMode, make_soft_labels, write_soft_labels_csv
@@ -33,7 +33,7 @@ from evidem.simulation import (
     write_results_csv,
     write_summary_csv,
 )
-from oracles import reference_write_table
+from oracles import reference_life_test, reference_write_table
 
 
 @pytest.fixture(params=[None, 1, 3], ids=["default-chunk", "chunk-1", "chunk-3"], autouse=True)
@@ -240,8 +240,8 @@ def test_progressive_dataset_csv_matches_csv_writer(tmp_path, monkeypatch):
     """Each censored record of a progressive replay repeats the y* of the failure it was removed at."""
     rng = np.random.default_rng(8)
     scheme = CensoringScheme(2500, (1,) * 1250)
-    ds = run_life_test(*sample_labeled(MixtureParams(np.full(3, 1 / 3), np.array([4.0, 0.5, 0.8])), scheme.n, rng),
-                       scheme, rng)
+    truth = MixtureParams(np.full(3, 1 / 3), np.array([4.0, 0.5, 0.8]))
+    ds = reference_life_test(*sample_labeled(truth, scheme.n, rng), scheme, rng)
     want = reference_bytes(monkeypatch, censoring, lambda path: write_dataset_csv(ds, path), tmp_path / "want.csv")
     write_dataset_csv(ds, tmp_path / "got.csv")
     assert (tmp_path / "got.csv").read_bytes() == want

@@ -46,6 +46,7 @@ from oracles import (
     contour_of,
     dempster_combine,
     pdf,
+    reference_life_test,
     survival,
 )
 
@@ -352,7 +353,7 @@ def labelled_problem(mode, p, plan):
     scheme = conventional_scheme(n, J) if plan == "conventional" else CensoringScheme(n, (3,) * J)
     truth = MixtureParams(np.full(p, 1.0 / p), XI_POOL[:p])
     rng = np.random.default_rng(p)
-    ds = run_life_test(*sample_labeled(truth, n, rng), scheme, rng)
+    ds = reference_life_test(*sample_labeled(truth, n, rng), scheme, rng)
     q = draw_error_probs(CorruptionConfig(0.3), n, rng)
     pl = make_soft_labels(mode, p, n, corrupt_labels(ds.true_label, q, p, rng), q)
     return SoftLabeledDataset(ds, pl), MixtureParams(np.full(p, 1.0 / p), 0.3 * XI_POOL[:p])
