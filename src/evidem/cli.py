@@ -105,9 +105,11 @@ def _write_manifest(cfg: RunConfig, extra: dict | None = None) -> None:
     payload = {"version": __version__, "config": cfg.manifest_dict(), **(extra or {})}
     if "seed" in payload["config"]:
         payload["master_seed"] = cfg.seed
-    with open(cfg.out / "manifest.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # json's indent=2 encoder is pure Python: the plan R, up to n ints at depth 3, takes the C encoder and one replace
+    scheme = payload["config"].get("scheme") or {"R": []}
+    removals, scheme["R"] = json.dumps(scheme["R"])[1:-1].replace(", ", ",\n        "), "\0"
+    text = json.dumps(payload, indent=2, sort_keys=True).replace('"\\u0000"', f"[\n        {removals}\n      ]", 1)
+    (cfg.out / "manifest.json").write_text(text + "\n")
 
 
 def cmd_generate(cfg: RunConfig) -> int:

@@ -16,21 +16,20 @@ recover supervised fitting.  Everything is computed in log space and
 normalized by subtracting each record's maximum, never by flooring.
 
 ``fit_batch`` fits B datasets of equal size together.  It computes their
-constants once, component-major, on a leading batch axis: y*^2, log y* on
-observed records, log pl as a (B, p, n) array, and the observed and censored
-indicators.  An iteration is then one stacked log-weight product, one shifted
-``exp`` giving every fit's log-likelihood and posterior, and one stacked
-M-step product, on raw arrays.  A fit leaves the batch when it converges,
-reaches the iteration cap or fails, and its failure is its own error: the
-other fits go on.  Every stacked operation works one dataset's slice at a
-time, so a fit takes the same iterates in any batch.  The outcome is one
-:func:`fit_dtype` record per fit (final estimate, log-likelihood, completed
-updates, convergence, error), returned with the iterates of every step;
-``fit`` is the batch of one, which stacks a finished fit's steps into an
-:class:`E2MTrace`.  ``MixtureParams`` are validated only at the start and
-for each finished fit's estimate.  A batch runs with floating-point warnings
+constants once, component-major, on a leading batch axis: log pl + log y*
+(observed) as a (B, p, n) array, and feature rows scaled by powers of two,
+which is exact (see ``_Kernel``).  An iteration is then one stacked
+log-weight product, one shifted ``exp`` giving every fit's log-likelihood and
+posterior, and one stacked M-step product, into buffers the batch reuses.  A
+fit leaves the batch when it converges, reaches the iteration cap or fails,
+and its failure is its own error: the other fits go on.  Every stacked
+operation works one dataset's slice at a time, so a fit takes the same
+iterates in any batch.  The outcome is one :func:`fit_dtype` record per fit
+and the iterates of every step; ``fit`` is the batch of one, and stacks its
+steps into an :class:`E2MTrace`.  ``MixtureParams`` are validated only at
+the start and for each finished fit's estimate.  Floating-point warnings are
 off: the kernel tests every value it hands on, so an overflow or NaN ends
-only its own fit, as that fit's error.
+only its own fit.
 
 ``read_soft_labels_csv`` parses ``labels.csv`` with the same one-call
 ``loadtxt`` reader as ``data.csv``: an integer id and p plausibilities a row.
@@ -38,6 +37,7 @@ only its own fit, as that fit's error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -151,77 +151,98 @@ class E2MTrace:
         return len(self.gll_values) - 1
 
 
+def _all_healthy(weights: list, xi_sqs: list, floor: float) -> bool:
+    """Whether every M-step weight is at least ``floor`` and every xi^2 finite and positive; False on any NaN."""
+    for ws, xs in zip(weights, xi_sqs):
+        for w, x in zip(ws, xs):
+            if not (w >= floor and 0.0 < x < math.inf):
+                return False
+    return True
+
+
 class _Kernel:
     """The E2M constants of B datasets of equal size n and width p, stacked on a
-    leading batch axis: ``features[b]`` rows are the observed indicator, 1, y*^2
-    and the censored indicator; ``log_base[b]`` is log pl + log y* (observed),
-    component-major (p, n).  ``posterior`` is the one (B, p, n) buffer every
-    E-step writes into.  ``keep`` drops the datasets whose fits left the batch.
-
-    Both steps run under :func:`fit_batch`'s floating-point state, which
-    ignores every warning, and report a fit that cannot go on in a dict from
-    its row to its error.  That row's values are then meaningless, but they
-    stay in its own slice, so one failing fit never stops or taints the others.
-    """
+    leading batch axis, and the buffers a step writes into.  ``features[b]``
+    rows are 2 obs, 1, -y*^2 / 2 and cens (obs and cens the observed and
+    censored indicators), so E-step coefficients (log xi, log lambda, xi^2) give
+    every product, sum and iterate of rows (obs, 1, y*^2, cens) and coefficients
+    (2 log xi, log lambda, -xi^2 / 2): a factor of 2 or -1/2 is exact outside the
+    subnormal and overflow ranges.  ``log_base[b]`` is log pl + log y* (observed),
+    component-major (p, n).  A step's parameters are one (B, 2, p) array, xis
+    then lambdas; ``keep`` keeps the datasets still in the batch, with their rows
+    of ``posterior`` and ``coef``, whose row ``xi2`` the next M-step reads.  Both
+    steps run under :func:`fit_batch`'s floating-point state, which ignores every
+    warning, and report a fit that cannot go on in a dict from its row to its
+    error.  That row's values are then meaningless, but they stay in its own
+    slice, so one failing fit never stops or taints the others."""
 
     def __init__(self, datasets: Sequence[SoftLabeledDataset]) -> None:
         y = np.stack([ds.data.y_star for ds in datasets])
         obs = np.stack([ds.data.observed for ds in datasets])
         self.features = np.stack([obs, np.ones_like(y), y * y, ~obs], axis=1)
+        self.features[:, 0:3:2] *= [[2.0], [-0.5]]
         self.log_base = np.log(np.stack([ds.pl.T for ds in datasets]), order="C")
         self.log_base += np.where(obs, np.log(y), 0.0)[:, None, :]
-        self.posterior = np.empty_like(self.log_base)
+        self._buffers(np.empty_like(self.log_base), np.empty((len(datasets), 3, self.log_base.shape[1])))
 
     def keep(self, rows: np.ndarray) -> None:
         self.features, self.log_base = self.features[rows], self.log_base[rows]
-        self.posterior = np.empty_like(self.log_base)
+        self._buffers(self.posterior[rows], self.coef[rows])
 
-    def loglik_and_posterior(self, lambdas: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """Log-weights log[lambda_z (f or S)(y*_j; xi_z) pl_j(z)], then one max-shifted
-        ``exp`` gives both the (B,) generalized log-likelihoods and ``posterior``.
-        A non-finite record max makes its fit's sum non-finite, so one test finds both."""
-        coef = np.array([2.0 * np.log(xis), np.log(lambdas), -0.5 * xis**2]).transpose(1, 2, 0)
-        w = np.matmul(coef, self.features[:, :3], out=self.posterior)
+    def _buffers(self, posterior: np.ndarray, coef: np.ndarray) -> None:
+        self.posterior, self.coef, self.xi2, (B, p, n) = posterior, coef, coef[:, 2], posterior.shape
+        (self.hi, self.total), self.sums = np.empty((2, B, n)), np.empty((B, p, 3))
+        # views made once per batch, as a view costs about what a small ufunc call does
+        self._logs, self._coef_t, self._hi_b = self.coef[:, :2], self.coef.transpose(0, 2, 1), self.hi[:, None]
+        self._e_rows, self._m_rows = self.features[:, :3], self.features[:, 1:].transpose(0, 2, 1)
+        self._total_b, (self._weight, self._half_moment, self._cens) = self.total[:, None], self.sums.transpose(2, 0, 1)
+
+    def loglik_and_posterior(self, theta: np.ndarray) -> tuple[np.ndarray, list, dict]:
+        """Log-weights log[lambda_z (f or S)(y*_j; xi_z) pl_j(z)], then one max-shifted ``exp`` gives ``posterior``
+        and the (B,) generalized log-likelihoods, returned also as Python floats.  A non-finite record max
+        makes its fit's sum non-finite, so one test finds both."""
+        np.log(theta, out=self._logs)
+        np.square(theta[:, 0], out=self.xi2)
+        w = np.matmul(self._coef_t, self._e_rows, out=self.posterior)
         w += self.log_base
-        hi = w.max(axis=1)
-        w -= hi[:, None, :]
+        hi = np.maximum.reduce(w, axis=1, out=self.hi)
+        w -= self._hi_b
         np.exp(w, out=w)
-        total = w.sum(axis=1)
-        w /= total[:, None, :]
+        total = np.add.reduce(w, axis=1, out=self.total)
+        w /= self._total_b
         np.log(total, out=total)
         total += hi
-        gll = total.sum(axis=1)
+        gll = np.add.reduce(total, axis=1)
+        values = gll.tolist()
         failed = {}
-        if not np.isfinite(gll).all():
-            for b in np.flatnonzero(~np.isfinite(gll)).tolist():
-                bad = np.flatnonzero(~np.isfinite(hi[b]))
-                where = f"at record(s) {_records(bad)}" if bad.size else "in the sum over records"
-                failed[b] = DegenerateLikelihoodError(f"generalized log-likelihood is non-finite {where}")
-        return gll, w, failed
+        for b in (b for b, g in enumerate(values) if not math.isfinite(g)):
+            bad = np.flatnonzero(~np.isfinite(hi[b]))
+            where = f"at record(s) {_records(bad)}" if bad.size else "in the sum over records"
+            failed[b] = DegenerateLikelihoodError(f"generalized log-likelihood is non-finite {where}")
+        return gll, values, failed
 
-    def m_step(self, W: np.ndarray, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
-        """The closed-form M-step on the (B, p, n) posteriors W, returning raw (B, p) lambdas and xis:
+    def m_step(self, W: np.ndarray, xi2: np.ndarray) -> tuple[np.ndarray, dict]:
+        """The closed-form M-step on the (B, p, n) posteriors W at the squared xis ``xi2``, giving the raw (B, 2, p)
+        xis and lambdas: lambda_z = mean_j W_jz and, censored records taking their exact truncated second moment,
 
-            lambda_z = mean_j W_jz
-            xi_z^2   = 2 sum_j W_jz / [ sum_obs W_jz y*^2 + sum_cens W_jz (y*^2 + 2 / xi_z(k)^2) ]
-
-        The censored term is the exact truncated second moment under the
-        current ``xis``, never a numerical integral.
-        """
-        weight, moment, cens = np.matmul(W, self.features[:, 1:].transpose(0, 2, 1)).transpose(2, 0, 1)
-        starved = weight < STARVATION_FRAC * W.shape[2]
-        xi2 = 2.0 * weight / (moment + cens * 2.0 / xis**2)
-        # a denominator that vanishes, overflows or is NaN leaves no finite positive xi^2
-        flat = ~((xi2 > 0.0) & (xi2 < np.inf))
+            xi_z^2 = sum_j W_jz / [ sum_cens W_jz / xi_z(k)^2 - sum_j W_jz (-y*^2 / 2) ]
+                   = 2 sum_j W_jz / [ sum_obs W_jz y*^2 + sum_cens W_jz (y*^2 + 2 / xi_z(k)^2) ]."""
+        np.matmul(W, self._m_rows, out=self.sums)
+        theta, weight, floor = np.empty((len(W), 2, W.shape[1])), self._weight, STARVATION_FRAC * W.shape[2]
+        np.divide(weight, np.add.reduce(weight, axis=1, keepdims=True), out=theta[:, 1])
+        xi_sq = np.divide(self._cens, xi2, out=theta[:, 0])  # the denominator first
+        xi_sq -= self._half_moment
+        np.divide(weight, xi_sq, out=xi_sq)
         failed = {}
-        if (starved | flat).any():
-            for b in np.flatnonzero(starved.any(axis=1) | flat.any(axis=1)):
-                if starved[b].any():
-                    reason = f"component(s) {np.flatnonzero(starved[b]).tolist()} received no posterior weight"
-                else:
-                    reason = f"component(s) {np.flatnonzero(flat[b]).tolist()} have a degenerate moment denominator"
-                failed[int(b)] = ComponentStarvedError(reason)
-        return weight / weight.sum(axis=1, keepdims=True), np.sqrt(xi2), failed
+        if not _all_healthy(weight.tolist(), xi_sq.tolist(), floor):
+            # a denominator that vanishes, overflows or is NaN leaves no finite positive xi^2
+            starved, flat = weight < floor, ~((xi_sq > 0.0) & (xi_sq < np.inf))
+            for b in np.flatnonzero(starved.any(axis=1) | flat.any(axis=1)).tolist():
+                why = "received no posterior weight" if starved[b].any() else "have a degenerate moment denominator"
+                bad = np.flatnonzero(starved[b] if starved[b].any() else flat[b]).tolist()
+                failed[b] = ComponentStarvedError(f"component(s) {bad} {why}")
+        np.sqrt(xi_sq, out=xi_sq)
+        return theta, failed
 
 
 def fit_dtype(p: int) -> np.dtype:
@@ -262,17 +283,14 @@ def fit_batch(
         if (ds.data.n, ds.n_components) != (n, p):
             raise ValueError("the datasets of a batch must have equal numbers of records and components")
     kernel = _Kernel(datasets)
-    lambdas = np.stack([init.lambdas for init in inits])
-    xis = np.stack([init.xis for init in inits])
+    theta = np.stack([np.stack([init.xis, init.lambdas]) for init in inits])
     table = np.zeros(len(datasets), fit_dtype(p))
     table["lambdas"], table["xis"], table["gll"], table["error"] = np.nan, np.nan, np.nan, None
     rows = np.arange(len(datasets))  # the dataset of each batch row
-    steps = []
-    it = 0
-    gll, W, failed = kernel.loglik_and_posterior(lambdas, xis)
-    converged = [False] * len(rows)
+    steps, it, converged = [], 0, [False] * len(rows)
+    gll, values, failed = kernel.loglik_and_posterior(theta)
     while True:
-        steps.append((rows, lambdas, xis, gll))
+        steps.append((rows, theta[:, 1], theta[:, 0], gll))
         if failed or it == config.max_iters or any(converged):
             leaving = np.array(converged) | (it == config.max_iters)
             leaving[list(failed)] = True
@@ -281,20 +299,20 @@ def fit_batch(
                     # the updates completed before the failing one
                     table["iterations"][rows[k]], table["error"][rows[k]] = max(it - 1, 0), failed[k]
                 else:
-                    MixtureParams(lambdas[k], xis[k])  # checks the estimate
-                    table[rows[k]] = lambdas[k], xis[k], it, converged[k], gll[k], None
+                    MixtureParams(theta[k, 1], theta[k, 0])  # checks the estimate
+                    table[rows[k]] = theta[k, 1], theta[k, 0], it, converged[k], values[k], None
             keep = ~leaving
-            rows, lambdas, xis, gll, W = rows[keep], lambdas[keep], xis[keep], gll[keep], W[keep]
+            rows, values = rows[keep], [g for g, gone in zip(values, leaving.tolist()) if not gone]
             if not rows.size:
                 return table, steps
             kernel.keep(keep)
         it += 1
-        lambdas, xis, starved = kernel.m_step(W, xis)
-        gll_new, W, degenerate = kernel.loglik_and_posterior(lambdas, xis)
+        theta, starved = kernel.m_step(kernel.posterior, kernel.xi2)
+        gll, new_values, degenerate = kernel.loglik_and_posterior(theta)
         failed = {**degenerate, **starved}
         # a few Python floats compare faster than numpy calls on (B,) arrays
-        converged = [(g - g0) / max(abs(g0), _TINY) < config.tol for g, g0 in zip(gll_new.tolist(), gll.tolist())]
-        gll = gll_new
+        converged = [(g - g0) / max(abs(g0), _TINY) < config.tol for g, g0 in zip(new_values, values)]
+        values = new_values
 
 
 def fit(

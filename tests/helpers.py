@@ -209,10 +209,11 @@ def starving_problem():
 
 @np.errstate(all="ignore")  # the kernel runs under fit_batch's floating-point state
 def _loglik_and_posterior(ds, params):
-    gll, W, failed = estimator._Kernel([ds]).loglik_and_posterior(params.lambdas[None], params.xis[None])
+    kernel = estimator._Kernel([ds])
+    gll, _, failed = kernel.loglik_and_posterior(np.stack([params.xis, params.lambdas])[None])
     if failed:
         raise failed[0]
-    return float(gll[0]), W[0]
+    return float(gll[0]), kernel.posterior[0]
 
 
 def generalized_loglik(ds, params):
@@ -234,10 +235,10 @@ def e_step(ds, params):
 def m_step(ds, W, params_k):
     """The kernel's closed-form M-step on the (n, p) posterior ``W``;
     raises ``ComponentStarvedError`` where it cannot update a component."""
-    lambdas, xis, failed = estimator._Kernel([ds]).m_step(np.asarray(W, dtype=float).T[None], params_k.xis[None])
+    theta, failed = estimator._Kernel([ds]).m_step(np.asarray(W, dtype=float).T[None], params_k.xis[None] ** 2)
     if failed:
         raise failed[0]
-    return MixtureParams(lambdas[0], xis[0])
+    return MixtureParams(theta[0, 1], theta[0, 0])
 
 
 @dataclass(eq=False)

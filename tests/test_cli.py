@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import evidem
 from evidem import censoring, cli, config, simulation
 from evidem.censoring import conventional_scheme, read_dataset_csv, write_dataset_csv
 from evidem.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
@@ -549,6 +550,22 @@ class TestFitCommand:
         written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in Path("fit").iterdir()}
         assert written == pinned
 
+    def test_large_progressive_fit_is_pinned(self, tmp_path, monkeypatch):
+        # 8 000 units under a progressive plan, fitted from the quantile-spread start
+        monkeypatch.chdir(tmp_path)
+        removals = [0, 2, 1] * 1000 + [1] * 1000
+        gen = write_config(tmp_path / "gen.yaml", {"model": PAPER_MODEL, "corruption": {"rho": 0.2}, "seed": 7,
+                                                   "scheme": {"n": sum(removals) + len(removals), "R": removals},
+                                                   "out": "gen"})
+        assert main(["generate", "--config", gen]) == EXIT_OK
+        cfg_file = write_config(tmp_path / "fit.yaml", {"data": "gen/data.csv", "labels": "gen/labels.csv",
+                                                        "fit": {"init": "quantile-spread", "max_iters": 300},
+                                                        "out": "fit"})
+        assert main(["fit", "--config", cfg_file]) == EXIT_OK
+        pinned = {"estimate.csv": "45d52b8085067f804aac187787845dbb9168b1b4b846e4e21155355a0f952dae",
+                  "trace.csv": "0a47352db74d71046a6e6e2cfd79380317b69dd82b71a32f2129fd411824875b"}
+        assert {name: hashlib.sha256(Path("fit", name).read_bytes()).hexdigest() for name in pinned} == pinned
+
     def test_thousands_of_impossible_records_give_a_short_message(self, tmp_path, capsys):
         # every record is plausible only under the second component, which has no weight
         gen = write_config(tmp_path / "gen.yaml", {"model": {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]},
@@ -642,6 +659,12 @@ _PINNED_SWEEPS = {
                     "figure_xi_2.csv": "214d7bdf82badc3bdd3e3668bac5dd3e93d9e0b1e296f2ec5a68cfe0c3d9e33c",
                     "figure_xi_1.svg": "dfed8bac5943cf0140eb869d96afe04c91a65adc6328b904987fcd0c0091b444",
                     "figure_xi_2.svg": "fb0bcdcfaa928e570747399fc08ab36593c592da90e716c9226c3184b7e9d991"}),
+    # six components, the UNKNOWN fits capped at 400 updates
+    "rho-p6": ({"model": {"lambdas": [0.1, 0.2, 0.1, 0.25, 0.15, 0.2], "xis": [4.0, 0.5, 0.8, 2.0, 1.2, 0.3]},
+                "scheme": {"n": 200, "censor_frac": 0.3}, "methods": "all", "reps": 2, "seed": 29,
+                "fit": {"max_iters": 400}, "sweep": {"variable": "rho", "grid": [0.0, 0.25]}},
+               {"results.csv": "05ba54c334b408b8f722a132c2b55292c673f86d8eedf48ebb536e7a6a64972e",
+                "summary.csv": "a211efe972998d09189b5b9ac95d9c4a930baf0180b453507e288d909262f76b"}),
     # the (0.3, noisy) cell has 9 successes and 1 failure: a mean over all 10 slots, the failed one
     # zero-filled, sums in another order and moves the cell's xi_1 and xi_2 means in their last digit
     "failed-fit-reps-10": (dict(_FAILED_FIT, reps=10),
@@ -700,7 +723,7 @@ class TestSweepCommand:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("case", ["rho", "n", "failed-fit", "failed-fit-reps-10"])
+    @pytest.mark.parametrize("case", ["rho", "n", "failed-fit", "failed-fit-reps-10", "rho-p6"])
     def test_sweep_outputs_are_pinned(self, tmp_path, case, workers):
         # the hashes are those of the sweep that draws one experiment per replication and fits all its
         # methods in one batch; 3 workers split the replications into uneven shards
@@ -998,6 +1021,27 @@ def test_integer_beyond_the_float_range_is_config_error(tmp_path, capsys, comman
     assert capsys.readouterr().err == (
         f"configuration error: '{name}' must be a number in the float range, got <401 digits>\n")
     assert not out.exists()
+
+
+_LONG_PLAN = [0, 1, 3, 12, 0, 1] * 2000
+
+
+@pytest.mark.parametrize("command, scheme", [
+    ("generate", {"n": sum(_LONG_PLAN) + len(_LONG_PLAN), "R": _LONG_PLAN}),
+    ("generate", {"n": 5, "R": [4]}),
+    ("sweep", {"n": 60, "censor_frac": 0.4}),
+    ("fit", None)])
+def test_manifest_is_json_dumps_indent_2(tmp_path, command, scheme):
+    # the plan R is laid out apart from json's indent=2 encoder, which must give the same bytes
+    entry = {} if scheme is None else {"scheme": scheme}
+    cfg = parse_config(write_config(tmp_path / "c.yaml", {**_COMPLETE_INPUTS[command], **entry}), command=command)
+    cfg.out = tmp_path / "out"
+    cfg.out.mkdir()
+    cli._write_manifest(cfg, {"outcome": "converged"})
+    payload = {"version": evidem.__version__, "config": cfg.manifest_dict(), "outcome": "converged"}
+    if "seed" in payload["config"]:
+        payload["master_seed"] = cfg.seed
+    assert (cfg.out / "manifest.json").read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("command, model, rule", [("fit", True, "model"), ("fit", False, "quantile-spread"),

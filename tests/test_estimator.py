@@ -373,11 +373,11 @@ def kernel_failing_on_pass(on_pass, targets):
             super().keep(rows)
             self.target = self.target[rows]
 
-        def loglik_and_posterior(self, lambdas, xis):
+        def loglik_and_posterior(self, theta):
             self.passes += 1
             if self.passes == on_pass:
                 self.log_base[self.target, :, 0] = -np.inf
-            return super().loglik_and_posterior(lambdas, xis)
+            return super().loglik_and_posterior(theta)
 
     return Kernel
 
@@ -437,6 +437,34 @@ class TestKernel:
         # its fifth update starves: capped before it, the fit completes four
         _, trace = fit(*starving_problem(), E2MConfig(max_iters=4))
         assert trace.iterations_used == 4 and not trace.converged
+
+    @pytest.mark.parametrize("where", ["weight", "xi2"])
+    @pytest.mark.parametrize("value", [np.nan, 0.0])
+    def test_bad_m_step_value_in_a_later_row_fails_only_its_fit(self, monkeypatch, where, value):
+        # the second M-step sees a NaN or a 0 in component 1 of batch row 1: in its posterior weight, or in the
+        # xi^2 its censored term divides by.  A check that took Python's min() would miss a NaN that is not first.
+        problems = [labelled_problem(mode, 3, "conventional") for mode in LabelMode]
+
+        class Kernel(estimator._Kernel):
+            passes = 0
+
+            def m_step(self, W, xi2):
+                self.passes += 1
+                if self.passes == 2:
+                    (W if where == "weight" else xi2)[1, 1] = value
+                return super().m_step(W, xi2)
+
+        config = E2MConfig(max_iters=10, tol=1e-300)
+        with monkeypatch.context() as patched:
+            patched.setattr(estimator, "_Kernel", Kernel)
+            table, _ = fit_batch([soft for soft, _ in problems], [init for _, init in problems], config)
+        starved = where == "weight" and value == 0.0
+        reason = "received no posterior weight" if starved else "have a degenerate moment denominator"
+        error = table["error"][1]
+        assert type(error) is ComponentStarvedError and str(error) == f"component(s) [1] {reason}"
+        assert table["iterations"][1] == 1
+        for b in (0, 2):
+            assert_is_solo_fit(table[b], *problems[b], config)
 
     @pytest.mark.parametrize("p", [2, 3, 6])
     def test_batch_iterates_match_reference_and_solo_fits(self, p):
