@@ -21,11 +21,13 @@ its records' labels from their conditional law given those times, in O(n p).
 ``read_dataset_csv`` parses all rows with one ``np.loadtxt`` call into a
 structured array, picking its columns by header name: item_id and y_star as
 numbers, and the status and the two columns that may be empty as byte
-strings, which numpy compares as whole columns.  An integer column whose
-fields are all empty or plain ASCII digits is parsed a byte position at a
-time, through a view of the records' bytes; any other spelling goes through
-numpy's conversion, which takes what Python's ``int`` takes.  Only when
-loadtxt has failed is the file read again, to name the first bad row.
+strings, which numpy compares as whole columns.  loadtxt is handed the file's
+path, which its C reader pulls in large chunks; an open file it would read
+one Python string per line.  An integer column whose fields are all empty or
+plain ASCII digits is parsed a byte position at a time, through a view of the
+records' bytes; any other spelling goes through numpy's conversion, which
+takes what Python's ``int`` takes.  Only when loadtxt has failed is the file
+read again, to name the first bad row.
 """
 
 from __future__ import annotations
@@ -180,9 +182,10 @@ class CensoredDataset:
         bad = np.flatnonzero(~(np.isfinite(y) & (y > 0.0)))
         if bad.size:
             raise ValueError(f"y_star must be finite and positive; record(s) {_records(bad)} are not")
-        ordered = np.sort(item_id)
-        if np.any(ordered[1:] == ordered[:-1]):
-            raise ValueError("item_id values must be unique")
+        if not np.all(item_id[1:] > item_id[:-1]):  # increasing ids, as a drawn test's, are unique unsorted
+            ordered = np.sort(item_id)
+            if np.any(ordered[1:] == ordered[:-1]):
+                raise ValueError("item_id values must be unique")
         self._check_event_structure(y, obs, caf)
         for name, arr in named:
             arr.flags.writeable = False
@@ -191,20 +194,22 @@ class CensoredDataset:
 
     def _check_event_structure(self, y, obs, caf) -> None:
         scheme = self.scheme
-        if int(obs.sum()) != scheme.J:
-            raise ValueError(f"expected {scheme.J} observed records, found {int(obs.sum())}")
-        fail_times = y[obs]
-        if np.any(np.diff(fail_times) < 0):
+        if np.count_nonzero(obs) != scheme.J:
+            raise ValueError(f"expected {scheme.J} observed records, found {np.count_nonzero(obs)}")
+        # positions, not masks: a mask that alternates, as in a plan of single removals, indexes slowly
+        observed, censored = np.flatnonzero(obs), np.flatnonzero(~obs)
+        fail_times = y[observed]
+        if np.any(fail_times[1:] < fail_times[:-1]):
             raise ValueError("observed failure times must be nondecreasing in record order")
-        if np.any(caf[obs] != 0):
+        if np.any(caf[observed] != 0):
             raise ValueError("observed records must carry censored_at_failure = 0")
-        cens_j = caf[~obs]
+        cens_j = caf[censored]
         if np.any((cens_j < 1) | (cens_j > scheme.J)):
             raise ValueError("censored records must reference a failure index in 1..J")
-        counts = np.bincount(cens_j, minlength=scheme.J + 1)[1:]
-        if not np.array_equal(counts, scheme.removals):
-            raise ValueError(f"censored counts per failure {list(counts)} do not match removals {list(scheme.removals)}")
-        if not np.array_equal(y[~obs], fail_times[cens_j - 1]):
+        counts = np.bincount(cens_j, minlength=scheme.J + 1)[1:].tolist()  # compared as ints: no array of the plan
+        if counts != list(scheme.removals):
+            raise ValueError(f"censored counts per failure {counts} do not match removals {list(scheme.removals)}")
+        if not np.array_equal(y[censored], fail_times[cens_j - 1]):
             raise ValueError("each censored time must equal the failure time at which the unit was removed")
 
     @property
@@ -405,16 +410,23 @@ def read_csv_header(fh) -> list[str]:
 
 
 def load_csv_rows(fh, path, dtype: np.dtype, usecols, n_fields: int, exact: bool) -> np.ndarray:
-    """Parse the rows after the header of an open CSV file with one ``np.loadtxt`` call.
+    """Parse the rows after the header, which ``fh`` has read, of the CSV file at ``path`` with one
+    ``np.loadtxt`` call on the path, skipping the header line, unless numpy would decompress the file
+    by its suffix.  Otherwise, or if that fails, ``fh`` is parsed: its errors quote the file's line ends.
 
-    Blank lines are skipped and not counted.  If loadtxt fails, the rows are
-    read again to name the first with fewer than ``n_fields`` fields (another
-    number if ``exact``) or with a field loadtxt cannot convert.
+    Blank lines are skipped and not counted.  If loadtxt fails, the rows are read again to name the
+    first with fewer than ``n_fields`` fields (another number if ``exact``) or with a field loadtxt
+    cannot convert.
     """
     kwargs = dict(delimiter=",", dtype=dtype, usecols=usecols, comments=None, quotechar='"', ndmin=1)
     start = fh.tell()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # loadtxt warns, not raises, on a header-only file
+        if Path(path).suffix not in (".gz", ".bz2", ".xz", ".lzma"):  # loadtxt decompresses a path by these
+            try:
+                return np.loadtxt(str(path), skiprows=1, **kwargs)
+            except (ValueError, Warning):
+                pass  # fh's parse gives the message, which on a path echoes a quoted CR as LF
         try:
             return np.loadtxt(fh, **kwargs)
         except (ValueError, Warning) as exc:

@@ -33,6 +33,7 @@ only its own fit.
 
 ``read_soft_labels_csv`` parses ``labels.csv`` with the same one-call
 ``loadtxt`` reader as ``data.csv``: an integer id and p plausibilities a row.
+``SoftLabeledDataset`` checks them by whole-array bounds, naming rows only on failure.
 """
 
 from __future__ import annotations
@@ -103,13 +104,15 @@ class SoftLabeledDataset:
         arr = np.asarray(self.pl, dtype=float).copy()
         if arr.ndim != 2 or arr.shape[0] != self.data.n:
             raise ValueError(f"plausibility matrix must have {self.data.n} rows, got {arr.shape}")
-        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-        if bad.size:
-            raise ValueError(f"plausibilities must be finite; record(s) {_records(bad)} are not")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        # whole-array bounds settle the common case, False on any NaN; the rows are named only on failure
+        hi, lo = arr.max(), arr.min()
+        if not 0.0 <= lo <= hi <= 1.0:
+            bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+            if bad.size:
+                raise ValueError(f"plausibilities must be finite; record(s) {_records(bad)} are not")
             raise ValueError("plausibilities must lie in [0, 1]")
-        if np.any(arr.max(axis=1) <= 0.0):
-            bad = np.flatnonzero(arr.max(axis=1) <= 0.0)
+        bad = np.flatnonzero(~arr.any(axis=1)) if lo == 0.0 else ()  # a row is all zero only if some entry is
+        if len(bad):
             raise ValueError(f"record(s) {_records(bad)} have all-zero plausibility")
         arr.flags.writeable = False
         object.__setattr__(self, "pl", arr)

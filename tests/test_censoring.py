@@ -11,6 +11,7 @@ from scipy.stats import kstest, ks_2samp
 
 from evidem import censoring
 from evidem.censoring import (
+    CensoredDataset,
     CensoringScheme,
     SchemeError,
     conventional_scheme,
@@ -396,6 +397,66 @@ class TestProgressiveLoglik:
         neg_inf_sf = lambda t: np.full_like(np.asarray(t, dtype=float), -np.inf)
         got = progressive_loglik(scheme, [1.0, 2.0], lambda t: log_pdf(1.0, t), neg_inf_sf)
         assert got == -math.inf
+
+
+def single_removals(J):
+    """The records of a plan of J single removals, each failure followed by its one removal: the event
+    order alternates between observed and censored records."""
+    scheme = CensoringScheme(2 * J, (1,) * J)
+    y = np.repeat(np.arange(1.0, J + 1.0), 2)
+    observed = np.arange(2 * J) % 2 == 0
+    return dict(scheme=scheme, item_id=np.arange(2 * J), y_star=y, observed=observed,
+                censored_at_failure=np.where(observed, 0, np.arange(2 * J) // 2 + 1))
+
+
+def broken(records, defect):
+    """``records``, changed in place to hold one defect that a dataset's checks must reject."""
+    if defect == "duplicate-id":
+        records["item_id"][[3, 0]] = 1  # unsorted, so the ids are not increasing
+    elif defect == "duplicate-id-at-end":
+        records["item_id"][-1] = records["item_id"][-2]
+    elif defect == "observed-count":
+        records["observed"][1] = True
+    elif defect == "failure-order":
+        records["y_star"][:2] = records["y_star"][2]
+        records["y_star"][2:4] = 1.0
+    elif defect == "observed-references-failure":
+        records["censored_at_failure"][2] = 1
+    elif defect == "failure-beyond-J":
+        records["censored_at_failure"][-1] = records["scheme"].J + 1
+    elif defect == "counts":
+        records["censored_at_failure"][3] = 1
+    elif defect == "censored-time":
+        records["y_star"][-1] *= 1.5
+    return records
+
+
+# Each defect of ``broken`` and the message of the check that rejects it
+DEFECT_MESSAGES = {
+    "duplicate-id": "item_id values must be unique",
+    "duplicate-id-at-end": "item_id values must be unique",
+    "observed-count": "observed records, found",
+    "failure-order": "observed failure times must be nondecreasing",
+    "observed-references-failure": "observed records must carry censored_at_failure = 0",
+    "failure-beyond-J": "censored records must reference a failure index in 1..J",
+    "counts": "censored counts per failure [2, 0",
+    "censored-time": "each censored time must equal the failure time",
+}
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize("J", [3, 50])
+    @pytest.mark.parametrize("defect", list(DEFECT_MESSAGES))
+    def test_each_defect_is_rejected(self, J, defect):
+        CensoredDataset(**single_removals(J))
+        with pytest.raises(ValueError) as err:
+            CensoredDataset(**broken(single_removals(J), defect))
+        assert DEFECT_MESSAGES[defect] in str(err.value)
+
+    def test_counts_message_lists_python_ints(self):
+        records = broken(single_removals(3), "counts")
+        with pytest.raises(ValueError, match=r"per failure \[2, 0, 1\] do not match removals \[1, 1, 1\]"):
+            CensoredDataset(**records)
 
 
 class TestDatasetCsv:

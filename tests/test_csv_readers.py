@@ -1,13 +1,15 @@
 """The column readers of data.csv and labels.csv against the row-by-row oracles.
 
 Generated files vary what a hand-written or spreadsheet-exported file may
-vary: column order, extra columns, blank lines, CRLF line ends, quoting,
-the spelling of the status, padding, and floats at the ends of the double
-range.  The readers must return the same arrays, bit for bit and dtype for
-dtype, as ``tests/oracles``' ``csv``-module readers; malformed files must
-raise a ValueError naming the row, without a warning.
+vary: column order, extra columns, blank lines, LF, CRLF or CR line ends, a
+missing final line end, quoting, the spelling of the status, padding, and
+floats at the ends of the double range.  The readers must return the same
+arrays, bit for bit and dtype for dtype, as ``tests/oracles``' ``csv``-module
+readers, also from a plain-text file under a suffix numpy decompresses by;
+malformed files must raise a ValueError naming the row, without a warning.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -32,8 +34,8 @@ any_floats = st.one_of(st.sampled_from(EDGE_FLOATS + [-x for x in EDGE_FLOATS]),
 
 @st.composite
 def csv_text(draw, header, rows):
-    """Join fields into CSV text with random quoting, blank lines and line ends."""
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    """Join fields into CSV text with random quoting, blank lines and line ends, the last maybe missing."""
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
 
     def field(value):
         if any(c in value for c in ',"') or draw(st.booleans()):
@@ -44,7 +46,8 @@ def csv_text(draw, header, rows):
     for row in rows:
         lines.append(",".join(field(v) for v in row) + newline)
         lines.extend([newline] * draw(st.integers(0, 2)))
-    return "".join(lines)
+    text = "".join(lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
 
 
 @st.composite
@@ -101,28 +104,40 @@ def assert_same_array(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+# The suffixes by which numpy decompresses a file it opens by name
+COMPRESSED_SUFFIXES = [".gz", ".bz2", ".xz", ".lzma"]
+
+
+def written(directory, name, text):
+    """``text`` written as ``name`` and, as plain text, under each compressed suffix: the paths, plain first."""
+    paths = [directory / name] + [directory / (name + suffix) for suffix in COMPRESSED_SUFFIXES]
+    for path in paths:
+        path.write_bytes(text.encode())
+    return paths
+
+
 @settings(max_examples=150, deadline=None)
 @given(text=dataset_files())
 def test_dataset_reader_matches_oracle(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("data") / "data.csv"
-    path.write_bytes(text.encode())
-    want, got = reference_read_dataset_csv(path), read_dataset_csv(path)
-    assert got.scheme == want.scheme
-    for name in ("item_id", "y_star", "observed", "censored_at_failure"):
-        assert_same_array(getattr(got, name), getattr(want, name))
-    assert (got.true_label is None) == (want.true_label is None)
-    if want.true_label is not None:
-        assert_same_array(got.true_label, want.true_label)
+    paths = written(tmp_path_factory.mktemp("data"), "data.csv", text)
+    want = reference_read_dataset_csv(paths[0])
+    for got in map(read_dataset_csv, paths):
+        assert got.scheme == want.scheme
+        for name in ("item_id", "y_star", "observed", "censored_at_failure"):
+            assert_same_array(getattr(got, name), getattr(want, name))
+        assert (got.true_label is None) == (want.true_label is None)
+        if want.true_label is not None:
+            assert_same_array(got.true_label, want.true_label)
 
 
 @settings(max_examples=150, deadline=None)
 @given(text=label_files())
 def test_label_reader_matches_oracle(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("labels") / "labels.csv"
-    path.write_bytes(text.encode())
-    (want_ids, want_pl), (got_ids, got_pl) = reference_read_soft_labels_csv(path), read_soft_labels_csv(path)
-    assert_same_array(got_ids, want_ids)
-    assert_same_array(got_pl, want_pl)
+    paths = written(tmp_path_factory.mktemp("labels"), "labels.csv", text)
+    want_ids, want_pl = reference_read_soft_labels_csv(paths[0])
+    for got_ids, got_pl in map(read_soft_labels_csv, paths):
+        assert_same_array(got_ids, want_ids)
+        assert_same_array(got_pl, want_pl)
 
 
 DATA_HEADER = ",".join(DATA_COLUMNS) + "\n"
@@ -214,3 +229,27 @@ def test_malformed_labels_names_the_row(tmp_path, body, message):
             read_soft_labels_csv(path)
     assert message in str(err.value)
     assert caught == []
+
+
+@pytest.mark.parametrize("read, name, text", [
+    (read_dataset_csv, "data.csv", DATA_HEADER + GOOD_ROW),
+    (read_soft_labels_csv, "labels.csv", "item_id,pl_1,pl_2\n1,0.5,1\n"),
+], ids=["data", "labels"])
+def test_readers_hand_loadtxt_the_path(monkeypatch, tmp_path, read, name, text):
+    # numpy parses a file it opens by name in large chunks, and an open file one line at a time
+    received = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        received.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    for path in written(tmp_path, name, text):
+        received.clear()
+        read(path)
+        first = received[0]
+        if path.suffix == ".csv":
+            assert isinstance(first, (str, os.PathLike)) and os.fspath(first) == str(path)
+        else:  # numpy would decompress the file by its suffix
+            assert hasattr(first, "read")

@@ -626,6 +626,27 @@ class TestSoftLabels:
         with pytest.raises(ValueError, match=re.escape(f"record(s) {list(range(8, 40))} have")):
             SoftLabeledDataset(ds, pl)
 
+    @pytest.mark.parametrize("rows, message", [
+        ([[0.5, 0.5], [-0.1, 0.5], [0.5, np.nan]], "plausibilities must be finite; record(s) [2] are not"),
+        ([[1.1, 0.5], [np.inf, 0.5], [0.5, 0.5]], "plausibilities must be finite; record(s) [1] are not"),
+        ([[0.5, -np.inf], [0.5, 0.5], [np.nan, 0.5]], "plausibilities must be finite; record(s) [0, 2] are not"),
+        ([[0.5, 0.5], [-0.1, 0.5], [0.0, 0.0]], "plausibilities must lie in [0, 1]"),
+        ([[0.5, 0.5], [0.5, 1.0 + 2**-52], [0.0, 0.0]], "plausibilities must lie in [0, 1]"),
+        ([[0.5, 0.0], [0.0, 0.0], [0.0, 1.0]], "record(s) [1] have all-zero plausibility"),
+        ([[-0.0, 0.5], [0.5, 0.5], [-0.0, 0.0]], "record(s) [2] have all-zero plausibility"),
+        ([[0.0, 0.5], [1.0, 0.0], [-0.0, 1.0]], None),
+        ([[2**-1074, 1.0], [1.0, 2**-1074], [1.0, 1.0]], None),
+    ], ids=["nan-before-range", "inf-before-range", "every-nonfinite-row", "below-zero", "above-one",
+            "zero-row", "signed-zero-row", "zeros-in-every-row", "positive-entries"])
+    def test_plausibility_checks_in_order(self, rows, message):
+        ds = toy_dataset([1.0, 2.0, 3.0], [True] * 3)
+        if message is None:
+            assert SoftLabeledDataset(ds, np.array(rows)).pl.tolist() == rows
+            return
+        with pytest.raises(ValueError) as err:
+            SoftLabeledDataset(ds, np.array(rows))
+        assert str(err.value) == message
+
 
 class TestInit:
     def test_quantile_spread_shapes(self, rng):
