@@ -21,13 +21,13 @@ its records' labels from their conditional law given those times, in O(n p).
 ``read_dataset_csv`` parses all rows with one ``np.loadtxt`` call into a
 structured array, picking its columns by header name: item_id and y_star as
 numbers, and the status and the two columns that may be empty as byte
-strings, which numpy compares as whole columns.  loadtxt is handed the file's
-path, which its C reader pulls in large chunks; an open file it would read
-one Python string per line.  An integer column whose fields are all empty or
-plain ASCII digits is parsed a byte position at a time, through a view of the
-records' bytes; any other spelling goes through numpy's conversion, which
-takes what Python's ``int`` takes.  Only when loadtxt has failed is the file
-read again, to name the first bad row.
+strings, which numpy compares as whole columns.  loadtxt is handed the path,
+which its C reader pulls in large chunks, not the open file, which it reads a
+line at a time, unless numpy would decompress the file by its suffix.  An
+integer column whose fields are all empty or plain ASCII digits is parsed a
+byte position at a time, through a view of the records' bytes; any other
+spelling goes through numpy's conversion, which takes what Python's ``int``
+takes.  Only if that one parse fails is the file read again, to name a bad row.
 """
 
 from __future__ import annotations
@@ -411,38 +411,38 @@ def read_csv_header(fh) -> list[str]:
 
 def load_csv_rows(fh, path, dtype: np.dtype, usecols, n_fields: int, exact: bool) -> np.ndarray:
     """Parse the rows after the header, which ``fh`` has read, of the CSV file at ``path`` with one
-    ``np.loadtxt`` call on the path, skipping the header line, unless numpy would decompress the file
-    by its suffix.  Otherwise, or if that fails, ``fh`` is parsed: its errors quote the file's line ends.
+    ``np.loadtxt`` call: on the path, skipping the header line, or, for a name numpy would decompress
+    by its suffix, on ``fh``.
 
     Blank lines are skipped and not counted.  If loadtxt fails, the rows are read again to name the
     first with fewer than ``n_fields`` fields (another number if ``exact``) or with a field loadtxt
-    cannot convert.
+    cannot convert, and else the first whose last field holds its line end, in a quote left open.
     """
     kwargs = dict(delimiter=",", dtype=dtype, usecols=usecols, comments=None, quotechar='"', ndmin=1)
     start = fh.tell()
+    compressed = Path(path).suffix in (".gz", ".bz2", ".xz", ".lzma")  # loadtxt decompresses a path by these
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # loadtxt warns, not raises, on a header-only file
-        if Path(path).suffix not in (".gz", ".bz2", ".xz", ".lzma"):  # loadtxt decompresses a path by these
-            try:
-                return np.loadtxt(str(path), skiprows=1, **kwargs)
-            except (ValueError, Warning):
-                pass  # fh's parse gives the message, which on a path echoes a quoted CR as LF
         try:
-            return np.loadtxt(fh, **kwargs)
+            return np.loadtxt(fh, **kwargs) if compressed else np.loadtxt(str(path), skiprows=1, **kwargs)
         except (ValueError, Warning) as exc:
             reason = str(exc)
         fh.seek(start)
-        row_no = 0
+        row_no, open_row = 0, 0
         for row_no, line in enumerate((line for line in fh if line.strip("\r\n")), start=1):
-            count = len(next(csv.reader([line])))
-            if exact and count != n_fields:
-                raise ValueError(f"{path}: row {row_no} has {count} fields, expected {n_fields}")
-            if count < n_fields:
+            fields = next(csv.reader([line]))
+            if exact and len(fields) != n_fields:
+                raise ValueError(f"{path}: row {row_no} has {len(fields)} fields, expected {n_fields}")
+            if len(fields) < n_fields:
                 raise ValueError(f"{path}: row {row_no} has fewer than {n_fields} fields")
             try:
                 np.loadtxt([line], **kwargs)
             except (ValueError, Warning) as exc:
                 raise ValueError(f"{path}: row {row_no} is malformed: {str(exc).split(' at row ')[0]}") from None
+            if not open_row and fields[-1].endswith(("\r", "\n")):
+                open_row = row_no
+    if open_row:
+        raise ValueError(f"{path}: row {open_row} opens a quoted field that its line does not close")
     raise ValueError(f"{path}: {reason if row_no else 'row 1 is missing; the file holds only a header'}")
 
 

@@ -212,7 +212,7 @@ def parse_config(
     if cfg.seed < 0:
         raise ConfigError(f"'seed' must be nonnegative, got {cfg.seed}")
     out = raw.get("out", cfg.out)
-    if not isinstance(out, (str, os.PathLike)):  # --out gives a Path; an empty 'out:' is None, not a path
+    if not isinstance(out, (str, os.PathLike)) or "\0" in str(out):  # an empty 'out:' is None; no OS takes NUL
         raise ConfigError(f"'out' must be a path, got {out!r}")
     cfg.out = Path(out)
     cfg.reps = _as_int(raw.get("reps", cfg.reps), "reps")

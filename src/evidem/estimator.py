@@ -387,7 +387,7 @@ def quantile_spread_init(ds: CensoredDataset, n_components: int) -> MixtureParam
     of a single Rayleigh component.
     """
     p = int(n_components)
-    t = np.sort(ds.observed_times)
+    t = ds.observed_times
     if t.size == 0:
         raise ValueError("cannot initialize from a dataset with no observed failures")
     levels = (np.arange(p) + 1.0) / (p + 1.0)

@@ -1,16 +1,16 @@
 """Monte-Carlo study of label quality versus estimation bias.
 
-A replication draws a labelled mixture sample and runs the progressively
-censored life test (its experiment), corrupts the labels with per-item Beta
-error probabilities, builds each method's soft labels, fits the mixture,
-aligns components, and scores absolute relative bias.  A sweep repeats this
-over a grid of error probabilities or sample sizes.  Repetition r at grid
-index g draws its experiment, then g's corruption, from substream (g, 0, r),
-so results never depend on scheduling or worker count.  A rho sweep draws
-one experiment per repetition, at g = 0, and each other grid index gi's
-corruption from (gi, 0, r).  All methods fit the same experiment, UNCERTAIN
-and NOISY at a grid point the same noisy labels, and UNKNOWN, which reads
-none, once per experiment.
+A replication draws a labelled mixture sample and replays a conventional life
+test on it (its experiment; a sweep takes no other plan), corrupts the
+labels with per-item Beta error probabilities, builds each method's soft
+labels, fits the mixture, aligns components, and scores absolute relative
+bias.  A sweep repeats this over a grid of error probabilities or sample
+sizes.  Repetition r at grid index g draws its experiment, then g's
+corruption, from substream (g, 0, r), so results never depend on scheduling or
+worker count.  A rho sweep draws one experiment per repetition, at g = 0, and
+each other grid index gi's corruption from (gi, 0, r).  All methods fit the
+same experiment, UNCERTAIN and NOISY at a grid point the same noisy labels,
+and UNKNOWN, which reads none, once per experiment.
 
 The experiments at one n are split into ``min(workers, count)`` contiguous
 shards, or more if a shard would hold over ``_BATCH_RECORDS`` fit records.
@@ -158,7 +158,7 @@ def align_to_truth(lambdas: np.ndarray, xis: np.ndarray, truth: MixtureParams) -
         raise ValueError(f"exhaustive alignment is only supported for p <= {MAX_ALIGN_COMPONENTS}")
     order, least = np.tile(np.arange(p), (len(xis), 1)), np.full(len(xis), np.inf)
     for perm in itertools.permutations(range(p)):
-        cost = np.abs((xis[:, list(perm)] - truth.xis) / truth.xis).sum(axis=1)
+        cost = rabias(xis[:, list(perm)], truth.xis).sum(axis=1)
         better = cost < least
         order[better], least[better] = perm, cost[better]
     return np.take_along_axis(lambdas, order, axis=1), np.take_along_axis(xis, order, axis=1)

@@ -991,7 +991,8 @@ def test_missing_required_input_is_config_error(tmp_path, capsys, command, missi
 
 
 @pytest.mark.parametrize("command", ["generate", "fit", "sweep"])
-@pytest.mark.parametrize("out", [None, ["a", "b"], {"dir": "a"}, 7], ids=["empty", "list", "mapping", "number"])
+@pytest.mark.parametrize("out", [None, ["a", "b"], {"dir": "a"}, 7, "a\0b"],
+                         ids=["empty", "list", "mapping", "number", "nul-byte"])
 def test_out_that_is_not_a_path_is_config_error(tmp_path, monkeypatch, capsys, command, out):
     # an empty 'out:' used to send every output into a directory named None
     monkeypatch.chdir(tmp_path)

@@ -253,3 +253,47 @@ def test_readers_hand_loadtxt_the_path(monkeypatch, tmp_path, read, name, text):
             assert isinstance(first, (str, os.PathLike)) and os.fspath(first) == str(path)
         else:  # numpy would decompress the file by its suffix
             assert hasattr(first, "read")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("row", [1, 3])
+def test_quote_left_open_names_its_row(tmp_path, row, newline):
+    # every line has its four fields and converts alone: only the whole-file parse, which reads the open quote
+    # on into the next lines, fails
+    rows = ["1,1,1,1", "2,1,1,1", "3,1,1,1", "4,1,1,1"]
+    rows[row - 1] = rows[row - 1][:-1] + '"1'
+    path = tmp_path / "labels.csv"
+    path.write_bytes(newline.join(["item_id,pl_1,pl_2,pl_3", *rows, ""]).encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as err:
+            read_soft_labels_csv(path)
+    assert str(err.value) == f"{path}: row {row} opens a quoted field that its line does not close"
+    assert caught == []
+
+
+@pytest.mark.parametrize("read, name, good, bad", [
+    (read_dataset_csv, "data.csv", DATA_HEADER + GOOD_ROW, DATA_HEADER + GOOD_ROW + "2,abc,censored,1,2\n"),
+    (read_soft_labels_csv, "labels.csv", "item_id,pl_1,pl_2\n1,0.5,1\n", "item_id,pl_1,pl_2\n1,0.5,1\n2,abc,1\n"),
+], ids=["data", "labels"])
+def test_each_read_parses_the_whole_file_once(monkeypatch, tmp_path, read, name, good, bad):
+    # the row scan that names a failing file's bad row hands loadtxt one line at a time, as a list
+    whole = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        if not isinstance(fname, list):
+            whole.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    for text, directory in ((good, tmp_path / "good"), (bad, tmp_path / "bad")):
+        directory.mkdir()
+        for path in written(directory, name, text):
+            whole.clear()
+            if text == good:
+                read(path)
+            else:
+                with pytest.raises(ValueError, match="row 2 is malformed: could not convert string 'abc'"):
+                    read(path)
+            assert len(whole) == 1
