@@ -27,7 +27,9 @@ line at a time, unless numpy would decompress the file by its suffix.  An
 integer column whose fields are all empty or plain ASCII digits is parsed a
 byte position at a time, through a view of the records' bytes; any other
 spelling goes through numpy's conversion, which takes what Python's ``int``
-takes.  Only if that one parse fails is the file read again, to name a bad row.
+takes.  The file is read again only to name a bad row: if that one parse
+fails, or if it succeeds on a file that one byte search finds to hold a '"',
+as a quote left open reads the lines after it into a field loadtxt may skip.
 """
 
 from __future__ import annotations
@@ -417,33 +419,45 @@ def load_csv_rows(fh, path, dtype: np.dtype, usecols, n_fields: int, exact: bool
     Blank lines are skipped and not counted.  If loadtxt fails, the rows are read again to name the
     first with fewer than ``n_fields`` fields (another number if ``exact``) or with a field loadtxt
     cannot convert, and else the first whose last field holds its line end, in a quote left open.
+    If it succeeds on a file holding a '"' byte, the rows are read again for that last check alone: a
+    quote left open may have read the lines after it into a field loadtxt skips or reads as text.
     """
     kwargs = dict(delimiter=",", dtype=dtype, usecols=usecols, comments=None, quotechar='"', ndmin=1)
-    start = fh.tell()
+    start, row_no = fh.tell(), 0
     compressed = Path(path).suffix in (".gz", ".bz2", ".xz", ".lzma")  # loadtxt decompresses a path by these
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # loadtxt warns, not raises, on a header-only file
         try:
-            return np.loadtxt(fh, **kwargs) if compressed else np.loadtxt(str(path), skiprows=1, **kwargs)
+            table = np.loadtxt(fh, **kwargs) if compressed else np.loadtxt(str(path), skiprows=1, **kwargs)
         except (ValueError, Warning) as exc:
-            reason = str(exc)
-        fh.seek(start)
-        row_no, open_row = 0, 0
-        for row_no, line in enumerate((line for line in fh if line.strip("\r\n")), start=1):
-            fields = next(csv.reader([line]))
-            if exact and len(fields) != n_fields:
-                raise ValueError(f"{path}: row {row_no} has {len(fields)} fields, expected {n_fields}")
-            if len(fields) < n_fields:
-                raise ValueError(f"{path}: row {row_no} has fewer than {n_fields} fields")
-            try:
-                np.loadtxt([line], **kwargs)
-            except (ValueError, Warning) as exc:
-                raise ValueError(f"{path}: row {row_no} is malformed: {str(exc).split(' at row ')[0]}") from None
-            if not open_row and fields[-1].endswith(("\r", "\n")):
-                open_row = row_no
-    if open_row:
-        raise ValueError(f"{path}: row {open_row} opens a quoted field that its line does not close")
+            table, reason = None, str(exc)
+        if table is None:
+            for row_no, line in _rows(fh, start):
+                fields = next(csv.reader([line]))
+                if exact and len(fields) != n_fields:
+                    raise ValueError(f"{path}: row {row_no} has {len(fields)} fields, expected {n_fields}")
+                if len(fields) < n_fields:
+                    raise ValueError(f"{path}: row {row_no} has fewer than {n_fields} fields")
+                try:
+                    np.loadtxt([line], **kwargs)
+                except (ValueError, Warning) as exc:
+                    raise ValueError(f"{path}: row {row_no} is malformed: {str(exc).split(' at row ')[0]}") from None
+        else:
+            with open(path, "rb") as raw:  # no quote, no quote left open: one byte search, a block at a time
+                if not any(b'"' in block for block in iter(lambda: raw.read(1 << 16), b"")):
+                    return table
+    for row_no, line in _rows(fh, start):
+        if next(csv.reader([line]))[-1].endswith(("\r", "\n")):
+            raise ValueError(f"{path}: row {row_no} opens a quoted field that its line does not close")
+    if table is not None:
+        return table
     raise ValueError(f"{path}: {reason if row_no else 'row 1 is missing; the file holds only a header'}")
+
+
+def _rows(fh, start):
+    """The lines of ``fh`` from ``start`` that are not blank, numbered from 1."""
+    fh.seek(start)
+    return enumerate((line for line in fh if line.strip("\r\n")), start=1)
 
 
 # Columns that may be empty or hold any spelling of a status are read as

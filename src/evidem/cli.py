@@ -197,8 +197,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             xlabel=spec.variable,
             ylabel="RABias",
         )
-    corrupted = spec.corruptions if spec.variable == "rho" else [spec.corruption]  # an n sweep has one corruption
-    _write_manifest(cfg, {"effective_sd": [c.effective_sd for c in corrupted]})
+    _write_manifest(cfg, {"effective_sd": [spec.corruptions[gi].effective_sd for gi in spec.experiments[0]]})
     n_failed = int(rows.failed.sum())
     print(f"{len(rows)} rows, {n_failed} failed; outputs in {cfg.out}")
     if n_failed == len(rows):

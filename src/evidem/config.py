@@ -276,7 +276,7 @@ def parse_config(
     for key in ("data", "labels"):  # an empty 'data:' is None, a missing input the required check names
         value = raw.get(key)
         if value is not None:
-            if not isinstance(value, str) or not value:  # '' would read the working directory
+            if not isinstance(value, str) or not value or "\0" in value:  # '' is the working directory; no OS takes NUL
                 raise ConfigError(f"'{key}' must be a path, got {value!r}")
             setattr(cfg, key, Path(value))
     if "soft_labels" in raw:

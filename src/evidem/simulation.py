@@ -5,12 +5,13 @@ test on it (its experiment; a sweep takes no other plan), corrupts the
 labels with per-item Beta error probabilities, builds each method's soft
 labels, fits the mixture, aligns components, and scores absolute relative
 bias.  A sweep repeats this over a grid of error probabilities or sample
-sizes.  Repetition r at grid index g draws its experiment, then g's
-corruption, from substream (g, 0, r), so results never depend on scheduling or
-worker count.  A rho sweep draws one experiment per repetition, at g = 0, and
-each other grid index gi's corruption from (gi, 0, r).  All methods fit the
-same experiment, UNCERTAIN and NOISY at a grid point the same noisy labels,
-and UNKNOWN, which reads none, once per experiment.
+sizes.  ``SweepSpec.experiments`` maps each grid index g that draws an
+experiment to the grid indices gi it is fitted at: in a rho sweep 0 to all,
+in an n sweep each g to itself.  Repetition r draws g's experiment, then g's
+corruption, from substream (g, 0, r), and each other gi's corruption from
+(gi, 0, r), so results never depend on scheduling or worker count.  All
+methods fit the same experiment, UNCERTAIN and NOISY at a grid point the same
+noisy labels, and UNKNOWN, which reads none, once per experiment.
 
 The experiments at one n are split into ``min(workers, count)`` contiguous
 shards, or more if a shard would hold over ``_BATCH_RECORDS`` fit records.
@@ -26,9 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import Pool
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -193,9 +195,11 @@ class SweepSpec:
     at rho = ``grid[k]``; an n sweep scales the plan, ``censor_frac`` of
     ``round(grid[k])`` units censored, and keeps ``corruption``.
     Construction builds, and so checks, the plan ``schemes[k]`` and the
-    corruption ``corruptions[k]`` each grid value replays, checks the start
-    rule and the model, and bounds the records the sweep fits by
-    ``MAX_UNITS``, so a spec that builds is one :func:`run_sweep` can run.
+    corruption ``corruptions[k]`` each grid value replays and the layout
+    ``experiments``, ``{0: (0, ..., G - 1)}`` over rho and ``{k: (k,)}`` for
+    every k over n, checks the start rule and the model, and bounds the
+    records the sweep fits by ``MAX_UNITS``, so a spec that builds is one
+    :func:`run_sweep` can run.
     """
 
     variable: str
@@ -210,6 +214,7 @@ class SweepSpec:
     fit_config: E2MConfig = field(default_factory=E2MConfig)
     schemes: tuple[CensoringScheme, ...] = field(init=False, repr=False, compare=False)
     corruptions: tuple[CorruptionConfig, ...] = field(init=False, repr=False, compare=False)
+    experiments: Mapping[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.variable not in ("rho", "n"):
@@ -256,7 +261,9 @@ class SweepSpec:
                                  f"valid experiment; {g!r} does not: {exc}") from None
         object.__setattr__(self, "schemes", tuple(schemes))
         object.__setattr__(self, "corruptions", tuple(corruptions))
-        records = self.reps * self.fits * (self.scheme.n if self.variable == "rho" else sum(s.n for s in schemes))
+        experiments = {0: tuple(range(len(grid)))} if self.variable == "rho" else {g: (g,) for g in range(len(grid))}
+        object.__setattr__(self, "experiments", MappingProxyType(experiments))
+        records = self.reps * self.fits * sum(schemes[g].n for g in experiments)
         if records > MAX_UNITS:
             raise ValueError(f"a sweep may fit at most {MAX_UNITS} records in all (reps x fits per replication x n, "
                              f"summed over an n sweep's grid); this one fits {_shown(records)}")
@@ -264,7 +271,10 @@ class SweepSpec:
     @property
     def fits(self) -> int:
         """Fits per replication: UNKNOWN once, every other method once per grid point it is fitted at."""
-        return len({(m, 0 if m is LabelMode.UNKNOWN else gi) for gi in _points(self, 0) for m in self.methods})
+        return len({(m, 0 if m is LabelMode.UNKNOWN else gi) for gi in self.experiments[0] for m in self.methods})
+
+    def __reduce__(self):  # a worker rebuilds the spec from its arguments, as a mapping proxy does not pickle
+        return SweepSpec, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def row_dtype(p: int) -> np.dtype:
@@ -280,17 +290,12 @@ def row_dtype(p: int) -> np.dtype:
                      ("rabias_lambdas", float, (p,)), ("rabias_xis", float, (p,)), ("failed", bool), error])
 
 
-def _points(spec: SweepSpec, g: int) -> Sequence[int]:
-    """The grid indices the experiment keyed by grid index ``g`` is fitted at."""
-    return range(len(spec.grid)) if spec.variable == "rho" else (g,)
-
-
 def run_shard(spec: SweepSpec, master_seed: int, keys: Sequence[tuple[int, int]]) -> np.recarray:
     """Sample, censor, corrupt, fit, align, score: the experiment of each (grid
-    index, rep) key of ``spec`` (a rho sweep's are (0, rep)), all at one n, with
-    every fit in one batch.  The :func:`row_dtype` rows go key by key, grid
-    point by grid point (the key's own in an n sweep), method by method; an
-    UNKNOWN fit's row repeats at each grid point.  A failed fit (starved
+    index, rep) key of ``spec``, its grid index one of ``spec.experiments``, all
+    at one n, with every fit in one batch.  The :func:`row_dtype` rows go key by
+    key, grid point by grid point of ``spec.experiments[g]``, method by method;
+    an UNKNOWN fit's row repeats at each grid point.  A failed fit (starved
     component, degenerate likelihood) records its error on its rows instead
     of raising it, so sweep aggregates can account for it.
     """
@@ -301,7 +306,7 @@ def run_shard(spec: SweepSpec, master_seed: int, keys: Sequence[tuple[int, int]]
         rng = substream(master_seed, g, 0, rep)
         ds = draw_experiment(truth, spec.schemes[g], rng)
         init, fits = start_params(spec.init, ds, p, truth), {}
-        for gi in _points(spec, g):
+        for gi in spec.experiments[g]:
             noise = rng if gi == g else substream(master_seed, gi, 0, rep)
             q = draw_error_probs(spec.corruptions[gi], ds.n, noise)
             z_star = corrupt_labels(ds.true_label, q, p, noise)
@@ -347,11 +352,9 @@ def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> np.recarra
     """The :func:`row_dtype` rows of the full grid, in (grid point, method, rep) order: one task per
     shard of the experiment keys at one n (see :func:`run_shard`); deterministic in (spec, master_seed)
     regardless of workers."""
-    ns = [scheme.n for scheme in spec.schemes]
-    starts = (0,) if spec.variable == "rho" else range(len(ns))
     tasks = []
-    for n in dict.fromkeys(ns[g] for g in starts):
-        keys = [(g, rep) for g in starts if ns[g] == n for rep in range(spec.reps)]
+    for n in dict.fromkeys(spec.schemes[g].n for g in spec.experiments):
+        keys = [(g, rep) for g in spec.experiments if spec.schemes[g].n == n for rep in range(spec.reps)]
         shards = min(len(keys), max(workers, -(-len(keys) * spec.fits * n // _BATCH_RECORDS)))
         tasks += [(spec, master_seed, keys[len(keys) * k // shards:len(keys) * (k + 1) // shards])
                   for k in range(shards)]
@@ -361,8 +364,8 @@ def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> np.recarra
             shard_rows = pool.starmap(run_shard, tasks, chunksize=1)
     else:
         shard_rows = [run_shard(*task) for task in tasks]
-    position = [(gi * len(spec.methods) + m) * spec.reps + rep  # in run_shard's row order
-                for *_, keys in tasks for g, rep in keys for gi in _points(spec, g) for m in range(len(spec.methods))]
+    position = [(gi * len(spec.methods) + m) * spec.reps + rep for *_, keys in tasks  # in run_shard's row order
+                for g, rep in keys for gi in spec.experiments[g] for m in range(len(spec.methods))]
     return np.concatenate(shard_rows)[np.argsort(position)].view(np.recarray)
 
 

@@ -1003,13 +1003,28 @@ def test_out_that_is_not_a_path_is_config_error(tmp_path, monkeypatch, capsys, c
 
 
 @pytest.mark.parametrize("key", ["data", "labels"])
-@pytest.mark.parametrize("value", [["a", "b"], {"file": "a"}, 5, ""], ids=["list", "mapping", "number", "empty"])
+@pytest.mark.parametrize("value", [["a", "b"], {"file": "a"}, 5, "", "a\0b"],
+                         ids=["list", "mapping", "number", "empty", "nul-byte"])
 def test_input_that_is_not_a_path_is_config_error(tmp_path, monkeypatch, capsys, key, value):
     monkeypatch.chdir(tmp_path)
     cfg_file = write_config(tmp_path / "inputs.yaml", {**_COMPLETE_INPUTS["fit"], key: value})
     assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: '{key}' must be a path, got {value!r}\n"
     assert os.listdir(tmp_path) == ["inputs.yaml"]
+
+
+def test_quote_left_open_in_an_ignored_column_is_config_error(tmp_path, capsys):
+    # the open quote reads rows 4 and 5 into row 3's note, a column the reader skips, so the parse succeeds with 3
+    # records, as many as labels.csv lists: the fit must not run on them
+    data, labels, out = tmp_path / "data.csv", tmp_path / "labels.csv", tmp_path / "out"
+    data.write_text("item_id,y_star,status,censored_at_failure,true_label,note\n1,1.5,observed,,1,a\n"
+                    '2,2.0,observed,,2,b\n3,2.5,observed,,1,"c\n4,2.5,censored,3,2,d\n5,2.5,censored,3,1,e\n')
+    labels.write_text("item_id,pl_1,pl_2\n1,1,0.5\n2,0.5,1\n3,1,1\n")
+    cfg_file = write_config(tmp_path / "fit.yaml", {"data": str(data), "labels": str(labels), "out": str(out)})
+    assert main(["fit", "--config", cfg_file]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: invalid input data: {data}: row 3 opens a quoted field that its line does not close\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, entry, name", [

@@ -272,6 +272,26 @@ def test_quote_left_open_names_its_row(tmp_path, row, newline):
     assert caught == []
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("column", ["note", "true_label"])
+def test_quote_left_open_names_its_row_when_the_parse_succeeds(tmp_path, column, newline):
+    # the whole-file parse reads rows 4 and 5 into row 3's open field and succeeds, whether the reader skips that
+    # column (an extra note) or reads it as text (true_label)
+    header = ",".join(DATA_COLUMNS + ["note"] * (column == "note"))
+    rows = ["1,1.5,observed,,1", "2,2.0,observed,,2", "3,2.5,observed,,1", "4,2.5,censored,3,2", "5,2.5,censored,3,1"]
+    if column == "note":
+        rows = [f"{row},n" for row in rows]
+    rows[2] = rows[2][:-1] + ('"c' if column == "note" else '"1')
+    path = tmp_path / "data.csv"
+    path.write_bytes(newline.join([header, *rows, ""]).encode())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError) as err:
+            read_dataset_csv(path)
+    assert str(err.value) == f"{path}: row 3 opens a quoted field that its line does not close"
+    assert caught == []
+
+
 @pytest.mark.parametrize("read, name, good, bad", [
     (read_dataset_csv, "data.csv", DATA_HEADER + GOOD_ROW, DATA_HEADER + GOOD_ROW + "2,abc,censored,1,2\n"),
     (read_soft_labels_csv, "labels.csv", "item_id,pl_1,pl_2\n1,0.5,1\n", "item_id,pl_1,pl_2\n1,0.5,1\n2,abc,1\n"),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -481,6 +482,23 @@ class TestSweep:
         # an n beyond MAX_UNITS is named by its digits
         with pytest.raises(ValueError, match=r"1e\+300 does not: need 1 <= n <= 100000000, got n=<301 digits>"):
             small_spec("n", (60, 1e300), 1)
+
+    @pytest.mark.parametrize("variable, grid, experiments", [
+        ("rho", (0.0, 0.1, 0.3), {0: (0, 1, 2)}),
+        ("n", (60, 90), {0: (0,), 1: (1,)}),
+        ("n", (40, 60, 40), {0: (0,), 1: (1,), 2: (2,)}),
+    ], ids=["rho", "n", "repeated-n"])
+    def test_experiments_map_each_drawing_grid_index_to_where_it_is_fitted(self, variable, grid, experiments):
+        # a rho sweep draws one experiment, at grid index 0, and fits it at every grid point; an n sweep draws one
+        # at each grid index, a repeated n included, and fits it there alone
+        spec = small_spec(variable, grid, 1)
+        assert dict(spec.experiments) == experiments
+        with pytest.raises(TypeError):
+            spec.experiments[0] = (0,)
+        # a spec reaches a worker as its arguments, and builds the same layout there
+        copy = pickle.loads(pickle.dumps(spec))
+        assert repr(copy) == repr(spec) and dict(copy.experiments) == experiments
+        assert copy.schemes == spec.schemes and copy.corruptions == spec.corruptions
 
 
 class TestInitRule:
