@@ -446,8 +446,8 @@ def load_csv_rows(fh, path, dtype: np.dtype, usecols, n_fields: int, exact: bool
             with open(path, "rb") as raw:  # no quote, no quote left open: one byte search, a block at a time
                 if not any(b'"' in block for block in iter(lambda: raw.read(1 << 16), b"")):
                     return table
-    for row_no, line in _rows(fh, start):
-        if next(csv.reader([line]))[-1].endswith(("\r", "\n")):
+    for row_no, line in _rows(fh, start):  # only a line holding a '"' can leave a quote open
+        if '"' in line and next(csv.reader([line]))[-1].endswith(("\r", "\n")):
             raise ValueError(f"{path}: row {row_no} opens a quoted field that its line does not close")
     if table is not None:
         return table

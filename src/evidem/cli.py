@@ -184,15 +184,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
     write_summary_csv(spec, summary, cfg.out / "summary.csv")
     for z in range(spec.true_params.n_components):
         name = f"xi_{z + 1}"
-        write_figure_csv(spec, summary, name, cfg.out / f"figure_{name}.csv")
-        series = []
-        for method in spec.methods:
-            points = curve(summary, method, name)
-            series.append(Series(label=method.value, mean=points["mean_rabias"], sd=points["sd_rabias"]))
+        curves = [curve(summary, method, name) for method in spec.methods]
+        write_figure_csv(spec, curves, cfg.out / f"figure_{name}.csv")
         write_line_chart(
             cfg.out / f"figure_{name}.svg",
-            points["grid_value"],
-            series,
+            curves[-1]["grid_value"],
+            [Series(label=m.value, mean=c["mean_rabias"], sd=c["sd_rabias"]) for m, c in zip(spec.methods, curves)],
             title=f"mean absolute relative bias of {name}",
             xlabel=spec.variable,
             ylabel="RABias",

@@ -5,13 +5,14 @@ test on it (its experiment; a sweep takes no other plan), corrupts the
 labels with per-item Beta error probabilities, builds each method's soft
 labels, fits the mixture, aligns components, and scores absolute relative
 bias.  A sweep repeats this over a grid of error probabilities or sample
-sizes.  ``SweepSpec.experiments`` maps each grid index g that draws an
-experiment to the grid indices gi it is fitted at: in a rho sweep 0 to all,
-in an n sweep each g to itself.  Repetition r draws g's experiment, then g's
+sizes.  ``SweepSpec.experiments[g]`` lists the grid indices gi at which the
+experiment drawn at grid index g is fitted: in a rho sweep g = 0 at all, in an
+n sweep each g at itself.  Repetition r draws g's experiment, then g's
 corruption, from substream (g, 0, r), and each other gi's corruption from
 (gi, 0, r), so results never depend on scheduling or worker count.  All
-methods fit the same experiment, UNCERTAIN and NOISY at a grid point the same
-noisy labels, and UNKNOWN, which reads none, once per experiment.
+methods fit the same experiment; ``SweepSpec.fits`` lists its fits, UNCERTAIN
+and NOISY once per grid point, on its noisy labels, and UNKNOWN, which reads
+none, once, and ``SweepSpec.row_fit`` the fit of each of its rows.
 
 The experiments at one n are split into ``min(workers, count)`` contiguous
 shards, or more if a shard would hold over ``_BATCH_RECORDS`` fit records.
@@ -27,10 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from multiprocessing import Pool
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -195,11 +195,12 @@ class SweepSpec:
     at rho = ``grid[k]``; an n sweep scales the plan, ``censor_frac`` of
     ``round(grid[k])`` units censored, and keeps ``corruption``.
     Construction builds, and so checks, the plan ``schemes[k]`` and the
-    corruption ``corruptions[k]`` each grid value replays and the layout
-    ``experiments``, ``{0: (0, ..., G - 1)}`` over rho and ``{k: (k,)}`` for
-    every k over n, checks the start rule and the model, and bounds the
-    records the sweep fits by ``MAX_UNITS``, so a spec that builds is one
-    :func:`run_sweep` can run.
+    corruption ``corruptions[k]`` each grid value replays and the layout:
+    ``experiments``, ``((0, ..., G - 1),)`` over rho and ``((0,), (1,), ...)``
+    over n; ``fits``, one experiment's fits as (method, k), k the position in
+    ``experiments[g]`` of the labels read, 0 for UNKNOWN; ``row_fit``, each
+    row's fit.  It checks the start rule and the model, and bounds the records
+    fitted by ``MAX_UNITS``, so a spec that builds is one :func:`run_sweep` can run.
     """
 
     variable: str
@@ -214,7 +215,9 @@ class SweepSpec:
     fit_config: E2MConfig = field(default_factory=E2MConfig)
     schemes: tuple[CensoringScheme, ...] = field(init=False, repr=False, compare=False)
     corruptions: tuple[CorruptionConfig, ...] = field(init=False, repr=False, compare=False)
-    experiments: Mapping[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    experiments: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    fits: tuple[tuple[LabelMode, int], ...] = field(init=False, repr=False, compare=False)
+    row_fit: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.variable not in ("rho", "n"):
@@ -261,20 +264,17 @@ class SweepSpec:
                                  f"valid experiment; {g!r} does not: {exc}") from None
         object.__setattr__(self, "schemes", tuple(schemes))
         object.__setattr__(self, "corruptions", tuple(corruptions))
-        experiments = {0: tuple(range(len(grid)))} if self.variable == "rho" else {g: (g,) for g in range(len(grid))}
-        object.__setattr__(self, "experiments", MappingProxyType(experiments))
-        records = self.reps * self.fits * sum(schemes[g].n for g in experiments)
+        experiments = (tuple(range(len(grid))),) if self.variable == "rho" else tuple((g,) for g in range(len(grid)))
+        fits = {}  # each fit's index, in first-occurrence order: UNKNOWN once, the others once per grid point
+        row_fit = tuple(fits.setdefault((m, 0 if m is LabelMode.UNKNOWN else k), len(fits))
+                        for k in range(len(experiments[0])) for m in self.methods)
+        object.__setattr__(self, "experiments", experiments)
+        object.__setattr__(self, "fits", tuple(fits))
+        object.__setattr__(self, "row_fit", row_fit)
+        records = self.reps * len(fits) * sum(schemes[g].n for g in range(len(experiments)))
         if records > MAX_UNITS:
             raise ValueError(f"a sweep may fit at most {MAX_UNITS} records in all (reps x fits per replication x n, "
                              f"summed over an n sweep's grid); this one fits {_shown(records)}")
-
-    @property
-    def fits(self) -> int:
-        """Fits per replication: UNKNOWN once, every other method once per grid point it is fitted at."""
-        return len({(m, 0 if m is LabelMode.UNKNOWN else gi) for gi in self.experiments[0] for m in self.methods})
-
-    def __reduce__(self):  # a worker rebuilds the spec from its arguments, as a mapping proxy does not pickle
-        return SweepSpec, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 def row_dtype(p: int) -> np.dtype:
@@ -292,10 +292,11 @@ def row_dtype(p: int) -> np.dtype:
 
 def run_shard(spec: SweepSpec, master_seed: int, keys: Sequence[tuple[int, int]]) -> np.recarray:
     """Sample, censor, corrupt, fit, align, score: the experiment of each (grid
-    index, rep) key of ``spec``, its grid index one of ``spec.experiments``, all
-    at one n, with every fit in one batch.  The :func:`row_dtype` rows go key by
-    key, grid point by grid point of ``spec.experiments[g]``, method by method;
-    an UNKNOWN fit's row repeats at each grid point.  A failed fit (starved
+    index g, rep) key of ``spec``, g one of ``spec.experiments``, all at one n,
+    with every fit in one batch: the labels of each grid point of
+    ``spec.experiments[g]``, then a dataset per entry of ``spec.fits``.  The
+    :func:`row_dtype` rows go key by key, grid point by grid point, method by
+    method, each the fit ``spec.row_fit`` names.  A failed fit (starved
     component, degenerate likelihood) records its error on its rows instead
     of raising it, so sweep aggregates can account for it.
     """
@@ -305,19 +306,15 @@ def run_shard(spec: SweepSpec, master_seed: int, keys: Sequence[tuple[int, int]]
     for g, rep in keys:
         rng = substream(master_seed, g, 0, rep)
         ds = draw_experiment(truth, spec.schemes[g], rng)
-        init, fits = start_params(spec.init, ds, p, truth), {}
+        labels = []  # (noisy labels, error probabilities) of each grid point
         for gi in spec.experiments[g]:
             noise = rng if gi == g else substream(master_seed, gi, 0, rep)
             q = draw_error_probs(spec.corruptions[gi], ds.n, noise)
-            z_star = corrupt_labels(ds.true_label, q, p, noise)
-            for method in spec.methods:
-                slot = (method, g if method is LabelMode.UNKNOWN else gi)
-                if slot not in fits:
-                    fits[slot] = len(datasets)
-                    datasets.append(SoftLabeledDataset(ds, make_soft_labels(method, p, ds.n, z_star, q)))
-                    inits.append(init)
-                fit_of.append(fits[slot])
-                keyed.append((spec.grid[gi], method.value, rep))
+            labels.append((corrupt_labels(ds.true_label, q, p, noise), q))
+        fit_of += [len(datasets) + f for f in spec.row_fit]
+        datasets += [SoftLabeledDataset(ds, make_soft_labels(m, p, ds.n, *labels[k])) for m, k in spec.fits]
+        inits += [start_params(spec.init, ds, p, truth)] * len(spec.fits)
+        keyed += [(spec.grid[gi], m.value, rep) for gi in spec.experiments[g] for m in spec.methods]
     table, _ = fit_batch(datasets, inits, spec.fit_config)
     fitted = np.zeros(len(datasets), row_dtype(p)).view(np.recarray)
     fitted.lambdas, fitted.xis = align_to_truth(table["lambdas"], table["xis"], truth)
@@ -353,9 +350,9 @@ def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> np.recarra
     shard of the experiment keys at one n (see :func:`run_shard`); deterministic in (spec, master_seed)
     regardless of workers."""
     tasks = []
-    for n in dict.fromkeys(spec.schemes[g].n for g in spec.experiments):
-        keys = [(g, rep) for g in spec.experiments if spec.schemes[g].n == n for rep in range(spec.reps)]
-        shards = min(len(keys), max(workers, -(-len(keys) * spec.fits * n // _BATCH_RECORDS)))
+    for n in dict.fromkeys(spec.schemes[g].n for g in range(len(spec.experiments))):
+        keys = [(g, rep) for g in range(len(spec.experiments)) if spec.schemes[g].n == n for rep in range(spec.reps)]
+        shards = min(len(keys), max(workers, -(-len(keys) * len(spec.fits) * n // _BATCH_RECORDS)))
         tasks += [(spec, master_seed, keys[len(keys) * k // shards:len(keys) * (k + 1) // shards])
                   for k in range(shards)]
     processes = min(workers, len(tasks))
@@ -421,8 +418,9 @@ def write_summary_csv(spec: SweepSpec, summary: np.ndarray, path) -> None:
                 [lambda s: [spec.variable] * (s.stop - s.start), *(summary[name] for name in summary.dtype.names)])
 
 
-def write_figure_csv(spec: SweepSpec, summary: np.ndarray, parameter: str, path) -> None:
-    """Plot-ready long-format table for one parameter across the grid."""
-    table = np.concatenate([curve(summary, method, parameter) for method in spec.methods])
+def write_figure_csv(spec: SweepSpec, curves: Sequence[np.ndarray], path) -> None:
+    """Plot-ready long-format table for one parameter across the grid: its :func:`curve` for each of
+    ``spec.methods``, in that order."""
+    table = np.concatenate(curves)
     names = ["grid_value", "method", "mean_rabias", "sd_rabias", "n_failed"]
     write_table(path, [spec.variable, *names[1:]], len(table), [table[name] for name in names])

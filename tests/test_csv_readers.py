@@ -9,6 +9,7 @@ readers, also from a plain-text file under a suffix numpy decompresses by;
 malformed files must raise a ValueError naming the row, without a warning.
 """
 
+import csv
 import os
 import warnings
 
@@ -317,3 +318,31 @@ def test_each_read_parses_the_whole_file_once(monkeypatch, tmp_path, read, name,
                 with pytest.raises(ValueError, match="row 2 is malformed: could not convert string 'abc'"):
                     read(path)
             assert len(whole) == 1
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("quote", ["header", "status"])
+def test_valid_quotes_read_the_unquoted_table(monkeypatch, tmp_path, quote, newline):
+    # a file holding a '"' is read again for a quote left open; quotes that close on their line change nothing,
+    # and csv parses only the header and the rows that hold a '"'
+    rows = ["1,1.5,observed,,1", "2,2.0,observed,,2", "3,2.5,observed,,1", "4,2.5,censored,3,2", "5,2.5,censored,3,1"]
+    quoted = [f'"{column}"' if quote == "header" and column == "status" else column for column in DATA_COLUMNS]
+    if quote == "status":
+        rows = [row.replace(",observed,", ',"observed",').replace(",censored,", ',"censored",') for row in rows]
+    plain, path = tmp_path / "plain.csv", tmp_path / "data.csv"
+    plain.write_bytes(newline.join([",".join(DATA_COLUMNS), *rows, ""]).encode().replace(b'"', b""))
+    path.write_bytes(newline.join([",".join(quoted), *rows, ""]).encode())
+    assert b'"' in path.read_bytes()
+    want = read_dataset_csv(plain)
+    parsed, reader = [], csv.reader
+
+    def spy(lines, *args, **kwargs):
+        parsed.append(lines)
+        return reader(lines, *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", spy)
+    got = read_dataset_csv(path)
+    assert len(parsed) == 1 + (len(rows) if quote == "status" else 0)
+    assert got.scheme == want.scheme
+    for name in ("item_id", "y_star", "observed", "censored_at_failure", "true_label"):
+        assert_same_array(getattr(got, name), getattr(want, name))

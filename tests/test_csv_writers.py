@@ -27,6 +27,7 @@ from evidem.simulation import (
     SweepSpec,
     aggregate_report,
     corrupt_labels,
+    curve,
     draw_error_probs,
     row_dtype,
     write_figure_csv,
@@ -174,7 +175,7 @@ def test_summary_csv(tmp_path):
 
 def test_figure_csv(tmp_path):
     spec, _, summary = sweep_result()
-    write_figure_csv(spec, summary, "xi_2", tmp_path / "figure_xi_2.csv")
+    write_figure_csv(spec, [curve(summary, method, "xi_2") for method in spec.methods], tmp_path / "figure_xi_2.csv")
     assert written(tmp_path / "figure_xi_2.csv") == (
         "rho,method,mean_rabias,sd_rabias,n_failed\n"
         "0.1,uncertain,0.0,0.0,1\n"

@@ -30,6 +30,7 @@ from evidem.simulation import (
 import helpers
 
 TRUTH = MixtureParams(np.array([1, 1, 1]) / 3, np.array([4.0, 0.5, 0.8]))
+U, N, K = LabelMode.UNCERTAIN, LabelMode.NOISY, LabelMode.UNKNOWN
 
 
 def small_spec(variable, grid, reps, *, true_params=TRUTH, n=120, censor_frac=0.4, scheme=None, rho=0.1, sd=0.2,
@@ -456,11 +457,11 @@ class TestSweep:
     def test_figure_one_grid_builds_up_to_the_record_bound(self):
         # the figure-1 sweep fits UNCERTAIN and NOISY at 6 grid points and UNKNOWN once: 13 fits of 500 a rep
         spec = small_spec("rho", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5), 11112, n=500)
-        assert spec.fits == 13 and spec.reps * spec.fits * 500 == 72_228_000
+        assert len(spec.fits) == 13 and spec.reps * len(spec.fits) * 500 == 72_228_000
         with pytest.raises(ValueError, match=r"at most 100000000 records .* this one fits <9 digits>"):
             small_spec("rho", spec.grid, 15385, n=500)
         # an n sweep fits every method once per grid point
-        assert small_spec("n", (60, 90), 2).fits == 3
+        assert len(small_spec("n", (60, 90), 2).fits) == 3
 
     def test_zero_true_weight_rejected(self):
         # the relative bias of a weight whose true value is 0 is undefined
@@ -484,21 +485,59 @@ class TestSweep:
             small_spec("n", (60, 1e300), 1)
 
     @pytest.mark.parametrize("variable, grid, experiments", [
-        ("rho", (0.0, 0.1, 0.3), {0: (0, 1, 2)}),
-        ("n", (60, 90), {0: (0,), 1: (1,)}),
-        ("n", (40, 60, 40), {0: (0,), 1: (1,), 2: (2,)}),
+        ("rho", (0.0, 0.1, 0.3), ((0, 1, 2),)),
+        ("n", (60, 90), ((0,), (1,))),
+        ("n", (40, 60, 40), ((0,), (1,), (2,))),
     ], ids=["rho", "n", "repeated-n"])
     def test_experiments_map_each_drawing_grid_index_to_where_it_is_fitted(self, variable, grid, experiments):
         # a rho sweep draws one experiment, at grid index 0, and fits it at every grid point; an n sweep draws one
         # at each grid index, a repeated n included, and fits it there alone
         spec = small_spec(variable, grid, 1)
-        assert dict(spec.experiments) == experiments
+        assert spec.experiments == experiments
         with pytest.raises(TypeError):
             spec.experiments[0] = (0,)
-        # a spec reaches a worker as its arguments, and builds the same layout there
+
+    @pytest.mark.parametrize("variable, grid, methods, fits, row_fit", [
+        # the figure-1 grid: UNCERTAIN and NOISY at each of 6 grid points, UNKNOWN once, its row repeated
+        ("rho", (0.0, 0.1, 0.2, 0.3, 0.4, 0.5), (U, N, K),
+         ((U, 0), (N, 0), (K, 0), *((m, k) for k in range(1, 6) for m in (U, N))),
+         (0, 1, 2, *(f for k in range(1, 6) for f in (2 * k + 1, 2 * k + 2, 2)))),
+        ("rho", (0.1, 0.3, 0.5), (U, N), ((U, 0), (N, 0), (U, 1), (N, 1), (U, 2), (N, 2)), (0, 1, 2, 3, 4, 5)),
+        ("rho", (0.1, 0.3, 0.5), (K,), ((K, 0),), (0, 0, 0)),
+        # the first occurrence sets the order: UNKNOWN listed first is fitted first
+        ("rho", (0.1, 0.3), (K, U), ((K, 0), (U, 0), (U, 1)), (0, 1, 0, 2)),
+        ("n", (60, 90), (U, N, K), ((U, 0), (N, 0), (K, 0)), (0, 1, 2)),
+        ("n", (40, 60, 40), (U, N, K), ((U, 0), (N, 0), (K, 0)), (0, 1, 2)),
+    ], ids=["figure-1", "rho-without-unknown", "unknown-alone", "unknown-first", "n", "repeated-n"])
+    def test_fits_and_row_fit_list_each_experiments_fits_once(self, variable, grid, methods, fits, row_fit):
+        # fits: (method, position in experiments[g] of the labels read) in batch order; row_fit: the fit of each
+        # row, grid point by grid point, method by method
+        spec = small_spec(variable, grid, 1, methods=methods)
+        assert spec.fits == fits and spec.row_fit == row_fit
+        assert len(spec.row_fit) == len(spec.experiments[0]) * len(methods)
+
+    @pytest.mark.parametrize("variable, grid", [("rho", (0.0, 0.1, 0.3)), ("n", (40, 60, 40))], ids=["rho", "n"])
+    def test_pickles_as_plain_data(self, monkeypatch, variable, grid):
+        # a spec reaches a worker as the fields it holds: the worker builds no plan or corruption again
+        spec = small_spec(variable, grid, 1)
+        calls = []
+
+        def spy(original):
+            def call(*args, **kwargs):
+                calls.append(original)
+                return original(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(simulation, "scheme_from_censor_frac", spy(simulation.scheme_from_censor_frac))
+        monkeypatch.setattr(CorruptionConfig, "__post_init__", spy(CorruptionConfig.__post_init__))
         copy = pickle.loads(pickle.dumps(spec))
-        assert repr(copy) == repr(spec) and dict(copy.experiments) == experiments
-        assert copy.schemes == spec.schemes and copy.corruptions == spec.corruptions
+        assert calls == []
+        assert repr(copy) == repr(spec)
+        for name in ("schemes", "corruptions", "experiments", "fits", "row_fit"):
+            assert getattr(copy, name) == getattr(spec, name)
+        # the spies do see a spec built from its arguments
+        small_spec(variable, grid, 1)
+        assert calls
 
 
 class TestInitRule:
