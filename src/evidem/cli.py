@@ -69,7 +69,8 @@ _FLAGS = {
     "--reps": dict(dest="reps", type=_integer, help="repetitions per sweep cell"),
     "--method": dict(dest="methods", choices=[m.value for m in LabelMode] + ["all"], help="supervision regime(s)"),
     "--out": dict(dest="out", type=Path, help="output directory"),
-    "--workers": dict(dest="workers", type=_integer, help="sweep worker processes"),
+    "--workers": dict(dest="workers", type=_integer,
+                      help="sweep worker processes; a sweep of at most 2**15 fit records runs in the main one"),
     "--tol": dict(dest="fit.tol", type=float, help="relative log-likelihood stop threshold"),
     "--max-iters": dict(dest="fit.max_iters", type=_integer, help="iteration cap"),
 }

@@ -22,11 +22,12 @@ which is exact (see ``_Kernel``).  An iteration is then one stacked
 log-weight product, one shifted ``exp`` giving every fit's log-likelihood and
 posterior, and one stacked M-step product, into buffers the batch reuses.  A
 fit leaves the batch when it converges, reaches the iteration cap or fails,
-and its failure is its own error: the other fits go on.  Every stacked
-operation works one dataset's slice at a time, so a fit takes the same
-iterates in any batch.  The outcome is one :func:`fit_dtype` record per fit
-and the iterates of every step; ``fit`` is the batch of one, and stacks its
-steps into an :class:`E2MTrace`.  ``MixtureParams`` are validated only at
+and its failure is its own error: the other fits go on; the fits left move
+down in the same buffers.  Every stacked operation works one dataset's slice
+at a time, so a fit takes the same iterates in any batch.  The outcome is
+one :func:`fit_dtype` record per fit and, unless the caller drops them, the
+iterates of every step; ``fit`` is the batch of one, and stacks its steps
+into an :class:`E2MTrace`.  ``MixtureParams`` are validated only at
 the start and for each finished fit's estimate.  Floating-point warnings are
 off: the kernel tests every value it hands on, so an overflow or NaN ends
 only its own fit.
@@ -173,7 +174,9 @@ class _Kernel:
     subnormal and overflow ranges.  ``log_base[b]`` is log pl + log y* (observed),
     component-major (p, n).  A step's parameters are one (B, 2, p) array, xis
     then lambdas; ``keep`` keeps the datasets still in the batch, with their rows
-    of ``posterior`` and ``coef``, whose row ``xi2`` the next M-step reads.  Both
+    of ``posterior`` and ``coef``, whose row ``xi2`` the next M-step reads.  It
+    copies each kept row down into the arrays made at the start and takes views
+    of their first rows, so a batch never holds more than it started with.  Both
     steps run under :func:`fit_batch`'s floating-point state, which ignores every
     warning, and report a fit that cannot go on in a dict from its row to its
     error.  That row's values are then meaningless, but they stay in its own
@@ -186,15 +189,25 @@ class _Kernel:
         self.features[:, 0:3:2] *= [[2.0], [-0.5]]
         self.log_base = np.log(np.stack([ds.pl.T for ds in datasets]), order="C")
         self.log_base += np.where(obs, np.log(y), 0.0)[:, None, :]
-        self._buffers(np.empty_like(self.log_base), np.empty((len(datasets), 3, self.log_base.shape[1])))
+        B, p, n = self.log_base.shape
+        self._buffers(np.empty_like(self.log_base), np.empty((B, 3, p)), *np.empty((2, B, n)), np.empty((B, p, 3)))
 
     def keep(self, rows: np.ndarray) -> None:
-        self.features, self.log_base = self.features[rows], self.log_base[rows]
-        self._buffers(self.posterior[rows], self.coef[rows])
+        # a kept row only moves down, onto a row that has left or moved on, so no copy needs a temporary
+        kept = np.flatnonzero(rows).tolist()
+        held = (self.features, self.log_base, self.posterior, self.coef)
+        for to, b in enumerate(kept):
+            if to != b:
+                for a in held:
+                    a[to] = a[b]
+        m = len(kept)
+        self.features, self.log_base = self.features[:m], self.log_base[:m]
+        self._buffers(*(a[:m] for a in (self.posterior, self.coef, self.hi, self.total, self.sums)))
 
-    def _buffers(self, posterior: np.ndarray, coef: np.ndarray) -> None:
-        self.posterior, self.coef, self.xi2, (B, p, n) = posterior, coef, coef[:, 2], posterior.shape
-        (self.hi, self.total), self.sums = np.empty((2, B, n)), np.empty((B, p, 3))
+    def _buffers(self, posterior: np.ndarray, coef: np.ndarray, hi: np.ndarray, total: np.ndarray,
+                 sums: np.ndarray) -> None:
+        self.posterior, self.coef, self.hi, self.total, self.sums = posterior, coef, hi, total, sums
+        self.xi2 = coef[:, 2]
         # views made once per batch, as a view costs about what a small ufunc call does
         self._logs, self._coef_t, self._hi_b = self.coef[:, :2], self.coef.transpose(0, 2, 1), self.hi[:, None]
         self._e_rows, self._m_rows = self.features[:, :3], self.features[:, 1:].transpose(0, 2, 1)
@@ -264,6 +277,8 @@ def fit_batch(
     datasets: Sequence[SoftLabeledDataset],
     inits: Sequence[MixtureParams],
     config: E2MConfig = E2MConfig(),
+    *,
+    record_steps: bool = True,
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]]:
     """Fit each dataset from its own start, all in one batch.
 
@@ -276,6 +291,8 @@ def fit_batch(
     datasets of the rows still in the batch and their (rows, p) lambdas and
     xis and (rows,) log-likelihoods.  Step 0 is the start; a failed fit's last
     step holds meaningless values, and the steps before it its completed updates.
+    With ``record_steps`` false the steps list stays empty, and no step's
+    iterates outlive it; the table is the same.
     """
     if len(datasets) != len(inits) or not datasets:
         raise ValueError("a batch needs one start per dataset and at least one dataset")
@@ -293,7 +310,8 @@ def fit_batch(
     steps, it, converged = [], 0, [False] * len(rows)
     gll, values, failed = kernel.loglik_and_posterior(theta)
     while True:
-        steps.append((rows, theta[:, 1], theta[:, 0], gll))
+        if record_steps:
+            steps.append((rows, theta[:, 1], theta[:, 0], gll))
         if failed or it == config.max_iters or any(converged):
             leaving = np.array(converged) | (it == config.max_iters)
             leaving[list(failed)] = True

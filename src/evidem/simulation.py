@@ -14,10 +14,13 @@ methods fit the same experiment; ``SweepSpec.fits`` lists its fits, UNCERTAIN
 and NOISY once per grid point, on its noisy labels, and UNKNOWN, which reads
 none, once, and ``SweepSpec.row_fit`` the fit of each of its rows.
 
-The experiments at one n are split into ``min(workers, count)`` contiguous
-shards, or more if a shard would hold over ``_BATCH_RECORDS`` fit records.
-A shard is one pool task; ``estimator.fit_batch`` fits all its fits in one
-batch, each with the iterates it takes alone.  A sweep's rows are one
+A sweep of at most ``_BATCH_RECORDS`` fit records in all runs in the calling
+process, one shard per n, whatever ``workers`` is: at that size a pool costs
+more than it saves.  Otherwise the experiments at one n are split into
+``min(workers, count)`` contiguous shards, or more if a shard would hold over
+``_BATCH_RECORDS`` fit records, and a shard is one pool task.
+``estimator.fit_batch`` fits all of a shard's fits in one batch, each with
+the iterates it takes alone.  A sweep's rows are one
 :func:`row_dtype` record array in (grid point, method, repetition) order,
 the columns of ``results.csv``; the summary aggregates them by position, so
 a grid value listed twice makes two cells, into one :func:`summary_dtype`
@@ -70,7 +73,8 @@ INIT_RULES = ("truth-offset", "quantile-spread", "model")
 # align_to_truth searches all p! component orders
 MAX_ALIGN_COMPONENTS = 6
 # records per sweep batch: past about this many, a batched E2M step costs more
-# per record than a smaller batch's (its arrays outgrow the CPU caches)
+# per record than a smaller batch's (its arrays outgrow the CPU caches), and a
+# sweep of at most this many runs faster in one process than in a pool of two
 _BATCH_RECORDS = 2**15
 
 
@@ -199,8 +203,9 @@ class SweepSpec:
     ``experiments``, ``((0, ..., G - 1),)`` over rho and ``((0,), (1,), ...)``
     over n; ``fits``, one experiment's fits as (method, k), k the position in
     ``experiments[g]`` of the labels read, 0 for UNKNOWN; ``row_fit``, each
-    row's fit.  It checks the start rule and the model, and bounds the records
-    fitted by ``MAX_UNITS``, so a spec that builds is one :func:`run_sweep` can run.
+    row's fit; ``records``, the records the sweep fits in all, which it bounds
+    by ``MAX_UNITS``.  It checks the start rule and the model, so a spec that
+    builds is one :func:`run_sweep` can run.
     """
 
     variable: str
@@ -218,6 +223,7 @@ class SweepSpec:
     experiments: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     fits: tuple[tuple[LabelMode, int], ...] = field(init=False, repr=False, compare=False)
     row_fit: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    records: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.variable not in ("rho", "n"):
@@ -275,6 +281,7 @@ class SweepSpec:
         if records > MAX_UNITS:
             raise ValueError(f"a sweep may fit at most {MAX_UNITS} records in all (reps x fits per replication x n, "
                              f"summed over an n sweep's grid); this one fits {_shown(records)}")
+        object.__setattr__(self, "records", records)
 
 
 def row_dtype(p: int) -> np.dtype:
@@ -315,7 +322,7 @@ def run_shard(spec: SweepSpec, master_seed: int, keys: Sequence[tuple[int, int]]
         datasets += [SoftLabeledDataset(ds, make_soft_labels(m, p, ds.n, *labels[k])) for m, k in spec.fits]
         inits += [start_params(spec.init, ds, p, truth)] * len(spec.fits)
         keyed += [(spec.grid[gi], m.value, rep) for gi in spec.experiments[g] for m in spec.methods]
-    table, _ = fit_batch(datasets, inits, spec.fit_config)
+    table, _ = fit_batch(datasets, inits, spec.fit_config, record_steps=False)
     fitted = np.zeros(len(datasets), row_dtype(p)).view(np.recarray)
     fitted.lambdas, fitted.xis = align_to_truth(table["lambdas"], table["xis"], truth)
     fitted.iterations, fitted.converged, fitted.gll = table["iterations"], table["converged"], table["gll"]
@@ -348,7 +355,10 @@ def parameter_names(p: int) -> list[str]:
 def run_sweep(spec: SweepSpec, master_seed: int, workers: int = 1) -> np.recarray:
     """The :func:`row_dtype` rows of the full grid, in (grid point, method, rep) order: one task per
     shard of the experiment keys at one n (see :func:`run_shard`); deterministic in (spec, master_seed)
-    regardless of workers."""
+    regardless of workers.  A sweep of at most ``_BATCH_RECORDS`` fit records (``spec.records``) runs
+    one shard per n in this process and starts no pool, whatever ``workers`` is."""
+    if spec.records <= _BATCH_RECORDS:
+        workers = 1
     tasks = []
     for n in dict.fromkeys(spec.schemes[g].n for g in range(len(spec.experiments))):
         keys = [(g, rep) for g in range(len(spec.experiments)) if spec.schemes[g].n == n for rep in range(spec.reps)]

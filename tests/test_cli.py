@@ -726,7 +726,7 @@ class TestSweepCommand:
     @pytest.mark.parametrize("case", ["rho", "n", "failed-fit", "failed-fit-reps-10", "rho-p6"])
     def test_sweep_outputs_are_pinned(self, tmp_path, case, workers):
         # the hashes are those of the sweep that draws one experiment per replication and fits all its
-        # methods in one batch; 3 workers split the replications into uneven shards
+        # methods in one batch; each of these sweeps is one batch in this process at any worker count
         payload, hashes = _PINNED_SWEEPS[case]
         out = tmp_path / "run"
         cfg_file = write_config(tmp_path / "sweep.yaml", dict(payload, out=str(out)))
@@ -795,9 +795,9 @@ class TestSweepCommand:
         starts = []
         fit_batch = simulation.fit_batch
 
-        def spy(datasets, inits, config):
+        def spy(datasets, inits, config, **kwargs):
             starts.extend(inits)
-            return fit_batch(datasets, inits, config)
+            return fit_batch(datasets, inits, config, **kwargs)
 
         monkeypatch.setattr(simulation, "fit_batch", spy)
         out = tmp_path / "model_start"

@@ -382,6 +382,20 @@ def kernel_failing_on_pass(on_pass, targets):
     return Kernel
 
 
+def ending_problems():
+    """Four problems whose fits in one batch end differently at 30 updates: one converges at the second update,
+    one starves at its fifth, one is capped, and the last, ``failing``, finds record 0 impossible at its fourth
+    E-step under ``kernel_failing_on_pass(4, [failing])``.  Returns (problems, failing)."""
+    times = [0.5, 0.9, 1.4, 2.0, 2.6]
+    labels = np.array([0, 1, 0, 1, 0])
+    certain = make_soft_labels(LabelMode.NOISY, 2, hard_labels=labels)
+    supervised = SoftLabeledDataset(toy_dataset(times, [True] * 5), certain)
+    vacuous = SoftLabeledDataset(toy_dataset(times[:4] + [2.0], [True] * 4 + [False]), np.ones((5, 2)))
+    failing = SoftLabeledDataset(toy_dataset(times, [True] * 5), np.full((5, 2), 0.5) + 0.4 * np.eye(2)[labels])
+    start = MixtureParams(np.array([0.5, 0.5]), np.array([0.8, 1.5]))
+    return [(supervised, start), starving_problem(), (vacuous, start), (failing, start)], failing
+
+
 def assert_is_solo_fit(got, soft, init, config):
     """``got``, a :func:`fit_batch` record, is the outcome of fitting ``soft`` from ``init`` alone."""
     est, trace = fit(soft, init, config)
@@ -488,17 +502,8 @@ class TestKernel:
             assert np.array_equal(gll, solo.gll_values)
 
     def test_batch_fits_end_differently_as_solo_fits_do(self, monkeypatch):
-        # one converges at the second update, one is capped, one starves and
-        # one finds record 0 impossible at its fourth E-step
-        times = [0.5, 0.9, 1.4, 2.0, 2.6]
-        labels = np.array([0, 1, 0, 1, 0])
-        certain = make_soft_labels(LabelMode.NOISY, 2, hard_labels=labels)
-        supervised = SoftLabeledDataset(toy_dataset(times, [True] * 5), certain)
-        vacuous = SoftLabeledDataset(toy_dataset(times[:4] + [2.0], [True] * 4 + [False]), np.ones((5, 2)))
-        uncertain = SoftLabeledDataset(toy_dataset(times, [True] * 5), np.full((5, 2), 0.5) + 0.4 * np.eye(2)[labels])
-        start = MixtureParams(np.array([0.5, 0.5]), np.array([0.8, 1.5]))
-        problems = [(supervised, start), starving_problem(), (vacuous, start), (uncertain, start)]
-        monkeypatch.setattr(estimator, "_Kernel", kernel_failing_on_pass(4, [uncertain]))
+        problems, failing = ending_problems()
+        monkeypatch.setattr(estimator, "_Kernel", kernel_failing_on_pass(4, [failing]))
         config = E2MConfig(max_iters=30, tol=1e-300)
         table, steps = fit_batch([soft for soft, _ in problems], [init for _, init in problems], config)
         solos = []
@@ -535,6 +540,48 @@ class TestKernel:
         assert table["iterations"].tolist() == [2, 4, 30, 2]
         assert str(table["error"][3]).endswith("record(s) [0]")
         assert "component(s) [0]" in str(table["error"][1])
+
+    def test_fits_leaving_the_batch_stay_in_the_buffers_made_at_its_start(self, monkeypatch):
+        problems, failing = ending_problems()
+        names = ("posterior", "features", "log_base", "coef")
+        left = []
+
+        class Kernel(kernel_failing_on_pass(4, [failing])):
+            def __init__(self, datasets):
+                super().__init__(datasets)
+                self.made = [getattr(self, name) for name in names]
+
+            def keep(self, rows):
+                super().keep(rows)
+                left.append(len(self.posterior))
+                for name, made in zip(names, self.made):
+                    assert np.shares_memory(getattr(self, name), made), name
+
+        monkeypatch.setattr(estimator, "_Kernel", Kernel)
+        config = E2MConfig(max_iters=30, tol=1e-300)
+        table, _ = fit_batch([soft for soft, _ in problems], [init for _, init in problems], config)
+        assert left == [3, 2, 1]
+        assert table["iterations"].tolist() == [2, 4, 30, 2]
+
+    @pytest.mark.parametrize("failing", [False, True])
+    def test_table_is_the_same_without_the_steps(self, monkeypatch, failing):
+        # fits that leave one batch at different steps: in every way, or by converging and at the cap
+        if failing:
+            problems, target = ending_problems()
+            monkeypatch.setattr(estimator, "_Kernel", kernel_failing_on_pass(4, [target]))
+        else:
+            problems = [labelled_problem(mode, 3, plan) for mode in LabelMode
+                        for plan in ("conventional", "progressive")]
+        config = E2MConfig(max_iters=30, tol=1e-300) if failing else E2MConfig()
+        datasets, inits = [soft for soft, _ in problems], [init for _, init in problems]
+        table, steps = fit_batch(datasets, inits, config)
+        bare, none = fit_batch(datasets, inits, config, record_steps=False)
+        assert steps and none == []
+        assert bare.dtype == table.dtype
+        for name in ("lambdas", "xis", "gll", "iterations", "converged"):
+            assert np.array_equal(bare[name], table[name], equal_nan=name in ("lambdas", "xis", "gll")), name
+        assert [(type(e), str(e)) for e in bare["error"]] == [(type(e), str(e)) for e in table["error"]]
+        assert table["iterations"].tolist() == ([2, 4, 30, 2] if failing else [1000, 270, 121, 84, 904, 1000])
 
     def test_overflowing_times_fail_only_their_own_fit(self):
         # y*^2 overflows, and the quantile start's xi^2 underflows to 0: the batch must

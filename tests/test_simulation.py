@@ -2,6 +2,7 @@ import itertools
 import math
 import pickle
 from dataclasses import replace
+from multiprocessing import Pool
 
 import numpy as np
 import pytest
@@ -209,9 +210,9 @@ def batch_sizes(monkeypatch):
     sizes = []
     fit_batch = simulation.fit_batch
 
-    def spy(datasets, inits, config):
+    def spy(datasets, inits, config, **kwargs):
         sizes.append(len(datasets))
-        return fit_batch(datasets, inits, config)
+        return fit_batch(datasets, inits, config, **kwargs)
 
     monkeypatch.setattr(simulation, "fit_batch", spy)
     return sizes
@@ -335,19 +336,29 @@ class TestSweep:
                     if name != "grid_value":
                         assert np.array_equal(other[name], first[name]), name
 
-    @pytest.mark.parametrize("workers, records, batches", [(1, 2**15, [15]), (2, 2**15, [5, 10]),
+    @pytest.mark.parametrize("workers, records, batches", [(1, 2**15, [15]), (2, 1799, [5, 10]),
                                                            (1, 600, [5, 5, 5])])
     def test_one_batch_per_shard_of_replications(self, monkeypatch, serial_pool, batch_sizes, workers, records,
                                                  batches):
         # a rho sweep's shard holds whole replications: 2 grid points x 2 corrupted methods + 1 UNKNOWN fit
-        # each, 600 records at n = 120
+        # each, 600 records at n = 120 and 1 800 in all, which 2 workers shard once they exceed one batch
         monkeypatch.setattr(simulation, "_BATCH_RECORDS", records)
         spec = small_spec("rho", (0.1, 0.3), 3)
+        assert spec.records == 1800
         rows = run_sweep(spec, master_seed=2, workers=workers)
         assert batch_sizes == batches
         assert serial_pool == ([workers] if workers > 1 else [])
         assert [(row.grid_value, row.method, row.rep) for row in rows] == [
             (gv, m.value, rep) for gv in (0.1, 0.3) for m in LabelMode for rep in range(3)]
+
+    @pytest.mark.parametrize("records, batches, started", [(1800, [15], []), (1799, [5, 5, 5], [3])])
+    def test_pool_only_above_one_batch(self, monkeypatch, serial_pool, batch_sizes, records, batches, started):
+        # the sweep above fits 1 800 records: at most _BATCH_RECORDS of them are one batch in this process,
+        # however many workers are asked for, and one more starts a pool of a worker per shard
+        monkeypatch.setattr(simulation, "_BATCH_RECORDS", records)
+        run_sweep(small_spec("rho", (0.1, 0.3), 3), master_seed=2, workers=16)
+        assert batch_sizes == batches
+        assert serial_pool == started
 
     def test_sweep_determinism(self):
         spec = small_spec("n", (60, 90), 2, n=60, methods=(LabelMode.UNCERTAIN,))
@@ -357,18 +368,39 @@ class TestSweep:
             assert a.grid_value == b.grid_value and a.rep == b.rep
             assert a.gll == b.gll
 
-    @pytest.mark.parametrize("workers, records, batches", [(1, 2**15, [4, 2]), (3, 2**15, [1, 1, 2, 1, 1]),
+    @pytest.mark.parametrize("workers, records, batches", [(1, 2**15, [4, 2]), (3, 419, [1, 1, 2, 1, 1]),
                                                            (1, 100, [1, 1, 2, 1, 1])])
     def test_one_batch_per_shard_of_each_sample_size(self, monkeypatch, serial_pool, batch_sizes, workers, records,
                                                       batches):
         monkeypatch.setattr(simulation, "_BATCH_RECORDS", records)
         spec = small_spec("n", (60, 90, 60), 2, methods=(LabelMode.UNCERTAIN,))
+        assert spec.records == 2 * (60 + 90 + 60)
         rows = run_sweep(spec, master_seed=2, workers=workers)
-        # the two n = 60 points share their batches, split into 3 uneven shards on 3 workers
-        # or when 2 of their 4 replications would exceed the records of a batch
+        # the two n = 60 points share their batches, split into 3 uneven shards on 3 workers once the
+        # sweep's 420 records exceed one batch, or when 2 of their 4 replications would exceed a batch
         assert batch_sizes == batches
         assert serial_pool == ([workers] if workers > 1 else [])
         assert [(row.grid_value, row.rep) for row in rows] == [(60, 0), (60, 1), (90, 0), (90, 1), (60, 0), (60, 1)]
+
+    @pytest.mark.parametrize("variable, grid, reps, n", [("rho", (0.1, 0.3), 5, 80), ("n", (60, 90, 60), 2, 60)])
+    def test_rows_equal_through_a_real_pool(self, monkeypatch, variable, grid, reps, n):
+        # a test sweep is one batch in this process; with _BATCH_RECORDS at 500 of its 2 000 or 1 260 records,
+        # 3 workers of a multiprocessing pool take 4 or 5 uneven shards, and the rows must equal those of
+        # one process running the shards in turn
+        started = []
+
+        def pool(processes):
+            started.append(processes)
+            return Pool(processes)
+
+        monkeypatch.setattr(simulation, "_BATCH_RECORDS", 500)
+        monkeypatch.setattr(simulation, "Pool", pool)
+        spec = small_spec(variable, grid, reps, n=n)
+        one, three = (run_sweep(spec, master_seed=6, workers=workers) for workers in (1, 3))
+        assert started == [3]
+        assert not one.failed.any()
+        for name in row_dtype(3).names:
+            assert np.array_equal(one[name], three[name]), name
 
     @pytest.mark.parametrize("methods, started", [((LabelMode.UNCERTAIN,), []),
                                                   ((LabelMode.UNCERTAIN, LabelMode.NOISY), [])])
