@@ -17,11 +17,10 @@ from .estimator import (
     ComponentStarvedError,
     DegenerateLikelihoodError,
     E2MConfig,
-    E2MTrace,
     EstimationError,
     LabelMode,
     SoftLabeledDataset,
-    fit,
+    fit_batch,
     make_soft_labels,
 )
 from .rayleigh import MixtureParams, sample_labeled
@@ -48,11 +47,10 @@ __all__ = [
     "LabelMode",
     "SoftLabeledDataset",
     "E2MConfig",
-    "E2MTrace",
     "EstimationError",
     "ComponentStarvedError",
     "DegenerateLikelihoodError",
-    "fit",
+    "fit_batch",
     "make_soft_labels",
     "CorruptionConfig",
     "SweepSpec",

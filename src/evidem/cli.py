@@ -20,10 +20,9 @@ from .censoring import draw_experiment, read_dataset_csv, write_dataset_csv, wri
 from .config import READS, ConfigError, RunConfig, parse_config
 from .estimator import (
     ComponentStarvedError,
-    EstimationError,
     LabelMode,
     SoftLabeledDataset,
-    fit,
+    fit_batch,
     make_soft_labels,
     read_soft_labels_csv,
     write_soft_labels_csv,
@@ -154,24 +153,26 @@ def cmd_fit(cfg: RunConfig) -> int:
     if cfg.init != "quantile-spread" and cfg.model.n_components != p:
         raise ConfigError(f"the labels have {p} components but 'model' has {cfg.model.n_components}")
     cfg.out.mkdir(parents=True, exist_ok=True)  # only now, so a configuration error leaves no directory
-    try:
-        est, trace = fit(soft, start_params(cfg.init, ds, p, cfg.model), cfg.fit_config)
-    except EstimationError as exc:
-        print(f"estimation failed: {exc}", file=sys.stderr)
-        kind = "starved" if isinstance(exc, ComponentStarvedError) else "degenerate"
-        _write_manifest(cfg, {"outcome": f"{kind}: {exc}"})
+    (result,), steps = fit_batch([soft], [start_params(cfg.init, ds, p, cfg.model)], cfg.fit_config)
+    error = result["error"]
+    if error is not None:
+        print(f"estimation failed: {error}", file=sys.stderr)
+        kind = "starved" if isinstance(error, ComponentStarvedError) else "degenerate"
+        _write_manifest(cfg, {"outcome": f"{kind}: {error}"})
         return EXIT_DEGENERATE
 
     names = parameter_names(p)
-    write_table(cfg.out / "estimate.csv", names + ["iterations", "converged", "gll"], 1,
-                [[v] for v in [*est.lambdas, *est.xis, trace.iterations_used, trace.converged, trace.gll_values[-1]]])
-    write_table(cfg.out / "trace.csv", ["iteration", "gll"] + names, len(trace.gll_values),
-                [np.arange(len(trace.gll_values)), trace.gll_values, *trace.lambdas.T, *trace.xis.T])
-    _write_manifest(cfg, {"outcome": "converged" if trace.converged else "not converged"})
-    if not trace.converged:
+    scalars = [name for name in result.dtype.names[2:] if name != "error"]  # fit_dtype's fields after the estimate
+    write_table(cfg.out / "estimate.csv", names + scalars, 1,
+                [[v] for v in [*result["lambdas"], *result["xis"], *(result[name] for name in scalars)]])
+    _, lambdas, xis, gll = (np.concatenate(a) for a in zip(*steps))
+    write_table(cfg.out / "trace.csv", ["iteration", "gll"] + names, len(gll),
+                [np.arange(len(gll)), gll, *lambdas.T, *xis.T])
+    _write_manifest(cfg, {"outcome": "converged" if result["converged"] else "not converged"})
+    if not result["converged"]:
         print(f"did not converge within {cfg.fit_config.max_iters} iterations", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    print(f"converged in {trace.iterations_used} iterations; estimates in {cfg.out / 'estimate.csv'}")
+    print(f"converged in {result['iterations']} iterations; estimates in {cfg.out / 'estimate.csv'}")
     return EXIT_OK
 
 

@@ -110,9 +110,16 @@ def _check_unknown_keys(raw: Mapping, schema: Mapping, prefix: str = "") -> list
     return unknown
 
 
+def _number(raw) -> float:
+    """``float(raw)``, but a TypeError for a boolean, which YAML reads from true/yes/on and false/no/off."""
+    if isinstance(raw, bool):
+        raise TypeError("a boolean is not a number")
+    return float(raw)
+
+
 def _as_float(raw, name: str) -> float:
     try:
-        return float(raw)
+        return _number(raw)
     except (TypeError, ValueError):
         raise ConfigError(f"'{name}' must be a number, got {raw!r}") from None
     except OverflowError:  # an integer beyond the float range
@@ -282,7 +289,7 @@ def parse_config(
     if "soft_labels" in raw:
         # inline plausibility matrix, one row per dataset record
         try:
-            matrix = np.array([[float(v) for v in row] for row in raw["soft_labels"]], dtype=float)
+            matrix = np.array([[_number(v) for v in row] for row in raw["soft_labels"]], dtype=float)
         except (TypeError, ValueError):
             raise ConfigError("'soft_labels' must be an array of equal-length numeric arrays") from None
         if matrix.ndim != 2:

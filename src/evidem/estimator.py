@@ -26,11 +26,10 @@ and its failure is its own error: the other fits go on; the fits left move
 down in the same buffers.  Every stacked operation works one dataset's slice
 at a time, so a fit takes the same iterates in any batch.  The outcome is
 one :func:`fit_dtype` record per fit and, unless the caller drops them, the
-iterates of every step; ``fit`` is the batch of one, and stacks its steps
-into an :class:`E2MTrace`.  ``MixtureParams`` are validated only at
-the start and for each finished fit's estimate.  Floating-point warnings are
-off: the kernel tests every value it hands on, so an overflow or NaN ends
-only its own fit.
+iterates of every step, which ``evidem fit`` stacks into its trace.
+``MixtureParams`` are validated only at the start and for each finished
+fit's estimate.  Floating-point warnings are off: the kernel tests every
+value it hands on, so an overflow or NaN ends only its own fit.
 
 ``read_soft_labels_csv`` parses ``labels.csv`` with the same one-call
 ``loadtxt`` reader as ``data.csv``: an integer id and p plausibilities a row.
@@ -57,8 +56,6 @@ __all__ = [
     "LabelMode",
     "SoftLabeledDataset",
     "E2MConfig",
-    "E2MTrace",
-    "fit",
     "fit_dtype",
     "fit_batch",
     "make_soft_labels",
@@ -139,20 +136,6 @@ class E2MConfig:
             raise ValueError("max_iters must be at least 1")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-
-
-@dataclass(eq=False)
-class E2MTrace:
-    """Parameters and generalized log-likelihood per iterate; row 0 is the start."""
-
-    lambdas: np.ndarray
-    xis: np.ndarray
-    gll_values: np.ndarray
-    converged: bool
-
-    @property
-    def iterations_used(self) -> int:
-        return len(self.gll_values) - 1
 
 
 def _all_healthy(weights: list, xi_sqs: list, floor: float) -> bool:
@@ -334,28 +317,6 @@ def fit_batch(
         # a few Python floats compare faster than numpy calls on (B,) arrays
         converged = [(g - g0) / max(abs(g0), _TINY) < config.tol for g, g0 in zip(new_values, values)]
         values = new_values
-
-
-def fit(
-    ds: SoftLabeledDataset,
-    init: MixtureParams,
-    config: E2MConfig = E2MConfig(),
-) -> tuple[MixtureParams, E2MTrace]:
-    """Alternate E- and M-steps from ``init`` until the generalized
-    log-likelihood improvement falls below ``config.tol`` (relative) or
-    ``config.max_iters`` updates have been applied.
-
-    Returns the final parameters and the full iteration trace.  Raises
-    :class:`DegenerateLikelihoodError` if the log-likelihood leaves the finite
-    range, and :class:`ComponentStarvedError` if the M-step cannot update a
-    component.  This is the one-dataset call of :func:`fit_batch`, whose
-    steps also hold the iterates of a failed fit.
-    """
-    (result,), steps = fit_batch([ds], [init], config)
-    if result["error"] is not None:
-        raise result["error"]
-    _, lambdas, xis, gll = (np.concatenate(a) for a in zip(*steps))
-    return MixtureParams(result["lambdas"], result["xis"]), E2MTrace(lambdas, xis, gll, bool(result["converged"]))
 
 
 def make_soft_labels(

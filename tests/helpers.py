@@ -15,7 +15,7 @@ import numpy as np
 
 from evidem import estimator
 from evidem.censoring import CensoredDataset, CensoringScheme
-from evidem.estimator import E2MConfig, E2MTrace, LabelMode, SoftLabeledDataset
+from evidem.estimator import E2MConfig, LabelMode, SoftLabeledDataset
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import curve
 from oracles import log_pdf, log_survival, truncated_second_moment
@@ -242,8 +242,17 @@ def m_step(ds, W, params_k):
 
 
 @dataclass(eq=False)
-class IteratedTrace(E2MTrace):
-    """An ``E2MTrace`` that also lists its iterates."""
+class IteratedTrace:
+    """Parameters and generalized log-likelihood per iterate of one fit; row 0 is the start."""
+
+    lambdas: np.ndarray
+    xis: np.ndarray
+    gll_values: np.ndarray
+    converged: bool
+
+    @property
+    def iterations_used(self):
+        return len(self.gll_values) - 1
 
     @property
     def iterates(self):
@@ -252,9 +261,15 @@ class IteratedTrace(E2MTrace):
 
 
 def fit(ds, init, config=E2MConfig()):
-    """``estimator.fit``, its trace an :class:`IteratedTrace`."""
-    est, trace = estimator.fit(ds, init, config)
-    return est, IteratedTrace(trace.lambdas, trace.xis, trace.gll_values, trace.converged)
+    """Fit ``ds`` from ``init`` alone: ``fit_batch``'s batch of one, whose error it raises.
+
+    Returns the estimate and its :class:`IteratedTrace`, the steps stacked.
+    """
+    (result,), steps = estimator.fit_batch([ds], [init], config)
+    if result["error"] is not None:
+        raise result["error"]
+    _, lambdas, xis, gll = (np.concatenate(a) for a in zip(*steps))
+    return MixtureParams(result["lambdas"], result["xis"]), IteratedTrace(lambdas, xis, gll, bool(result["converged"]))
 
 
 def history(steps, b):

@@ -23,10 +23,10 @@ from evidem import censoring, cli, config, simulation
 from evidem.censoring import conventional_scheme, read_dataset_csv, write_dataset_csv
 from evidem.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_NOT_CONVERGED, EXIT_OK, main
 from evidem.config import READS, ConfigError, RunConfig, parse_config
-from evidem.estimator import E2MConfig, SoftLabeledDataset, fit, read_soft_labels_csv, write_soft_labels_csv
+from evidem.estimator import E2MConfig, SoftLabeledDataset, read_soft_labels_csv, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams
 from evidem.simulation import truth_offset_init
-from helpers import starving_problem
+from helpers import fit, reference_e2m, starving_problem
 from oracles import reference_read_dataset_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -344,6 +344,36 @@ class TestFitCommand:
         soft = SoftLabeledDataset(ds, np.ones((ds.n, 3)))
         est, _ = fit(soft, truth_offset_init(truth), E2MConfig())
         assert_allclose(float(row["xi_1"]), est.xis[0], rtol=1e-12)
+
+    def test_trace_and_estimate_match_the_reference_e2m(self, tmp_path):
+        """Every row of trace.csv, and estimate.csv, against the independent record-major E2M, not the library."""
+        gen = tmp_path / "gen"
+        assert main(generate_args(tmp_path, gen, seed=2024, n=1000, censor=0.4, rho=0.2)) == EXIT_OK
+        out = tmp_path / "fitref"
+        cfg_file = write_config(tmp_path / "fitref.yaml", {
+            "data": str(gen / "data.csv"), "labels": str(gen / "labels.csv"), "model": PAPER_MODEL,
+            "fit": {"init": "truth-offset"}, "out": str(out)})
+        assert main(["fit", "--config", cfg_file]) == EXIT_OK
+        ds = read_dataset_csv(gen / "data.csv")
+        ids, pl = read_soft_labels_csv(gen / "labels.csv")
+        assert np.array_equal(ids, ds.item_id) and 0.0 < pl.min() <= pl.max() < 1.0  # UNCERTAIN rows
+        init = truth_offset_init(MixtureParams(np.array(PAPER_MODEL["lambdas"]), np.array(PAPER_MODEL["xis"])))
+        trace = read_rows(out / "trace.csv")
+        n_updates = len(trace) - 1
+        glls, params = reference_e2m(ds.y_star, ds.observed, pl, init.lambdas, init.xis, n_updates)
+        params = [(init.lambdas, init.xis), *params]
+        for k, row in enumerate(trace):
+            assert int(row["iteration"]) == k
+            assert_allclose(float(row["gll"]), glls[k], rtol=1e-12)
+            for z in range(3):
+                assert_allclose(float(row[f"lambda_{z + 1}"]), params[k][0][z], rtol=1e-12)
+                assert_allclose(float(row[f"xi_{z + 1}"]), params[k][1][z], rtol=1e-12)
+        (estimate,) = read_rows(out / "estimate.csv")
+        assert (int(estimate["iterations"]), estimate["converged"]) == (n_updates, "true")
+        assert_allclose(float(estimate["gll"]), glls[-1], rtol=1e-12)
+        for z in range(3):
+            assert_allclose(float(estimate[f"lambda_{z + 1}"]), params[-1][0][z], rtol=1e-12)
+            assert_allclose(float(estimate[f"xi_{z + 1}"]), params[-1][1][z], rtol=1e-12)
 
     def test_labels_and_inline_soft_labels_rejected(self, tmp_path, generated, capsys):
         # with both, fit used to read labels.csv and record the unused matrix in its manifest
@@ -1037,6 +1067,42 @@ def test_integer_beyond_the_float_range_is_config_error(tmp_path, capsys, comman
     assert capsys.readouterr().err == (
         f"configuration error: '{name}' must be a number in the float range, got <401 digits>\n")
     assert not out.exists()
+
+
+# each key's command, entry and error; the words are dumped quoted and written bare, so YAML reads them as booleans
+_BOOLEANS = {
+    "corruption.rho": ("generate", {"corruption": {"rho": "on"}}, "'corruption.rho' must be a number, got True"),
+    "corruption.sd": ("generate", {"corruption": {"sd": "off"}}, "'corruption.sd' must be a number, got False"),
+    "model.lambdas": ("generate", {"model": {"lambdas": ["yes", "no"], "xis": [1.0, 2.0]}},
+                      "'model.lambdas' must be a number, got True"),
+    "model.xis": ("generate", {"model": {"lambdas": [0.5, 0.5], "xis": ["yes", 2.0]}},
+                  "'model.xis' must be a number, got True"),
+    "scheme.censor_frac": ("generate", {"scheme": {"n": 20, "censor_frac": "no"}},
+                           "'scheme.censor_frac' must be a number, got False"),
+    "fit.tol": ("sweep", {"fit": {"tol": "true"}}, "'fit.tol' must be a number, got True"),
+    "sweep.grid": ("sweep", {"sweep": {"variable": "rho", "grid": ["false", "true"]}},
+                   "'sweep.grid' must be a number, got False"),
+    "soft_labels": ("fit", {"labels": None, "soft_labels": [["yes", "off"], [1.0, 0.5]]},
+                    "'soft_labels' must be an array of equal-length numeric arrays"),
+}
+
+
+@pytest.mark.parametrize("key", _BOOLEANS)
+def test_boolean_where_a_number_is_expected_is_config_error(tmp_path, capsys, key):
+    command, entry, error = _BOOLEANS[key]
+    out = tmp_path / "out"
+    text = yaml.safe_dump({**_COMPLETE_INPUTS[command], **entry, "out": str(out)}).replace("'", "")
+    (tmp_path / "bool.yaml").write_text(text)
+    workers = ["--workers", "1"] if command == "sweep" else []
+    assert main([command, "--config", str(tmp_path / "bool.yaml"), *workers]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {error}\n"
+    assert not out.exists()
+
+
+def test_number_yaml_reads_as_a_string_is_a_number(tmp_path):
+    # YAML 1.1 reads 1e-8, which has no dot, as the string '1e-8'
+    (tmp_path / "c.yaml").write_text("data: d.csv\nlabels: l.csv\nfit: {tol: 1e-8}\n")
+    assert parse_config(tmp_path / "c.yaml", command="fit").fit_config.tol == 1e-8
 
 
 _LONG_PLAN = [0, 1, 3, 12, 0, 1] * 2000

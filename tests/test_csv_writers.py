@@ -20,7 +20,7 @@ from evidem import censoring, estimator
 from evidem.censoring import (CensoredDataset, CensoringScheme, scheme_from_censor_frac,
                               write_dataset_csv, write_table)
 from evidem.cli import EXIT_OK, main
-from evidem.estimator import E2MTrace, LabelMode, make_soft_labels, write_soft_labels_csv
+from evidem.estimator import LabelMode, make_soft_labels, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams, sample_labeled
 from evidem.simulation import (
     CorruptionConfig,
@@ -186,14 +186,11 @@ def test_figure_csv(tmp_path):
 
 def test_estimate_and_trace_csv(tmp_path, monkeypatch):
     """``evidem fit`` writes the estimate and the trace of the fit it ran."""
-    est = MixtureParams(np.array([0.25, 0.75]), np.array([1 / 3, 2.0]))
-    trace = E2MTrace(
-        lambdas=np.array([[0.5, 0.5], [0.3, 0.7], [0.25, 0.75]]),
-        xis=np.array([[1.0, 3.0], [0.1 + 0.2, 2.5], [1 / 3, 2.0]]),
-        gll_values=np.array([-10.0, -9.5, -1e-300]),
-        converged=True,
-    )
-    monkeypatch.setattr("evidem.cli.fit", lambda soft, init, config: (est, trace))
+    table = np.array([([0.25, 0.75], [1 / 3, 2.0], 2, True, -1e-300, None)], estimator.fit_dtype(2))
+    # one step per iterate, as fit_batch gives them: the batch's rows, then their lambdas, xis and gll
+    iterates = [([0.5, 0.5], [1.0, 3.0], -10.0), ([0.3, 0.7], [0.1 + 0.2, 2.5], -9.5), ([0.25, 0.75], [1 / 3, 2.0], -1e-300)]
+    steps = [(np.array([0]), np.array([lam]), np.array([xi]), np.array([gll])) for lam, xi, gll in iterates]
+    monkeypatch.setattr("evidem.cli.fit_batch", lambda datasets, inits, config: (table, steps))
     write_dataset_csv(dataset(True), tmp_path / "data.csv")
     write_soft_labels_csv(np.full((5, 2), 0.5), tmp_path / "labels.csv", item_ids=np.arange(5))
     out = tmp_path / "fit"

@@ -6,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from evidem import estimator
-from evidem.censoring import CensoredDataset, CensoringScheme, conventional_scheme, run_life_test
+from evidem.censoring import (CensoredDataset, CensoringScheme, conventional_scheme, draw_experiment,
+                              run_life_test, scheme_from_censor_frac)
 from evidem.estimator import (
     ComponentStarvedError,
     DegenerateLikelihoodError,
@@ -14,7 +15,6 @@ from evidem.estimator import (
     EstimationError,
     LabelMode,
     SoftLabeledDataset,
-    fit,
     fit_batch,
     make_soft_labels,
     quantile_spread_init,
@@ -22,10 +22,11 @@ from evidem.estimator import (
     write_soft_labels_csv,
 )
 from evidem.rayleigh import MixtureParams, sample_labeled
-from evidem.simulation import CorruptionConfig, corrupt_labels, draw_error_probs
+from evidem.simulation import CorruptionConfig, corrupt_labels, draw_error_probs, truth_offset_init
 from helpers import (
     classical_censored_em,
     e_step,
+    fit,
     generalized_loglik,
     golden_section_max,
     history,
@@ -248,6 +249,26 @@ class TestFit:
         assert_allclose(est.xis[0], closed_form, rtol=1e-6)
         g = trace.gll_values
         assert np.all(np.diff(g) >= -1e-10 * np.abs(g[:-1]))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noisy_labels_reach_the_closed_form_fixed_point_under_censoring(self, seed):
+        """With the true labels as NOISY labels each posterior row is its label, so the fixed point is
+        lambda_z = n_z / n and xi_z^2 = 2 d_z / (sum of y*^2 labelled z), d_z the observed failures labelled z."""
+        truth = MixtureParams(np.full(3, 1 / 3), np.array([4.0, 0.5, 0.8]))  # the paper's model
+        rng = np.random.default_rng(seed)
+        plans = [scheme_from_censor_frac(500, 0.4), CensoringScheme(500, (1,) * 250)]  # conventional, progressive
+        datasets = [draw_experiment(truth, scheme, rng) for scheme in plans]
+        softs = [SoftLabeledDataset(ds, make_soft_labels(LabelMode.NOISY, 3, hard_labels=ds.true_label))
+                 for ds in datasets]
+        table, _ = fit_batch(softs, [truth_offset_init(truth)] * 2, E2MConfig(tol=1e-15), record_steps=False)
+        assert not datasets[1].scheme.conventional
+        for ds, got in zip(datasets, table):
+            assert got["converged"] and got["error"] is None
+            labelled = ds.true_label[:, None] == np.arange(3)
+            d = (labelled & ds.observed[:, None]).sum(axis=0)
+            assert_allclose(got["lambdas"], labelled.sum(axis=0) / ds.n, rtol=1e-12)
+            # at tol 1e-15 the xis are within about 1e-7 of the fixed point; at 1e-13 only within about 1e-6
+            assert_allclose(got["xis"], np.sqrt(2 * d / (labelled * ds.y_star[:, None] ** 2).sum(axis=0)), rtol=1e-6)
 
     def test_vacuous_labels_match_plain_em_per_iteration(self, rng):
         for _ in range(5):
