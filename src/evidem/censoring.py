@@ -6,7 +6,8 @@ A scheme places ``n`` units on test, observes ``J`` failures, and removes
 life tests with their component labels (labels must survive censoring so
 that the label-corruption protocol can act on every record), and reads and
 writes them as CSV.  ``write_table`` writes every output table of the
-program, so it alone knows the cell format.
+program, and its ``_chunk_fields`` alone gives a field's text, each distinct
+float of a chunk formatted once; csv.writer only quotes.
 
 ``draw_experiment`` produces the life test of a plan on units drawn from a
 mixture.  A conventional plan, removing units only at its last failure, is
@@ -37,9 +38,9 @@ from __future__ import annotations
 import csv
 import math
 import operator
-import re
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -339,40 +340,31 @@ def draw_experiment(model: MixtureParams, scheme: CensoringScheme, rng: np.rando
 _CHUNK_ROWS = 1024
 
 
-def _cell(value):
-    """A boolean as true/false and NaN as None, an empty field; other values as they are."""
+def _cell(value) -> str:
+    """A bool or object cell as csv.writer writes it, a float as float's repr, but a boolean as true/false, NaN empty."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    return None if value != value else value
+    if value is None or value != value:
+        return ""
+    return float.__repr__(value) if isinstance(value, float) else str(value)
 
 
-def _fields(values: np.ndarray) -> list[str] | np.ndarray:
-    """One column's chunk as fields if csv.writer would write each as it is (a number as its repr), else as it is."""
-    if values.dtype.kind in "iu" or (values.dtype.kind == "f" and not np.isnan(values).any()):
-        return list(map(repr, values.tolist()))
-    return cells if values.dtype.kind == "U" and not re.search('[,"\r\n\x00]', "".join(cells := values.tolist())) else values
-
-
-def _chunk_fields(values: list[np.ndarray]) -> list:
-    """Each column's chunk as ``_fields`` gives it, but in a full chunk the NaN-free float64 columns
-    are formatted together: one repr per distinct bit pattern, so a repeated float is formatted once
-    and -0.0 stays apart from 0.0."""
-    # A shorter chunk (all of a short table, the tail of a long one) is formatted value by value, so a
-    # process that writes only short tables never runs the numpy kernels below. In six fresh runs each
-    # (AMD EPYC, Python 3.11, numpy 2.4) that moved no peak RSS beyond the runs' spread: 44.56-44.73 MB
-    # with the rule and 44.55-44.71 MB without for an `evidem fit` of 50 000 records, 40.76-40.93 and
-    # 40.80-40.98 MB for an in-process sweep of 19 500 fit records
-    floats = {i for i, v in enumerate(values) if len(v) == _CHUNK_ROWS and v.dtype == np.float64 and not np.isnan(v).any()}
-    if not floats:
-        return [_fields(v) for v in values]
-    bits = np.stack([v for i, v in enumerate(values) if i in floats]).view(np.int64).ravel()
-    distinct = np.sort(bits)
-    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-    # not np.unique: its inverse takes a default argsort, a numpy kernel `generate` does not otherwise load,
-    # whose code pages raised perfbench's generate-progressive peak RSS by 0.6 MB; sort and searchsorted it runs anyway
-    strings = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
-    cols = iter(strings[np.searchsorted(distinct, bits)].reshape(len(floats), -1).tolist())
-    return [next(cols) if i in floats else _fields(v) for i, v in enumerate(values)]
+def _chunk_fields(values: list[np.ndarray]) -> list[list[str]]:
+    """Each column's chunk as its fields: an integer as its repr, text as it is, any other non-float64 cell
+    through ``_cell``.  The float64 columns are formatted together, one repr per distinct bit pattern, so a
+    repeated float is formatted once and -0.0 stays apart from 0.0; NaN is an empty field."""
+    floats = [v for v in values if v.dtype == np.float64]
+    if floats:
+        bits = np.stack(floats).view(np.int64).ravel()
+        distinct = np.sort(bits)
+        distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+        # not np.unique: its inverse takes a default argsort, a numpy kernel `generate` does not otherwise load,
+        # whose code pages raised perfbench's generate-progressive peak RSS by 0.6 MB; sort and searchsorted it runs anyway
+        strings = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+        strings[np.isnan(distinct.view(np.float64))] = ""
+        cols = iter(strings[np.searchsorted(distinct, bits)].reshape(len(floats), -1).tolist())
+    return [next(cols) if v.dtype == np.float64 else v.tolist() if v.dtype.kind == "U"
+            else list(map(repr if v.dtype.kind in "iu" else _cell, v.tolist())) for v in values]
 
 
 def write_table(path, header, n_rows: int, columns) -> None:
@@ -382,19 +374,23 @@ def write_table(path, header, n_rows: int, columns) -> None:
     which builds a derived column a chunk at a time.  Floats are written as their
     shortest round-trip repr, booleans as true/false, None and NaN as empty fields,
     fields holding ",", '"' or a newline quoted with '"' doubled; rows end in "\\n".
-    In a full chunk, the float64 columns that hold no NaN are formatted together,
-    each distinct value once; the bytes written do not depend on it.
+    ``_chunk_fields`` gives every field's text, each distinct float of a chunk
+    formatted once.  csv.writer writes the header, and a chunk only when a field
+    needs its quoting or NUL rule, which differ across Python versions, or when
+    the table has one column, whose empty field it writes as '""'.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for start in range(0, n_rows, _CHUNK_ROWS):
             rows = slice(start, min(start + _CHUNK_ROWS, n_rows))
-            fields = _chunk_fields([np.asarray(col(rows) if callable(col) else col[rows]) for col in columns])
-            if len(fields) > 1 and all(isinstance(f, list) for f in fields):  # a row of one "" csv.writer writes as '""'
+            values = [np.asarray(col(rows) if callable(col) else col[rows]) for col in columns]
+            fields = _chunk_fields(values)
+            text = "".join(chain.from_iterable(f for v, f in zip(values, fields) if v.dtype.kind not in "fiu"))
+            if len(fields) > 1 and not any(c in text for c in ',"\r\n\x00'):
                 fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
-            else:  # the other columns' cells as csv.writer writes them
-                writer.writerows(zip(*(f if isinstance(f, list) else map(_cell, f.tolist()) for f in fields)))
+            else:
+                writer.writerows(zip(*fields))
 
 
 def write_dataset_csv(ds: CensoredDataset, path) -> None:
@@ -408,9 +404,13 @@ def write_dataset_csv(ds: CensoredDataset, path) -> None:
     ])
 
 
-def read_csv_header(fh) -> list[str]:
-    """The fields of the next line of an open CSV file."""
-    return next(csv.reader([fh.readline()]))
+def csv_fields(line: str, path, row_no: int) -> list[str]:
+    """The fields of one line, row ``row_no`` or, at 0, the header, of the CSV file at ``path``.  A line csv
+    does not split, as one with a field over its size limit, is a ValueError naming the file and row."""
+    try:
+        return next(csv.reader([line]))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {f'row {row_no}' if row_no else 'the header'} cannot be read as CSV: {exc}") from None
 
 
 def load_csv_rows(fh, path, dtype: np.dtype, usecols, n_fields: int, exact: bool) -> np.ndarray:
@@ -435,7 +435,7 @@ def load_csv_rows(fh, path, dtype: np.dtype, usecols, n_fields: int, exact: bool
             table, reason = None, str(exc)
         if table is None:
             for row_no, line in _rows(fh, start):
-                fields = next(csv.reader([line]))
+                fields = csv_fields(line, path, row_no)
                 if exact and len(fields) != n_fields:
                     raise ValueError(f"{path}: row {row_no} has {len(fields)} fields, expected {n_fields}")
                 if len(fields) < n_fields:
@@ -449,7 +449,7 @@ def load_csv_rows(fh, path, dtype: np.dtype, usecols, n_fields: int, exact: bool
                 if not any(b'"' in block for block in iter(lambda: raw.read(1 << 16), b"")):
                     return table
     for row_no, line in _rows(fh, start):  # only a line holding a '"' can leave a quote open
-        if '"' in line and next(csv.reader([line]))[-1].endswith(("\r", "\n")):
+        if '"' in line and csv_fields(line, path, row_no)[-1].endswith(("\r", "\n")):
             raise ValueError(f"{path}: row {row_no} opens a quoted field that its line does not close")
     if table is not None:
         return table
@@ -507,7 +507,7 @@ def read_dataset_csv(path) -> CensoredDataset:
     path = Path(path)
     names = _DATASET_ROW.names[:5]
     with open(path, newline="") as fh:
-        header = read_csv_header(fh)
+        header = csv_fields(fh.readline(), path, 0)
         column = {name: k for k, name in enumerate(header)}
         if not set(names).issubset(column):
             raise ValueError(f"{path}: expected columns {sorted(names)}")

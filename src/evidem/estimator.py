@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .censoring import CensoredDataset, _records, load_csv_rows, read_csv_header, write_table
+from .censoring import CensoredDataset, _records, csv_fields, load_csv_rows, write_table
 from .rayleigh import MixtureParams
 
 __all__ = [
@@ -388,7 +388,7 @@ def read_soft_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (item_ids 0-based, plausibility matrix) in file row order."""
     path = Path(path)
     with open(path, newline="") as fh:
-        header = read_csv_header(fh)
+        header = csv_fields(fh.readline(), path, 0)
         if not header or header[0] != "item_id" or len(header) < 2:
             raise ValueError(f"{path}: expected header item_id, pl_1, ..., pl_p")
         row = np.dtype([("item_id", np.int64), ("pl", np.float64, (len(header) - 1,))])

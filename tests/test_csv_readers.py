@@ -346,3 +346,25 @@ def test_valid_quotes_read_the_unquoted_table(monkeypatch, tmp_path, quote, newl
     assert got.scheme == want.scheme
     for name in ("item_id", "y_star", "observed", "censored_at_failure", "true_label"):
         assert_same_array(getattr(got, name), getattr(want, name))
+
+
+LONG = "1" * 200_000  # over csv's default field size limit of 131 072 characters
+
+
+@pytest.mark.parametrize("read, name, text, where", [
+    (read_dataset_csv, "data.csv", DATA_HEADER.rstrip("\n") + f",{LONG}\n" + GOOD_ROW.rstrip("\n") + ",n\n",
+     "the header"),
+    (read_dataset_csv, "data.csv", DATA_HEADER.rstrip("\n") + ",note\n" + GOOD_ROW.rstrip("\n") + ",n\n"
+     + f'2,1.5,censored,1,2,"{LONG}"\n', "row 2"),
+    (read_soft_labels_csv, "labels.csv", f'item_id,pl_1,pl_2\n1,0.5,1\n2,"{LONG}",1\n3,abc,1\n', "row 2"),
+], ids=["header", "quoted-field-after-a-parse", "quoted-field-after-a-failed-parse"])
+def test_field_over_csv_size_limit_names_its_row(tmp_path, read, name, text, where):
+    # csv splits the header before any parse, and a row in the walk for a quote left open after a parse that
+    # succeeds (the extra column) or in the row scan after one that fails (row 3's 'abc')
+    limit = csv.field_size_limit()
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        read(path)
+    assert str(err.value).startswith(f"{path}: {where} cannot be read as CSV: field larger than field limit")
+    assert csv.field_size_limit() == limit

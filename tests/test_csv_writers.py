@@ -43,6 +43,24 @@ def chunk_rows(request, monkeypatch):
         monkeypatch.setattr(censoring, "_CHUNK_ROWS", request.param)
 
 
+@pytest.fixture
+def writerows_calls(monkeypatch):
+    """The rows handed to csv.writer's writerows while the test runs; the writer joins every other chunk itself."""
+    calls, make = [], csv.writer
+
+    class Spy:
+        def __init__(self, *args, **kwargs):
+            self.writer = make(*args, **kwargs)
+            self.writerow = self.writer.writerow
+
+        def writerows(self, rows):
+            calls.append(list(rows))
+            self.writer.writerows(calls[-1])
+
+    monkeypatch.setattr(csv, "writer", Spy)
+    return calls
+
+
 def written(path) -> str:
     """The file's text with its line ends as written."""
     return path.read_bytes().decode()
@@ -77,12 +95,13 @@ def dataset(labelled: bool) -> CensoredDataset:
     ],
     ids=["labelled", "unlabelled"],
 )
-def test_dataset_csv(tmp_path, labelled, expected):
+def test_dataset_csv(tmp_path, labelled, expected, writerows_calls):
     write_dataset_csv(dataset(labelled), tmp_path / "data.csv")
     assert written(tmp_path / "data.csv") == expected
+    assert writerows_calls == []
 
 
-def test_labels_csv(tmp_path):
+def test_labels_csv(tmp_path, writerows_calls):
     pl = np.array([[1.0, 0.25, 0.1 + 0.2], [1 / 3, 1e-20, 0.0], [0.5, 1.0, 2 / 3], [1.0, 1.0, 1.0]])
     write_soft_labels_csv(pl, tmp_path / "labels.csv", item_ids=np.array([3, 0, 2, 1]))
     assert written(tmp_path / "labels.csv") == (
@@ -92,6 +111,7 @@ def test_labels_csv(tmp_path):
         "3,0.5,1.0,0.6666666666666666\n"
         "2,1.0,1.0,1.0\n"
     )
+    assert writerows_calls == []
 
 
 def sweep_result():
@@ -127,7 +147,7 @@ def sweep_result():
     return spec, rows, aggregate_report(spec, rows)
 
 
-def test_results_csv(tmp_path):
+def test_results_csv(tmp_path, writerows_calls):
     spec, rows, _ = sweep_result()
     write_results_csv(spec, rows, tmp_path / "results.csv")
     assert written(tmp_path / "results.csv") == (
@@ -142,6 +162,13 @@ def test_results_csv(tmp_path):
         "rho,0.1,unknown,1,0.4,0.6,1.1,1.8,12,true,-7.25,0.19999999999999996,0.19999999999999996,"
         "0.10000000000000009,0.09999999999999998,false,\n"
     )
+    # only a chunk holding an error with a comma or a quote reaches csv.writer, to be quoted
+    assert writerows_calls
+    writerows_calls.clear()
+    write_results_csv(spec, rows[[0, 3, 4, 5]], tmp_path / "unquoted.csv")
+    lines = written(tmp_path / "results.csv").splitlines(keepends=True)
+    assert written(tmp_path / "unquoted.csv") == "".join(lines[i] for i in (0, 1, 4, 5, 6))
+    assert writerows_calls == []
     # an error message of any length, with a comma and quotes, comes out whole and quoted
     long_error = 'DegenerateLikelihoodError: non-finite at "record(s)" [' + ", ".join(map(str, range(90))) + "]"
     spec, rows, _ = sweep_result()
@@ -153,7 +180,7 @@ def test_results_csv(tmp_path):
         assert [row["error"] for row in csv.DictReader(fh)][3] == long_error and len(long_error) > 300
 
 
-def test_summary_csv(tmp_path):
+def test_summary_csv(tmp_path, writerows_calls):
     spec, _, summary = sweep_result()
     write_summary_csv(spec, summary, tmp_path / "summary.csv")
     assert written(tmp_path / "summary.csv") == (
@@ -171,9 +198,10 @@ def test_summary_csv(tmp_path):
         "rho,0.1,unknown,xi_1,0.10000000000000003,7.850462293418876e-17,2,0,true\n"
         "rho,0.1,unknown,xi_2,0.10000000000000003,7.850462293418876e-17,2,0,true\n"
     )
+    assert writerows_calls == []
 
 
-def test_figure_csv(tmp_path):
+def test_figure_csv(tmp_path, writerows_calls):
     spec, _, summary = sweep_result()
     write_figure_csv(spec, [curve(summary, method, "xi_2") for method in spec.methods], tmp_path / "figure_xi_2.csv")
     assert written(tmp_path / "figure_xi_2.csv") == (
@@ -182,9 +210,10 @@ def test_figure_csv(tmp_path):
         "0.1,noisy,,,2\n"
         "0.1,unknown,0.10000000000000003,7.850462293418876e-17,0\n"
     )
+    assert writerows_calls == []
 
 
-def test_estimate_and_trace_csv(tmp_path, monkeypatch):
+def test_estimate_and_trace_csv(tmp_path, monkeypatch, writerows_calls):
     """``evidem fit`` writes the estimate and the trace of the fit it ran."""
     table = np.array([([0.25, 0.75], [1 / 3, 2.0], 2, True, -1e-300, None)], estimator.fit_dtype(2))
     # one step per iterate, as fit_batch gives them: the batch's rows, then their lambdas, xis and gll
@@ -207,6 +236,7 @@ def test_estimate_and_trace_csv(tmp_path, monkeypatch):
         "1,-9.5,0.3,0.7,0.30000000000000004,2.5\n"
         "2,-1e-300,0.25,0.75,0.3333333333333333,2.0\n"
     )
+    assert writerows_calls == []
 
 
 def reference_bytes(monkeypatch, module, write, path) -> bytes:
