@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .censoring import draw_experiment, read_dataset_csv, write_dataset_csv, write_table
+from .censoring import dataset_table, draw_experiment, read_dataset_csv, write_table, write_tables
 from .config import READS, ConfigError, RunConfig, parse_config
 from .estimator import (
     ComponentStarvedError,
@@ -25,7 +25,7 @@ from .estimator import (
     fit_batch,
     make_soft_labels,
     read_soft_labels_csv,
-    write_soft_labels_csv,
+    soft_labels_table,
 )
 from .figures import Series, write_line_chart
 from .simulation import (
@@ -118,8 +118,8 @@ def cmd_generate(cfg: RunConfig) -> int:
     ds = draw_experiment(cfg.model, cfg.scheme, rng)
     q = draw_error_probs(cfg.corruption, ds.n, rng)
     pl = make_soft_labels(LabelMode.UNCERTAIN, p, ds.n, corrupt_labels(ds.true_label, q, p, rng), q)
-    write_dataset_csv(ds, cfg.out / "data.csv")
-    write_soft_labels_csv(pl, cfg.out / "labels.csv", item_ids=ds.item_id)
+    write_tables([(cfg.out / "data.csv", *dataset_table(ds)),
+                  (cfg.out / "labels.csv", *soft_labels_table(pl, ds.item_id))])
     _write_manifest(cfg, {"effective_sd": cfg.corruption.effective_sd})
     print(f"wrote {cfg.out / 'data.csv'} ({cfg.scheme.J} observed, {cfg.scheme.n_censored} censored)")
     return EXIT_OK

@@ -60,6 +60,7 @@ __all__ = [
     "fit_batch",
     "make_soft_labels",
     "quantile_spread_init",
+    "soft_labels_table",
     "write_soft_labels_csv",
     "read_soft_labels_csv",
 ]
@@ -376,12 +377,18 @@ def quantile_spread_init(ds: CensoredDataset, n_components: int) -> MixtureParam
     return MixtureParams(np.full(p, 1.0 / p), xis)
 
 
-def write_soft_labels_csv(pl: np.ndarray, path, item_ids: np.ndarray) -> None:
-    """CSV form: item_id, pl_1, ..., pl_p (ids written 1-based)."""
+def soft_labels_table(pl: np.ndarray, item_ids: np.ndarray):
+    """``write_tables``' header, row count and columns of the labels' CSV form: item_id, pl_1, ..., pl_p
+    (ids written 1-based)."""
     pl = np.asarray(pl, dtype=float)
     n, p = pl.shape
     ids = np.asarray(item_ids, dtype=int)
-    write_table(path, ["item_id"] + [f"pl_{z + 1}" for z in range(p)], n, [lambda rows: ids[rows] + 1, *pl.T])
+    return ["item_id"] + [f"pl_{z + 1}" for z in range(p)], n, [lambda rows: ids[rows] + 1, *pl.T]
+
+
+def write_soft_labels_csv(pl: np.ndarray, path, item_ids: np.ndarray) -> None:
+    """CSV form: item_id, pl_1, ..., pl_p (ids written 1-based)."""
+    write_table(path, *soft_labels_table(pl, item_ids))
 
 
 def read_soft_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -355,16 +355,25 @@ LONG = "1" * 200_000  # over csv's default field size limit of 131 072 character
     (read_dataset_csv, "data.csv", DATA_HEADER.rstrip("\n") + f",{LONG}\n" + GOOD_ROW.rstrip("\n") + ",n\n",
      "the header"),
     (read_dataset_csv, "data.csv", DATA_HEADER.rstrip("\n") + ",note\n" + GOOD_ROW.rstrip("\n") + ",n\n"
-     + f'2,1.5,censored,1,2,"{LONG}"\n', "row 2"),
+     + f'2,1.5,censored,1,2,"{LONG}"\n', None),
     (read_soft_labels_csv, "labels.csv", f'item_id,pl_1,pl_2\n1,0.5,1\n2,"{LONG}",1\n3,abc,1\n', "row 2"),
 ], ids=["header", "quoted-field-after-a-parse", "quoted-field-after-a-failed-parse"])
 def test_field_over_csv_size_limit_names_its_row(tmp_path, read, name, text, where):
-    # csv splits the header before any parse, and a row in the walk for a quote left open after a parse that
-    # succeeds (the extra column) or in the row scan after one that fails (row 3's 'abc')
+    # csv splits the header before any parse, and a row in the row scan after a parse that fails (row 3's 'abc');
+    # the walk for a quote left open after a parse that succeeds splits a line whatever its fields' length, so the
+    # quoted extra column is read as the same field unquoted is
     limit = csv.field_size_limit()
     path = tmp_path / name
     path.write_text(text)
-    with pytest.raises(ValueError) as err:
-        read(path)
-    assert str(err.value).startswith(f"{path}: {where} cannot be read as CSV: field larger than field limit")
+    if where is None:
+        unquoted = tmp_path / f"unquoted_{name}"
+        unquoted.write_text(text.replace('"', ""))
+        got, want = read(path), read(unquoted)
+        assert got.scheme == want.scheme
+        for field in ("item_id", "y_star", "observed", "censored_at_failure", "true_label"):
+            assert_same_array(getattr(got, field), getattr(want, field))
+    else:
+        with pytest.raises(ValueError) as err:
+            read(path)
+        assert str(err.value).startswith(f"{path}: {where} cannot be read as CSV: field larger than field limit")
     assert csv.field_size_limit() == limit

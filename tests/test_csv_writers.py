@@ -4,10 +4,13 @@ and the bytes of ``write_table`` on drawn columns against the row-by-row
 
 Each table is also written with the writer's chunk size set to 1 and to 3
 rows, so that rows split over chunks, and a last chunk shorter than the
-others, give the same bytes.
+others, give the same bytes.  At those sizes the split threshold is 2 rows on
+two CPUs, so that a forked child writes the first half of a table of a few
+rows, except under the ``writerows_calls`` spy, which cannot see a child's calls.
 """
 
 import csv
+import os
 import sys
 
 import numpy as np
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 from evidem import censoring, estimator
 from evidem.censoring import (CensoredDataset, CensoringScheme, scheme_from_censor_frac,
-                              write_dataset_csv, write_table)
+                              write_dataset_csv, write_table, write_tables)
 from evidem.cli import EXIT_OK, main
 from evidem.estimator import LabelMode, make_soft_labels, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams, sample_labeled
@@ -37,15 +40,24 @@ from evidem.simulation import (
 from oracles import reference_life_test, reference_write_table
 
 
+def split_at(monkeypatch, chunk_rows: int, cpus=(0, 1)) -> None:
+    """Write tables in chunks of ``chunk_rows`` rows, and by two processes from 2 rows on if ``cpus`` lists two."""
+    monkeypatch.setattr(censoring, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(censoring, "_SPLIT_ROWS", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+
+
 @pytest.fixture(params=[None, 1, 3], ids=["default-chunk", "chunk-1", "chunk-3"], autouse=True)
 def chunk_rows(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(censoring, "_CHUNK_ROWS", request.param)
+        split_at(monkeypatch, request.param)
 
 
 @pytest.fixture
-def writerows_calls(monkeypatch):
-    """The rows handed to csv.writer's writerows while the test runs; the writer joins every other chunk itself."""
+def writerows_calls(chunk_rows, monkeypatch):
+    """The rows handed to csv.writer's writerows while the test runs; the writer joins every other chunk itself.
+    Tables are written by this process alone, whose calls are the only ones the spy sees."""
+    monkeypatch.setattr(censoring, "_SPLIT_ROWS", float("inf"))
     calls, make = [], csv.writer
 
     class Spy:
@@ -334,10 +346,84 @@ def outcome(write, path, table):
 
 
 @pytest.mark.parametrize("table", [
-    (["a", "\x00"], 1, [np.array([0.5]), np.array([True])]),
+    (["a", "\x00"], 2, [np.array([0.5, 1.5]), np.array([True, False])]),
     (["a", "b"], 2, [np.array([1, 2]), np.array(["x\x00y", "z"])]),
-    (["a", "b"], 1, [np.array([0.5]), object_array(["\x00"])]),
+    (["a", "b"], 2, [np.array([0.5, 1.5]), object_array(["c", "\x00"])]),
 ], ids=["header", "text", "object"])
 def test_nul_fields(tmp_path, table):
-    """A NUL is written, or raises, exactly as csv.writer does on the running Python."""
+    """A NUL is written, or raises, exactly as csv.writer does on the running Python, in the first row, which a
+    forked child writes at chunk size 1, or in the second, which this process writes."""
     assert outcome(write_table, tmp_path / "got.csv", table) == outcome(reference_write_table, tmp_path / "want.csv", table)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(several=st.lists(tables(), min_size=1, max_size=3))
+def test_write_tables_matches_each_table_alone(tmp_path, several):
+    paths = [tmp_path / f"table{k}.csv" for k in range(len(several))]
+    write_tables([(path, *table) for path, table in zip(paths, several)])
+    for path, table in zip(paths, several):
+        write_table(tmp_path / "alone.csv", *table)
+        assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes()
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children that os.fork makes while the test runs."""
+    pids, fork = [], os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+class ColumnError(Exception):
+    pass
+
+
+def column(bad):
+    """A column of the row numbers that raises ColumnError on a chunk of rows for which ``bad(rows)`` holds."""
+    def values(rows):
+        if bad(rows):
+            raise ColumnError(f"cannot build rows {rows.start}:{rows.stop}")
+        return np.arange(rows.start, rows.stop)
+    return values
+
+
+@pytest.mark.parametrize("side", ["child", "parent"])
+def test_failed_split_raises_as_one_process(tmp_path, monkeypatch, capfd, forks, side):
+    """At chunk size 2 a child writes rows 0-3 of each 8-row table, and this process rows 4-7: a column that raises on
+    the child's rows of the first table, or on this process's rows of the second, raises as a one-process write does.
+    The child is reaped, and prints no traceback."""
+    def raised(cpus):
+        split_at(monkeypatch, 2, cpus)
+        bad = [lambda rows: side == "child" and rows.start < 4, lambda rows: side == "parent" and rows.start >= 4]
+        tables = [(tmp_path / f"{k}.csv", ["k", "row"], 8, [np.full(8, k), column(bad[k])]) for k in range(2)]
+        with pytest.raises(ColumnError) as err:
+            write_tables(tables)
+        return str(err.value)
+
+    assert raised([0]) == ("cannot build rows 0:2" if side == "child" else "cannot build rows 4:6")
+    assert forks == []
+    assert raised([0, 1]) == raised([0])
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("affinity", ["two-cpus", "one-cpu", "absent"])
+def test_split_only_on_two_cpus(tmp_path, monkeypatch, forks, affinity):
+    """A process that may run on one CPU, or that cannot tell, writes alone; the bytes are the same either way."""
+    table = (["item_id", "pl_1", "pl_2"], 10, [np.arange(1, 11), np.linspace(0.0, 1.0, 10), np.full(10, 1 / 3)])
+    split_at(monkeypatch, 2, [0, 1] if affinity == "two-cpus" else [0])
+    if affinity == "absent":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    write_table(tmp_path / "got.csv", *table)
+    reference_write_table(tmp_path / "want.csv", *table)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert len(forks) == (affinity == "two-cpus")
