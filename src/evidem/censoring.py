@@ -6,12 +6,12 @@ A scheme places ``n`` units on test, observes ``J`` failures, and removes
 life tests with their component labels (labels must survive censoring so
 that the label-corruption protocol can act on every record), and reads and
 writes them as CSV.  ``write_tables`` writes every output table of the
-program, ``write_table`` being its one-table case, and ``_chunk_fields``
-alone gives a field's text, each distinct float of a chunk formatted once;
-csv.writer only quotes.  Tables of at least ``_SPLIT_ROWS`` rows in all, in
-a process that may run on two or more CPUs, are written by two processes: a
-forked child appends the first half of each, cut on a chunk boundary, while
-this process formats the second halves.  The bytes do not depend on it.
+program, and ``_chunk_fields`` alone gives a field's text, each distinct float
+of a chunk formatted once; csv.writer only quotes.  Tables of at least
+``_SPLIT_ROWS`` rows in all, in a process that may run on two or more CPUs,
+are written by two processes: a forked child appends the first half of each,
+cut on a chunk boundary, while this process formats the second halves.  The
+bytes do not depend on it.
 
 ``draw_experiment`` produces the life test of a plan on units drawn from a
 mixture.  A conventional plan, removing units only at its last failure, is
@@ -44,7 +44,6 @@ import io
 import math
 import operator
 import os
-import signal
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -63,7 +62,6 @@ __all__ = [
     "run_life_test",
     "draw_experiment",
     "dataset_table",
-    "write_table",
     "write_tables",
     "write_dataset_csv",
     "read_dataset_csv",
@@ -345,7 +343,7 @@ def draw_experiment(model: MixtureParams, scheme: CensoringScheme, rng: np.rando
                            np.where(observed, 0, failure_of), labels)
 
 
-# Rows per write_table chunk: one chunk's cells and fields are all the Python objects
+# Rows per write_tables chunk: one chunk's cells and fields are all the Python objects
 # a table of any length holds at once; at 1 024 rows the peak RSS is a row-at-a-time writer's.
 _CHUNK_ROWS = 1024
 
@@ -397,8 +395,9 @@ def _chunk_texts(columns, start: int, stop: int):
             yield quoted.getvalue()
 
 
-def write_table(path, header, n_rows: int, columns) -> None:
-    """Write one output table: a CSV of ``n_rows`` rows under ``header``, a chunk of rows at a time.
+def write_tables(*tables) -> None:
+    """Write each ``(path, header, n_rows, columns)`` table: a CSV of ``n_rows`` rows under ``header``, a chunk
+    of rows at a time.
 
     A column holds ``n_rows`` values, or maps a slice of rows to their values,
     which builds a derived column a chunk at a time.  Floats are written as their
@@ -407,30 +406,21 @@ def write_table(path, header, n_rows: int, columns) -> None:
     ``_chunk_fields`` gives every field's text, each distinct float of a chunk
     formatted once.  csv.writer writes the header, and a chunk only when a field
     needs its quoting or NUL rule, which differ across Python versions, or when
-    the table has one column, whose empty field it writes as '""'.  A table of at
-    least ``_SPLIT_ROWS`` rows is written by two processes, as :func:`write_tables`
-    says; the bytes are the same either way.
-    """
-    write_tables([(path, header, n_rows, columns)])
-
-
-def write_tables(tables) -> None:
-    """Write each ``(path, header, n_rows, columns)`` of ``tables`` as :func:`write_table` writes one.
+    the table has one column, whose empty field it writes as '""'.
 
     When the tables hold at least ``_SPLIT_ROWS`` rows in all and this process may run on two or more
     CPUs, one forked child appends the first half of every table's rows, cut on a chunk boundary, while
     this process formats the second halves; it appends them once the child has exited.  Every chunk's
-    text is that of a one-process write, so the bytes do not depend on the split.  If the child fails,
-    or anything here raises, the child is reaped and the tables are written again by this process alone,
-    which raises what a one-process write raises.
+    text is that of a one-process write, so the bytes do not depend on the split.  If the split raises,
+    as it does when the child exits non-zero, the tables are written again by this process alone, which
+    raises what a one-process write raises.
     """
-    tables = list(tables)
     cuts = [n_rows // (2 * _CHUNK_ROWS) * _CHUNK_ROWS for _, _, n_rows, _ in tables]
     if (sum(n_rows for _, _, n_rows, _ in tables) >= _SPLIT_ROWS and any(cuts)
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
         try:
-            if _write_split(tables, cuts):
-                return
+            _write_split(tables, cuts)
+            return
         except Exception:
             pass  # the one-process write below raises the error a one-process write gives
     for path, header, n_rows, columns in tables:
@@ -439,10 +429,11 @@ def write_tables(tables) -> None:
             fh.writelines(_chunk_texts(columns, 0, n_rows))
 
 
-def _write_split(tables, cuts) -> bool:
+def _write_split(tables, cuts) -> None:
     """Write ``tables`` as :func:`write_tables` says, a forked child appending each table's rows before its
-    cut; whether the child exited 0.  The child leaves only through ``os._exit``, which runs no clean-up of
-    this process's state and prints no traceback; it calls no BLAS, whose threads a fork does not copy."""
+    cut, or raise ChildProcessError if the child exits non-zero.  The child is reaped before this returns or
+    raises.  It leaves only through ``os._exit``, which runs no clean-up of this process's state and prints
+    no traceback; it calls no BLAS, whose threads a fork does not copy."""
     for path, header, _, _ in tables:
         with open(path, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(header)
@@ -458,17 +449,13 @@ def _write_split(tables, cuts) -> bool:
             os._exit(code)
     try:
         rest = [list(_chunk_texts(columns, cut, n_rows)) for (_, _, n_rows, columns), cut in zip(tables, cuts)]
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)  # its half is written again
-        raise
     finally:
-        status = os.waitpid(pid, 0)[1]
-    if os.waitstatus_to_exitcode(status):
-        return False
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        raise ChildProcessError(f"the child writing the first halves exited with {status}")
     for (path, _, _, _), texts in zip(tables, rest):
         with open(path, "a", newline="") as fh:
             fh.writelines(texts)
-    return True
 
 
 def dataset_table(ds: CensoredDataset):
@@ -485,7 +472,7 @@ def dataset_table(ds: CensoredDataset):
 
 def write_dataset_csv(ds: CensoredDataset, path) -> None:
     """CSV form: item_id, y_star, status, censored_at_failure, true_label (1-based ids)."""
-    write_table(path, *dataset_table(ds))
+    write_tables((path, *dataset_table(ds)))
 
 
 def csv_fields(line: str, path, row_no: int) -> list[str]:

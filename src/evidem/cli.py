@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .censoring import dataset_table, draw_experiment, read_dataset_csv, write_table, write_tables
+from .censoring import dataset_table, draw_experiment, read_dataset_csv, write_tables
 from .config import READS, ConfigError, RunConfig, parse_config
 from .estimator import (
     ComponentStarvedError,
@@ -69,7 +69,8 @@ _FLAGS = {
     "--method": dict(dest="methods", choices=[m.value for m in LabelMode] + ["all"], help="supervision regime(s)"),
     "--out": dict(dest="out", type=Path, help="output directory"),
     "--workers": dict(dest="workers", type=_integer,
-                      help="sweep worker processes; a sweep of at most 2**15 fit records runs in the main one"),
+                      help="sweep worker processes, by default one per CPU this process may run on; a sweep of "
+                           "at most 2**15 fit records runs in the main one"),
     "--tol": dict(dest="fit.tol", type=float, help="relative log-likelihood stop threshold"),
     "--max-iters": dict(dest="fit.max_iters", type=_integer, help="iteration cap"),
 }
@@ -118,8 +119,8 @@ def cmd_generate(cfg: RunConfig) -> int:
     ds = draw_experiment(cfg.model, cfg.scheme, rng)
     q = draw_error_probs(cfg.corruption, ds.n, rng)
     pl = make_soft_labels(LabelMode.UNCERTAIN, p, ds.n, corrupt_labels(ds.true_label, q, p, rng), q)
-    write_tables([(cfg.out / "data.csv", *dataset_table(ds)),
-                  (cfg.out / "labels.csv", *soft_labels_table(pl, ds.item_id))])
+    write_tables((cfg.out / "data.csv", *dataset_table(ds)),
+                 (cfg.out / "labels.csv", *soft_labels_table(pl, ds.item_id)))
     _write_manifest(cfg, {"effective_sd": cfg.corruption.effective_sd})
     print(f"wrote {cfg.out / 'data.csv'} ({cfg.scheme.J} observed, {cfg.scheme.n_censored} censored)")
     return EXIT_OK
@@ -163,11 +164,11 @@ def cmd_fit(cfg: RunConfig) -> int:
 
     names = parameter_names(p)
     scalars = [name for name in result.dtype.names[2:] if name != "error"]  # fit_dtype's fields after the estimate
-    write_table(cfg.out / "estimate.csv", names + scalars, 1,
-                [[v] for v in [*result["lambdas"], *result["xis"], *(result[name] for name in scalars)]])
     _, lambdas, xis, gll = (np.concatenate(a) for a in zip(*steps))
-    write_table(cfg.out / "trace.csv", ["iteration", "gll"] + names, len(gll),
-                [np.arange(len(gll)), gll, *lambdas.T, *xis.T])
+    write_tables((cfg.out / "estimate.csv", names + scalars, 1,
+                  [[v] for v in [*result["lambdas"], *result["xis"], *(result[name] for name in scalars)]]),
+                 (cfg.out / "trace.csv", ["iteration", "gll"] + names, len(gll),
+                  [np.arange(len(gll)), gll, *lambdas.T, *xis.T]))
     _write_manifest(cfg, {"outcome": "converged" if result["converged"] else "not converged"})
     if not result["converged"]:
         print(f"did not converge within {cfg.fit_config.max_iters} iterations", file=sys.stderr)

@@ -59,7 +59,9 @@ class RunConfig:
     seed: int = 0
     out: Path = Path("out")
     reps: int = 20
-    workers: int = os.cpu_count() or 1
+    # the CPUs this process may run on, as write_tables counts them; the host's only where that cannot be told
+    workers: int = field(default_factory=lambda: len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                         else os.cpu_count() or 1)
     methods: list[LabelMode] = field(default_factory=lambda: list(LabelMode))
     model: MixtureParams | None = None
     censor_frac: float | None = None

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .censoring import CensoredDataset, _records, csv_fields, load_csv_rows, write_table
+from .censoring import CensoredDataset, _records, csv_fields, load_csv_rows, write_tables
 from .rayleigh import MixtureParams
 
 __all__ = [
@@ -388,7 +388,7 @@ def soft_labels_table(pl: np.ndarray, item_ids: np.ndarray):
 
 def write_soft_labels_csv(pl: np.ndarray, path, item_ids: np.ndarray) -> None:
     """CSV form: item_id, pl_1, ..., pl_p (ids written 1-based)."""
-    write_table(path, *soft_labels_table(pl, item_ids))
+    write_tables((path, *soft_labels_table(pl, item_ids)))
 
 
 def read_soft_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:

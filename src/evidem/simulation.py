@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .censoring import (MAX_UNITS, CensoredDataset, CensoringScheme, _shown, draw_experiment, scheme_from_censor_frac,
-                        write_table)
+                        write_tables)
 from .estimator import (E2MConfig, LabelMode, SoftLabeledDataset, fit_batch, fit_dtype, make_soft_labels,
                         quantile_spread_init)
 from .rayleigh import MixtureParams
@@ -418,14 +418,14 @@ def write_results_csv(spec: SweepSpec, rows: np.recarray, path) -> None:
             columns.append(lambda s, values=values: np.where(rows.failed[s], None, values[s]))
         else:
             columns.append(values)
-    write_table(path, header, len(rows), columns)
+    write_tables((path, header, len(rows), columns))
 
 
 def write_summary_csv(spec: SweepSpec, summary: np.ndarray, path) -> None:
     """Per (grid point, method, parameter) aggregate of the replication rows:
     the sweep variable, then a column per :func:`summary_dtype` field."""
-    write_table(path, ["variable", *summary.dtype.names], len(summary),
-                [lambda s: [spec.variable] * (s.stop - s.start), *(summary[name] for name in summary.dtype.names)])
+    write_tables((path, ["variable", *summary.dtype.names], len(summary),
+                  [lambda s: [spec.variable] * (s.stop - s.start), *(summary[name] for name in summary.dtype.names)]))
 
 
 def write_figure_csv(spec: SweepSpec, curves: Sequence[np.ndarray], path) -> None:
@@ -433,4 +433,4 @@ def write_figure_csv(spec: SweepSpec, curves: Sequence[np.ndarray], path) -> Non
     ``spec.methods``, in that order."""
     table = np.concatenate(curves)
     names = ["grid_value", "method", "mean_rabias", "sd_rabias", "n_failed"]
-    write_table(path, [spec.variable, *names[1:]], len(table), [table[name] for name in names])
+    write_tables((path, [spec.variable, *names[1:]], len(table), [table[name] for name in names]))

@@ -14,7 +14,7 @@ failure times; the O(n J) replay of a progressive life test, which
 ``draw_experiment`` in distribution on the others; and the row-by-row
 ``csv``-module readers of ``data.csv`` and ``labels.csv`` that the column
 readers must match value for value, and the row-by-row ``csv.writer`` form of
-``write_table`` whose bytes the column writer must match.
+one ``write_tables`` table whose bytes the column writer must match.
 """
 
 from __future__ import annotations

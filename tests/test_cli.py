@@ -4,8 +4,6 @@ import json
 import os
 import re
 import shutil
-import subprocess
-import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -29,7 +27,6 @@ from evidem.simulation import truth_offset_init
 from helpers import fit, reference_e2m, starving_problem
 from oracles import reference_read_dataset_csv
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 PAPER_MODEL = {"lambdas": [1 / 3, 1 / 3, 1 / 3], "xis": [4.0, 0.5, 0.8]}
 
 
@@ -66,7 +63,7 @@ class TestParseConfig:
         assert cfg.corruption.sd == 0.2
         assert cfg.seed == 0
         assert cfg.reps == 20
-        assert cfg.workers == RunConfig(command="fit").workers == (os.cpu_count() or 1)
+        assert cfg.workers == RunConfig(command="fit").workers == len(os.sched_getaffinity(0))
 
     def test_censor_frac_expansion(self, tmp_path):
         cfg_file = write_config(tmp_path / "c.yaml", {"model": PAPER_MODEL, "scheme": {"n": 500}})
@@ -1242,25 +1239,44 @@ def test_a_section_a_command_does_not_read_is_checked_only_for_unknown_keys(tmp_
         assert run(command, {**complete[command], section: {"bogus": 1}})[0] == EXIT_CONFIG
 
 
-def test_fit_and_generate_manifests_do_not_depend_on_the_cpu_count(tmp_path):
-    # a fresh interpreter per count, since RunConfig takes its default worker count when evidem is imported
-    code = (
-        "import os, sys\n"
-        "os.cpu_count = lambda: int(sys.argv[1])\n"
-        "from evidem.cli import main\n"
-        "assert main(['generate', '--config', 'gen.yaml', '--out', 'gen']) == 0\n"
-        "assert main(['fit', '--config', 'fit.yaml', '--out', 'fit']) == 0\n"
-    )
+def cpus(monkeypatch, host: int, usable: int | None) -> None:
+    """A host of ``host`` CPUs, of which this process may run on ``usable``; at None, ``os.sched_getaffinity`` is absent."""
+    monkeypatch.setattr(os, "cpu_count", lambda: host)
+    if usable is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)), raising=False)
+
+
+def test_default_workers_are_the_cpus_this_process_may_run_on(tmp_path, monkeypatch):
+    """On one CPU of a host of several, a sweep's default is one worker, which its manifest records; a sweep
+    of more fit records than one batch then starts no pool."""
+    cpus(monkeypatch, 4, 1)
+    monkeypatch.setattr(simulation, "_BATCH_RECORDS", 8)
+    monkeypatch.setattr(simulation, "Pool", lambda processes: pytest.fail(f"a pool of {processes} started"))
+    assert RunConfig(command="sweep").workers == 1
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", sweep_config(tmp_path, out)]) == EXIT_OK
+    assert read_manifest(out / "manifest.json")["config"]["workers"] == 1
+
+
+def test_default_workers_without_an_affinity_are_the_host_cpus(monkeypatch):
+    cpus(monkeypatch, 3, None)
+    assert RunConfig(command="sweep").workers == 3
+
+
+def test_fit_and_generate_manifests_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
     manifests = {}
     for count in (1, 4):
+        cpus(monkeypatch, count, count)
         run = tmp_path / f"cpus{count}"
         run.mkdir()
+        monkeypatch.chdir(run)
         write_config(run / "gen.yaml", {"model": {"lambdas": [0.5, 0.5], "xis": [1.0, 2.0]},
                                         "scheme": {"n": 40, "censor_frac": 0.5}, "seed": 123})
         write_config(run / "fit.yaml", {"data": "gen/data.csv", "labels": "gen/labels.csv"})
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-c", code, str(count)], cwd=run, env=env, capture_output=True, timeout=60,
-                       check=True)
+        assert main(["generate", "--config", "gen.yaml", "--out", "gen"]) == EXIT_OK
+        assert main(["fit", "--config", "fit.yaml", "--out", "fit"]) == EXIT_OK
         manifests[count] = [(run / command / "manifest.json").read_bytes() for command in ("gen", "fit")]
     assert manifests[1] == manifests[4]
     generate, fit_ = (json.loads(text) for text in manifests[1])

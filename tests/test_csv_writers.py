@@ -1,5 +1,5 @@
 """Golden bytes of every output table, written from small hand-built inputs,
-and the bytes of ``write_table`` on drawn columns against the row-by-row
+and the bytes of ``write_tables`` on drawn columns against the row-by-row
 ``csv.writer`` oracle.
 
 Each table is also written with the writer's chunk size set to 1 and to 3
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from evidem import censoring, estimator
 from evidem.censoring import (CensoredDataset, CensoringScheme, scheme_from_censor_frac,
-                              write_dataset_csv, write_table, write_tables)
+                              write_dataset_csv, write_tables)
 from evidem.cli import EXIT_OK, main
 from evidem.estimator import LabelMode, make_soft_labels, write_soft_labels_csv
 from evidem.rayleigh import MixtureParams, sample_labeled
@@ -38,6 +38,11 @@ from evidem.simulation import (
     write_summary_csv,
 )
 from oracles import reference_life_test, reference_write_table
+
+
+def write_table(path, header, n_rows, columns) -> None:
+    """Write one table through ``write_tables``."""
+    write_tables((path, header, n_rows, columns))
 
 
 def split_at(monkeypatch, chunk_rows: int, cpus=(0, 1)) -> None:
@@ -252,12 +257,13 @@ def test_estimate_and_trace_csv(tmp_path, monkeypatch, writerows_calls):
 
 
 def reference_bytes(monkeypatch, module, write, path) -> bytes:
-    """The bytes ``write(path)`` leaves when ``module``'s ``write_table`` is the row-by-row oracle."""
-    def oracle(path, header, n_rows, columns):
-        reference_write_table(path, header, n_rows, [col(slice(0, n_rows)) if callable(col) else col for col in columns])
+    """The bytes ``write(path)`` leaves when ``module``'s ``write_tables`` is the row-by-row oracle."""
+    def oracle(*tables):
+        for path, header, n_rows, columns in tables:
+            reference_write_table(path, header, n_rows, [col(slice(0, n_rows)) if callable(col) else col for col in columns])
 
     with monkeypatch.context() as patched:
-        patched.setattr(module, "write_table", oracle)
+        patched.setattr(module, "write_tables", oracle)
         write(path)
     return path.read_bytes()
 
@@ -360,7 +366,7 @@ def test_nul_fields(tmp_path, table):
 @given(several=st.lists(tables(), min_size=1, max_size=3))
 def test_write_tables_matches_each_table_alone(tmp_path, several):
     paths = [tmp_path / f"table{k}.csv" for k in range(len(several))]
-    write_tables([(path, *table) for path, table in zip(paths, several)])
+    write_tables(*[(path, *table) for path, table in zip(paths, several)])
     for path, table in zip(paths, several):
         write_table(tmp_path / "alone.csv", *table)
         assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes()
@@ -404,7 +410,7 @@ def test_failed_split_raises_as_one_process(tmp_path, monkeypatch, capfd, forks,
         bad = [lambda rows: side == "child" and rows.start < 4, lambda rows: side == "parent" and rows.start >= 4]
         tables = [(tmp_path / f"{k}.csv", ["k", "row"], 8, [np.full(8, k), column(bad[k])]) for k in range(2)]
         with pytest.raises(ColumnError) as err:
-            write_tables(tables)
+            write_tables(*tables)
         return str(err.value)
 
     assert raised([0]) == ("cannot build rows 0:2" if side == "child" else "cannot build rows 4:6")
